@@ -75,7 +75,7 @@ def is_probable_prime(x: int) -> bool:
     """Primality test: deterministic below 3.3e24, error < 2**-128 above."""
     if x < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_WITNESSES:
         if x % p == 0:
             return x == p
     if not all(_miller_rabin(x, w) for w in _MR_WITNESSES):

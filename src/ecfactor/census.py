@@ -103,19 +103,20 @@ def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     return tuple(traces)
 
 
+def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
+    """Census row for (p, D); isomorphism-class counts only if with_classes."""
+    s = total = None
+    if with_classes:
+        traces = isomorphism_class_traces(p)
+        s = sum(1 for a in traces if gcd(abs(a), p + 1) <= D)
+        total = len(traces)
+    b22, b23 = lower_bounds(p, D)
+    return CensusRow(p, D, phi_direct(p, D), phi_mobius(p, D), b22, b23, s, total)
+
+
 def class_census(p: int, D: int) -> CensusRow:
     """Full census row for (p, D), including isomorphism-class counts."""
-    traces = isomorphism_class_traces(p)
-    s = sum(1 for a in traces if gcd(abs(a), p + 1) <= D)
-    b22, b23 = lower_bounds(p, D)
-    return CensusRow(p, D, phi_direct(p, D), phi_mobius(p, D), b22, b23, s, len(traces))
-
-
-def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
-    if with_classes:
-        return class_census(p, D)
-    b22, b23 = lower_bounds(p, D)
-    return CensusRow(p, D, phi_direct(p, D), phi_mobius(p, D), b22, b23)
+    return census_row(p, D, True)
 
 
 def census_sweep(

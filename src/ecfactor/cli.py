@@ -19,7 +19,7 @@ from math import gcd
 from . import census as census_mod
 from .arith import divisors, euler_phi, factor_small, jacobi, primes_up_to
 from .counting import count_points_prime, count_points_squarefree
-from .oracle import DirectOracle, FactoredOracle
+from .oracle import DirectOracle, FactoredOracle, UnsupportedModulusError
 from .reduction import ReductionConfig, factor_completely
 
 SEED_ENV = "ECFACTOR_SEED"
@@ -46,14 +46,15 @@ def cmd_factor(args) -> int:
             print(f"error: {n} is not squarefree ({p}^{e})", file=sys.stderr)
             return 1
     odd_primes = [p for p, _ in facts if p >= 5]
-    if args.oracle == "factored":
-        oracle = FactoredOracle(odd_primes) if odd_primes else DirectOracle(n)
-    else:
-        oracle = DirectOracle(n)
+    oracle = FactoredOracle(odd_primes) if args.oracle == "factored" else DirectOracle(n)
     cfg = ReductionConfig(
         D=args.D, max_d=args.max_d, max_curves=args.max_curves, seed=args.seed
     )
-    result = factor_completely(n, oracle, cfg)
+    try:
+        result = factor_completely(n, oracle, cfg)
+    except UnsupportedModulusError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = {
         "command": "factor",
         "n": n,

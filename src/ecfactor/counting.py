@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
-from .arith import is_probable_prime, isqrt, jacobi
+from .arith import is_probable_prime, jacobi
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,3 @@ def count_affine_bruteforce(n: int, A: int, B: int) -> int:
     f = (y * y % n * y + (A % n) * y + B % n) % n  # reuse y as the x range
     return int(nsqrt[f].sum())
 
-
-def hasse_bound(p: int) -> int:
-    """Largest admissible |trace| at p, as an exact integer: floor(2*sqrt(p))."""
-    return isqrt(4 * p)

@@ -37,26 +37,28 @@ class Curve:
     A: int
     B: int
 
-    def discriminant_gcd(self) -> int:
-        return gcd((4 * self.A ** 3 + 27 * self.B ** 2) % self.n, self.n)
-
 
 @dataclass(frozen=True)
-class ScreenResult:
-    kind: str  # SMOOTH | FACTOR | SINGULAR
+class GcdClass:
+    kind: str  # SMOOTH | SINGULAR, UNRELATED | RELATED, or FACTOR
     factor: int | None = None
 
 
-def screen(n: int, A: int, B: int) -> ScreenResult:
+def _classify_gcd(x: int, n: int, unit: str, full: str) -> GcdClass:
+    """Sort gcd(x, n) into a unit, a proper factor of n, or n itself."""
+    g = gcd(x % n, n)
+    if g == 1:
+        return GcdClass(unit)
+    if g == n:
+        return GcdClass(full)
+    return GcdClass(FACTOR, g)
+
+
+def screen(n: int, A: int, B: int) -> GcdClass:
     """Classify gcd(4A^3 + 27B^2, n): unit, proper factor, or fully singular."""
     if n < 2:
         raise ValueError("screen: modulus must be >= 2")
-    g = gcd((4 * A ** 3 + 27 * B ** 2) % n, n)
-    if g == 1:
-        return ScreenResult(SMOOTH)
-    if g == n:
-        return ScreenResult(SINGULAR)
-    return ScreenResult(FACTOR, g)
+    return _classify_gcd(4 * A ** 3 + 27 * B ** 2, n, SMOOTH, SINGULAR)
 
 
 def twist(c: Curve, d: int) -> Curve:
@@ -67,13 +69,7 @@ def twist(c: Curve, d: int) -> Curve:
     return Curve(c.n, c.A * d * d % c.n, c.B * d ** 3 % c.n)
 
 
-@dataclass(frozen=True)
-class Relatedness:
-    kind: str  # UNRELATED | RELATED | FACTOR
-    factor: int | None = None
-
-
-def isomorphic_gcd(c1: Curve, c2: Curve) -> Relatedness:
+def isomorphic_gcd(c1: Curve, c2: Curve) -> GcdClass:
     """Necessary-condition isomorphism test: gcd(B2^2 A1^3 - A2^3 B1^2, n).
 
     Unit gcd means the curves share no isomorphism mod any prime of n; full
@@ -82,30 +78,20 @@ def isomorphic_gcd(c1: Curve, c2: Curve) -> Relatedness:
     """
     if c1.n != c2.n:
         raise ValueError("isomorphic_gcd: mismatched moduli")
-    n = c1.n
-    g = gcd((c2.B ** 2 * c1.A ** 3 - c2.A ** 3 * c1.B ** 2) % n, n)
-    if g == 1:
-        return Relatedness(UNRELATED)
-    if g == n:
-        return Relatedness(RELATED)
-    return Relatedness(FACTOR, g)
+    return _classify_gcd(
+        c2.B ** 2 * c1.A ** 3 - c2.A ** 3 * c1.B ** 2, c1.n, UNRELATED, RELATED
+    )
 
 
-def sample_curve(
-    n: int,
-    rng: random.Random,
-    used: list[Curve],
-    max_attempts: int | None = None,
-) -> Curve:
+def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
     """Draw a uniform smooth curve mod n, unrelated to every curve in `used`.
 
     Raises FactorFound the moment any screening gcd is a proper factor, and
-    CurveSupplyExhausted after the redraw cap (default 64*len(used) + 64).
+    CurveSupplyExhausted after 64*len(used) + 64 draws.
     """
     if n < 5:
         raise ValueError("sample_curve: modulus must be >= 5")
-    if max_attempts is None:
-        max_attempts = 64 * len(used) + 64
+    max_attempts = 64 * len(used) + 64
     for _ in range(max_attempts):
         A = rng.randrange(n)
         B = rng.randrange(n)

@@ -3,16 +3,21 @@
 The factoring driver only ever sees `query(m, A, B) -> |E_m|`. Two
 implementations are provided: one that knows the prime factorization
 (the simulated black box the reduction is measured against) and one that
-trial-divides and brute-forces, used to cross-check the first.
+trial-divides and brute-forces, used to cross-check the first. Both admit,
+check and count queries through the one `Oracle.query`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .arith import factor_small
-from .counting import count_affine_bruteforce, count_points_squarefree
+from .counting import (
+    _BRUTEFORCE_LIMIT,
+    count_affine_bruteforce,
+    count_points_squarefree,
+)
+from .curves import SMOOTH, screen
 
 
 class SingularCurveError(ValueError):
@@ -32,17 +37,29 @@ class OracleStats:
         self.queries += 1
         self.per_modulus[m] = self.per_modulus.get(m, 0) + 1
 
-    def snapshot(self) -> "OracleStats":
-        return OracleStats(self.queries, dict(self.per_modulus))
+
+class Oracle:
+    """The one query path: admit m, require a smooth curve, record, count.
+
+    Subclasses supply `_primes(m)`, the primes of m or UnsupportedModulusError,
+    and `_count(primes, A, B)`, the point count mod their product.
+    """
+
+    def __init__(self) -> None:
+        self.stats = OracleStats()
+
+    def query(self, m: int, A: int, B: int) -> int:
+        primes = self._primes(m)
+        s = screen(m, A, B)
+        if s.kind != SMOOTH:
+            raise SingularCurveError(
+                f"gcd(disc, {m}) = {s.factor or m}; oracle requires smooth curves"
+            )
+        self.stats.record(m)
+        return self._count(primes, A, B)
 
 
-def _check_smooth(m: int, A: int, B: int) -> None:
-    g = gcd((4 * A ** 3 + 27 * B ** 2) % m, m)
-    if g != 1:
-        raise SingularCurveError(f"gcd(disc, {m}) = {g}; oracle requires smooth curves")
-
-
-class FactoredOracle:
+class FactoredOracle(Oracle):
     """Oracle backed by hidden knowledge of the prime factorization.
 
     Admissible moduli are squarefree products of any subset of the
@@ -50,13 +67,13 @@ class FactoredOracle:
     """
 
     def __init__(self, primes: list[int]):
+        super().__init__()
         primes = sorted(primes)
         if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
             raise ValueError("FactoredOracle: primes must be distinct and >= 5")
         self.primes = primes
-        self.stats = OracleStats()
 
-    def _split(self, m: int) -> list[int]:
+    def _primes(self, m: int) -> list[int]:
         parts = []
         rest = m
         for p in self.primes:
@@ -69,21 +86,18 @@ class FactoredOracle:
             )
         return parts
 
-    def query(self, m: int, A: int, B: int) -> int:
-        parts = self._split(m)
-        _check_smooth(m, A, B)
-        self.stats.record(m)
-        return count_points_squarefree(parts, A, B)
+    def _count(self, primes: list[int], A: int, B: int) -> int:
+        return count_points_squarefree(primes, A, B)
 
 
-class DirectOracle:
+class DirectOracle(Oracle):
     """Oracle that factors m itself and counts each prime by brute force."""
 
     def __init__(self, limit: int):
+        super().__init__()
         self.limit = limit
-        self.stats = OracleStats()
 
-    def query(self, m: int, A: int, B: int) -> int:
+    def _primes(self, m: int) -> list[int]:
         if m < 2 or m > self.limit:
             raise UnsupportedModulusError(f"modulus {m} outside [2, {self.limit}]")
         facts = factor_small(m).factors
@@ -91,9 +105,15 @@ class DirectOracle:
             raise UnsupportedModulusError(
                 f"modulus {m} must be squarefree with prime factors >= 5"
             )
-        _check_smooth(m, A, B)
-        self.stats.record(m)
+        if facts[-1][0] > _BRUTEFORCE_LIMIT:
+            raise UnsupportedModulusError(
+                f"modulus {m} has prime factor {facts[-1][0]} above the "
+                f"brute-force limit {_BRUTEFORCE_LIMIT}"
+            )
+        return [p for p, _ in facts]
+
+    def _count(self, primes: list[int], A: int, B: int) -> int:
         out = 1
-        for p, _ in facts:
+        for p in primes:
             out *= count_affine_bruteforce(p, A % p, B % p) + 1  # + point at infinity
         return out

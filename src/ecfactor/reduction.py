@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .arith import ReducedFraction, is_probable_prime, reduce_fraction
 from .curves import (
@@ -33,7 +33,6 @@ class ReductionConfig:
     D: int = 12
     max_d: int | None = None
     max_curves: int | None = None
-    k: float = 8.0
     seed: int = 0
 
     def resolved_max_d(self, n: int) -> int:
@@ -44,7 +43,7 @@ class ReductionConfig:
     def resolved_max_curves(self, n: int) -> int:
         if self.max_curves is not None:
             return self.max_curves
-        return math.ceil(self.k * math.log(n) ** 2)
+        return math.ceil(8 * math.log(n) ** 2)
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
     """
     if n < 2:
         raise ValueError("factor_completely: n must be >= 2")
-    before = oracle.stats.snapshot()
+    stats = OracleStats()
     primes: list[int] = []
     m = n
     for small in (2, 3):
@@ -179,22 +178,14 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
         if is_probable_prime(m):
             primes.append(m)
             continue
-        sub = ReductionConfig(
-            cfg.D, cfg.max_d, cfg.max_curves, cfg.k, _child_seed(cfg.seed, m)
-        )
-        outcome = split(m, oracle, sub)
+        outcome = split(m, oracle, replace(cfg, seed=_child_seed(cfg.seed, m)))
         curves_used += outcome.curves_tried
+        if outcome.queries:
+            stats.queries += outcome.queries
+            stats.per_modulus[m] = outcome.queries
         if outcome.exhausted:
             failed = m
             break
         work.append(outcome.factor)
         work.append(m // outcome.factor)
-    delta = OracleStats(
-        oracle.stats.queries - before.queries,
-        {
-            mm: c - before.per_modulus.get(mm, 0)
-            for mm, c in oracle.stats.per_modulus.items()
-            if c - before.per_modulus.get(mm, 0) > 0
-        },
-    )
-    return FactorizationResult(n, tuple(sorted(primes)), delta, curves_used, failed)
+    return FactorizationResult(n, tuple(sorted(primes)), stats, curves_used, failed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -43,6 +44,29 @@ class TestFactorCommand:
         code, out, _ = run_cli(capsys, "factor", "35", "--seed", "1", "--oracle", "direct")
         assert code == 0
         assert json.loads(out)["factors"] == [5, 7]
+
+    def test_direct_oracle_prime_above_limit(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "10002200057", "--oracle", "direct")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "100019" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, factors, curves_used, queries",
+        [
+            (("1001", "--seed", "42"), [7, 11, 13], 2, 5),
+            (("5005", "--seed", "7", "--D", "1"), [5, 7, 11, 13], 3, 10),
+            (("1022117", "--seed", "3", "--oracle", "direct"), [1009, 1013], 1, 2),
+        ],
+    )
+    def test_seeded_payload_pinned(self, capsys, argv, factors, curves_used, queries):
+        code, out, _ = run_cli(capsys, "factor", *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["factors"] == factors
+        assert report["curves_used"] == curves_used
+        assert report["oracle_queries"] == queries
 
     def test_exhaustion_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "35", "--max-curves", "0")
@@ -92,6 +116,16 @@ class TestCensusCommand:
         )
         assert code == 0
         assert out.strip() == "p,D,phi_direct,phi_mobius,bound22,bound23,s_classes,total_classes"
+
+    def test_seeded_csv_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "census", "--pmax", "200", "--D-list", "1,2,3,5,10,0"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "b9a2b882ba6bbc0478a37405d30239c1724f77945efb2ceccd9db752bff73717"
+        )
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "census", "--pmin", "10", "--pmax", "5")

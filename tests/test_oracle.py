@@ -54,6 +54,12 @@ class TestDirectOracle:
         with pytest.raises(UnsupportedModulusError):
             DirectOracle(10 ** 5).query(10 ** 7, 1, 1)
 
+    def test_rejects_primes_above_bruteforce_limit(self):
+        o = DirectOracle(10 ** 11)
+        with pytest.raises(UnsupportedModulusError, match="100019"):
+            o.query(10002200057, 1, 1)  # 100003 * 100019
+        assert o.stats.queries == 0
+
     def test_rejects_non_squarefree_or_even(self):
         o = DirectOracle(10 ** 4)
         with pytest.raises(UnsupportedModulusError):

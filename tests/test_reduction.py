@@ -158,3 +158,15 @@ class TestFactorCompletely:
         res = factor_completely(35, FactoredOracle([5, 7]), cfg)
         assert not res.success
         assert res.failed_cofactor == 35
+
+    def test_stats_are_per_run_on_a_reused_oracle(self):
+        n, primes = 5 * 7 * 11 * 13, [5, 7, 11, 13]
+        oracle = FactoredOracle(primes)
+        runs = [factor_completely(n, oracle, ReductionConfig(seed=s)) for s in (4, 5)]
+        for seed, run in zip((4, 5), runs):
+            fresh = factor_completely(n, FactoredOracle(primes), ReductionConfig(seed=seed))
+            assert run.stats == fresh.stats
+            assert run.stats.queries == sum(run.stats.per_modulus.values()) > 0
+        assert runs[0].stats.queries + runs[1].stats.queries == oracle.stats.queries
+        for m, count in oracle.stats.per_modulus.items():
+            assert count == sum(r.stats.per_modulus.get(m, 0) for r in runs)
