@@ -19,6 +19,7 @@ from math import gcd
 from .arith import (
     divisors,
     euler_phi,
+    is_probable_prime,
     isqrt,
     jacobi,
     mobius,
@@ -125,11 +126,18 @@ def census_sweep(
     """Rows for every prime in [pmin, pmax] x every D, ordered by (p, D).
 
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
+    Both contracts are checked before any row is computed.
     """
+    if any(D < 0 for D in d_list):
+        raise ValueError(f"census_sweep: D must be >= 0, got {min(d_list)}")
+    primes = [p for p in primes_up_to(pmax) if p >= max(pmin, 5)]
+    top = max((p for p in primes if p <= classes_max), default=0)
+    if top > _CLASS_ENUM_LIMIT:
+        raise ValueError(
+            f"census_sweep: classes_max covers p = {top} > {_CLASS_ENUM_LIMIT}"
+        )
     rows = []
-    for p in primes_up_to(pmax):
-        if p < max(pmin, 5):
-            continue
+    for p in primes:
         for D in d_list:
             rows.append(census_row(p, p + 1 if D == 0 else D, p <= classes_max))
     return rows
@@ -167,8 +175,10 @@ def nonresidue_search(p: int, m: int, cap: int = 10 ** 4) -> NonResidueRecord:
 
     m = 1 is allowed (the mod-1 symbol is +1 by convention).
     """
-    if p < 3 or m < 1 or m % 2 == 0 or gcd(p, m) != 1:
+    if p < 3 or not is_probable_prime(p) or m < 1 or m % 2 == 0 or gcd(p, m) != 1:
         raise ValueError("nonresidue_search: need odd prime p, odd m, gcd(p, m) = 1")
+    if cap < 1:
+        raise ValueError(f"nonresidue_search: cap must be >= 1, got {cap}")
     for d in range(1, cap + 1):
         if jacobi(d, p) == -1 and gcd(d, m) == 1 and jacobi(d, m) == 1:
             return NonResidueRecord(p, m, d, d / math.log(p * m) ** 2)

@@ -2,7 +2,8 @@
 
 Single results are printed as one JSON document on stdout; census sweeps
 are CSV. Exit codes: 0 success, 1 usage/contract error, 2 the algorithm
-exhausted its budgets.
+exhausted its budgets. Commands raise; only `main` maps `ValueError` and
+`OSError` to 1 and `NonResidueNotFound` to 2. Anything else is a bug.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from math import gcd
 
 from . import census as census_mod
 from .arith import divisors, euler_phi, factor_small, jacobi, primes_up_to
-from .counting import count_points_prime, count_points_squarefree
-from .oracle import DirectOracle, FactoredOracle, UnsupportedModulusError
+from .counting import count_points_prime
+from .oracle import DirectOracle, FactoredOracle
 from .reduction import ReductionConfig, factor_completely
 
 SEED_ENV = "ECFACTOR_SEED"
@@ -38,23 +39,17 @@ def cmd_factor(args) -> int:
     started = time.monotonic()
     n = args.n
     if n < 2:
-        print(f"error: n must be >= 2, got {n}", file=sys.stderr)
-        return 1
+        raise ValueError(f"n must be >= 2, got {n}")
     facts = factor_small(n).factors
     for p, e in facts:
         if e > 1:
-            print(f"error: {n} is not squarefree ({p}^{e})", file=sys.stderr)
-            return 1
+            raise ValueError(f"{n} is not squarefree ({p}^{e})")
     odd_primes = [p for p, _ in facts if p >= 5]
     oracle = FactoredOracle(odd_primes) if args.oracle == "factored" else DirectOracle(n)
     cfg = ReductionConfig(
         D=args.D, max_d=args.max_d, max_curves=args.max_curves, seed=args.seed
     )
-    try:
-        result = factor_completely(n, oracle, cfg)
-    except UnsupportedModulusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = factor_completely(n, oracle, cfg)
     report = {
         "command": "factor",
         "n": n,
@@ -72,43 +67,27 @@ def cmd_factor(args) -> int:
     }
     if not result.success:
         report["stuck_cofactor"] = result.failed_cofactor
-        _emit(report, started)
-        return 2
     _emit(report, started)
-    return 0
+    return 0 if result.success else 2
 
 
 def cmd_census(args) -> int:
-    try:
-        d_list = [int(tok) for tok in args.D_list.split(",") if tok]
-    except ValueError:
-        print(f"error: bad --D-list {args.D_list!r}", file=sys.stderr)
-        return 1
+    d_list = [int(tok) for tok in args.D_list.split(",") if tok]
     if args.pmin > args.pmax:
-        print("error: --pmin must be <= --pmax", file=sys.stderr)
-        return 1
+        raise ValueError("--pmin must be <= --pmax")
     rows = census_mod.census_sweep(args.pmin, args.pmax, d_list, args.classes_max)
     csv_text = census_mod.rows_to_csv(rows)
     if args.out == "-":
         sys.stdout.write(csv_text)
     else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(csv_text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
+        with open(args.out, "w") as fh:
+            fh.write(csv_text)
     return 0
 
 
 def cmd_count(args) -> int:
     started = time.monotonic()
-    try:
-        oracle = DirectOracle(args.n)
-        value = oracle.query(args.n, args.A, args.B)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    value = DirectOracle(args.n).query(args.n, args.A, args.B)
     _emit(
         {"command": "count", "n": args.n, "A": args.A, "B": args.B, "count": value},
         started,
@@ -118,14 +97,7 @@ def cmd_count(args) -> int:
 
 def cmd_nonresidue(args) -> int:
     started = time.monotonic()
-    try:
-        rec = census_mod.nonresidue_search(args.p, args.m, args.cap)
-    except census_mod.NonResidueNotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rec = census_mod.nonresidue_search(args.p, args.m, args.cap)
     _emit(
         {
             "command": "nonresidue",
@@ -270,7 +242,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except census_mod.NonResidueNotFound as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,11 +35,6 @@ def _legendre_table(p: int) -> np.ndarray:
     return chi
 
 
-@lru_cache(maxsize=4096)
-def _x_range(p: int) -> np.ndarray:
-    return np.arange(p, dtype=np.int64)
-
-
 def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
     """Exact projective point count of y^2 = x^3 + Ax + B over F_p."""
     chi = _legendre_table(p)
@@ -47,8 +42,13 @@ def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
     B %= p
     if (4 * A ** 3 + 27 * B ** 2) % p == 0:
         raise ValueError(f"count_points_prime: singular curve ({A},{B}) mod {p}")
-    x = _x_range(p)
-    f = (x * x % p * x + A * x + B) % p
+    x = np.arange(p, dtype=np.int64)
+    f = x * x  # Horner in place: every intermediate stays below 2p^2 + p
+    f %= p
+    f += A
+    f *= x
+    f += B
+    f %= p
     npoints = p + 1 + int(chi[f].sum())
     return PrimeCount(p, npoints, p + 1 - npoints)
 

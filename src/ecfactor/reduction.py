@@ -32,8 +32,14 @@ class ReductionConfig:
 
     D: int = 12
     max_d: int | None = None
-    max_curves: int | None = None
+    max_curves: int | None = None  # 0 is valid: a budget spent before it starts
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, low in (("D", 1), ("max_d", 2), ("max_curves", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"ReductionConfig: {name} must be >= {low}, got {value}")
 
     def resolved_max_d(self, n: int) -> int:
         if self.max_d is not None:

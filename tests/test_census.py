@@ -145,6 +145,9 @@ class TestNonResidueSearch:
             nonresidue_search(5, 10)  # even m
         with pytest.raises(ValueError):
             nonresidue_search(5, 15)  # shared factor
+        for p, m, cap in [(15, 7, 10), (9, 5, 10), (7, 5, 0), (7, 5, -1)]:
+            with pytest.raises(ValueError):
+                nonresidue_search(p, m, cap)  # composite p, or an empty cap
 
 
 class TestProofAuxiliaries:
@@ -178,6 +181,20 @@ class TestCsvOutput:
                 assert s_col and t_col
             else:
                 assert s_col == "" and t_col == ""
+
+    def test_rejects_negative_D(self):
+        with pytest.raises(ValueError, match="D must be >= 0"):
+            census_sweep(5, 20, [1, -1])
+
+    def test_class_limit_checked_before_any_row(self, monkeypatch):
+        def no_work(p):
+            raise AssertionError(f"classes enumerated at p = {p}")
+
+        monkeypatch.setattr("ecfactor.census.isomorphism_class_traces", no_work)
+        with pytest.raises(ValueError, match="1009"):
+            census_sweep(5, 1010, [1], classes_max=2000)
+        # primes above the limit are fine when classes_max leaves them out
+        assert len(census_sweep(1000, 1010, [1], classes_max=1000)) == 1
 
     def test_empty_range_header_only(self):
         assert rows_to_csv(census_sweep(24, 28, [1])) == CSV_HEADER + "\n"

@@ -1,9 +1,19 @@
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ecfactor
+from ecfactor.arith import primes_up_to
 from ecfactor.cli import main
 
 
@@ -174,3 +184,117 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["bogus"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--pmax", "20", "--D-list", "-1"),
+        ("census", "--pmin", "1000", "--pmax", "1010", "--classes-max", "2000"),
+        # checked before any class enumeration, so this returns at once
+        ("census", "--pmin", "5", "--pmax", "1010", "--classes-max", "2000"),
+        ("census", "--pmax", "7", "--D-list", "1,x"),
+        ("nonresidue", "7", "5", "--cap", "-1"),
+        ("nonresidue", "15", "7"),
+        ("nonresidue", "9", "5"),
+        ("factor", "35", "--D", "0"),
+        ("factor", "35", "--max-d", "-3"),
+        ("factor", "35", "--max-curves", "-1"),
+    ],
+)
+def test_broken_contract_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_unwritable_out_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "census.csv"
+    code, out, err = run_cli(capsys, "census", "--pmax", "7", "--out", str(target))
+    assert code == 1
+    assert err.startswith("error: ") and "census.csv" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("factor", "35", "--D", "0"), 1),
+        (("nonresidue", "5", "7", "--cap", "1"), 2),
+    ],
+)
+def test_process_exit_status(argv, code):
+    src = str(Path(ecfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecfactor", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def _arg(values):
+    return values.map(lambda v: [str(v)])
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def _maybe(flag):
+    return st.one_of(st.just([]), flag)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda chunks: [tok for chunk in chunks for tok in chunk])
+
+
+_ints = st.integers
+_PRIMES = [p for p in primes_up_to(320) if p >= 5]
+# half raw ints, half squarefree products of primes >= 5, so valid inputs are common
+_N = _arg(st.one_of(
+    _ints(-5, 10 ** 5),
+    st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=3, unique=True).map(math.prod),
+))
+_FACTOR = _argv(
+    st.just(["factor"]),
+    _N,
+    _maybe(_flag("--D", _ints(-3, 20))),
+    # budgets always given and small, so a hard n cannot run for long
+    _flag("--max-d", _ints(-3, 40)),
+    _flag("--max-curves", _ints(-2, 4)),
+    _maybe(_flag("--seed", _ints(0, 10 ** 6))),
+    _maybe(_flag("--oracle", st.sampled_from(["factored", "direct"]))),
+)
+_CENSUS = _argv(
+    st.just(["census"]),
+    _maybe(_flag("--pmin", _ints(-10, 300))),
+    _flag("--pmax", _ints(-10, 300)),
+    _maybe(_flag("--D-list", st.lists(_ints(-2, 20), max_size=3).map(
+        lambda ds: ",".join(map(str, ds))))),
+    # always given and small: class enumeration costs O(p^2) per prime
+    _flag("--classes-max", _ints(-5, 100)),
+)
+_COUNT = _argv(st.just(["count"]), _N, _arg(_ints(-50, 50)), _arg(_ints(-50, 50)))
+_NONRESIDUE = _argv(
+    st.just(["nonresidue"]),
+    _arg(st.one_of(_ints(-5, 500), st.sampled_from(_PRIMES))),
+    _arg(_ints(-5, 500)),
+    _maybe(_flag("--cap", _ints(-3, 100))),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(_FACTOR, _CENSUS, _COUNT, _NONRESIDUE))
+def test_every_argv_ends_in_an_exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -152,6 +152,13 @@ class TestFactorCompletely:
         assert runs[0].curves_used == runs[1].curves_used
         assert runs[0].stats.queries == runs[1].stats.queries
 
+    @pytest.mark.parametrize(
+        "budget", [{"D": 0}, {"D": -5}, {"max_d": 1}, {"max_d": -3}, {"max_curves": -1}]
+    )
+    def test_config_rejects_bad_budgets(self, budget):
+        with pytest.raises(ValueError, match="ReductionConfig"):
+            ReductionConfig(**budget)
+
     def test_exhausted_names_cofactor(self):
         # max_curves 0 can never split anything
         cfg = ReductionConfig(max_curves=0, seed=0)
