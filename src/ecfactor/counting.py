@@ -2,9 +2,15 @@
 
 `count_points_prime` evaluates the Legendre-sum formula
 N = p + 1 + sum_x (x^3+Ax+B | p) with a cached character table, so
-repeated counts at the same prime are cheap. `count_affine_bruteforce`
-counts solutions by enumerating squares instead of evaluating symbols,
-which keeps it an independent cross-check of the same quantities.
+repeated counts at the same prime are cheap. The table is built by
+scattering squares: every entry starts at -1, the (p-1)/2 values x^2 mod p
+for 1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are set to 1,
+and entry 0 to 0. Primes above `_LEGENDRE_LIMIT` are refused before anything
+is allocated: the cubic is evaluated in int64 with intermediates up to
+2p^2 + p, and a count holds about 18p bytes of transient arrays.
+`count_affine_bruteforce` counts solutions by enumerating squares instead of
+evaluating symbols, which keeps it an independent cross-check of the same
+quantities.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_probable_prime, jacobi
+from .arith import is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -24,14 +30,21 @@ class PrimeCount:
     trace: int
 
 
+# Far below the int64 overflow of the cubic (p ~ 2.1e9), and a count's
+# transient arrays stay near 2.4 GB.
+_LEGENDRE_LIMIT = 2 ** 27
+
+
 @lru_cache(maxsize=4096)
 def _legendre_table(p: int) -> np.ndarray:
-    if p < 5 or not is_probable_prime(p):
-        raise ValueError(f"count_points_prime: p must be a prime >= 5, got {p}")
-    chi = np.empty(p, dtype=np.int8)
+    if p < 5 or p > _LEGENDRE_LIMIT or not is_probable_prime(p):
+        raise ValueError(
+            f"count_points_prime: p must be a prime in [5, {_LEGENDRE_LIMIT}], got {p}"
+        )
+    chi = np.full(p, -1, dtype=np.int8)
+    x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    chi[x * x % p] = 1
     chi[0] = 0
-    for r in range(1, p):
-        chi[r] = jacobi(r, p)
     return chi
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -61,6 +62,16 @@ class TestFactorCommand:
         assert out == ""
         assert err.startswith("error: ") and "100019" in err
         assert "Traceback" not in err
+
+    def test_prime_above_counting_limit(self, capsys):
+        # 5 * 2147483659: the oracle's count at the large prime is refused
+        # before it allocates anything
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "factor", "10737418295")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "2147483659" in err
 
     @pytest.mark.parametrize(
         "argv, factors, curves_used, queries",

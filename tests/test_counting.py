@@ -3,9 +3,10 @@ from math import gcd
 
 import pytest
 
-from ecfactor.arith import factor_small, isqrt, jacobi, primes_up_to
+from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_up_to
 from ecfactor.counting import (
     PrimeCount,
+    _legendre_table,
     count_affine_bruteforce,
     count_points_prime,
     count_points_squarefree,
@@ -47,6 +48,12 @@ class TestCountPointsPrime:
         with pytest.raises(ValueError):
             count_points_prime(9, 1, 1)
 
+    def test_rejects_primes_above_the_size_limit(self):
+        # 2147483659 is prime; its cubic would overflow int64 and its
+        # arrays would need gigabytes, so it is refused before either
+        with pytest.raises(ValueError, match="2147483659"):
+            count_points_prime(2147483659, 1, 1)
+
     def test_hasse_random(self):
         rng = random.Random(5)
         primes = [p for p in primes_up_to(10 ** 4) if p >= 5]
@@ -72,6 +79,25 @@ class TestCountPointsPrime:
                         assert n0 + nd == 2 * (p + 1)
                     else:
                         assert n0 == nd
+
+
+class TestLegendreTable:
+    """The scattered-squares table against jacobi, symbol by symbol."""
+
+    def test_matches_jacobi_below_3000(self):
+        for p in primes_up_to(2999):
+            if p < 5:
+                continue
+            expected = [0] + [jacobi(r, p) for r in range(1, p)]
+            assert _legendre_table(p).tolist() == expected, p
+
+    def test_matches_jacobi_near_1e6(self):
+        rng = random.Random(10)
+        primes = [p for p in range(10 ** 6 - 200, 10 ** 6 + 200) if is_probable_prime(p)]
+        for p in primes[:3]:
+            chi = _legendre_table(p)
+            for r in [rng.randrange(p) for _ in range(10 ** 4)]:
+                assert chi[r] == jacobi(r, p), (p, r)
 
 
 class TestCountPointsSquarefree:

@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
-from ecfactor.arith import factor_small
+from ecfactor import counting
+from ecfactor.arith import factor_small, primes_up_to
+from ecfactor.counting import count_points_prime, count_points_squarefree
 from ecfactor.oracle import (
     DirectOracle,
     FactoredOracle,
@@ -44,6 +46,64 @@ class TestFactoredOracle:
             FactoredOracle([3, 5])
         with pytest.raises(ValueError):
             FactoredOracle([5, 5])
+
+
+class TestTwistMemo:
+    """FactoredOracle's twist-class memo against uncached counts."""
+
+    def test_criterion_7_samples(self, monkeypatch):
+        # criterion 7's sampler, one oracle per prime reused across samples,
+        # so unrelated curves that share a key hit the memo as well
+        full_counts = []
+
+        def counted(p, A, B):
+            full_counts.append(p)
+            return count_points_prime(p, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        rng = random.Random(7)
+        primes = [p for p in primes_up_to(10 ** 4) if p >= 5]
+        oracles = {}
+        j_0_or_1728 = 0
+        for _ in range(10 ** 4):
+            p = rng.choice(primes)
+            A, B = random_smooth_pair(rng, p)
+            d = rng.randrange(1, p)
+            o = oracles.setdefault(p, FactoredOracle([p]))
+            for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):
+                assert o.query(p, a, b) == count_points_prime(p, a, b).npoints, (p, a, b, d)
+            j_0_or_1728 += A * B % p == 0
+        # every twist with A*B != 0 was answered without a count, and the full
+        # counts went through counting.count_points_prime, where a wrapper sees them
+        assert len(oracles) <= len(full_counts) <= 10 ** 4 + j_0_or_1728
+
+    def test_j_0_and_1728_curves_and_their_twists(self):
+        # all curves y^2 = x^3 + B and y^2 = x^3 + Ax, so every twist of each;
+        # at p = 1 mod 3 (resp. 1 mod 4) their sextic (quartic) twists differ
+        for p in (5, 7, 13, 37, 101, 103):
+            o = FactoredOracle([p])
+            for c in range(1, p):
+                for A, B in ((0, c), (c, 0)):
+                    assert o.query(p, A, B) == count_points_prime(p, A, B).npoints, (p, A, B)
+
+    def test_multi_prime_modulus(self):
+        rng = random.Random(11)
+        primes = [1009, 1013, 1019]
+        m = 1009 * 1013 * 1019
+        o = FactoredOracle(primes)
+        for _ in range(50):
+            A, B = random_smooth_pair(rng, m)
+            for d in (1, 2, 3, 5, 6, 7):
+                Ad, Bd = A * d * d % m, B * d ** 3 % m
+                assert o.query(m, Ad, Bd) == count_points_squarefree(primes, Ad, Bd), (A, B, d)
+
+    def test_hits_are_still_recorded(self):
+        o = FactoredOracle([5, 7])
+        o.query(35, 1, 1)
+        o.query(35, 4, 8)  # the twist by d = 2: a memo hit at both primes
+        o.query(7, 1, 1)  # the same curve again: a hit at 7
+        assert o.stats.queries == 3
+        assert o.stats.per_modulus == {35: 2, 7: 1}
 
 
 class TestDirectOracle:
