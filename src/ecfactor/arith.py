@@ -1,15 +1,17 @@
 """Exact integer arithmetic kernel.
 
 Everything here works on plain Python ints (arbitrary precision), so there
-is no overflow anywhere in the pipeline. Factoring is plain trial division
-and is only meant for inputs up to 2**64; the factoring algorithm proper
-never calls it on anything it could not handle.
+is no overflow anywhere in the pipeline. Factoring is trial division up to
+2**12 followed by Brent's rho on what is left, and is only meant for inputs
+up to 2**64; the factoring algorithm proper never calls it on anything it
+could not handle.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,9 +101,55 @@ class SmallFactorization:
         return out
 
 
+# Trial division stops here; every x <= _TRIAL_LIMIT**2 is factored by it alone.
+# Below about 2**12 a trial step costs less than the primality tests rho needs
+# for each piece it splits off.
+_TRIAL_LIMIT = 1 << 12
+
+
+def _brent_rho(x: int, c: int) -> int:
+    """A divisor of the odd composite x from Brent's rho on y -> y^2 + c, start 2.
+
+    Differences are multiplied in batches of 64 between gcds; a batch that
+    overshoots to gcd = x is replayed one step at a time. Returns x when this
+    c fails, and the caller tries the next c.
+    """
+    y, r, prod, g = 2, 1, 1, 1
+    while g == 1:
+        x0 = y
+        for _ in range(r):
+            y = (y * y + c) % x
+        k = 0
+        while k < r and g == 1:
+            y_saved = y
+            for _ in range(min(64, r - k)):
+                y = (y * y + c) % x
+                prod = prod * abs(x0 - y) % x
+            g = gcd(prod, x)
+            k += 64
+        r *= 2
+    if g == x:
+        g = 1
+        while g == 1:
+            y_saved = (y_saved * y_saved + c) % x
+            g = gcd(abs(x0 - y_saved), x)
+    return g
+
+
+def _rho_primes(x: int) -> list[int]:
+    """Prime factors of x > 1 with multiplicity, splitting composites by rho."""
+    if is_probable_prime(x):
+        return [x]
+    c = 1
+    while (f := _brent_rho(x, c)) == x:
+        c += 1
+    return _rho_primes(f) + _rho_primes(x // f)
+
+
 @lru_cache(maxsize=1 << 16)
 def factor_small(x: int) -> SmallFactorization:
-    """Trial-division factorization; intended for x <= 2**64."""
+    """Factorization by trial division up to 2**12, then Brent's rho on the
+    cofactor; intended for x <= 2**64."""
     if x < 1:
         raise ValueError("factor_small: x must be >= 1")
     if is_probable_prime(x):
@@ -117,6 +165,9 @@ def factor_small(x: int) -> SmallFactorization:
     d = 5
     step = 2
     while d * d <= x:
+        if d > _TRIAL_LIMIT:  # x > 1 has no factor below d; rho finishes it
+            factors += sorted(Counter(_rho_primes(x)).items())
+            return SmallFactorization(tuple(factors))
         if x % d == 0:
             e = 0
             while x % d == 0:

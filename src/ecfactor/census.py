@@ -12,17 +12,18 @@ residue mod m.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from . import arith
 from .arith import (
     divisors,
     euler_phi,
     is_probable_prime,
     isqrt,
     jacobi,
-    mobius,
     odd_part,
     omega,
     primes_up_to,
@@ -39,15 +40,24 @@ def phi_direct(p: int, D: int) -> int:
 
 
 def phi_mobius(p: int, D: int) -> int:
-    """Same count via the Moebius divisor sum, exact integer arithmetic."""
+    """Same count via the Moebius divisor sum, exact integer arithmetic.
+
+    Sums mu(k) * floor(bound / (k*d)) over divisors d <= D of p+1 and
+    squarefree k | (p+1)/d; the k and their signs are built from the primes
+    of p+1, factored once.
+    """
     bound = isqrt(4 * p)
     m = p + 1
+    primes = [q for q, _ in arith.factor_small(m).factors]
     total = 0
     for d in divisors(m):
         if d > D:
-            continue
-        for k in divisors(m // d):
-            total += mobius(k) * (bound // (k * d))
+            break
+        terms = [(1, 1)]  # (k, mu(k))
+        for q in primes:
+            if m // d % q == 0:
+                terms += [(k * q, -mu) for k, mu in terms]
+        total += sum(mu * (bound // (k * d)) for k, mu in terms)
     return total
 
 
@@ -79,29 +89,47 @@ class CensusRow:
 _CLASS_ENUM_LIMIT = 1000
 
 
+def _coset_representatives(p: int, k: int) -> list[int]:
+    """g^0, ..., g^(k-1): one element of each coset of (F_p*)^k, for k | p - 1.
+
+    F_p*/(F_p*)^k is cyclic of order k, and the least g with
+    g^((p-1)/q) != 1 for each prime q | k generates it (k divides 4 or 6 here).
+    """
+    g = next(
+        g for g in range(2, p)
+        if all(pow(g, (p - 1) // q, p) != 1 for q in (2, 3) if k % q == 0)
+    )
+    return [pow(g, i, p) for i in range(k)]
+
+
 @lru_cache(maxsize=512)
 def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     """Traces of all F_p-isomorphism classes of smooth curves over F_p.
 
-    Classes are orbits of (A, B) under (A, B) -> (l^4 A, l^6 B), l in F_p*.
-    One trace per orbit.
+    Classes are orbits of (A, B) under (A, B) -> (l^4 A, l^6 B), l in F_p*,
+    and are enumerated by j-invariant (Silverman, AEC III.1 and X.5):
+    - j != 0, 1728: y^2 = x^3 + 3j(1728-j) x + 2j(1728-j)^2 has invariant j
+      and Aut = {+-1}, so j has two classes, this curve and its quadratic
+      twist, with traces a and -a;
+    - j = 0: one class y^2 = x^3 + B per coset of B in F_p*/(F_p*)^6;
+    - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4.
+    That is 2(p-2) + gcd(6, p-1) + gcd(4, p-1) classes, with one count
+    per j != 0, 1728 and one per class at j = 0 and 1728. The traces come in
+    increasing order of gcd(a, p+1), so a census row counts those <= D by
+    bisection.
     """
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
-    seen = bytearray(p * p)
-    l4 = [pow(l, 4, p) for l in range(1, p)]
-    l6 = [pow(l, 6, p) for l in range(1, p)]
     traces = []
-    for A in range(p):
-        for B in range(p):
-            if seen[A * p + B]:
-                continue
-            if (4 * A * A * A + 27 * B * B) % p == 0:
-                continue
-            for f4, f6 in zip(l4, l6):
-                seen[(f4 * A % p) * p + f6 * B % p] = 1
-            traces.append(count_points_prime(p, A, B).trace)
-    return tuple(traces)
+    for j in range(1, p):
+        k = (1728 - j) % p
+        if k == 0:
+            continue
+        a = count_points_prime(p, 3 * j * k, 2 * j * k * k).trace
+        traces += (a, -a)
+    traces += [count_points_prime(p, 0, B).trace for B in _coset_representatives(p, gcd(6, p - 1))]
+    traces += [count_points_prime(p, A, 0).trace for A in _coset_representatives(p, gcd(4, p - 1))]
+    return tuple(sorted(traces, key=lambda a: gcd(a, p + 1)))
 
 
 def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
@@ -109,8 +137,7 @@ def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
     s = total = None
     if with_classes:
         traces = isomorphism_class_traces(p)
-        s = sum(1 for a in traces if gcd(abs(a), p + 1) <= D)
-        total = len(traces)
+        s, total = bisect_right(traces, D, key=lambda a: gcd(a, p + 1)), len(traces)
     b22, b23 = lower_bounds(p, D)
     return CensusRow(p, D, phi_direct(p, D), phi_mobius(p, D), b22, b23, s, total)
 

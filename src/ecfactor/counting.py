@@ -2,7 +2,9 @@
 
 `count_points_prime` evaluates the Legendre-sum formula
 N = p + 1 + sum_x (x^3+Ax+B | p) with a cached character table, so
-repeated counts at the same prime are cheap. The table is built by
+repeated counts at the same prime are cheap. Cached tables are evicted
+least recently used first once they hold more than `_TABLE_CACHE_BYTES`
+together. A table is built by
 scattering squares: every entry starts at -1, the (p-1)/2 values x^2 mod p
 for 1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are set to 1,
 and entry 0 to 0. Primes above `_LEGENDRE_LIMIT` are refused before anything
@@ -15,8 +17,8 @@ quantities.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +36,18 @@ class PrimeCount:
 # transient arrays stay near 2.4 GB.
 _LEGENDRE_LIMIT = 2 ** 27
 
+# Room for two tables at the size limit, so a semiprime there never rebuilds one.
+_TABLE_CACHE_BYTES = 2 * _LEGENDRE_LIMIT
+_tables: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
+_table_bytes = 0
 
-@lru_cache(maxsize=4096)
+
 def _legendre_table(p: int) -> np.ndarray:
+    global _table_bytes
+    chi = _tables.get(p)
+    if chi is not None:
+        _tables.move_to_end(p)
+        return chi
     if p < 5 or p > _LEGENDRE_LIMIT or not is_probable_prime(p):
         raise ValueError(
             f"count_points_prime: p must be a prime in [5, {_LEGENDRE_LIMIT}], got {p}"
@@ -45,6 +56,11 @@ def _legendre_table(p: int) -> np.ndarray:
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     chi[x * x % p] = 1
     chi[0] = 0
+    chi.flags.writeable = False  # shared by every later count at p
+    _tables[p] = chi
+    _table_bytes += chi.nbytes
+    while _table_bytes > _TABLE_CACHE_BYTES:
+        _table_bytes -= _tables.popitem(last=False)[1].nbytes
     return chi
 
 

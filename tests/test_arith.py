@@ -123,6 +123,40 @@ class TestFactorSmall:
         with pytest.raises(ValueError):
             factor_small(0)
 
+    def test_matches_trial_division_on_semiprimes_to_2_40(self):
+        # factors above the trial-division bound 2**12 are split by rho,
+        # including squares and cubes; small cofactors mix both paths
+        def trial_division(x):
+            factors, d = [], 2
+            while d * d <= x:
+                e = 0
+                while x % d == 0:
+                    x //= d
+                    e += 1
+                if e:
+                    factors.append((d, e))
+                d += 1 if d == 2 else 2
+            if x > 1:
+                factors.append((x, 1))
+            return tuple(factors)
+
+        def prime_of(bits):
+            while True:
+                x = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                if is_probable_prime(x):
+                    return x
+
+        rng = random.Random(40)
+        samples = []
+        for _ in range(40):
+            b = rng.randrange(6, 21)
+            p = prime_of(b)
+            samples += [p * prime_of(rng.randrange(b, 41 - b)), p * p]
+        samples += [12 * 4099 * 4111, 7 * 4099 ** 3, 4095 * 4097]
+        for x in samples:
+            assert x < 2 ** 40
+            assert factor_small(x).factors == trial_division(x), x
+
     def test_derived_functions(self):
         assert tau(36) == 9
         assert euler_phi(6) == 2

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from math import gcd
 
@@ -20,6 +21,7 @@ from ecfactor.census import (
     primorial_check,
     rows_to_csv,
 )
+from ecfactor.counting import count_points_prime
 
 
 class TestPhiCounts:
@@ -32,7 +34,7 @@ class TestPhiCounts:
         assert phi_mobius(7, 1) == 3
 
     def test_identity_medium_sweep(self):
-        for p in primes_up_to(1000):
+        for p in primes_up_to(3000):
             if p < 5:
                 continue
             for D in (1, 2, 3, 5, 10, p + 1):
@@ -70,7 +72,32 @@ class TestLowerBounds:
             assert b22 <= phi_direct(p, p + 1) == isqrt(4 * p)
 
 
+def orbit_walk_traces(p):
+    """Reference class enumeration: one trace per orbit of (A, B) under
+    (A, B) -> (l^4 A, l^6 B), l in F_p*, walking every smooth (A, B)."""
+    seen = bytearray(p * p)
+    l4 = [pow(l, 4, p) for l in range(1, p)]
+    l6 = [pow(l, 6, p) for l in range(1, p)]
+    traces = []
+    for A in range(p):
+        for B in range(p):
+            if seen[A * p + B] or (4 * A * A * A + 27 * B * B) % p == 0:
+                continue
+            for f4, f6 in zip(l4, l6):
+                seen[(f4 * A % p) * p + f6 * B % p] = 1
+            traces.append(count_points_prime(p, A, B).trace)
+    return traces
+
+
 class TestClassCensus:
+    def test_j_invariant_enumeration_matches_orbit_walk(self):
+        rng = random.Random(5)
+        large = rng.sample([p for p in primes_up_to(1000) if p > 400], 3)
+        for p in [p for p in primes_up_to(400) if p >= 5] + large:
+            traces = isomorphism_class_traces(p)
+            assert Counter(traces) == Counter(orbit_walk_traces(p)), p
+            assert len(traces) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
+
     def test_p5_examples(self):
         row = class_census(5, 6)
         assert row.total_classes == 12

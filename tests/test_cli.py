@@ -74,6 +74,23 @@ class TestFactorCommand:
         assert err.startswith("error: ") and "2147483659" in err
 
     @pytest.mark.parametrize(
+        "argv, prime",
+        [
+            (("factor", "1000000016000000063"), "1000000007"),
+            (("count", "1000000016000000063", "1", "1"), "1000000009"),
+        ],
+    )
+    def test_sixty_bit_semiprime_refused_quickly(self, capsys, argv, prime):
+        # 1000000007 * 1000000009: setup factoring splits it at once, then the
+        # prime is above the counting limit (factor) or brute-force limit (count)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and prime in err
+
+    @pytest.mark.parametrize(
         "argv, factors, curves_used, queries",
         [
             (("1001", "--seed", "42"), [7, 11, 13], 2, 5),
@@ -309,3 +326,25 @@ def test_every_argv_ends_in_an_exit_code(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_SEEDED_FACTOR = _argv(
+    st.just(["factor"]),
+    _arg(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=3, unique=True).map(math.prod)),
+    _maybe(_flag("--D", _ints(1, 12))),
+    _flag("--seed", _ints(0, 10 ** 6)),
+    _maybe(_flag("--oracle", st.sampled_from(["factored", "direct"]))),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_SEEDED_FACTOR)
+def test_same_seed_same_factor_payload(argv):
+    # the second run starts with the caches the first one filled
+    runs = []
+    for _ in range(2):
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+            code = main(argv)
+        runs.append((code, payload(out.getvalue())))
+    assert runs[0][0] in (0, 2)
+    assert runs[0] == runs[1]

@@ -1,8 +1,10 @@
 import random
+from collections import OrderedDict
 from math import gcd
 
 import pytest
 
+from ecfactor import counting
 from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_up_to
 from ecfactor.counting import (
     PrimeCount,
@@ -98,6 +100,25 @@ class TestLegendreTable:
             chi = _legendre_table(p)
             for r in [rng.randrange(p) for _ in range(10 ** 4)]:
                 assert chi[r] == jacobi(r, p), (p, r)
+
+
+class TestTableCache:
+    def test_evicts_least_recently_used_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(counting, "_TABLE_CACHE_BYTES", 4000)
+        monkeypatch.setattr(counting, "_tables", OrderedDict())
+        monkeypatch.setattr(counting, "_table_bytes", 0)
+        for p in (1009, 1013, 1019):
+            count_points_prime(p, 1, 1)
+        assert list(counting._tables) == [1009, 1013, 1019]
+        count_points_prime(1009, 2, 3)  # a hit makes 1009 the most recent
+        count_points_prime(1021, 1, 1)  # 4062 bytes: 1013 goes, not 1009
+        assert list(counting._tables) == [1019, 1009, 1021]
+        assert counting._table_bytes == 1019 + 1009 + 1021 <= 4000
+        table = _legendre_table(1013)  # rebuilt after eviction, still exact
+        assert table.tolist() == [0] + [jacobi(r, 1013) for r in range(1, 1013)]
+        assert not table.flags.writeable
+        count_points_prime(4001, 1, 1)  # above the bound alone: counted, not kept
+        assert list(counting._tables) == [] and counting._table_bytes == 0
 
 
 class TestCountPointsSquarefree:

@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecfactor.arith import is_probable_prime, primes_up_to, reduce_fraction
 from ecfactor.counting import count_points_prime
@@ -64,6 +66,33 @@ class TestRecoverFromRatio:
                     g = gcd(p + 1 - ap, p + 1 + ap)
                     expect = reduce_fraction((p + 1 - ap) // g, (p + 1 + ap) // g)
                     assert rec.ratio == expect
+
+
+_SMALL_PRIMES = [p for p in primes_up_to(200) if p >= 5]
+
+
+@st.composite
+def _ratio_inputs(draw):
+    """(N, Nd, D, n): half raw counts, half the counts of a twist that flips
+    one prime p of n, as the twist loop produces them."""
+    n = math.prod(draw(st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=3,
+                                unique=True)))
+    D = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)), D, n
+    p = draw(st.sampled_from([q for q in _SMALL_PRIMES if n % q == 0]))
+    a = draw(st.integers(-math.isqrt(4 * p), math.isqrt(4 * p)))
+    rest = draw(st.integers(1, 10 ** 4))
+    return (p + 1 - a) * rest, (p + 1 + a) * rest, D, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ratio_inputs())
+def test_recovered_factor_is_a_proper_divisor(args):
+    rec = recover_from_ratio(*args)
+    n = args[3]
+    if rec is not None:
+        assert 1 < rec.factor < n and n % rec.factor == 0
 
 
 class TestSplit:
