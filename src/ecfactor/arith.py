@@ -2,9 +2,11 @@
 
 Everything here works on plain Python ints (arbitrary precision), so there
 is no overflow anywhere in the pipeline. Factoring is trial division up to
-2**12 followed by Brent's rho on what is left, and is only meant for inputs
-up to 2**64; the factoring algorithm proper never calls it on anything it
-could not handle.
+2**12 followed by Brent's rho on what is left. Rho runs only on inputs up
+to 2**64, where it takes about 2**16 steps at most; above that an input is
+factored only when trial division leaves 1 or a probable prime, and is
+refused otherwise. The factoring algorithm proper never calls it on
+anything it could not handle.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ class SmallFactorization:
 # for each piece it splits off.
 _TRIAL_LIMIT = 1 << 12
 
+# Rho runs only on cofactors of inputs up to here.
+_RHO_LIMIT = 1 << 64
+
 
 def _brent_rho(x: int, c: int) -> int:
     """A divisor of the odd composite x from Brent's rho on y -> y^2 + c, start 2.
@@ -149,11 +154,12 @@ def _rho_primes(x: int) -> list[int]:
 @lru_cache(maxsize=1 << 16)
 def factor_small(x: int) -> SmallFactorization:
     """Factorization by trial division up to 2**12, then Brent's rho on the
-    cofactor; intended for x <= 2**64."""
+    cofactor. Above 2**64, x is refused unless that cofactor is 1 or prime."""
     if x < 1:
         raise ValueError("factor_small: x must be >= 1")
     if is_probable_prime(x):
         return SmallFactorization(((x, 1),))
+    n = x
     factors = []
     for p in (2, 3):
         if x % p == 0:
@@ -166,6 +172,11 @@ def factor_small(x: int) -> SmallFactorization:
     step = 2
     while d * d <= x:
         if d > _TRIAL_LIMIT:  # x > 1 has no factor below d; rho finishes it
+            if n > _RHO_LIMIT and not is_probable_prime(x):
+                raise ValueError(
+                    f"factor_small: {n} is above 2^64 and its cofactor {x} after "
+                    f"trial division to {_TRIAL_LIMIT} is composite"
+                )
             factors += sorted(Counter(_rho_primes(x)).items())
             return SmallFactorization(tuple(factors))
         if x % d == 0:

@@ -1,15 +1,33 @@
 """Ground-truth point counting.
 
-`count_points_prime` evaluates the Legendre-sum formula
-N = p + 1 + sum_x (x^3+Ax+B | p) with a cached character table, so
-repeated counts at the same prime are cheap. Cached tables are evicted
-least recently used first once they hold more than `_TABLE_CACHE_BYTES`
-together. A table is built by
-scattering squares: every entry starts at -1, the (p-1)/2 values x^2 mod p
-for 1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are set to 1,
-and entry 0 to 0. Primes above `_LEGENDRE_LIMIT` are refused before anything
-is allocated: the cubic is evaluated in int64 with intermediates up to
-2p^2 + p, and a count holds about 18p bytes of transient arrays.
+`count_points_prime(p, A, B)` is the one entry point for a count over F_p.
+It admits p once (a prime with 5 <= p < 2^60, else a `ValueError` naming p),
+refuses singular curves, and dispatches on `_CROSSOVER`:
+
+- p <= `_CROSSOVER`: the Legendre sum N = p + 1 + sum_x (x^3+Ax+B | p) with a
+  cached character table, so repeated counts at the same prime are cheap.
+  Cached tables are evicted least recently used first once they hold more
+  than `_TABLE_CACHE_BYTES` together. A table is built by scattering
+  squares: every entry starts at -1, the (p-1)/2 values x^2 mod p for
+  1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are set to 1,
+  and entry 0 to 0. The table helper refuses primes above `_LEGENDRE_LIMIT`
+  before anything is allocated: the cubic is evaluated in int64 with
+  intermediates up to 2p^2 + p, and a count holds about 18p bytes of
+  transient arrays.
+- p > `_CROSSOVER`: Shanks' baby-step/giant-step with Mestre's alternation
+  between E and its quadratic twist E' (H. Cohen, *A Course in Computational
+  Algebraic Number Theory*, section 7.4.3). It walks x0 = 0, 1, 2, ...; for
+  f = x0^3 + A x0 + B != 0 the point (x0 f, f^2) lies on
+  Y^2 = X^3 + A f^2 X + B f^3, which is E when f is a square and E'
+  otherwise, so no square root is taken. Each point's order is read off a
+  baby-step/giant-step match in the Hasse interval and stripped prime by
+  prime, and folded into L_E or L_E', the lcm of the orders seen on each
+  side. The count is N once exactly one N in [p+1-r, p+1+r], r = floor(2
+  sqrt(p)), has L_E | N and L_E' | 2p+2-N. Mestre showed that for p > 229
+  the group exponents of E and E' always leave one such N; in practice one
+  or two points do. A walk that ends without a unique N raises instead of
+  guessing. One count costs O(p^(1/4)) group operations and no table.
+
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
 quantities.
@@ -19,10 +37,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import is_probable_prime
+from .arith import factor_small, is_probable_prime, jacobi
 
 
 @dataclass(frozen=True)
@@ -32,6 +52,13 @@ class PrimeCount:
     trace: int
 
 
+# Counts stop below here: just below it a baby-step/giant-step count takes about 0.7 s.
+_COUNT_LIMIT = 1 << 60
+
+# Largest prime counted by the Legendre sum. Above it baby-step/giant-step is
+# faster than a count with its table already cached.
+_CROSSOVER = 1 << 14
+
 # Far below the int64 overflow of the cubic (p ~ 2.1e9), and a count's
 # transient arrays stay near 2.4 GB.
 _LEGENDRE_LIMIT = 2 ** 27
@@ -40,6 +67,23 @@ _LEGENDRE_LIMIT = 2 ** 27
 _TABLE_CACHE_BYTES = 2 * _LEGENDRE_LIMIT
 _tables: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
 _table_bytes = 0
+
+
+@lru_cache(maxsize=1 << 12)
+def _admit(p: int) -> None:
+    if not 5 <= p < _COUNT_LIMIT or not is_probable_prime(p):
+        raise ValueError(f"count_points_prime: p must be a prime in [5, 2^60), got {p}")
+
+
+def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
+    """Exact projective point count of y^2 = x^3 + Ax + B over F_p."""
+    _admit(p)
+    A %= p
+    B %= p
+    if (4 * A ** 3 + 27 * B ** 2) % p == 0:
+        raise ValueError(f"count_points_prime: singular curve ({A},{B}) mod {p}")
+    npoints = _legendre_count(p, A, B) if p <= _CROSSOVER else _bsgs_count(p, A, B)
+    return PrimeCount(p, npoints, p + 1 - npoints)
 
 
 def _legendre_table(p: int) -> np.ndarray:
@@ -64,13 +108,9 @@ def _legendre_table(p: int) -> np.ndarray:
     return chi
 
 
-def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
-    """Exact projective point count of y^2 = x^3 + Ax + B over F_p."""
+def _legendre_count(p: int, A: int, B: int) -> int:
+    """p + 1 + sum_x (x^3+Ax+B | p), for 0 <= A, B < p."""
     chi = _legendre_table(p)
-    A %= p
-    B %= p
-    if (4 * A ** 3 + 27 * B ** 2) % p == 0:
-        raise ValueError(f"count_points_prime: singular curve ({A},{B}) mod {p}")
     x = np.arange(p, dtype=np.int64)
     f = x * x  # Horner in place: every intermediate stays below 2p^2 + p
     f %= p
@@ -78,8 +118,116 @@ def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
     f *= x
     f += B
     f %= p
-    npoints = p + 1 + int(chi[f].sum())
-    return PrimeCount(p, npoints, p + 1 - npoints)
+    return p + 1 + int(chi[f].sum())
+
+
+# Affine points are (x, y) tuples of ints in [0, p); None is the point at
+# infinity. The curve is Y^2 = X^3 + aX + b; b never enters the formulas.
+
+
+def _add(P, Q, a: int, p: int):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _mul(k: int, P, a: int, p: int):
+    R = None
+    while k:
+        if k & 1:
+            R = _add(R, P, a, p)
+        k >>= 1
+        if k:
+            P = _add(P, P, a, p)
+    return R
+
+
+def _bsgs(Q, kmin: int, kmax: int, a: int, p: int) -> int:
+    """Some k >= 1 with [k]Q = O, where one such k lies in [kmin >= 1, kmax].
+
+    Baby steps store x([j]Q) for j = 1..m; giant steps visit centres c =
+    kmin + m, kmin + 3m + 1, ..., each covering [c - m, c + m]. A shared x
+    means [c]Q = +-[j]Q, and the y-coordinates tell the sign.
+    """
+    m = isqrt((kmax - kmin + 1) // 2) + 1
+    baby: dict[int, tuple[int, int]] = {}
+    R = None
+    for j in range(1, m + 1):
+        R = _add(R, Q, a, p)
+        if R is None:
+            return j
+        hit = baby.get(R[0])
+        if hit is not None:
+            return j - hit[0] if hit[1] == R[1] else j + hit[0]
+        baby[R[0]] = (j, R[1])
+    G = _add(_add(R, R, a, p), Q, a, p)  # [2m + 1]Q
+    c = kmin + m
+    S = _mul(c, Q, a, p)
+    while c - m <= kmax:
+        if S is None:
+            return c
+        hit = baby.get(S[0])
+        if hit is not None:
+            return c - hit[0] if hit[1] == S[1] else c + hit[0]
+        S = _add(S, G, a, p)
+        c += 2 * m + 1
+    raise ArithmeticError(f"count_points_prime: no group order in [{kmin}, {kmax}] at {p}")
+
+
+def _fold_order(P, L: int, lo: int, hi: int, a: int, p: int) -> int:
+    """lcm(L, order of P) = L * order of [L]P, given that the group order is a
+    multiple of L in [lo, hi]."""
+    Q = _mul(L, P, a, p)
+    if Q is None:
+        return L
+    k = _bsgs(Q, -(-lo // L), hi // L, a, p)
+    for q, e in factor_small(k).factors:  # strip k down to the order of Q
+        for _ in range(e):
+            if _mul(k // q, Q, a, p) is not None:
+                break
+            k //= q
+    return L * k
+
+
+def _unique_count(p: int, lo: int, hi: int, le: int, lt: int) -> int | None:
+    """The one N in [lo, hi] with le | N and lt | 2p + 2 - N; None if there are several."""
+    g = gcd(le, lt)
+    s = 2 * p + 2
+    step = le // g * lt
+    if s % g == 0:
+        t = s // g * pow(le // g, -1, lt // g) % (lt // g)  # le*t = 0 mod le, s mod lt
+        N = lo + (le * t - lo) % step
+        if N <= hi:
+            return N if N + step > hi else None
+    raise ArithmeticError(f"count_points_prime: orders {le}, {lt} fit no count at {p}")
+
+
+def _bsgs_count(p: int, A: int, B: int) -> int:
+    """#E(F_p) by Shanks-Mestre baby-step/giant-step, for 0 <= A, B < p, p > 229."""
+    r = isqrt(4 * p)
+    lo, hi = p + 1 - r, p + 1 + r
+    L = [1, 1]  # lcm of the point orders seen on E and on its twist
+    for x0 in range(p):
+        f = ((x0 * x0 + A) * x0 + B) % p
+        if f == 0:
+            continue
+        side = (1 - jacobi(f, p)) // 2
+        L[side] = _fold_order((x0 * f % p, f * f % p), L[side], lo, hi, A * f * f % p, p)
+        N = _unique_count(p, lo, hi, L[0], L[1])
+        if N is not None:
+            return N
+    raise ArithmeticError(f"count_points_prime: no unique count for ({A},{B}) mod {p}")
 
 
 def count_points_squarefree(primes: list[int], A: int, B: int) -> int:
@@ -103,4 +251,3 @@ def count_affine_bruteforce(n: int, A: int, B: int) -> int:
     nsqrt = np.bincount(y * y % n, minlength=n)
     f = (y * y % n * y + (A % n) * y + B % n) % n  # reuse y as the x range
     return int(nsqrt[f].sum())
-

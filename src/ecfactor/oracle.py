@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import counting
-from .arith import factor_small, jacobi
+from .arith import _RHO_LIMIT, factor_small, jacobi
 from .counting import _BRUTEFORCE_LIMIT, count_affine_bruteforce
 from .curves import SMOOTH, screen
 
@@ -123,19 +123,37 @@ class DirectOracle(Oracle):
         self.limit = limit
 
     def _primes(self, m: int) -> list[int]:
+        """Primes of m by trial division up to the brute-force limit, no further."""
         if m < 2 or m > self.limit:
             raise UnsupportedModulusError(f"modulus {m} outside [2, {self.limit}]")
-        facts = factor_small(m).factors
-        if any(e > 1 for _, e in facts) or any(p < 5 for p, _ in facts):
+        if m % 2 == 0 or m % 3 == 0:
             raise UnsupportedModulusError(
                 f"modulus {m} must be squarefree with prime factors >= 5"
             )
-        if facts[-1][0] > _BRUTEFORCE_LIMIT:
+        primes = []
+        rest = m
+        d, step = 5, 2
+        while d * d <= rest and d <= _BRUTEFORCE_LIMIT:
+            if rest % d == 0:
+                rest //= d
+                if rest % d == 0:
+                    raise UnsupportedModulusError(
+                        f"modulus {m} must be squarefree with prime factors >= 5"
+                    )
+                primes.append(d)
+            d += step
+            step = 6 - step
+        if rest > _BRUTEFORCE_LIMIT:
+            # every prime of rest is above the limit; name the largest where
+            # factor_small can find it without a long rho
+            big = factor_small(rest).factors[-1][0] if rest <= _RHO_LIMIT else rest
             raise UnsupportedModulusError(
-                f"modulus {m} has prime factor {facts[-1][0]} above the "
-                f"brute-force limit {_BRUTEFORCE_LIMIT}"
+                f"modulus {m} has a factor {big} above the brute-force limit "
+                f"{_BRUTEFORCE_LIMIT}"
             )
-        return [p for p, _ in facts]
+        if rest > 1:
+            primes.append(rest)
+        return primes
 
     def _count(self, primes: list[int], A: int, B: int) -> int:
         out = 1

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,25 @@ class TestFactorSmall:
         for x in samples:
             assert x < 2 ** 40
             assert factor_small(x).factors == trial_division(x), x
+
+    def test_size_contract_above_2_64(self):
+        # above 2^64 only inputs that trial division to 2^12 reduces to 1 or a
+        # prime are factored; rho would need about 2^30 steps on p * q below
+        p, q = 2 ** 61 - 1, 2 ** 89 - 1
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(p * q)):
+            factor_small(p * q)
+        with pytest.raises(ValueError, match=str(4093 * p * q)):
+            factor_small(4093 * p * q)
+        assert time.perf_counter() - start < 1.0
+        assert factor_small(4093 * q).factors == ((4093, 1), (q, 1))
+        assert factor_small(6 * 4093 ** 2 * 4091 * 1009 ** 8).reconstruct() == (
+            6 * 4093 ** 2 * 4091 * 1009 ** 8
+        )
+        # at and below 2^64 rho still splits what trial division leaves
+        assert factor_small(4294967291 * 4294967279).factors == (
+            (4294967279, 1), (4294967291, 1)
+        )
 
     def test_derived_functions(self):
         assert tau(36) == 9

@@ -64,31 +64,60 @@ class TestFactorCommand:
         assert "Traceback" not in err
 
     def test_prime_above_counting_limit(self, capsys):
-        # 5 * 2147483659: the oracle's count at the large prime is refused
-        # before it allocates anything
+        # 5 * (2^61 - 1): the oracle's count at the large prime is refused,
+        # since counts stop below 2^60. At seed 0 a screening gcd finds 5
+        # first and the prime is never counted, so seed 1 is pinned.
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "factor", "10737418295")
+        code, out, err = run_cli(capsys, "factor", "11529215046068469755", "--seed", "1")
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "2147483659" in err
+        assert err.startswith("error: ") and "2305843009213693951" in err
 
     @pytest.mark.parametrize(
         "argv, prime",
         [
-            (("factor", "1000000016000000063"), "1000000007"),
+            (("factor", "14987979559889011117"), "1152921504606847009"),
             (("count", "1000000016000000063", "1", "1"), "1000000009"),
         ],
     )
     def test_sixty_bit_semiprime_refused_quickly(self, capsys, argv, prime):
-        # 1000000007 * 1000000009: setup factoring splits it at once, then the
-        # prime is above the counting limit (factor) or brute-force limit (count)
+        # factor: 13 * 1152921504606847009, the least prime above 2^60, which
+        # is above the counting limit. count: 1000000007 * 1000000009, whose
+        # primes are above the brute-force limit. Setup splits both at once.
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and prime in err
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            ("10737418295", [5, 2147483659]),
+            ("1000000016000000063", [1000000007, 1000000009]),
+        ],
+    )
+    def test_primes_above_the_legendre_limit_are_counted(self, capsys, n, factors):
+        # both primes of the second n were refused while every count was a
+        # Legendre sum (p <= 2^27); baby-step/giant-step counts them
+        code, out, _ = run_cli(capsys, "factor", n)
+        assert code == 0
+        assert json.loads(out)["factors"] == factors
+
+    @pytest.mark.parametrize("command", [("factor",), ("count",)])
+    def test_above_2_64_without_small_factors_refused_quickly(self, capsys, command):
+        # primes near 2^61 and 2^62: rho would run for hours, so setup
+        # factoring (factor) and the direct oracle (count) refuse it at once
+        n = "10633823966279327363694553002502260713"
+        argv = command + (n,) + (("1", "1") if command == ("count",) else ())
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and n in err
 
     @pytest.mark.parametrize(
         "argv, factors, curves_used, queries",

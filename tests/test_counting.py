@@ -1,13 +1,19 @@
 import random
+import time
 from collections import OrderedDict
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ecfactor import counting
 from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_up_to
+from ecfactor.census import _coset_representatives
 from ecfactor.counting import (
     PrimeCount,
+    _bsgs_count,
+    _legendre_count,
     _legendre_table,
     count_affine_bruteforce,
     count_points_prime,
@@ -51,10 +57,13 @@ class TestCountPointsPrime:
             count_points_prime(9, 1, 1)
 
     def test_rejects_primes_above_the_size_limit(self):
-        # 2147483659 is prime; its cubic would overflow int64 and its
-        # arrays would need gigabytes, so it is refused before either
-        with pytest.raises(ValueError, match="2147483659"):
-            count_points_prime(2147483659, 1, 1)
+        # 1152921504606847009 is the least prime above 2^60 and 2^61 - 1 is
+        # prime; a count there would take seconds, so both are refused at once
+        for p in (1152921504606847009, 2 ** 61 - 1):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=str(p)):
+                count_points_prime(p, 1, 1)
+            assert time.perf_counter() - start < 1.0
 
     def test_hasse_random(self):
         rng = random.Random(5)
@@ -119,6 +128,74 @@ class TestTableCache:
         assert not table.flags.writeable
         count_points_prime(4001, 1, 1)  # above the bound alone: counted, not kept
         assert list(counting._tables) == [] and counting._table_bytes == 0
+
+
+class TestShanksMestre:
+    """Baby-step/giant-step against the Legendre sum, helper against helper."""
+
+    @pytest.fixture
+    def fresh_tables(self, monkeypatch):
+        # the Legendre side builds a table per prime; keep them out of the
+        # shared cache and let them go when the test ends
+        monkeypatch.setattr(counting, "_tables", OrderedDict())
+        monkeypatch.setattr(counting, "_table_bytes", 0)
+
+    def test_every_prime_to_1e4_with_all_j0_and_j1728_classes(self, fresh_tables):
+        # every coset of (F_p*)^6 for j = 0 and of (F_p*)^4 for j = 1728 is
+        # one class, and they hold the extreme traces, e.g. |a| = floor(2 sqrt p)
+        # at j = 1728 when p = u^2 + 1
+        rng = random.Random(11)
+        for p in primes_up_to(10 ** 4):
+            if p <= 229:
+                continue
+            curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
+            curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+            curves.append(random_smooth_pair(rng, p))
+            for A, B in curves:
+                assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
+
+    def test_seeded_primes_near_1e6_to_1e7(self, fresh_tables):
+        # the Legendre side costs about 40 ms per count at 1e6 and 0.4 s at
+        # 1e7, so all but one prime sit near the low end
+        rng = random.Random(12)
+
+        def seeded_primes(lo, hi, k):
+            out = []
+            while len(out) < k:
+                x = rng.randrange(lo, hi)
+                if is_probable_prime(x):
+                    out.append(x)
+            return out
+
+        primes = seeded_primes(10 ** 6, 15 * 10 ** 5, 32)
+        primes += seeded_primes(10 ** 7, 10 ** 7 + 10 ** 5, 1)
+        for p in primes:
+            A, B = random_smooth_pair(rng, p)
+            assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
+            counting._tables.clear()
+            counting._table_bytes = 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([p for p in primes_up_to(3 * 10 ** 4) if p > 229]),
+        st.integers(0, 2 ** 64),
+        st.integers(0, 2 ** 64),
+    )
+    def test_property_matches_legendre(self, p, A, B):
+        A, B = A % p, B % p
+        assume((4 * A ** 3 + 27 * B ** 2) % p)
+        assert _bsgs_count(p, A, B) == _legendre_count(p, A, B)
+
+    def test_dispatch_on_the_crossover(self, fresh_tables):
+        # a count above the crossover builds no character table
+        below = primes_up_to(counting._CROSSOVER)[-1]
+        above = next(q for q in range(counting._CROSSOVER, 2 * counting._CROSSOVER)
+                     if is_probable_prime(q))
+        count_points_prime(above, 1, 1)
+        count_points_prime(1000003, 2, 3)
+        assert not counting._tables and counting._table_bytes == 0
+        count_points_prime(below, 1, 1)
+        assert list(counting._tables) == [below]
 
 
 class TestCountPointsSquarefree:

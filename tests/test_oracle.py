@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -118,6 +119,22 @@ class TestDirectOracle:
         o = DirectOracle(10 ** 11)
         with pytest.raises(UnsupportedModulusError, match="100019"):
             o.query(10002200057, 1, 1)  # 100003 * 100019
+        assert o.stats.queries == 0
+
+    def test_trial_division_stops_at_the_bruteforce_limit(self):
+        # a cofactor with no prime up to 1e5 is refused without factoring it
+        # further; above 2^64 it is named as it stands
+        n = (2 ** 61 - 1) * (2 ** 89 - 1)
+        o = DirectOracle(n)
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedModulusError, match=str(n)):
+            o.query(n, 1, 1)
+        with pytest.raises(UnsupportedModulusError, match="100003"):
+            o.query(7 * 100003 ** 2, 1, 1)  # the least prime above 1e5, twice
+        with pytest.raises(UnsupportedModulusError, match="squarefree"):
+            o.query(7 * 99991 ** 2, 1, 1)  # the largest prime below 1e5, twice
+        assert time.perf_counter() - start < 1.0
+        assert o._primes(5 * 99991 * 99989) == [5, 99989, 99991]
         assert o.stats.queries == 0
 
     def test_rejects_non_squarefree_or_even(self):
