@@ -1,7 +1,7 @@
 """Factoring squarefree integers by counting points on elliptic curves.
 
 Library layout:
-  arith     - exact integer kernel (gcd, Jacobi symbols, factoring, phi/tau/mu)
+  arith     - exact integer kernel (gcd, Jacobi symbols, factoring, phi/tau)
   curves    - Weierstrass curves mod n, twisting, screening, sampling
   counting  - exact point counts over F_p and squarefree moduli
   oracle    - black-box count oracles with query accounting

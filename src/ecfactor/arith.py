@@ -207,13 +207,6 @@ def omega(x: int) -> int:
     return len(factor_small(x).factors)
 
 
-def mobius(x: int) -> int:
-    f = factor_small(x).factors
-    if any(e > 1 for _, e in f):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
 def euler_phi(x: int) -> int:
     out = x
     for p, _ in factor_small(x).factors:

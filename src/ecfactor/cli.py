@@ -10,24 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
-import random
 import sys
 import time
-from math import gcd
 
 from . import census as census_mod
-from .arith import divisors, euler_phi, factor_small, jacobi, primes_up_to
-from .counting import count_points_prime
+from .arith import factor_small
 from .oracle import DirectOracle, FactoredOracle
 from .reduction import ReductionConfig, factor_completely
-
-SEED_ENV = "ECFACTOR_SEED"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
 
 
 def _emit(report: dict, started: float) -> None:
@@ -111,90 +100,6 @@ def cmd_nonresidue(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    rng = random.Random(12345)
-
-    def arith_checks() -> bool:
-        for _ in range(500):
-            m = rng.randrange(1, 500) * 2 + 1
-            a, b = rng.randrange(-200, 200), rng.randrange(-200, 200)
-            if jacobi(a * b, m) != jacobi(a, m) * jacobi(b, m):
-                return False
-        for m in range(1, 301):
-            if sum(euler_phi(d) for d in divisors(m)) != m:
-                return False
-        return True
-
-    def counting_checks() -> bool:
-        primes = [p for p in primes_up_to(300) if p >= 5]
-        for _ in range(200):
-            p = rng.choice(primes)
-            A, B = rng.randrange(p), rng.randrange(p)
-            if (4 * A ** 3 + 27 * B ** 2) % p == 0:
-                continue
-            t = count_points_prime(p, A, B).trace
-            if t * t > 4 * p:
-                return False
-            d = rng.randrange(1, p)
-            nd = count_points_prime(p, A * d * d % p, B * d ** 3 % p).npoints
-            n0 = p + 1 - t
-            if jacobi(d, p) == -1 and n0 + nd != 2 * (p + 1):
-                return False
-            if jacobi(d, p) == 1 and n0 != nd:
-                return False
-        return True
-
-    def oracle_checks() -> bool:
-        direct = DirectOracle(500)
-        for m in (35, 55, 77, 455):
-            primes = [p for p, _ in factor_small(m).factors]
-            fact = FactoredOracle(primes)
-            for _ in range(3):
-                A, B = rng.randrange(m), rng.randrange(m)
-                if gcd((4 * A ** 3 + 27 * B ** 2) % m, m) != 1:
-                    continue
-                if fact.query(m, A, B) != direct.query(m, A, B):
-                    return False
-        return True
-
-    def reduction_checks() -> bool:
-        for n in (35, 385, 1001):
-            primes = [p for p, _ in factor_small(n).factors]
-            oracle = FactoredOracle(primes)
-            res = factor_completely(n, oracle, ReductionConfig(seed=7))
-            if not res.success or math.prod(res.factors) != n:
-                return False
-        return True
-
-    def census_checks() -> bool:
-        for p in [q for q in primes_up_to(200) if q >= 5]:
-            for D in (1, 3, 10, p + 1):
-                direct = census_mod.phi_direct(p, D)
-                if direct != census_mod.phi_mobius(p, D):
-                    return False
-                b22, b23 = census_mod.lower_bounds(p, D)
-                if direct < b22 or direct < b23:
-                    return False
-        return all(census_mod.primorial_check(l) for l in range(13, 32))
-
-    return [
-        ("arith", arith_checks),
-        ("counting", counting_checks),
-        ("oracle", oracle_checks),
-        ("reduction", reduction_checks),
-        ("census", census_checks),
-    ]
-
-
-def cmd_selftest(_args) -> int:
-    ok = True
-    for name, check in _selftest_checks():
-        passed = check()
-        ok = ok and passed
-        print(f"selftest {name}: {'PASS' if passed else 'FAIL'}")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecfactor",
@@ -207,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--D", type=int, default=12)
     p_factor.add_argument("--max-d", type=int, default=None)
     p_factor.add_argument("--max-curves", type=int, default=None)
-    p_factor.add_argument("--seed", type=int, default=_default_seed())
+    p_factor.add_argument("--seed", type=int, default=0)
     p_factor.add_argument("--oracle", choices=("factored", "direct"), default="factored")
     p_factor.set_defaults(func=cmd_factor)
 
@@ -230,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nr.add_argument("m", type=int)
     p_nr.add_argument("--cap", type=int, default=10 ** 4)
     p_nr.set_defaults(func=cmd_nonresidue)
-
-    p_self = sub.add_parser("selftest", help="reduced-scale invariant battery")
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 

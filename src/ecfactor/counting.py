@@ -6,14 +6,11 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
 
 - p <= `_CROSSOVER`: the Legendre sum N = p + 1 + sum_x (x^3+Ax+B | p) with a
   cached character table, so repeated counts at the same prime are cheap.
-  Cached tables are evicted least recently used first once they hold more
-  than `_TABLE_CACHE_BYTES` together. A table is built by scattering
-  squares: every entry starts at -1, the (p-1)/2 values x^2 mod p for
-  1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are set to 1,
-  and entry 0 to 0. The table helper refuses primes above `_LEGENDRE_LIMIT`
-  before anything is allocated: the cubic is evaluated in int64 with
-  intermediates up to 2p^2 + p, and a count holds about 18p bytes of
-  transient arrays.
+  The cache holds one read-only table per prime and has a slot for each of
+  the 1898 primes up to `_CROSSOVER` (14.6 MB of tables together), so no
+  table is ever rebuilt. A table is built by scattering squares: every
+  entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
+  (which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
 - p > `_CROSSOVER`: Shanks' baby-step/giant-step with Mestre's alternation
   between E and its quadratic twist E' (H. Cohen, *A Course in Computational
   Algebraic Number Theory*, section 7.4.3). It walks x0 = 0, 1, 2, ...; for
@@ -35,7 +32,6 @@ quantities.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -59,15 +55,6 @@ _COUNT_LIMIT = 1 << 60
 # faster than a count with its table already cached.
 _CROSSOVER = 1 << 14
 
-# Far below the int64 overflow of the cubic (p ~ 2.1e9), and a count's
-# transient arrays stay near 2.4 GB.
-_LEGENDRE_LIMIT = 2 ** 27
-
-# Room for two tables at the size limit, so a semiprime there never rebuilds one.
-_TABLE_CACHE_BYTES = 2 * _LEGENDRE_LIMIT
-_tables: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
-_table_bytes = 0
-
 
 @lru_cache(maxsize=1 << 12)
 def _admit(p: int) -> None:
@@ -86,30 +73,20 @@ def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
     return PrimeCount(p, npoints, p + 1 - npoints)
 
 
+@lru_cache(maxsize=1 << 11)  # more slots than primes up to _CROSSOVER
 def _legendre_table(p: int) -> np.ndarray:
-    global _table_bytes
-    chi = _tables.get(p)
-    if chi is not None:
-        _tables.move_to_end(p)
-        return chi
-    if p < 5 or p > _LEGENDRE_LIMIT or not is_probable_prime(p):
-        raise ValueError(
-            f"count_points_prime: p must be a prime in [5, {_LEGENDRE_LIMIT}], got {p}"
-        )
     chi = np.full(p, -1, dtype=np.int8)
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     chi[x * x % p] = 1
     chi[0] = 0
     chi.flags.writeable = False  # shared by every later count at p
-    _tables[p] = chi
-    _table_bytes += chi.nbytes
-    while _table_bytes > _TABLE_CACHE_BYTES:
-        _table_bytes -= _tables.popitem(last=False)[1].nbytes
     return chi
 
 
 def _legendre_count(p: int, A: int, B: int) -> int:
     """p + 1 + sum_x (x^3+Ax+B | p), for 0 <= A, B < p."""
+    # Exact in int64 up to p ~ 2.1e9, with about 18p bytes of transient arrays:
+    # the tests use it as the reference for baby-step/giant-step up to 1e7.
     chi = _legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     f = x * x  # Horner in place: every intermediate stays below 2p^2 + p

@@ -15,7 +15,6 @@ from ecfactor.arith import (
     is_probable_prime,
     isqrt,
     jacobi,
-    mobius,
     odd_part,
     omega,
     primes_up_to,
@@ -180,7 +179,6 @@ class TestFactorSmall:
     def test_derived_functions(self):
         assert tau(36) == 9
         assert euler_phi(6) == 2
-        assert mobius(30) == -1
         assert odd_part(6) == 3
         assert omega(30) == 3
         assert divisors(12) == [1, 2, 3, 4, 6, 12]

@@ -1,6 +1,5 @@
 import random
 import time
-from collections import OrderedDict
 from math import gcd
 
 import pytest
@@ -111,34 +110,27 @@ class TestLegendreTable:
                 assert chi[r] == jacobi(r, p), (p, r)
 
 
+@pytest.fixture
+def fresh_tables():
+    # start from an empty cache, and let the tables a test builds (some far
+    # above the crossover) go when it ends
+    _legendre_table.cache_clear()
+    yield
+    _legendre_table.cache_clear()
+
+
 class TestTableCache:
-    def test_evicts_least_recently_used_by_bytes(self, monkeypatch):
-        monkeypatch.setattr(counting, "_TABLE_CACHE_BYTES", 4000)
-        monkeypatch.setattr(counting, "_tables", OrderedDict())
-        monkeypatch.setattr(counting, "_table_bytes", 0)
-        for p in (1009, 1013, 1019):
-            count_points_prime(p, 1, 1)
-        assert list(counting._tables) == [1009, 1013, 1019]
-        count_points_prime(1009, 2, 3)  # a hit makes 1009 the most recent
-        count_points_prime(1021, 1, 1)  # 4062 bytes: 1013 goes, not 1009
-        assert list(counting._tables) == [1019, 1009, 1021]
-        assert counting._table_bytes == 1019 + 1009 + 1021 <= 4000
-        table = _legendre_table(1013)  # rebuilt after eviction, still exact
-        assert table.tolist() == [0] + [jacobi(r, 1013) for r in range(1, 1013)]
+    def test_counts_at_one_prime_share_one_read_only_table(self, fresh_tables):
+        count_points_prime(1009, 1, 1)
+        table = _legendre_table(1009)
+        count_points_prime(1009, 2, 3)
+        assert _legendre_table(1009) is table
         assert not table.flags.writeable
-        count_points_prime(4001, 1, 1)  # above the bound alone: counted, not kept
-        assert list(counting._tables) == [] and counting._table_bytes == 0
+        assert _legendre_table.cache_info().currsize == 1
 
 
 class TestShanksMestre:
     """Baby-step/giant-step against the Legendre sum, helper against helper."""
-
-    @pytest.fixture
-    def fresh_tables(self, monkeypatch):
-        # the Legendre side builds a table per prime; keep them out of the
-        # shared cache and let them go when the test ends
-        monkeypatch.setattr(counting, "_tables", OrderedDict())
-        monkeypatch.setattr(counting, "_table_bytes", 0)
 
     def test_every_prime_to_1e4_with_all_j0_and_j1728_classes(self, fresh_tables):
         # every coset of (F_p*)^6 for j = 0 and of (F_p*)^4 for j = 1728 is
@@ -172,8 +164,7 @@ class TestShanksMestre:
         for p in primes:
             A, B = random_smooth_pair(rng, p)
             assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
-            counting._tables.clear()
-            counting._table_bytes = 0
+            _legendre_table.cache_clear()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -193,9 +184,9 @@ class TestShanksMestre:
                      if is_probable_prime(q))
         count_points_prime(above, 1, 1)
         count_points_prime(1000003, 2, 3)
-        assert not counting._tables and counting._table_bytes == 0
+        assert _legendre_table.cache_info().currsize == 0
         count_points_prime(below, 1, 1)
-        assert list(counting._tables) == [below]
+        assert _legendre_table.cache_info().currsize == 1
 
 
 class TestCountPointsSquarefree:
