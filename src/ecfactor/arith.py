@@ -229,16 +229,6 @@ def divisors(x: int) -> list[int]:
     return sorted(out)
 
 
-def totient_sieve(limit: int) -> list[int]:
-    """phi(0..limit) in one sweep; used by the large verification sweeps."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
 def primes_up_to(limit: int) -> list[int]:
     """Primes <= limit by Eratosthenes."""
     if limit < 2:

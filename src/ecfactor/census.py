@@ -2,11 +2,30 @@
 
 phi(p, D) counts 1 <= a <= 2*sqrt(p) with gcd(a, p+1) <= D. It is
 computed two ways (direct count, Moebius divisor sum) that must agree
-exactly, and bounded below by two closed-form expressions. The class
-census enumerates isomorphism classes of curves over F_p and counts
-those whose trace has small gcd with p+1; the non-residue search
-measures how far one must go for a d that is a non-residue mod p but a
-residue mod m.
+exactly, and bounded below by two closed-form expressions. Each of
+them does its per-prime work once per p and answers every D from it:
+phi_direct bisects the sorted gcd(a, p+1), phi_mobius the running sum of
+its divisor terms, and the bounds read the one cached factorisation of p+1.
+
+The class census enumerates isomorphism classes of curves over F_p and
+counts those whose trace has small gcd with p+1. Every curve with AB != 0
+is isomorphic, or a quadratic twist, to E_t: y^2 = x^3 + t x + t with
+t = A^3/B^2, and t -> j = 6912t/(4t + 27) maps F_p minus {0, -27/4} onto
+F_p minus {0, 1728}. For x != -1, x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)),
+so
+
+    a(t) = -chi(-1) - sum_s w(s) chi(t + s),
+    w(s) = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = s,
+
+and all p - 2 traces come from one cyclic correlation of two int64 arrays
+of length p: O(p^2) multiply-adds in C and O(p) memory, in place of about
+p point counts. The curves with j = 0 (A = 0) or j = 1728 (B = 0) can
+have automorphisms beyond +-1, and then their classes are sextic or
+quartic twists of each other, not quadratic ones: gcd(6, p-1) classes at
+j = 0 and gcd(4, p-1) at j = 1728, each counted on its own.
+
+The non-residue search measures how far one must go for a d that is a
+non-residue mod p but a residue mod m.
 """
 
 from __future__ import annotations
@@ -17,26 +36,47 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from . import arith
-from .arith import (
-    divisors,
-    euler_phi,
-    is_probable_prime,
-    isqrt,
-    jacobi,
-    odd_part,
-    omega,
-    primes_up_to,
-    tau,
-)
-from .counting import count_points_prime
+from .arith import divisors, is_probable_prime, isqrt, jacobi, odd_part, primes_up_to
+from .counting import _legendre_table, count_points_prime
+
+
+@lru_cache(maxsize=8)  # a sweep visits each p once, for every D in turn
+def _sorted_gcds(p: int) -> tuple[int, ...]:
+    """gcd(a, p+1) for 1 <= a <= floor(2*sqrt(p)), sorted increasing."""
+    a = np.arange(1, isqrt(4 * p) + 1, dtype=np.int64)
+    return tuple(np.sort(np.gcd(a, p + 1)).tolist())
 
 
 def phi_direct(p: int, D: int) -> int:
     """#{a : 1 <= a <= floor(2*sqrt(p)), gcd(a, p+1) <= D} by enumeration."""
+    return bisect_right(_sorted_gcds(p), D)
+
+
+@lru_cache(maxsize=8)  # a sweep visits each p once, for every D in turn
+def _mobius_prefix(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divisors d <= floor(2*sqrt(p)) of p+1, increasing, and the running
+    totals of their terms sum_k mu(k) * floor(bound / (k*d)).
+
+    Only squarefree k | (p+1)/d with k*d <= bound are expanded: a larger k*d
+    gives floor(bound / (k*d)) = 0, and so does every multiple of it.
+    """
     bound = isqrt(4 * p)
     m = p + 1
-    return sum(1 for a in range(1, bound + 1) if gcd(a, m) <= D)
+    primes = [q for q, _ in arith.factor_small(m).factors]
+    ds, totals = [], [0]
+    for d in divisors(m):
+        if d > bound:
+            break
+        terms = [(d, 1)]  # (k*d, mu(k))
+        for q in primes:
+            if m // d % q == 0:
+                terms += [(kd * q, -mu) for kd, mu in terms if kd * q <= bound]
+        ds.append(d)
+        totals.append(totals[-1] + sum(mu * (bound // kd) for kd, mu in terms))
+    return tuple(ds), tuple(totals)
 
 
 def phi_mobius(p: int, D: int) -> int:
@@ -44,21 +84,10 @@ def phi_mobius(p: int, D: int) -> int:
 
     Sums mu(k) * floor(bound / (k*d)) over divisors d <= D of p+1 and
     squarefree k | (p+1)/d; the k and their signs are built from the primes
-    of p+1, factored once.
+    of p+1, factored once, and the sum is expanded once per p for every D.
     """
-    bound = isqrt(4 * p)
-    m = p + 1
-    primes = [q for q, _ in arith.factor_small(m).factors]
-    total = 0
-    for d in divisors(m):
-        if d > D:
-            break
-        terms = [(1, 1)]  # (k, mu(k))
-        for q in primes:
-            if m // d % q == 0:
-                terms += [(k * q, -mu) for k, mu in terms]
-        total += sum(mu * (bound // (k * d)) for k, mu in terms)
-    return total
+    ds, totals = _mobius_prefix(p)
+    return totals[bisect_right(ds, D)]
 
 
 def lower_bounds(p: int, D: int) -> tuple[float, float]:
@@ -66,11 +95,22 @@ def lower_bounds(p: int, D: int) -> tuple[float, float]:
 
     First: 2*sqrt(p) - (2*sqrt(p)/D)*tau(p+1) - tau((p+1)^2).
     Second: sqrt(p)*phi(P)/P - 2^omega(P), with P the odd part of p+1.
+    Every divisor function comes from the one factorisation of p+1:
+    tau((p+1)^2) is the product of 2e+1, and phi(P) and omega(P) come from
+    its odd primes.
     """
+    tau1 = tau2 = 1
+    P = phi_P = odd_part(p + 1)
+    omega_P = 0
+    for q, e in arith.factor_small(p + 1).factors:
+        tau1 *= e + 1
+        tau2 *= 2 * e + 1
+        if q > 2:
+            phi_P = phi_P // q * (q - 1)
+            omega_P += 1
     sp = math.sqrt(p)
-    b22 = 2 * sp - (2 * sp / D) * tau(p + 1) - tau((p + 1) ** 2)
-    P = odd_part(p + 1)
-    b23 = sp * euler_phi(P) / P - 2 ** omega(P)
+    b22 = 2 * sp - (2 * sp / D) * tau1 - tau2
+    b23 = sp * phi_P / P - 2 ** omega_P
     return b22, b23
 
 
@@ -102,34 +142,55 @@ def _coset_representatives(p: int, k: int) -> list[int]:
     return [pow(g, i, p) for i in range(k)]
 
 
+def _inverses(u: np.ndarray, p: int) -> np.ndarray:
+    """u^(p-2) mod p elementwise: the inverses of units, by square-and-multiply."""
+    out = np.ones_like(u)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * u % p
+        u = u * u % p
+        e >>= 1
+    return out
+
+
+def _generic_traces(p: int) -> np.ndarray:
+    """a(t) for t != 0, -27/4 in F_p, increasing t: the traces of
+    E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring."""
+    chi = _legendre_table(p).astype(np.int64)
+    u = np.arange(1, p, dtype=np.int64)  # u = x + 1 for x != -1
+    x = u - 1
+    s = x * x % p * x % p * _inverses(u, p) % p
+    w = np.bincount(s, weights=chi[u], minlength=p).astype(np.int64)
+    # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p
+    corr = np.correlate(np.concatenate((chi, chi[:-1])), w, "valid")
+    a = -chi[p - 1] - corr
+    return np.delete(a, [0, -27 * pow(4, -1, p) % p])
+
+
 @lru_cache(maxsize=512)
 def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     """Traces of all F_p-isomorphism classes of smooth curves over F_p.
 
     Classes are orbits of (A, B) under (A, B) -> (l^4 A, l^6 B), l in F_p*,
     and are enumerated by j-invariant (Silverman, AEC III.1 and X.5):
-    - j != 0, 1728: y^2 = x^3 + 3j(1728-j) x + 2j(1728-j)^2 has invariant j
-      and Aut = {+-1}, so j has two classes, this curve and its quadratic
-      twist, with traces a and -a;
+    - j != 0, 1728: Aut = {+-1}, so j has two classes, E_t with
+      j = 6912t/(4t + 27) and its quadratic twist, with traces a(t) and
+      -a(t); every a(t) comes from one correlation (`_generic_traces`);
     - j = 0: one class y^2 = x^3 + B per coset of B in F_p*/(F_p*)^6;
-    - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4.
-    That is 2(p-2) + gcd(6, p-1) + gcd(4, p-1) classes, with one count
-    per j != 0, 1728 and one per class at j = 0 and 1728. The traces come in
+    - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4;
+      these classes are counted one at a time.
+    That is 2(p-2) + gcd(6, p-1) + gcd(4, p-1) classes. The traces come in
     increasing order of gcd(a, p+1), so a census row counts those <= D by
     bisection.
     """
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
-    traces = []
-    for j in range(1, p):
-        k = (1728 - j) % p
-        if k == 0:
-            continue
-        a = count_points_prime(p, 3 * j * k, 2 * j * k * k).trace
-        traces += (a, -a)
-    traces += [count_points_prime(p, 0, B).trace for B in _coset_representatives(p, gcd(6, p - 1))]
-    traces += [count_points_prime(p, A, 0).trace for A in _coset_representatives(p, gcd(4, p - 1))]
-    return tuple(sorted(traces, key=lambda a: gcd(a, p + 1)))
+    a = _generic_traces(p)
+    special = [count_points_prime(p, 0, B).trace for B in _coset_representatives(p, gcd(6, p - 1))]
+    special += [count_points_prime(p, A, 0).trace for A in _coset_representatives(p, gcd(4, p - 1))]
+    traces = np.concatenate((a, -a, special))
+    return tuple(traces[np.argsort(np.gcd(traces, p + 1), kind="stable")].tolist())
 
 
 def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
@@ -210,21 +271,3 @@ def nonresidue_search(p: int, m: int, cap: int = 10 ** 4) -> NonResidueRecord:
         if jacobi(d, p) == -1 and gcd(d, m) == 1 and jacobi(d, m) == 1:
             return NonResidueRecord(p, m, d, d / math.log(p * m) ** 2)
     raise NonResidueNotFound(f"no admissible d <= {cap} for (p, m) = ({p}, {m})")
-
-
-def primorial_check(l: int) -> bool:
-    """Exact check that the product of the first l primes is >= l^l."""
-    if not 1 <= l <= 64:
-        raise ValueError("primorial_check: need 1 <= l <= 64")
-    primes = primes_up_to(400)  # 64th prime is 311
-    prod = 1
-    for q in primes[:l]:
-        prod *= q
-    return prod >= l ** l
-
-
-def phi_lower_check(x: int) -> bool:
-    """Check phi(x) > x / (4 ln x)."""
-    if x < 3:
-        raise ValueError("phi_lower_check: need x >= 3")
-    return euler_phi(x) > x / (4 * math.log(x))

@@ -163,12 +163,16 @@ def _child_seed(seed: int, m: int) -> int:
 def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResult:
     """Complete factorization of squarefree n >= 2 via repeated splitting.
 
-    Factors 2 and 3 are stripped first (the curve model needs p >= 5); the
-    rest is a work list of cofactors, split recursively. A stuck cofactor
-    is reported rather than guessed at.
+    Factors 2 and 3 are stripped first (the curve model needs p >= 5), so
+    n divisible by 4 or 9 is refused here; the oracle refuses any other
+    square. The rest is a work list of cofactors, split recursively. A
+    stuck cofactor is reported rather than guessed at.
     """
     if n < 2:
         raise ValueError("factor_completely: n must be >= 2")
+    for q in (2, 3):
+        if n % (q * q) == 0:
+            raise ValueError(f"factor_completely: {n} is not squarefree ({q}^2 divides it)")
     stats = OracleStats()
     primes: list[int] = []
     m = n

@@ -20,20 +20,18 @@ from ecfactor.arith import (
     jacobi,
     primes_up_to,
     reduce_fraction,
-    totient_sieve,
 )
 from ecfactor.census import (
     class_census,
     lower_bounds,
     nonresidue_search,
     phi_direct,
-    phi_lower_check,
     phi_mobius,
-    primorial_check,
 )
 from ecfactor.counting import count_points_prime
 from ecfactor.oracle import DirectOracle, FactoredOracle
 from ecfactor.reduction import ReductionConfig, factor_completely, recover_from_ratio
+from proof_aux import phi_lower_check, primorial_check, totient_sieve
 
 
 def random_smooth_pair(rng, m):

@@ -20,8 +20,8 @@ from ecfactor.arith import (
     primes_up_to,
     reduce_fraction,
     tau,
-    totient_sieve,
 )
+from proof_aux import totient_sieve
 
 
 def test_gcd_examples():

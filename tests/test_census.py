@@ -5,10 +5,11 @@ from math import gcd
 
 import pytest
 
-from ecfactor.arith import isqrt, primes_up_to
+from ecfactor.arith import euler_phi, isqrt, odd_part, omega, primes_up_to, tau
 from ecfactor.census import (
     CSV_HEADER,
     NonResidueNotFound,
+    _coset_representatives,
     census_row,
     census_sweep,
     class_census,
@@ -16,12 +17,11 @@ from ecfactor.census import (
     lower_bounds,
     nonresidue_search,
     phi_direct,
-    phi_lower_check,
     phi_mobius,
-    primorial_check,
     rows_to_csv,
 )
 from ecfactor.counting import count_points_prime
+from proof_aux import phi_lower_check, primorial_check
 
 
 class TestPhiCounts:
@@ -37,8 +37,10 @@ class TestPhiCounts:
         for p in primes_up_to(3000):
             if p < 5:
                 continue
-            for D in (1, 2, 3, 5, 10, p + 1):
-                assert phi_direct(p, D) == phi_mobius(p, D)
+            bound = isqrt(4 * p)
+            for D in (1, 2, 3, 5, 10, 12, p + 1):
+                plain = sum(1 for a in range(1, bound + 1) if gcd(a, p + 1) <= D)
+                assert phi_direct(p, D) == phi_mobius(p, D) == plain, (p, D)
 
     def test_monotone_in_D_and_saturates(self):
         for p in (13, 101, 997):
@@ -50,11 +52,28 @@ class TestPhiCounts:
             assert phi_direct(p, p + 1) == isqrt(4 * p)
 
 
+def lower_bounds_reference(p, D):
+    """The closed-form bounds with each divisor function factoring afresh."""
+    sp = math.sqrt(p)
+    b22 = 2 * sp - (2 * sp / D) * tau(p + 1) - tau((p + 1) ** 2)
+    P = odd_part(p + 1)
+    b23 = sp * euler_phi(P) / P - 2 ** omega(P)
+    return b22, b23
+
+
 class TestLowerBounds:
     def test_worked_101_example(self):
         _, b23 = lower_bounds(101, 1)
         assert b23 == pytest.approx(math.sqrt(101) * 32 / 51 - 4, abs=1e-12)
         assert phi_direct(101, 1) >= b23
+
+    def test_matches_reference_formula_to_3000(self):
+        # bit-identical floats, so the census CSV cannot move
+        for p in primes_up_to(3000):
+            if p < 5:
+                continue
+            for D in (1, 2, 3, 5, 10, 12, p + 1):
+                assert lower_bounds(p, D) == lower_bounds_reference(p, D), (p, D)
 
     def test_bounds_hold_medium_sweep(self):
         for p in primes_up_to(1000):
@@ -89,7 +108,33 @@ def orbit_walk_traces(p):
     return traces
 
 
+def j_loop_traces(p):
+    """Reference class enumeration by j-invariant with one count per j:
+    y^2 = x^3 + 3j(1728-j) x + 2j(1728-j)^2 and its twist for j != 0, 1728,
+    and one count per coset class at j = 0 and j = 1728."""
+    traces = []
+    for j in range(1, p):
+        k = (1728 - j) % p
+        if k == 0:
+            continue
+        a = count_points_prime(p, 3 * j * k, 2 * j * k * k).trace
+        traces += (a, -a)
+    traces += [count_points_prime(p, 0, B).trace for B in _coset_representatives(p, gcd(6, p - 1))]
+    traces += [count_points_prime(p, A, 0).trace for A in _coset_representatives(p, gcd(4, p - 1))]
+    return traces
+
+
 class TestClassCensus:
+    def test_correlation_matches_j_loop_to_the_enumeration_limit(self):
+        for p in primes_up_to(1000):
+            if p < 5:
+                continue
+            traces = isomorphism_class_traces(p)
+            assert Counter(traces) == Counter(j_loop_traces(p)), p
+            assert len(traces) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
+            gcds = [gcd(a, p + 1) for a in traces]
+            assert gcds == sorted(gcds), p
+
     def test_j_invariant_enumeration_matches_orbit_walk(self):
         rng = random.Random(5)
         large = rng.sample([p for p in primes_up_to(1000) if p > 400], 3)

@@ -188,6 +188,15 @@ class TestFactorCompletely:
         with pytest.raises(ValueError, match="ReductionConfig"):
             ReductionConfig(**budget)
 
+    def test_rejects_squares_at_entry(self):
+        # 4 | 140 and 9 | 18 are caught before any split; 5^2 | 25 is caught
+        # by the oracle, whose UnsupportedModulusError is a ValueError
+        for n in (140, 18, 36):
+            with pytest.raises(ValueError, match=f"factor_completely: {n} is not squarefree"):
+                factor_completely(n, FactoredOracle([5, 7]), ReductionConfig())
+        with pytest.raises(ValueError, match="25"):
+            factor_completely(25, FactoredOracle([5, 7]), ReductionConfig())
+
     def test_exhausted_names_cofactor(self):
         # max_curves 0 can never split anything
         cfg = ReductionConfig(max_curves=0, seed=0)
