@@ -1,7 +1,7 @@
 """Factoring squarefree integers by counting points on elliptic curves.
 
 Library layout:
-  arith     - exact integer kernel (gcd, Jacobi symbols, factoring, phi/tau)
+  arith     - exact integer kernel (gcd, Jacobi symbols, factoring, sieving)
   curves    - Weierstrass curves mod n, twisting, screening, sampling
   counting  - exact point counts over F_p and squarefree moduli
   oracle    - black-box count oracles with query accounting
@@ -11,7 +11,7 @@ Library layout:
 """
 
 from .arith import ReducedFraction, reduce_fraction, jacobi, is_probable_prime
-from .counting import PrimeCount, count_points_prime, count_points_squarefree
+from .counting import count_points_prime, count_points_squarefree
 from .curves import Curve, FactorFound, sample_curve, screen, twist
 from .oracle import DirectOracle, FactoredOracle, OracleStats
 from .reduction import (
@@ -30,7 +30,6 @@ __all__ = [
     "FactoredOracle",
     "FactorizationResult",
     "OracleStats",
-    "PrimeCount",
     "ReducedFraction",
     "ReductionConfig",
     "SplitOutcome",

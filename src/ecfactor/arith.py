@@ -90,19 +90,6 @@ def is_probable_prime(x: int) -> bool:
     return all(_miller_rabin(x, rng.randrange(2, x - 1)) for _ in range(64))
 
 
-@dataclass(frozen=True)
-class SmallFactorization:
-    """Complete factorization as (prime, exponent) pairs, primes increasing."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p ** e
-        return out
-
-
 # Trial division stops here; every x <= _TRIAL_LIMIT**2 is factored by it alone.
 # Below about 2**12 a trial step costs less than the primality tests rho needs
 # for each piece it splits off.
@@ -152,13 +139,14 @@ def _rho_primes(x: int) -> list[int]:
 
 
 @lru_cache(maxsize=1 << 16)
-def factor_small(x: int) -> SmallFactorization:
-    """Factorization by trial division up to 2**12, then Brent's rho on the
-    cofactor. Above 2**64, x is refused unless that cofactor is 1 or prime."""
+def factor_small(x: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of x, primes increasing, by trial division
+    up to 2**12, then Brent's rho on the cofactor. Above 2**64, x is refused
+    unless that cofactor is 1 or prime."""
     if x < 1:
         raise ValueError("factor_small: x must be >= 1")
     if is_probable_prime(x):
-        return SmallFactorization(((x, 1),))
+        return ((x, 1),)
     n = x
     factors = []
     for p in (2, 3):
@@ -178,7 +166,7 @@ def factor_small(x: int) -> SmallFactorization:
                     f"trial division to {_TRIAL_LIMIT} is composite"
                 )
             factors += sorted(Counter(_rho_primes(x)).items())
-            return SmallFactorization(tuple(factors))
+            return tuple(factors)
         if x % d == 0:
             e = 0
             while x % d == 0:
@@ -191,27 +179,7 @@ def factor_small(x: int) -> SmallFactorization:
         step = 6 - step
     if x > 1:
         factors.append((x, 1))
-    return SmallFactorization(tuple(factors))
-
-
-def tau(x: int) -> int:
-    """Number of divisors."""
-    out = 1
-    for _, e in factor_small(x).factors:
-        out *= e + 1
-    return out
-
-
-def omega(x: int) -> int:
-    """Number of distinct prime factors."""
-    return len(factor_small(x).factors)
-
-
-def euler_phi(x: int) -> int:
-    out = x
-    for p, _ in factor_small(x).factors:
-        out = out // p * (p - 1)
-    return out
+    return tuple(factors)
 
 
 def odd_part(x: int) -> int:
@@ -224,7 +192,7 @@ def odd_part(x: int) -> int:
 def divisors(x: int) -> list[int]:
     """All divisors of x, sorted increasing."""
     out = [1]
-    for p, e in factor_small(x).factors:
+    for p, e in factor_small(x):
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
@@ -239,3 +207,19 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """Primes p with lo <= p <= hi, sieving [lo, hi] alone.
+
+    The composites there are crossed out by the primes up to isqrt(hi), so
+    memory is O(hi - lo + sqrt(hi)), however large hi is.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    segment = bytearray([1]) * (hi - lo + 1)
+    for p in primes_up_to(isqrt(hi)):
+        first = max(p * p, -(-lo // p) * p) - lo
+        segment[first::p] = bytearray(len(segment[first::p]))
+    return [lo + i for i, flag in enumerate(segment) if flag]

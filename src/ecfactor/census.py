@@ -39,7 +39,7 @@ from math import gcd
 import numpy as np
 
 from . import arith
-from .arith import divisors, is_probable_prime, isqrt, jacobi, odd_part, primes_up_to
+from .arith import divisors, is_probable_prime, isqrt, jacobi, odd_part, primes_between
 from .counting import _legendre_table, count_points_prime
 
 
@@ -65,7 +65,7 @@ def _mobius_prefix(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     bound = isqrt(4 * p)
     m = p + 1
-    primes = [q for q, _ in arith.factor_small(m).factors]
+    primes = [q for q, _ in arith.factor_small(m)]
     ds, totals = [], [0]
     for d in divisors(m):
         if d > bound:
@@ -102,7 +102,7 @@ def lower_bounds(p: int, D: int) -> tuple[float, float]:
     tau1 = tau2 = 1
     P = phi_P = odd_part(p + 1)
     omega_P = 0
-    for q, e in arith.factor_small(p + 1).factors:
+    for q, e in arith.factor_small(p + 1):
         tau1 *= e + 1
         tau2 *= 2 * e + 1
         if q > 2:
@@ -187,9 +187,9 @@ def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
     a = _generic_traces(p)
-    special = [count_points_prime(p, 0, B).trace for B in _coset_representatives(p, gcd(6, p - 1))]
-    special += [count_points_prime(p, A, 0).trace for A in _coset_representatives(p, gcd(4, p - 1))]
-    traces = np.concatenate((a, -a, special))
+    special = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
+    special += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+    traces = np.concatenate((a, -a, [p + 1 - count_points_prime(p, A, B) for A, B in special]))
     return tuple(traces[np.argsort(np.gcd(traces, p + 1), kind="stable")].tolist())
 
 
@@ -203,11 +203,6 @@ def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
     return CensusRow(p, D, phi_direct(p, D), phi_mobius(p, D), b22, b23, s, total)
 
 
-def class_census(p: int, D: int) -> CensusRow:
-    """Full census row for (p, D), including isomorphism-class counts."""
-    return census_row(p, D, True)
-
-
 def census_sweep(
     pmin: int, pmax: int, d_list: list[int], classes_max: int = 1000
 ) -> list[CensusRow]:
@@ -218,7 +213,7 @@ def census_sweep(
     """
     if any(D < 0 for D in d_list):
         raise ValueError(f"census_sweep: D must be >= 0, got {min(d_list)}")
-    primes = [p for p in primes_up_to(pmax) if p >= max(pmin, 5)]
+    primes = primes_between(max(pmin, 5), pmax)
     top = max((p for p in primes if p <= classes_max), default=0)
     if top > _CLASS_ENUM_LIMIT:
         raise ValueError(

@@ -29,7 +29,7 @@ def cmd_factor(args) -> int:
     n = args.n
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    facts = factor_small(n).factors
+    facts = factor_small(n)
     for p, e in facts:
         if e > 1:
             raise ValueError(f"{n} is not squarefree ({p}^{e})")

@@ -32,20 +32,12 @@ quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
 from .arith import factor_small, is_probable_prime, jacobi
-
-
-@dataclass(frozen=True)
-class PrimeCount:
-    p: int
-    npoints: int
-    trace: int
 
 
 # Counts stop below here: just below it a baby-step/giant-step count takes about 0.7 s.
@@ -62,15 +54,15 @@ def _admit(p: int) -> None:
         raise ValueError(f"count_points_prime: p must be a prime in [5, 2^60), got {p}")
 
 
-def count_points_prime(p: int, A: int, B: int) -> PrimeCount:
-    """Exact projective point count of y^2 = x^3 + Ax + B over F_p."""
+def count_points_prime(p: int, A: int, B: int) -> int:
+    """Exact projective point count N of y^2 = x^3 + Ax + B over F_p; the
+    trace is p + 1 - N."""
     _admit(p)
     A %= p
     B %= p
     if (4 * A ** 3 + 27 * B ** 2) % p == 0:
         raise ValueError(f"count_points_prime: singular curve ({A},{B}) mod {p}")
-    npoints = _legendre_count(p, A, B) if p <= _CROSSOVER else _bsgs_count(p, A, B)
-    return PrimeCount(p, npoints, p + 1 - npoints)
+    return _legendre_count(p, A, B) if p <= _CROSSOVER else _bsgs_count(p, A, B)
 
 
 @lru_cache(maxsize=1 << 11)  # more slots than primes up to _CROSSOVER
@@ -169,7 +161,7 @@ def _fold_order(P, L: int, lo: int, hi: int, a: int, p: int) -> int:
     if Q is None:
         return L
     k = _bsgs(Q, -(-lo // L), hi // L, a, p)
-    for q, e in factor_small(k).factors:  # strip k down to the order of Q
+    for q, e in factor_small(k):  # strip k down to the order of Q
         for _ in range(e):
             if _mul(k // q, Q, a, p) is not None:
                 break
@@ -213,7 +205,7 @@ def count_points_squarefree(primes: list[int], A: int, B: int) -> int:
         raise ValueError("count_points_squarefree: primes must be distinct")
     out = 1
     for p in primes:
-        out *= count_points_prime(p, A % p, B % p).npoints
+        out *= count_points_prime(p, A % p, B % p)
     return out
 
 

@@ -1,8 +1,9 @@
 """Weierstrass curves y^2 = x^3 + Ax + B over Z/nZ.
 
 Every operation that takes a gcd against the modulus can stumble on a
-nontrivial factor of n; that outcome is surfaced as `FactorFound` so the
-factoring driver can stop immediately.
+nontrivial factor of n. `screen` and `isomorphic_gcd` return that gcd as
+it stands: 1, n, or a proper factor. `sample_curve` surfaces a proper
+factor as `FactorFound` so the factoring driver can stop immediately.
 """
 
 from __future__ import annotations
@@ -10,12 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-
-SMOOTH = "smooth"
-SINGULAR = "singular"
-RELATED = "related"
-UNRELATED = "unrelated"
-FACTOR = "factor"
 
 
 class FactorFound(Exception):
@@ -38,27 +33,12 @@ class Curve:
     B: int
 
 
-@dataclass(frozen=True)
-class GcdClass:
-    kind: str  # SMOOTH | SINGULAR, UNRELATED | RELATED, or FACTOR
-    factor: int | None = None
-
-
-def _classify_gcd(x: int, n: int, unit: str, full: str) -> GcdClass:
-    """Sort gcd(x, n) into a unit, a proper factor of n, or n itself."""
-    g = gcd(x % n, n)
-    if g == 1:
-        return GcdClass(unit)
-    if g == n:
-        return GcdClass(full)
-    return GcdClass(FACTOR, g)
-
-
-def screen(n: int, A: int, B: int) -> GcdClass:
-    """Classify gcd(4A^3 + 27B^2, n): unit, proper factor, or fully singular."""
+def screen(n: int, A: int, B: int) -> int:
+    """gcd(4A^3 + 27B^2, n): 1 when the curve is smooth mod every prime of n,
+    n when it is singular mod all of them, and otherwise a proper factor."""
     if n < 2:
         raise ValueError("screen: modulus must be >= 2")
-    return _classify_gcd(4 * A ** 3 + 27 * B ** 2, n, SMOOTH, SINGULAR)
+    return gcd((4 * A ** 3 + 27 * B ** 2) % n, n)
 
 
 def twist(c: Curve, d: int) -> Curve:
@@ -69,18 +49,16 @@ def twist(c: Curve, d: int) -> Curve:
     return Curve(c.n, c.A * d * d % c.n, c.B * d ** 3 % c.n)
 
 
-def isomorphic_gcd(c1: Curve, c2: Curve) -> GcdClass:
+def isomorphic_gcd(c1: Curve, c2: Curve) -> int:
     """Necessary-condition isomorphism test: gcd(B2^2 A1^3 - A2^3 B1^2, n).
 
-    Unit gcd means the curves share no isomorphism mod any prime of n; full
-    gcd means they are related (isomorphic or twists) mod every prime; a
-    proper gcd is a factor of n.
+    1 means the curves share no isomorphism mod any prime of n; n means
+    they are related (isomorphic or twists) mod every prime; anything else
+    is a proper factor of n.
     """
     if c1.n != c2.n:
         raise ValueError("isomorphic_gcd: mismatched moduli")
-    return _classify_gcd(
-        c2.B ** 2 * c1.A ** 3 - c2.A ** 3 * c1.B ** 2, c1.n, UNRELATED, RELATED
-    )
+    return gcd((c2.B ** 2 * c1.A ** 3 - c2.A ** 3 * c1.B ** 2) % c1.n, c1.n)
 
 
 def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
@@ -95,20 +73,20 @@ def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
     for _ in range(max_attempts):
         A = rng.randrange(n)
         B = rng.randrange(n)
-        s = screen(n, A, B)
-        if s.kind == FACTOR:
-            raise FactorFound(s.factor, n)
-        if s.kind == SINGULAR:
+        g = screen(n, A, B)
+        if g == n:
             continue
+        if g > 1:
+            raise FactorFound(g, n)
         c = Curve(n, A, B)
         fresh = True
         for prev in used:
-            r = isomorphic_gcd(prev, c)
-            if r.kind == FACTOR:
-                raise FactorFound(r.factor, n)
-            if r.kind == RELATED:
+            g = isomorphic_gcd(prev, c)
+            if g == n:
                 fresh = False
                 break
+            if g > 1:
+                raise FactorFound(g, n)
         if fresh:
             return c
     raise CurveSupplyExhausted(

@@ -6,15 +6,15 @@ implementations are provided: one that knows the prime factorization
 trial-divides and brute-forces, used to cross-check the first. Both admit,
 check and count queries through the one `Oracle.query`.
 
-`FactoredOracle` answers quadratic twists of a curve it has already counted
-without counting again. At a prime p, curves with A*B != 0 mod p share the
-key (p, A^3/B^2 mod p) exactly when they are twists of one another:
-(A, B) = (A0*d^2, B0*d^3) with d = A*B0/(A0*B) mod p, and then
-a_p(E) = (d|p)*a_p(E0) for the stored (A0, B0, a_p(E0)). A miss, and any
-curve with A = 0 or B = 0 mod p (j = 0 or 1728, where the key cannot tell
-quadratic twists from sextic or quartic ones), is counted in full. The memo
-lives as long as the oracle instance. Every query is still recorded, hit or
-not, so the query count does not depend on the memo.
+`FactoredOracle` counts each quadratic twist class once per prime. At a
+prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is the quadratic
+twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p
+(Silverman, AEC III.1), so a_p(E) = (AB|p)*a_t with a_t the trace of E_t.
+The memo stores a_t under (p, t), counting E_t on a miss. A curve with
+A = 0 or B = 0 mod p (j = 0 or 1728, whose classes can be sextic or quartic
+twists of one another) is counted in full. The memo lives as long as the
+oracle instance. Every query is still recorded, hit or not, so the query
+count does not depend on the memo.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import counting
 from .arith import _RHO_LIMIT, factor_small, jacobi
 from .counting import _BRUTEFORCE_LIMIT, count_affine_bruteforce
-from .curves import SMOOTH, screen
+from .curves import screen
 
 
 class SingularCurveError(ValueError):
@@ -57,11 +57,9 @@ class Oracle:
 
     def query(self, m: int, A: int, B: int) -> int:
         primes = self._primes(m)
-        s = screen(m, A, B)
-        if s.kind != SMOOTH:
-            raise SingularCurveError(
-                f"gcd(disc, {m}) = {s.factor or m}; oracle requires smooth curves"
-            )
+        g = screen(m, A, B)
+        if g != 1:
+            raise SingularCurveError(f"gcd(disc, {m}) = {g}; oracle requires smooth curves")
         self.stats.record(m)
         return self._count(primes, A, B)
 
@@ -79,8 +77,8 @@ class FactoredOracle(Oracle):
         if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
             raise ValueError("FactoredOracle: primes must be distinct and >= 5")
         self.primes = primes
-        # (p, A^3/B^2 mod p) -> (A0, B0, a_p) of the first curve counted there
-        self._twists: dict[tuple[int, int], tuple[int, int, int]] = {}
+        # (p, t) -> a_t, the trace of y^2 = x^3 + t*x + t over F_p
+        self._twists: dict[tuple[int, int], int] = {}
 
     def _primes(self, m: int) -> list[int]:
         parts = []
@@ -98,21 +96,19 @@ class FactoredOracle(Oracle):
     def _count(self, primes: list[int], A: int, B: int) -> int:
         out = 1
         for p in primes:
-            out *= p + 1 - self._trace(p, A % p, B % p)
+            out *= self._count_prime(p, A % p, B % p)
         return out
 
-    def _trace(self, p: int, A: int, B: int) -> int:
+    def _count_prime(self, p: int, A: int, B: int) -> int:
+        # counting.count_points_prime is a module lookup, not a copied name,
+        # so bench/tracer.py can wrap it
         if A == 0 or B == 0:
-            return counting.count_points_prime(p, A, B).trace
-        key = (p, A ** 3 * pow(B, -2, p) % p)
-        hit = self._twists.get(key)
-        if hit is not None:
-            A0, B0, a0 = hit
-            return jacobi(A * B0 * pow(A0 * B, -1, p) % p, p) * a0
-        # a module lookup, not a copied name, so bench/tracer.py can wrap it
-        a0 = counting.count_points_prime(p, A, B).trace
-        self._twists[key] = (A, B, a0)
-        return a0
+            return counting.count_points_prime(p, A, B)
+        t = A ** 3 * pow(B, -2, p) % p
+        a = self._twists.get((p, t))
+        if a is None:
+            a = self._twists[p, t] = p + 1 - counting.count_points_prime(p, t, t)
+        return p + 1 - jacobi(A * B, p) * a
 
 
 class DirectOracle(Oracle):
@@ -146,7 +142,7 @@ class DirectOracle(Oracle):
         if rest > _BRUTEFORCE_LIMIT:
             # every prime of rest is above the limit; name the largest where
             # factor_small can find it without a long rho
-            big = factor_small(rest).factors[-1][0] if rest <= _RHO_LIMIT else rest
+            big = factor_small(rest)[-1][0] if rest <= _RHO_LIMIT else rest
             raise UnsupportedModulusError(
                 f"modulus {m} has a factor {big} above the brute-force limit "
                 f"{_BRUTEFORCE_LIMIT}"

@@ -1,12 +1,34 @@
-"""Exact checks of the paper's proof auxiliaries, and a totient sieve.
+"""Exact checks of the paper's proof auxiliaries, divisor functions and a
+totient sieve.
 
-They are used only by the tests: the first two are acceptance criterion 10,
-and the sieve is the reference for `arith.euler_phi`.
+They are used only by the tests: the two checks are acceptance criterion 10,
+tau, omega and euler_phi are the references for the census's closed-form
+bounds, and the sieve is the reference for euler_phi.
 """
 
 import math
 
-from ecfactor.arith import euler_phi, primes_up_to
+from ecfactor.arith import factor_small, primes_up_to
+
+
+def tau(x: int) -> int:
+    """Number of divisors."""
+    out = 1
+    for _, e in factor_small(x):
+        out *= e + 1
+    return out
+
+
+def omega(x: int) -> int:
+    """Number of distinct prime factors."""
+    return len(factor_small(x))
+
+
+def euler_phi(x: int) -> int:
+    out = x
+    for p, _ in factor_small(x):
+        out = out // p * (p - 1)
+    return out
 
 
 def primorial_check(l: int) -> bool:

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 from ecfactor.arith import (
     ReducedFraction,
     divisors,
-    euler_phi,
     factor_small,
     gcd,
     is_probable_prime,
     isqrt,
     jacobi,
     odd_part,
-    omega,
+    primes_between,
     primes_up_to,
     reduce_fraction,
-    tau,
 )
-from proof_aux import totient_sieve
+from proof_aux import euler_phi, omega, tau, totient_sieve
 
 
 def test_gcd_examples():
@@ -113,11 +111,11 @@ class TestFactorSmall:
     def test_reconstruction_and_ordering(self):
         for x in list(range(1, 2000)) + [2 ** 61 - 1, 10 ** 12 + 39]:
             f = factor_small(x)
-            assert f.reconstruct() == x
-            ps = [p for p, _ in f.factors]
+            assert math.prod(p ** e for p, e in f) == x
+            ps = [p for p, _ in f]
             assert ps == sorted(ps)
             assert all(is_probable_prime(p) for p in ps)
-            assert all(e >= 1 for _, e in f.factors)
+            assert all(e >= 1 for _, e in f)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -155,7 +153,7 @@ class TestFactorSmall:
         samples += [12 * 4099 * 4111, 7 * 4099 ** 3, 4095 * 4097]
         for x in samples:
             assert x < 2 ** 40
-            assert factor_small(x).factors == trial_division(x), x
+            assert factor_small(x) == trial_division(x), x
 
     def test_size_contract_above_2_64(self):
         # above 2^64 only inputs that trial division to 2^12 reduces to 1 or a
@@ -167,12 +165,11 @@ class TestFactorSmall:
         with pytest.raises(ValueError, match=str(4093 * p * q)):
             factor_small(4093 * p * q)
         assert time.perf_counter() - start < 1.0
-        assert factor_small(4093 * q).factors == ((4093, 1), (q, 1))
-        assert factor_small(6 * 4093 ** 2 * 4091 * 1009 ** 8).reconstruct() == (
-            6 * 4093 ** 2 * 4091 * 1009 ** 8
-        )
+        assert factor_small(4093 * q) == ((4093, 1), (q, 1))
+        x = 6 * 4093 ** 2 * 4091 * 1009 ** 8
+        assert math.prod(p ** e for p, e in factor_small(x)) == x
         # at and below 2^64 rho still splits what trial division leaves
-        assert factor_small(4294967291 * 4294967279).factors == (
+        assert factor_small(4294967291 * 4294967279) == (
             (4294967279, 1), (4294967291, 1)
         )
 
@@ -204,6 +201,14 @@ class TestPrimality:
         primes = set(primes_up_to(10 ** 4))
         for x in range(10 ** 4 + 1):
             assert is_probable_prime(x) == (x in primes)
+
+    def test_segment_sieve_matches_full_sieve(self):
+        primes = primes_up_to(3000)
+        for lo, hi in [(0, 3000), (2, 2), (5, 7), (24, 28), (1000, 1010), (2909, 3000),
+                       (3000, 2999), (-5, 1)]:
+            assert primes_between(lo, hi) == [p for p in primes if lo <= p <= hi], (lo, hi)
+        near = range(10 ** 10 - 1000, 10 ** 10 + 1)
+        assert primes_between(near[0], near[-1]) == [x for x in near if is_probable_prime(x)]
 
     def test_large_values(self):
         assert is_probable_prime(2 ** 127 - 1)

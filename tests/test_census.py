@@ -5,14 +5,13 @@ from math import gcd
 
 import pytest
 
-from ecfactor.arith import euler_phi, isqrt, odd_part, omega, primes_up_to, tau
+from ecfactor.arith import isqrt, odd_part, primes_up_to
 from ecfactor.census import (
     CSV_HEADER,
     NonResidueNotFound,
     _coset_representatives,
     census_row,
     census_sweep,
-    class_census,
     isomorphism_class_traces,
     lower_bounds,
     nonresidue_search,
@@ -21,7 +20,7 @@ from ecfactor.census import (
     rows_to_csv,
 )
 from ecfactor.counting import count_points_prime
-from proof_aux import phi_lower_check, primorial_check
+from proof_aux import euler_phi, omega, phi_lower_check, primorial_check, tau
 
 
 class TestPhiCounts:
@@ -104,7 +103,7 @@ def orbit_walk_traces(p):
                 continue
             for f4, f6 in zip(l4, l6):
                 seen[(f4 * A % p) * p + f6 * B % p] = 1
-            traces.append(count_points_prime(p, A, B).trace)
+            traces.append(p + 1 - count_points_prime(p, A, B))
     return traces
 
 
@@ -117,10 +116,10 @@ def j_loop_traces(p):
         k = (1728 - j) % p
         if k == 0:
             continue
-        a = count_points_prime(p, 3 * j * k, 2 * j * k * k).trace
+        a = p + 1 - count_points_prime(p, 3 * j * k, 2 * j * k * k)
         traces += (a, -a)
-    traces += [count_points_prime(p, 0, B).trace for B in _coset_representatives(p, gcd(6, p - 1))]
-    traces += [count_points_prime(p, A, 0).trace for A in _coset_representatives(p, gcd(4, p - 1))]
+    traces += [p + 1 - count_points_prime(p, 0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
+    traces += [p + 1 - count_points_prime(p, A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
     return traces
 
 
@@ -144,10 +143,10 @@ class TestClassCensus:
             assert len(traces) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
 
     def test_p5_examples(self):
-        row = class_census(5, 6)
+        row = census_row(5, 6, True)
         assert row.total_classes == 12
         assert row.s_classes == 12
-        assert class_census(5, 1).s_classes == 2
+        assert census_row(5, 1, True).s_classes == 2
 
     def test_p5_trace_multiset(self):
         traces = sorted(isomorphism_class_traces(5))
@@ -168,7 +167,7 @@ class TestClassCensus:
             if p < 5:
                 continue
             for D in (1, 3, 10, p + 1):
-                assert class_census(p, D).s_classes >= 2 * phi_direct(p, D)
+                assert census_row(p, D, True).s_classes >= 2 * phi_direct(p, D)
 
     def test_signed_trace_doubling(self):
         for p in primes_up_to(200):
@@ -185,9 +184,9 @@ class TestClassCensus:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            class_census(3, 1)
+            census_row(3, 1, True)
         with pytest.raises(ValueError):
-            class_census(1009, 1)
+            census_row(1009, 1, True)
 
 
 class TestNonResidueSearch:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import ecfactor
 from ecfactor.arith import primes_up_to
+from ecfactor.census import CSV_HEADER
 from ecfactor.cli import main
 
 
@@ -193,6 +195,27 @@ class TestCensusCommand:
             "b9a2b882ba6bbc0478a37405d30239c1724f77945efb2ceccd9db752bff73717"
         )
 
+    def test_narrow_range_near_1e10_sieves_only_the_range(self):
+        # the sweep once sieved every integer up to --pmax, 10 GB here; run
+        # in a child process whose address space is capped at 1.5 GB
+        src = str(Path(ecfactor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cap = 1500 * 2 ** 20
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecfactor", "census", "--pmin", "9999999990",
+             "--pmax", "10000000000", "--D-list", "1", "--classes-max", "0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == CSV_HEADER + "\n"
+        assert elapsed < 1.0
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "census", "--pmin", "10", "--pmax", "5")
         assert code == 1
@@ -224,6 +247,14 @@ class TestNonresidueCommand:
     def test_cap_exhausted(self, capsys):
         code, _, err = run_cli(capsys, "nonresidue", "5", "7", "--cap", "1")
         assert code == 2
+
+
+def test_every_export_resolves():
+    # `from ecfactor import *` fails on a name in __all__ the package lacks
+    namespace = {}
+    exec("from ecfactor import *", namespace)
+    names = sorted(name for name in namespace if name != "__builtins__")
+    assert names == sorted(ecfactor.__all__)
 
 
 def test_usage_error_exit_code(capsys):

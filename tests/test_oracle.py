@@ -72,7 +72,7 @@ class TestTwistMemo:
             d = rng.randrange(1, p)
             o = oracles.setdefault(p, FactoredOracle([p]))
             for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):
-                assert o.query(p, a, b) == count_points_prime(p, a, b).npoints, (p, a, b, d)
+                assert o.query(p, a, b) == count_points_prime(p, a, b), (p, a, b, d)
             j_0_or_1728 += A * B % p == 0
         # every twist with A*B != 0 was answered without a count, and the full
         # counts went through counting.count_points_prime, where a wrapper sees them
@@ -85,7 +85,7 @@ class TestTwistMemo:
             o = FactoredOracle([p])
             for c in range(1, p):
                 for A, B in ((0, c), (c, 0)):
-                    assert o.query(p, A, B) == count_points_prime(p, A, B).npoints, (p, A, B)
+                    assert o.query(p, A, B) == count_points_prime(p, A, B), (p, A, B)
 
     def test_multi_prime_modulus(self):
         rng = random.Random(11)
@@ -149,7 +149,7 @@ def test_oracle_equivalence_sample():
     rng = random.Random(9)
     direct = DirectOracle(3000)
     for m in range(5, 1001, 2):
-        facts = factor_small(m).factors
+        facts = factor_small(m)
         if any(e > 1 for _, e in facts) or any(p < 5 for p, _ in facts):
             continue
         fact = FactoredOracle([p for p, _ in facts])

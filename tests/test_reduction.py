@@ -55,8 +55,8 @@ class TestRecoverFromRatio:
                         A, B = rng.randrange(n), rng.randrange(n)
                         if gcd((4 * A ** 3 + 27 * B ** 2) % n, n) == 1:
                             break
-                    ap = count_points_prime(p, A % p, B % p).trace
-                    aq = count_points_prime(q, A % q, B % q).trace
+                    ap = p + 1 - count_points_prime(p, A % p, B % p)
+                    aq = q + 1 - count_points_prime(q, A % q, B % q)
                     if gcd(abs(ap), p + 1) > D:
                         continue
                     N = (p + 1 - ap) * (q + 1 - aq)
