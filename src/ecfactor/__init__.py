@@ -3,7 +3,7 @@
 Library layout:
   arith     - exact integer kernel (gcd, Jacobi symbols, factoring, sieving)
   curves    - Weierstrass curves mod n, twisting, screening, sampling
-  counting  - exact point counts over F_p and squarefree moduli
+  counting  - exact point counts over F_p
   oracle    - black-box count oracles with query accounting
   reduction - the factoring algorithm driven by an oracle
   census    - empirical verification of the trace-counting lemmas
@@ -11,7 +11,7 @@ Library layout:
 """
 
 from .arith import ReducedFraction, reduce_fraction, jacobi, is_probable_prime
-from .counting import count_points_prime, count_points_squarefree
+from .counting import count_points_prime
 from .curves import Curve, FactorFound, sample_curve, screen, twist
 from .oracle import DirectOracle, FactoredOracle, OracleStats
 from .reduction import (
@@ -34,7 +34,6 @@ __all__ = [
     "ReductionConfig",
     "SplitOutcome",
     "count_points_prime",
-    "count_points_squarefree",
     "factor_completely",
     "is_probable_prime",
     "jacobi",

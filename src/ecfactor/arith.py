@@ -198,28 +198,22 @@ def divisors(x: int) -> list[int]:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Primes <= limit by Eratosthenes."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    """Primes <= limit."""
+    return primes_between(2, limit)
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, sieving [lo, hi] alone.
+    """Primes p with lo <= p <= hi by Eratosthenes, sieving [lo, hi] alone.
 
-    The composites there are crossed out by the primes up to isqrt(hi), so
-    memory is O(hi - lo + sqrt(hi)), however large hi is.
+    The composites there are crossed out by the primes up to isqrt(hi), which
+    come from the same sieve and end the recursion at hi < 4, so memory is
+    O(hi - lo + sqrt(hi)), however large hi is.
     """
     lo = max(lo, 2)
     if hi < lo:
         return []
     segment = bytearray([1]) * (hi - lo + 1)
-    for p in primes_up_to(isqrt(hi)):
+    for p in primes_between(2, isqrt(hi)):
         first = max(p * p, -(-lo // p) * p) - lo
         segment[first::p] = bytearray(len(segment[first::p]))
     return [lo + i for i, flag in enumerate(segment) if flag]

@@ -127,6 +127,7 @@ class CensusRow:
 
 
 _CLASS_ENUM_LIMIT = 1000
+_SWEEP_WIDTH = 10 ** 6  # widest [max(pmin, 5), pmax] one sweep takes
 
 
 def _coset_representatives(p: int, k: int) -> list[int]:
@@ -209,10 +210,12 @@ def census_sweep(
     """Rows for every prime in [pmin, pmax] x every D, ordered by (p, D).
 
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
-    Both contracts are checked before any row is computed.
+    Every contract is checked before any row is computed, the width before the sieve.
     """
     if any(D < 0 for D in d_list):
         raise ValueError(f"census_sweep: D must be >= 0, got {min(d_list)}")
+    if pmax - max(pmin, 5) > _SWEEP_WIDTH:
+        raise ValueError(f"census_sweep: [{pmin}, {pmax}] is wider than {_SWEEP_WIDTH}")
     primes = primes_between(max(pmin, 5), pmax)
     top = max((p for p in primes if p <= classes_max), default=0)
     if top > _CLASS_ENUM_LIMIT:

@@ -1,6 +1,7 @@
 """Ground-truth point counting.
 
-`count_points_prime(p, A, B)` is the one entry point for a count over F_p.
+`count_points_prime(p, A, B)` is the one entry point for a count over F_p;
+`oracle.Oracle.query` multiplies these over the primes of a squarefree m.
 It admits p once (a prime with 5 <= p < 2^60, else a `ValueError` naming p),
 refuses singular curves, and dispatches on `_CROSSOVER`:
 
@@ -197,16 +198,6 @@ def _bsgs_count(p: int, A: int, B: int) -> int:
         if N is not None:
             return N
     raise ArithmeticError(f"count_points_prime: no unique count for ({A},{B}) mod {p}")
-
-
-def count_points_squarefree(primes: list[int], A: int, B: int) -> int:
-    """Product of per-prime counts: the point count mod n = prod(primes)."""
-    if len(set(primes)) != len(primes):
-        raise ValueError("count_points_squarefree: primes must be distinct")
-    out = 1
-    for p in primes:
-        out *= count_points_prime(p, A % p, B % p)
-    return out
 
 
 _BRUTEFORCE_LIMIT = 10 ** 5

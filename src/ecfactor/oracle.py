@@ -3,8 +3,8 @@
 The factoring driver only ever sees `query(m, A, B) -> |E_m|`. Two
 implementations are provided: one that knows the prime factorization
 (the simulated black box the reduction is measured against) and one that
-trial-divides and brute-forces, used to cross-check the first. Both admit,
-check and count queries through the one `Oracle.query`.
+factors m with `factor_small` and brute-forces each prime, a cross-check.
+Both go through the one `Oracle.query`, which multiplies per-prime counts.
 
 `FactoredOracle` counts each quadratic twist class once per prime. At a
 prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is the quadratic
@@ -19,10 +19,11 @@ count does not depend on the memo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import counting
-from .arith import _RHO_LIMIT, factor_small, jacobi
+from .arith import factor_small, jacobi
 from .counting import _BRUTEFORCE_LIMIT, count_affine_bruteforce
 from .curves import screen
 
@@ -49,7 +50,7 @@ class Oracle:
     """The one query path: admit m, require a smooth curve, record, count.
 
     Subclasses supply `_primes(m)`, the primes of m or UnsupportedModulusError,
-    and `_count(primes, A, B)`, the point count mod their product.
+    and `_count_prime(p, A, B)`, the count over F_p for 0 <= A, B < p.
     """
 
     def __init__(self) -> None:
@@ -61,7 +62,7 @@ class Oracle:
         if g != 1:
             raise SingularCurveError(f"gcd(disc, {m}) = {g}; oracle requires smooth curves")
         self.stats.record(m)
-        return self._count(primes, A, B)
+        return math.prod(self._count_prime(p, A % p, B % p) for p in primes)
 
 
 class FactoredOracle(Oracle):
@@ -93,12 +94,6 @@ class FactoredOracle(Oracle):
             )
         return parts
 
-    def _count(self, primes: list[int], A: int, B: int) -> int:
-        out = 1
-        for p in primes:
-            out *= self._count_prime(p, A % p, B % p)
-        return out
-
     def _count_prime(self, p: int, A: int, B: int) -> int:
         # counting.count_points_prime is a module lookup, not a copied name,
         # so bench/tracer.py can wrap it
@@ -119,40 +114,23 @@ class DirectOracle(Oracle):
         self.limit = limit
 
     def _primes(self, m: int) -> list[int]:
-        """Primes of m by trial division up to the brute-force limit, no further."""
+        """Primes of m from `factor_small`, each at most the brute-force limit."""
         if m < 2 or m > self.limit:
             raise UnsupportedModulusError(f"modulus {m} outside [2, {self.limit}]")
-        if m % 2 == 0 or m % 3 == 0:
-            raise UnsupportedModulusError(
-                f"modulus {m} must be squarefree with prime factors >= 5"
-            )
-        primes = []
-        rest = m
-        d, step = 5, 2
-        while d * d <= rest and d <= _BRUTEFORCE_LIMIT:
-            if rest % d == 0:
-                rest //= d
-                if rest % d == 0:
-                    raise UnsupportedModulusError(
-                        f"modulus {m} must be squarefree with prime factors >= 5"
-                    )
-                primes.append(d)
-            d += step
-            step = 6 - step
-        if rest > _BRUTEFORCE_LIMIT:
-            # every prime of rest is above the limit; name the largest where
-            # factor_small can find it without a long rho
-            big = factor_small(rest)[-1][0] if rest <= _RHO_LIMIT else rest
+        try:
+            facts = factor_small(m)
+        except ValueError as exc:  # m > 2^64 with a composite cofactor; names m
+            raise UnsupportedModulusError(str(exc)) from None
+        if (big := facts[-1][0]) > _BRUTEFORCE_LIMIT:
             raise UnsupportedModulusError(
                 f"modulus {m} has a factor {big} above the brute-force limit "
                 f"{_BRUTEFORCE_LIMIT}"
             )
-        if rest > 1:
-            primes.append(rest)
-        return primes
+        if facts[0][0] < 5 or any(e > 1 for _, e in facts):
+            raise UnsupportedModulusError(
+                f"modulus {m} must be squarefree with prime factors >= 5"
+            )
+        return [p for p, _ in facts]
 
-    def _count(self, primes: list[int], A: int, B: int) -> int:
-        out = 1
-        for p in primes:
-            out *= count_affine_bruteforce(p, A % p, B % p) + 1  # + point at infinity
-        return out
+    def _count_prime(self, p: int, A: int, B: int) -> int:
+        return count_affine_bruteforce(p, A, B) + 1  # + point at infinity

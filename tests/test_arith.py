@@ -203,10 +203,12 @@ class TestPrimality:
             assert is_probable_prime(x) == (x in primes)
 
     def test_segment_sieve_matches_full_sieve(self):
-        primes = primes_up_to(3000)
         for lo, hi in [(0, 3000), (2, 2), (5, 7), (24, 28), (1000, 1010), (2909, 3000),
                        (3000, 2999), (-5, 1)]:
-            assert primes_between(lo, hi) == [p for p in primes if lo <= p <= hi], (lo, hi)
+            expected = [x for x in range(lo, hi + 1) if is_probable_prime(x)]
+            assert primes_between(lo, hi) == expected, (lo, hi)
+        for limit in range(-1, 51):  # the base case of the recursion is hi < 4
+            assert primes_up_to(limit) == [x for x in range(limit + 1) if is_probable_prime(x)]
         near = range(10 ** 10 - 1000, 10 ** 10 + 1)
         assert primes_between(near[0], near[-1]) == [x for x in near if is_probable_prime(x)]
 

@@ -267,6 +267,16 @@ class TestCsvOutput:
         # primes above the limit are fine when classes_max leaves them out
         assert len(census_sweep(1000, 1010, [1], classes_max=1000)) == 1
 
+    def test_width_checked_before_the_sieve(self, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr("ecfactor.census.primes_between", no_sieve)
+        with pytest.raises(ValueError, match="wider than 1000000"):
+            census_sweep(5, 10 ** 6 + 6, [1])
+        with pytest.raises(AssertionError, match="sieved"):  # the width counts from 5
+            census_sweep(-10, 10 ** 6 + 5, [1])
+
     def test_empty_range_header_only(self):
         assert rows_to_csv(census_sweep(24, 28, [1])) == CSV_HEADER + "\n"
 

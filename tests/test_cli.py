@@ -195,25 +195,39 @@ class TestCensusCommand:
             "b9a2b882ba6bbc0478a37405d30239c1724f77945efb2ceccd9db752bff73717"
         )
 
-    def test_narrow_range_near_1e10_sieves_only_the_range(self):
-        # the sweep once sieved every integer up to --pmax, 10 GB here; run
-        # in a child process whose address space is capped at 1.5 GB
+    @staticmethod
+    def census_capped(pmin, pmax):
+        """`census --pmin pmin --pmax pmax --D-list 1 --classes-max 0` in a child
+        process whose address space is capped at 1.5 GB, and its wall time."""
         src = str(Path(ecfactor.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         cap = 1500 * 2 ** 20
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "ecfactor", "census", "--pmin", "9999999990",
-             "--pmax", "10000000000", "--D-list", "1", "--classes-max", "0"],
+            [sys.executable, "-m", "ecfactor", "census", "--pmin", str(pmin),
+             "--pmax", str(pmax), "--D-list", "1", "--classes-max", "0"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
             timeout=60,
         )
-        elapsed = time.perf_counter() - start
+        return proc, time.perf_counter() - start
+
+    def test_narrow_range_near_1e10_sieves_only_the_range(self):
+        # the sweep once sieved every integer up to --pmax, 10 GB here
+        proc, elapsed = self.census_capped(9999999990, 10000000000)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == CSV_HEADER + "\n"
+        assert elapsed < 1.0
+
+    def test_wide_range_refused_before_the_sieve(self):
+        # [5, 1e10] would need a 10 GB segment; the width contract refuses it
+        proc, elapsed = self.census_capped(5, 10000000000)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "10000000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert elapsed < 1.0
 
     def test_bad_range(self, capsys):

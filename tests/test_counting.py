@@ -15,7 +15,6 @@ from ecfactor.counting import (
     _legendre_table,
     count_affine_bruteforce,
     count_points_prime,
-    count_points_squarefree,
 )
 
 
@@ -212,17 +211,6 @@ class TestShanksMestre:
         assert _legendre_table.cache_info().currsize == 0
         count_points_prime(below, 1, 1)
         assert _legendre_table.cache_info().currsize == 1
-
-
-class TestCountPointsSquarefree:
-    def test_examples(self):
-        assert count_points_squarefree([5, 7], 1, 1) == 45
-        assert count_points_squarefree([7], 1, 1) == count_points_prime(7, 1, 1)
-        assert count_points_squarefree([5, 7], 4, 8) == 15
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            count_points_squarefree([5, 5], 1, 1)
 
 
 class TestAffineBruteforce:
