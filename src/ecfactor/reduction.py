@@ -1,12 +1,20 @@
 """Factoring a squarefree n by driving a point-counting oracle.
 
 One round: sample a smooth curve, query its count N, then walk twists
-E^d for d = 2, 3, ... and query each twisted count N_d. When d is a
+E^d for d = 2, 3, ... and query twisted counts N_d. When d is a
 non-residue mod exactly one prime p | n, the reduced ratio N/N_d is
 (p+1-a_p)/(p+1+a_p) divided by their common factor, so scaling the
 reduced terms by small multipliers and summing recovers 2(p+1), hence p.
 Fresh curves are drawn until one has a trace whose gcd with p+1 is small
 enough for the multiplier search to hit.
+
+The walk queries only squarefree d with (d|n) = -1; each skip is exact
+for its own reason. For squarefree n, (d|n) = (-1)^|S| with S the primes
+at which d is a non-residue, so a d that isolates one prime has
+(d|n) = -1. A d = d0*m^2 with d0 < d squarefree has the count of the
+twist by d0 (E^d is isomorphic to E^d0 by u = m), and d0 has the same
+symbol, so the walk has already queried d0 on this curve and its
+recovery would fail again.
 """
 
 from __future__ import annotations
@@ -15,7 +23,13 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arith import ReducedFraction, is_probable_prime, reduce_fraction
+from .arith import (
+    ReducedFraction,
+    factor_small,
+    is_probable_prime,
+    jacobi,
+    reduce_fraction,
+)
 from .curves import (
     Curve,
     CurveSupplyExhausted,
@@ -125,6 +139,8 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
                         return SplitOutcome(
                             g, SplitWitness(c, d, None, None), len(used), queries()
                         )
+                    continue
+                if jacobi(d, n) != -1 or any(e > 1 for _, e in factor_small(d)):
                     continue
                 cd = twist(c, d)
                 Nd = oracle.query(n, cd.A, cd.B)

@@ -255,3 +255,21 @@ def test_criterion_11_query_complexity(semiprime_runs):
         f"(median {median} oracle queries per n over {len(per_n)} successes; "
         f"budget max_curves*(max_d+1))",
     )
+
+
+def test_criterion_12_queries_at_four_primes():
+    # a split needs a d that is a non-residue at exactly one prime; the walk
+    # queries only squarefree d with (d|n) = -1, which halves the cost
+    rng = random.Random(20261018)
+    primes = [p for p in primes_up_to(2000) if p >= 1000]
+    per_n = []
+    for _ in range(40):
+        ps = sorted(rng.sample(primes, 4))
+        n = math.prod(ps)
+        cfg = ReductionConfig(seed=rng.randrange(2 ** 32))
+        result = factor_completely(n, FactoredOracle(ps), cfg)
+        assert result.success and list(result.factors) == ps, n
+        per_n.append(result.stats.queries)
+    median = statistics.median(per_n)
+    assert median <= 12, median
+    report(12, f"(median {median} oracle queries per n over 40 products of 4 primes)")

@@ -124,9 +124,15 @@ class TestFactorCommand:
     @pytest.mark.parametrize(
         "argv, factors, curves_used, queries",
         [
-            (("1001", "--seed", "42"), [7, 11, 13], 2, 5),
-            (("5005", "--seed", "7", "--D", "1"), [5, 7, 11, 13], 3, 10),
+            (("1001", "--seed", "42"), [7, 11, 13], 2, 4),
+            (("5005", "--seed", "7", "--D", "1"), [5, 7, 11, 13], 2, 5),
             (("1022117", "--seed", "3", "--oracle", "direct"), [1009, 1013], 1, 2),
+            # a first curve whose gcd(a_p, p+1) exceeds D at both primes walks
+            # every admissible d up to max_d before the second curve splits n
+            (
+                ("1077272742627746153", "--seed", "419625122"),
+                [1009900799, 1066711447], 2, 2086,
+            ),
         ],
     )
     def test_seeded_payload_pinned(self, capsys, argv, factors, curves_used, queries):

@@ -123,9 +123,12 @@ class TestDirectOracle:
             o.query(10002200057, 1, 1)  # 100003 * 100019
         assert o.stats.queries == 0
 
-    def test_trial_division_stops_at_the_bruteforce_limit(self):
-        # a cofactor with no prime up to 1e5 is refused without factoring it
-        # further; above 2^64 it is named as it stands
+    def test_refuses_above_2_64_and_above_the_bruteforce_limit(self):
+        # above 2^64, a modulus whose cofactor after trial division is
+        # composite is refused as it stands, without running rho on it; a
+        # prime above the brute-force limit of 1e5 is refused by name, even
+        # squared; a square of a prime below the limit is refused as not
+        # squarefree; every refusal is quick and counts no query
         n = (2 ** 61 - 1) * (2 ** 89 - 1)
         o = DirectOracle(n)
         start = time.perf_counter()

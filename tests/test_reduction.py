@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecfactor.arith import is_probable_prime, primes_up_to, reduce_fraction
+import ecfactor.reduction
+from ecfactor.arith import (
+    is_probable_prime,
+    jacobi,
+    primes_between,
+    primes_up_to,
+    reduce_fraction,
+)
 from ecfactor.counting import count_points_prime
-from ecfactor.oracle import FactoredOracle
+from ecfactor.curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
+from ecfactor.oracle import DirectOracle, FactoredOracle
 from ecfactor.reduction import (
     ReductionConfig,
     factor_completely,
@@ -142,6 +150,100 @@ class TestSplit:
             )
             rec = recover_from_ratio(N, Nd, 3, 35)
             assert rec is not None and rec.factor == out.factor
+
+
+def _seeded_moduli(k_values, lo, hi, per_k, tag):
+    """(n, primes, seed) for per_k seeded products of k primes in [lo, hi]."""
+    pool = primes_between(lo, hi)
+    rng = random.Random(tag)
+    out = []
+    for k in k_values:
+        for _ in range(per_k):
+            primes = sorted(rng.sample(pool, k))
+            out.append((math.prod(primes), primes, rng.randrange(2 ** 32)))
+    return out
+
+
+def _is_squarefree(d):
+    return all(d % (q * q) for q in range(2, math.isqrt(d) + 1))
+
+
+_ORACLES = {
+    "factored": FactoredOracle,
+    "direct": lambda primes: DirectOracle(math.prod(primes)),
+}
+
+
+def _reference_split(n, oracle, cfg):
+    """The twist walk with the (d|n) = -1 filter alone: every such d is queried.
+
+    Returns (factor, curves tried, witness curve, witness d, queries).
+    """
+    rng = random.Random(cfg.seed)
+    before = oracle.stats.queries
+    used = []
+
+    def result(factor, curve=None, d=None):
+        return factor, len(used), curve, d, oracle.stats.queries - before
+
+    try:
+        for _ in range(cfg.resolved_max_curves(n)):
+            c = sample_curve(n, rng, used)
+            used.append(c)
+            N = oracle.query(n, c.A, c.B)
+            for d in range(2, cfg.resolved_max_d(n) + 1):
+                g = gcd(d, n)
+                if g > 1:
+                    if g < n:
+                        return result(g, c, d)
+                    continue
+                if jacobi(d, n) != -1:
+                    continue
+                cd = twist(c, d)
+                rec = recover_from_ratio(N, oracle.query(n, cd.A, cd.B), cfg.D, n)
+                if rec is not None:
+                    return result(rec.factor, c, d)
+    except FactorFound as ff:
+        return result(ff.factor)
+    except CurveSupplyExhausted:
+        pass
+    return result(None)
+
+
+class TestTwistWalk:
+    def test_every_query_can_isolate_a_prime(self, monkeypatch):
+        # each twist queried has (d|n) = -1, the parity of a d that is a
+        # non-residue at exactly one prime, and is squarefree, so it is not
+        # d0*m^2 for a d0 the walk queried before
+        seen = []
+
+        def recording_twist(c, d):
+            seen.append((c.n, d))
+            return twist(c, d)
+
+        monkeypatch.setattr(ecfactor.reduction, "twist", recording_twist)
+        for n, primes, seed in _seeded_moduli((3, 4), 100, 1000, 20, "every query"):
+            for make_oracle in _ORACLES.values():
+                split(n, make_oracle(primes), ReductionConfig(seed=seed))
+        assert any(d > 8 for _, d in seen)  # 8 is the least non-square d that is not squarefree
+        for m, d in seen:
+            assert jacobi(d, m) == -1, (m, d)
+            assert _is_squarefree(d), (m, d)
+
+    @pytest.mark.parametrize("make_oracle", _ORACLES.values(), ids=_ORACLES.keys())
+    def test_matches_the_reference_walk(self, make_oracle):
+        # the squarefree skip only drops queries whose count repeats an
+        # earlier twist's, so factor, curves and witness stay the reference's
+        saved = 0
+        for n, primes, seed in _seeded_moduli((2, 3, 4), 100, 3000, 30, "reference"):
+            cfg = ReductionConfig(seed=seed)
+            out = split(n, make_oracle(primes), cfg)
+            factor, curves, curve, d, queries = _reference_split(n, make_oracle(primes), cfg)
+            witness = (out.witness.curve, out.witness.d) if out.witness else (None, None)
+            assert (out.factor, out.curves_tried, witness) == (factor, curves, (curve, d)), n
+            assert out.queries <= queries, n
+            saved += queries - out.queries
+        assert saved > 0  # the sample reaches non-squarefree d with (d|n) = -1
 
 
 class TestFactorCompletely:
