@@ -34,7 +34,7 @@ def cmd_factor(args) -> int:
         if e > 1:
             raise ValueError(f"{n} is not squarefree ({p}^{e})")
     odd_primes = [p for p, _ in facts if p >= 5]
-    oracle = FactoredOracle(odd_primes) if args.oracle == "factored" else DirectOracle(n)
+    oracle = FactoredOracle(odd_primes) if args.oracle == "factored" else DirectOracle()
     cfg = ReductionConfig(
         D=args.D, max_d=args.max_d, max_curves=args.max_curves, seed=args.seed
     )
@@ -76,7 +76,7 @@ def cmd_census(args) -> int:
 
 def cmd_count(args) -> int:
     started = time.monotonic()
-    value = DirectOracle(args.n).query(args.n, args.A, args.B)
+    value = DirectOracle().query(args.n, args.A, args.B)
     _emit(
         {"command": "count", "n": args.n, "A": args.A, "B": args.B, "count": value},
         started,

@@ -3,7 +3,10 @@
 Every operation that takes a gcd against the modulus can stumble on a
 nontrivial factor of n. `screen` and `isomorphic_gcd` return that gcd as
 it stands: 1, n, or a proper factor. `sample_curve` surfaces a proper
-factor as `FactorFound` so the factoring driver can stop immediately.
+factor as `FactorFound`, whose `source` is "screen_gcd" or "iso_gcd", so
+the factoring driver can stop immediately. Those are two of the six
+sources of `reduction.SplitOutcome`; the others are "ratio", "d_gcd",
+"curves_exhausted" and "supply_exhausted".
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from math import gcd
 class FactorFound(Exception):
     """A gcd with the modulus came out nontrivial: the algorithm is done."""
 
-    def __init__(self, factor: int, modulus: int):
-        super().__init__(f"found factor {factor} of {modulus}")
+    def __init__(self, factor: int, source: str):
+        super().__init__(f"found factor {factor} by {source}")
         self.factor = factor
-        self.modulus = modulus
+        self.source = source  # "screen_gcd" or "iso_gcd"
 
 
 class CurveSupplyExhausted(Exception):
@@ -77,7 +80,7 @@ def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
         if g == n:
             continue
         if g > 1:
-            raise FactorFound(g, n)
+            raise FactorFound(g, "screen_gcd")
         c = Curve(n, A, B)
         fresh = True
         for prev in used:
@@ -86,7 +89,7 @@ def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
                 fresh = False
                 break
             if g > 1:
-                raise FactorFound(g, n)
+                raise FactorFound(g, "iso_gcd")
         if fresh:
             return c
     raise CurveSupplyExhausted(

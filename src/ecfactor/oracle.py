@@ -109,14 +109,15 @@ class FactoredOracle(Oracle):
 class DirectOracle(Oracle):
     """Oracle that factors m itself and counts each prime by brute force."""
 
-    def __init__(self, limit: int):
+    def __init__(self, _unused: int | None = None):
+        # No modulus cap: factor_small's 2^64 contract and the brute-force
+        # prime limit bound the work. bench/workloads.py calls DirectOracle(m).
         super().__init__()
-        self.limit = limit
 
     def _primes(self, m: int) -> list[int]:
         """Primes of m from `factor_small`, each at most the brute-force limit."""
-        if m < 2 or m > self.limit:
-            raise UnsupportedModulusError(f"modulus {m} outside [2, {self.limit}]")
+        if m < 2:
+            raise UnsupportedModulusError(f"modulus {m} must be >= 2")
         try:
             facts = factor_small(m)
         except ValueError as exc:  # m > 2^64 with a composite cofactor; names m

@@ -74,23 +74,14 @@ class Recovery:
 
 
 @dataclass(frozen=True)
-class SplitWitness:
-    curve: Curve
-    d: int
-    ratio: ReducedFraction | None
-    multiplier: int | None
-
-
-@dataclass(frozen=True)
 class SplitOutcome:
-    factor: int | None  # None means exhausted
-    witness: SplitWitness | None
+    factor: int | None
+    source: str  # one of the six exits that `split` names
     curves_tried: int
     queries: int
-
-    @property
-    def exhausted(self) -> bool:
-        return self.factor is None
+    curve: Curve | None = None
+    d: int | None = None
+    recovery: Recovery | None = None
 
 
 def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
@@ -115,7 +106,15 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
 
 
 def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
-    """Find one nontrivial factor of squarefree composite n, gcd(n, 6) = 1."""
+    """Find one nontrivial factor of squarefree composite n, gcd(n, 6) = 1.
+
+    The outcome's `source` names the exit. A factor comes from "ratio" (a
+    recovery from N/N_d; sets `curve`, `d` and `recovery`), "d_gcd" (a
+    proper gcd(d, n); sets `curve` and `d`), or "screen_gcd" or "iso_gcd"
+    (a gcd met while sampling a curve). `factor` is None after
+    "curves_exhausted" (`max_curves` curves failed) or "supply_exhausted"
+    (`sample_curve` found no fresh curve).
+    """
     if n < 2 or math.gcd(n, 6) != 1:
         raise ValueError("split: n must be a squarefree composite coprime to 6")
     rng = random.Random(cfg.seed)
@@ -124,8 +123,9 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     before = oracle.stats.queries
     used: list[Curve] = []
 
-    def queries() -> int:
-        return oracle.stats.queries - before
+    def outcome(factor, source, curve=None, d=None, recovery=None) -> SplitOutcome:
+        queries = oracle.stats.queries - before
+        return SplitOutcome(factor, source, len(used), queries, curve, d, recovery)
 
     try:
         for _ in range(max_curves):
@@ -136,9 +136,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
                 g = math.gcd(d, n)
                 if g > 1:
                     if g < n:
-                        return SplitOutcome(
-                            g, SplitWitness(c, d, None, None), len(used), queries()
-                        )
+                        return outcome(g, "d_gcd", c, d)
                     continue
                 if jacobi(d, n) != -1 or any(e > 1 for _, e in factor_small(d)):
                     continue
@@ -146,17 +144,12 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
                 Nd = oracle.query(n, cd.A, cd.B)
                 rec = recover_from_ratio(N, Nd, cfg.D, n)
                 if rec is not None:
-                    return SplitOutcome(
-                        rec.factor,
-                        SplitWitness(c, d, rec.ratio, rec.multiplier),
-                        len(used),
-                        queries(),
-                    )
+                    return outcome(rec.factor, "ratio", c, d, rec)
     except FactorFound as ff:
-        return SplitOutcome(ff.factor, None, len(used), queries())
+        return outcome(ff.factor, ff.source)
     except CurveSupplyExhausted:
-        pass
-    return SplitOutcome(None, None, len(used), queries())
+        return outcome(None, "supply_exhausted")
+    return outcome(None, "curves_exhausted")
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,7 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
         if outcome.queries:
             stats.queries += outcome.queries
             stats.per_modulus[m] = outcome.queries
-        if outcome.exhausted:
+        if outcome.factor is None:
             failed = m
             break
         work.append(outcome.factor)

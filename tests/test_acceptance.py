@@ -197,7 +197,7 @@ def test_criterion_07_twist_and_hasse_suite():
 
 def test_criterion_08_oracle_equivalence():
     rng = random.Random(8)
-    direct = DirectOracle(3000)
+    direct = DirectOracle()
     moduli = 0
     for m in range(5, 3001, 2):
         if m % 3 == 0:

@@ -298,6 +298,7 @@ def test_usage_error_exit_code(capsys):
         ("factor", "35", "--D", "0"),
         ("factor", "35", "--max-d", "-3"),
         ("factor", "35", "--max-curves", "-1"),
+        ("count", "1", "1", "1"),
     ],
 )
 def test_broken_contract_exits_1(capsys, argv):

@@ -105,9 +105,10 @@ class TestSampleCurve:
         assert hit
 
     def test_exhaustion_cap(self):
-        # a full used-list of every class mod 5 forces exhaustion
+        # a full used-list of every class mod 5 forces exhaustion; at a prime
+        # modulus every gcd is 1 or 5, so no FactorFound can be raised
         used = []
         rng = random.Random(0)
-        with pytest.raises((CurveSupplyExhausted, FactorFound)):
+        with pytest.raises(CurveSupplyExhausted):
             for _ in range(10 ** 4):
                 used.append(sample_curve(5, rng, used))

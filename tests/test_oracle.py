@@ -111,14 +111,14 @@ class TestTwistMemo:
 
 class TestDirectOracle:
     def test_examples(self):
-        o = DirectOracle(10 ** 5)
+        o = DirectOracle()
         assert o.query(35, 1, 1) == 45
         assert o.query(35, 4, 8) == 15
         with pytest.raises(UnsupportedModulusError):
-            DirectOracle(10 ** 5).query(10 ** 7, 1, 1)
+            DirectOracle().query(10 ** 7, 1, 1)
 
     def test_rejects_primes_above_bruteforce_limit(self):
-        o = DirectOracle(10 ** 11)
+        o = DirectOracle()
         with pytest.raises(UnsupportedModulusError, match="100019"):
             o.query(10002200057, 1, 1)  # 100003 * 100019
         assert o.stats.queries == 0
@@ -130,7 +130,7 @@ class TestDirectOracle:
         # squared; a square of a prime below the limit is refused as not
         # squarefree; every refusal is quick and counts no query
         n = (2 ** 61 - 1) * (2 ** 89 - 1)
-        o = DirectOracle(n)
+        o = DirectOracle()
         start = time.perf_counter()
         with pytest.raises(UnsupportedModulusError, match=str(n)):
             o.query(n, 1, 1)
@@ -142,8 +142,18 @@ class TestDirectOracle:
         assert o._primes(5 * 99991 * 99989) == [5, 99989, 99991]
         assert o.stats.queries == 0
 
+    def test_modulus_argument_is_ignored(self):
+        # bench/workloads.py constructs DirectOracle(m) for its cross-check
+        assert DirectOracle(35).query(35, 1, 1) == DirectOracle().query(35, 1, 1) == 45
+        assert DirectOracle(35).query(1001, 1, 1) == DirectOracle().query(1001, 1, 1)
+
+    def test_rejects_moduli_below_2(self):
+        for m in (1, 0, -35):
+            with pytest.raises(UnsupportedModulusError, match=f"modulus {m} must be >= 2"):
+                DirectOracle().query(m, 1, 1)
+
     def test_rejects_non_squarefree_or_even(self):
-        o = DirectOracle(10 ** 4)
+        o = DirectOracle()
         with pytest.raises(UnsupportedModulusError):
             o.query(25, 1, 1)
         with pytest.raises(UnsupportedModulusError):
@@ -152,7 +162,7 @@ class TestDirectOracle:
 
 def test_oracle_equivalence_sample():
     rng = random.Random(9)
-    direct = DirectOracle(3000)
+    direct = DirectOracle()
     for m in range(5, 1001, 2):
         facts = factor_small(m)
         if any(e > 1 for _, e in facts) or any(p < 5 for p, _ in facts):

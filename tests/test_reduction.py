@@ -139,17 +139,53 @@ class TestSplit:
         assert out.queries == oracle.stats.queries
 
     def test_witness_replays(self):
+        # seed 0 ends in a ratio recovery; replaying its curve and twist
+        # gives the same counts, hence the same recovery
         oracle = FactoredOracle([5, 7])
-        out = split(35, oracle, ReductionConfig(D=3, seed=1))
-        w = out.witness
-        if w is not None and w.ratio is not None:
-            N = oracle.query(35, w.curve.A, w.curve.B)
-            c2 = w.curve
-            Nd = oracle.query(
-                35, c2.A * w.d * w.d % 35, c2.B * w.d ** 3 % 35
-            )
-            rec = recover_from_ratio(N, Nd, 3, 35)
-            assert rec is not None and rec.factor == out.factor
+        out = split(35, oracle, ReductionConfig(D=3, seed=0))
+        assert out.source == "ratio"
+        c, d = out.curve, out.d
+        N = oracle.query(35, c.A, c.B)
+        Nd = oracle.query(35, c.A * d * d % 35, c.B * d ** 3 % 35)
+        assert recover_from_ratio(N, Nd, 3, 35) == out.recovery
+        assert out.recovery.factor == out.factor
+
+
+# each case pinned by a seeded search over split(35, ...)
+_EXITS = {
+    "d_gcd": dict(D=1, seed=0),
+    "ratio": dict(D=3, seed=0),
+    "screen_gcd": dict(D=3, seed=1),
+    "iso_gcd": dict(D=1, max_d=2, seed=7),
+    "curves_exhausted": dict(max_curves=0),
+    # not reached in 12000 seeded splits of n <= 1001, so sample_curve raises it
+    "supply_exhausted": dict(),
+}
+
+
+@pytest.mark.parametrize("source", _EXITS)
+def test_every_split_exit_names_its_source(source, monkeypatch):
+    raised = []
+
+    def recording_sample_curve(n, rng, used):
+        if source == "supply_exhausted":
+            raise CurveSupplyExhausted("no fresh curve")
+        try:
+            return sample_curve(n, rng, used)
+        except FactorFound as ff:
+            raised.append(ff.source)
+            raise
+
+    monkeypatch.setattr(ecfactor.reduction, "sample_curve", recording_sample_curve)
+    out = split(35, FactoredOracle([5, 7]), ReductionConfig(**_EXITS[source]))
+    assert out.source == source
+    if source.endswith("_exhausted"):
+        assert out.factor is None
+    else:
+        assert out.factor in (5, 7)
+    assert (out.curve is not None) == (out.d is not None) == (source in ("ratio", "d_gcd"))
+    assert (out.recovery is not None) == (source == "ratio")
+    assert raised == ([source] if source in ("screen_gcd", "iso_gcd") else [])
 
 
 def _seeded_moduli(k_values, lo, hi, per_k, tag):
@@ -170,7 +206,7 @@ def _is_squarefree(d):
 
 _ORACLES = {
     "factored": FactoredOracle,
-    "direct": lambda primes: DirectOracle(math.prod(primes)),
+    "direct": lambda primes: DirectOracle(),
 }
 
 
@@ -239,8 +275,7 @@ class TestTwistWalk:
             cfg = ReductionConfig(seed=seed)
             out = split(n, make_oracle(primes), cfg)
             factor, curves, curve, d, queries = _reference_split(n, make_oracle(primes), cfg)
-            witness = (out.witness.curve, out.witness.d) if out.witness else (None, None)
-            assert (out.factor, out.curves_tried, witness) == (factor, curves, (curve, d)), n
+            assert (out.factor, out.curves_tried, out.curve, out.d) == (factor, curves, curve, d), n
             assert out.queries <= queries, n
             saved += queries - out.queries
         assert saved > 0  # the sample reaches non-squarefree d with (d|n) = -1
