@@ -11,6 +11,7 @@ anything it could not handle.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter
@@ -56,9 +57,16 @@ def reduce_fraction(num: int, den: int) -> ReducedFraction:
     return ReducedFraction(num // g, den // g)
 
 
-# Deterministic Miller-Rabin witness set, valid for all x < 3.317e24.
+# Miller-Rabin witnesses, the first 13 primes. _MR_PSI[k - 1] is psi_k, the
+# least odd composite that is a strong pseudoprime to each of the first k
+# (OEIS A014233), so the first k witnesses decide every x < psi_k.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def _miller_rabin(x: int, base: int) -> bool:
@@ -82,9 +90,10 @@ def is_probable_prime(x: int) -> bool:
     for p in _MR_WITNESSES:
         if x % p == 0:
             return x == p
-    if not all(_miller_rabin(x, w) for w in _MR_WITNESSES):
+    k = bisect.bisect_right(_MR_PSI, x) + 1  # witnesses x needs; 14 above psi_13
+    if not all(_miller_rabin(x, w) for w in _MR_WITNESSES[:k]):
         return False
-    if x < _MR_DETERMINISTIC_LIMIT:
+    if k <= len(_MR_PSI):
         return True
     rng = random.Random(x)
     return all(_miller_rabin(x, rng.randrange(2, x - 1)) for _ in range(64))

@@ -9,6 +9,7 @@ exhausted its budgets. Commands raise; only `main` maps `ValueError` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -100,7 +101,13 @@ def cmd_nonresidue(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Building it costs far more than a parse, and `parse_args` leaves it
+    unchanged, so every `main` call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="ecfactor",
         description="Factor squarefree integers via a point-counting oracle",

@@ -10,11 +10,13 @@ Both go through the one `Oracle.query`, which multiplies per-prime counts.
 prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is the quadratic
 twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p
 (Silverman, AEC III.1), so a_p(E) = (AB|p)*a_t with a_t the trace of E_t.
-The memo stores a_t under (p, t), counting E_t on a miss. A curve with
+The symbol (AB|p) comes from Euler's criterion, (AB)^((p-1)/2) mod p. The
+memo stores a_t under (p, t), counting E_t on a miss. A curve with
 A = 0 or B = 0 mod p (j = 0 or 1728, whose classes can be sextic or quartic
-twists of one another) is counted in full. The memo lives as long as the
-oracle instance. Every query is still recorded, hit or not, so the query
-count does not depend on the memo.
+twists of one another) is counted in full. The oracle also remembers the
+primes of each modulus it has admitted; a refused modulus is refused again
+on every query. Both memos live as long as the oracle instance. Every query
+is still recorded, hit or not, so the query count does not depend on them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import counting
-from .arith import factor_small, jacobi
+from .arith import factor_small
 from .counting import _BRUTEFORCE_LIMIT, count_affine_bruteforce
 from .curves import screen
 
@@ -80,8 +82,13 @@ class FactoredOracle(Oracle):
         self.primes = primes
         # (p, t) -> a_t, the trace of y^2 = x^3 + t*x + t over F_p
         self._twists: dict[tuple[int, int], int] = {}
+        # admitted modulus -> its primes
+        self._moduli: dict[int, tuple[int, ...]] = {}
 
-    def _primes(self, m: int) -> list[int]:
+    def _primes(self, m: int) -> tuple[int, ...]:
+        parts = self._moduli.get(m)
+        if parts is not None:
+            return parts
         parts = []
         rest = m
         for p in self.primes:
@@ -92,6 +99,7 @@ class FactoredOracle(Oracle):
             raise UnsupportedModulusError(
                 f"modulus {m} is not a squarefree product of the oracle's primes"
             )
+        self._moduli[m] = parts = tuple(parts)
         return parts
 
     def _count_prime(self, p: int, A: int, B: int) -> int:
@@ -103,7 +111,8 @@ class FactoredOracle(Oracle):
         a = self._twists.get((p, t))
         if a is None:
             a = self._twists[p, t] = p + 1 - counting.count_points_prime(p, t, t)
-        return p + 1 - jacobi(A * B, p) * a
+        # Euler's criterion: (AB)^((p-1)/2) is 1 or p - 1, as (AB|p) is 1 or -1
+        return p + 1 - a if pow(A * B, p >> 1, p) == 1 else p + 1 + a
 
 
 class DirectOracle(Oracle):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfactor.arith import (
+    _MR_WITNESSES,
     ReducedFraction,
+    _miller_rabin,
     divisors,
     factor_small,
     gcd,
@@ -215,3 +217,29 @@ class TestPrimality:
     def test_large_values(self):
         assert is_probable_prime(2 ** 127 - 1)
         assert not is_probable_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+
+    # psi_k (OEIS A014233), the least odd composite that is a strong
+    # pseudoprime to each of the first k prime bases, with its factors
+    PSI = [
+        (2047, (23, 89)),
+        (1373653, (829, 1657)),
+        (25326001, (2251, 11251)),
+        (3215031751, (151, 751, 28351)),
+        (2152302898747, (6763, 10627, 29947)),
+        (3474749660383, (1303, 16927, 157543)),
+        (341550071728321, (10670053, 32010157)),
+        (341550071728321, (10670053, 32010157)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
+        (3317044064679887385961981, (1287836182261, 2575672364521)),
+    ]
+
+    @pytest.mark.parametrize("k, psi, factors", [(k, *row) for k, row in enumerate(PSI, 1)])
+    def test_psi_k_needs_more_than_k_witnesses(self, k, psi, factors):
+        # psi_k passes the first k witnesses, so a test that stops at k
+        # witnesses for x = psi_k, one too few, calls it prime
+        assert math.prod(factors) == psi
+        assert all(_miller_rabin(psi, w) for w in _MR_WITNESSES[:k])
+        assert not is_probable_prime(psi)

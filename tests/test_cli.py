@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import ecfactor
 from ecfactor.arith import primes_up_to
 from ecfactor.census import CSV_HEADER
-from ecfactor.cli import main
+from ecfactor.cli import build_parser, main
+from ecfactor.reduction import D_MAX
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,16 @@ class TestFactorCommand:
         assert report["factors"] == factors
         assert report["curves_used"] == curves_used
         assert report["oracle_queries"] == queries
+
+    def test_run_at_the_d_cap_is_time_bounded(self, capsys):
+        # eight primes near 1e3: most twists do not isolate one prime, so
+        # most recoveries fail after scanning up to 2*D_MAX multipliers
+        n = "47254648566984174885860513"
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "factor", n, "--D", str(D_MAX), "--seed", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert math.prod(json.loads(out)["factors"]) == int(n)
 
     def test_exhaustion_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "35", "--max-curves", "0")
@@ -299,6 +310,8 @@ def test_usage_error_exit_code(capsys):
         ("factor", "35", "--max-d", "-3"),
         ("factor", "35", "--max-curves", "-1"),
         ("count", "1", "1", "1"),
+        # above the D cap: every failed recovery would scan up to 2*D multipliers
+        ("factor", "5005", "--D", "100000000", "--seed", "1"),
     ],
 )
 def test_broken_contract_exits_1(capsys, argv):
@@ -316,6 +329,37 @@ def test_unwritable_out_exits_1(capsys, tmp_path):
     assert out == ""
 
 
+def run_process(*argv):
+    """`python -m ecfactor *argv` in a fresh interpreter."""
+    src = str(Path(ecfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ecfactor", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_repeated_main_calls_share_one_parser(capsys):
+    # a value parsed in one call, or a usage error, must not reach the next
+    parser = build_parser()
+    assert build_parser() is parser
+    argv = ("factor", "1001", "--seed", "42")
+    fresh = run_process(*argv)
+    assert fresh.returncode == 0
+    assert run_cli(capsys, "factor", "1001", "--D", "1", "--seed", "42")[0] == 0
+    assert run_cli(capsys, "factor")[0] == 1
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert build_parser() is parser
+    report = payload(out)
+    assert report == payload(fresh.stdout)
+    assert report["config"]["D"] == 12
+    assert (report["factors"], report["oracle_queries"]) == ([7, 11, 13], 4)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -324,15 +368,7 @@ def test_unwritable_out_exits_1(capsys, tmp_path):
     ],
 )
 def test_process_exit_status(argv, code):
-    src = str(Path(ecfactor.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ecfactor", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = run_process(*argv)
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")

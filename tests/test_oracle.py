@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from ecfactor import counting
-from ecfactor.arith import factor_small, primes_up_to
+from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_up_to
 from ecfactor.counting import count_points_prime
 from ecfactor.oracle import (
     DirectOracle,
@@ -42,6 +42,35 @@ class TestFactoredOracle:
     def test_divisor_moduli_allowed(self):
         o = FactoredOracle([5, 7, 11])
         assert o.query(55, 1, 1) == o.query(5, 1, 1) * o.query(11, 1, 1)
+
+    def test_a_refused_modulus_is_refused_again(self):
+        o = FactoredOracle([5, 7])
+        assert o.query(35, 1, 1) == 45
+        for _ in range(2):
+            for m in (15, 175, 1):  # 3 is not an oracle prime; 175 = 5^2 * 7
+                with pytest.raises(UnsupportedModulusError):
+                    o.query(m, 1, 1)
+            assert o.stats.queries == 1
+        assert o.query(35, 1, 1) == 45
+        assert o.stats.per_modulus == {35: 2}
+
+    def test_twists_at_primes_above_the_legendre_range(self):
+        # baby-step/giant-step primes, beyond DirectOracle's brute force; the
+        # twists give (d|p) = +1 and -1 at each prime, all four sign pairs
+        p, q = 16411, 100003
+        assert p > 2 ** 14 and is_probable_prime(p) and is_probable_prime(q)
+        rng = random.Random(16)
+        o = FactoredOracle([p, q])
+        signs = set()
+        for _ in range(6):
+            A, B = random_smooth_pair(rng, p * q)
+            for d in range(1, 12):
+                Ad, Bd = A * d * d % (p * q), B * d ** 3 % (p * q)
+                signs.add((jacobi(d, p), jacobi(d, q)))
+                cp, cq = count_points_prime(p, Ad % p, Bd % p), count_points_prime(q, Ad % q, Bd % q)
+                assert o.query(p, Ad, Bd) == cp, (A, B, d)
+                assert o.query(p * q, Ad, Bd) == cp * cq, (A, B, d)
+        assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
     def test_rejects_bad_prime_set(self):
         with pytest.raises(ValueError):

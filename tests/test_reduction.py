@@ -18,6 +18,8 @@ from ecfactor.counting import count_points_prime
 from ecfactor.curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 from ecfactor.oracle import DirectOracle, FactoredOracle
 from ecfactor.reduction import (
+    D_MAX,
+    Recovery,
     ReductionConfig,
     factor_completely,
     recover_from_ratio,
@@ -74,6 +76,40 @@ class TestRecoverFromRatio:
                     g = gcd(p + 1 - ap, p + 1 + ap)
                     expect = reduce_fraction((p + 1 - ap) // g, (p + 1 + ap) // g)
                     assert rec.ratio == expect
+
+    @staticmethod
+    def reference(N, Nd, D, n):
+        """The full scan: every g up to 2D, odd g*s skipped after computing it."""
+        ratio = reduce_fraction(N, Nd)
+        s = ratio.numerator + ratio.denominator
+        for g in range(1, 2 * D + 1):
+            v = g * s
+            if v % 2:
+                continue
+            cand = v // 2 - 1
+            if 1 < cand < n and n % cand == 0:
+                return Recovery(cand, g, ratio)
+        return None
+
+    def test_matches_the_reference_scan(self):
+        # raw counts and the counts of a twist flipping one prime, as in
+        # _ratio_inputs; every (parity of s, hit or miss) pair must occur
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(5000):
+            n = math.prod(rng.sample(_SMALL_PRIMES, rng.randint(1, 3)))
+            D = rng.randint(1, 24)
+            if rng.random() < 0.5:
+                N, Nd = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+            else:
+                p = rng.choice([q for q in _SMALL_PRIMES if n % q == 0])
+                a = rng.randint(-math.isqrt(4 * p), math.isqrt(4 * p))
+                rest = rng.randint(1, 10 ** 4)
+                N, Nd = (p + 1 - a) * rest, (p + 1 + a) * rest
+            rec = recover_from_ratio(N, Nd, D, n)
+            assert rec == self.reference(N, Nd, D, n), (N, Nd, D, n)
+            seen.add(((N + Nd) // gcd(N, Nd) % 2, rec is None))
+        assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 _SMALL_PRIMES = [p for p in primes_up_to(200) if p >= 5]
@@ -324,6 +360,11 @@ class TestFactorCompletely:
     def test_config_rejects_bad_budgets(self, budget):
         with pytest.raises(ValueError, match="ReductionConfig"):
             ReductionConfig(**budget)
+
+    def test_config_caps_d(self):
+        assert ReductionConfig(D=D_MAX).D == D_MAX
+        with pytest.raises(ValueError, match=f"ReductionConfig: D must be <= {D_MAX}"):
+            ReductionConfig(D=D_MAX + 1)
 
     def test_rejects_squares_at_entry(self):
         # 4 | 140 and 9 | 18 are caught before any split; 5^2 | 25 is caught
