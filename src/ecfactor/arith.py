@@ -1,12 +1,13 @@
 """Exact integer arithmetic kernel.
 
 Everything here works on plain Python ints (arbitrary precision), so there
-is no overflow anywhere in the pipeline. Factoring is trial division up to
-2**12 followed by Brent's rho on what is left. Rho runs only on inputs up
-to 2**64, where it takes about 2**16 steps at most; above that an input is
-factored only when trial division leaves 1 or a probable prime, and is
-refused otherwise. The factoring algorithm proper never calls it on
-anything it could not handle.
+is no overflow anywhere in the pipeline. Factoring is trial division by
+the primes below 2**12, a table the module's sieve builds once, followed by
+one decision on the cofactor: 1 or a prime is kept, and a composite is split
+by Brent's rho. Rho runs only on inputs up to 2**64, where it takes about
+2**16 steps at most; above that a composite cofactor is refused. That
+contract is checked once, on the cofactor. The factoring algorithm proper
+never calls it on anything it could not handle.
 """
 
 from __future__ import annotations
@@ -99,10 +100,35 @@ def is_probable_prime(x: int) -> bool:
     return all(_miller_rabin(x, rng.randrange(2, x - 1)) for _ in range(64))
 
 
+def primes_up_to(limit: int) -> list[int]:
+    """Primes <= limit."""
+    return primes_between(2, limit)
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """Primes p with lo <= p <= hi by Eratosthenes, sieving [lo, hi] alone.
+
+    The composites there are crossed out by the primes up to isqrt(hi), which
+    come from the same sieve and end the recursion at hi < 4, so memory is
+    O(hi - lo + sqrt(hi)), however large hi is.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    segment = bytearray([1]) * (hi - lo + 1)
+    for p in primes_between(2, isqrt(hi)):
+        first = max(p * p, -(-lo // p) * p) - lo
+        segment[first::p] = bytearray(len(segment[first::p]))
+    return [lo + i for i, flag in enumerate(segment) if flag]
+
+
 # Trial division stops here; every x <= _TRIAL_LIMIT**2 is factored by it alone.
 # Below about 2**12 a trial step costs less than the primality tests rho needs
 # for each piece it splits off.
 _TRIAL_LIMIT = 1 << 12
+
+# The primes trial division divides by, built once.
+_TRIAL_PRIMES = tuple(primes_between(2, _TRIAL_LIMIT))
 
 # Rho runs only on cofactors of inputs up to here.
 _RHO_LIMIT = 1 << 64
@@ -150,43 +176,31 @@ def _rho_primes(x: int) -> list[int]:
 @lru_cache(maxsize=1 << 16)
 def factor_small(x: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of x, primes increasing, by trial division
-    up to 2**12, then Brent's rho on the cofactor. Above 2**64, x is refused
-    unless that cofactor is 1 or prime."""
+    by the primes below 2**12, then Brent's rho on a composite cofactor.
+    Above 2**64, x is refused unless that cofactor is 1 or prime."""
     if x < 1:
         raise ValueError("factor_small: x must be >= 1")
-    if is_probable_prime(x):
-        return ((x, 1),)
     n = x
     factors = []
-    for p in (2, 3):
-        if x % p == 0:
+    for q in _TRIAL_PRIMES:
+        if q * q > x:
+            break
+        if x % q == 0:
             e = 0
-            while x % p == 0:
-                x //= p
+            while x % q == 0:
+                x //= q
                 e += 1
-            factors.append((p, e))
-    d = 5
-    step = 2
-    while d * d <= x:
-        if d > _TRIAL_LIMIT:  # x > 1 has no factor below d; rho finishes it
-            if n > _RHO_LIMIT and not is_probable_prime(x):
-                raise ValueError(
-                    f"factor_small: {n} is above 2^64 and its cofactor {x} after "
-                    f"trial division to {_TRIAL_LIMIT} is composite"
-                )
-            factors += sorted(Counter(_rho_primes(x)).items())
-            return tuple(factors)
-        if x % d == 0:
-            e = 0
-            while x % d == 0:
-                x //= d
-                e += 1
-            factors.append((d, e))
-            if x > 1 and is_probable_prime(x):
-                break
-        d += step
-        step = 6 - step
-    if x > 1:
+            factors.append((q, e))
+    # x is 1 or prime if the loop stopped at q*q > x, and otherwise has no
+    # prime factor below 2**12; either way x <= 2**24 is 1 or prime
+    if x > _TRIAL_LIMIT ** 2 and not is_probable_prime(x):
+        if n > _RHO_LIMIT:
+            raise ValueError(
+                f"factor_small: {n} is above 2^64 and its cofactor {x} after "
+                f"trial division to {_TRIAL_LIMIT} is composite"
+            )
+        factors += sorted(Counter(_rho_primes(x)).items())
+    elif x > 1:
         factors.append((x, 1))
     return tuple(factors)
 
@@ -204,25 +218,3 @@ def divisors(x: int) -> list[int]:
     for p, e in factor_small(x):
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """Primes <= limit."""
-    return primes_between(2, limit)
-
-
-def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi by Eratosthenes, sieving [lo, hi] alone.
-
-    The composites there are crossed out by the primes up to isqrt(hi), which
-    come from the same sieve and end the recursion at hi < 4, so memory is
-    O(hi - lo + sqrt(hi)), however large hi is.
-    """
-    lo = max(lo, 2)
-    if hi < lo:
-        return []
-    segment = bytearray([1]) * (hi - lo + 1)
-    for p in primes_between(2, isqrt(hi)):
-        first = max(p * p, -(-lo // p) * p) - lo
-        segment[first::p] = bytearray(len(segment[first::p]))
-    return [lo + i for i, flag in enumerate(segment) if flag]

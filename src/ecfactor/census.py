@@ -212,6 +212,8 @@ def census_sweep(
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
     Every contract is checked before any row is computed, the width before the sieve.
     """
+    if pmin > pmax:
+        raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
     if any(D < 0 for D in d_list):
         raise ValueError(f"census_sweep: D must be >= 0, got {min(d_list)}")
     if pmax - max(pmin, 5) > _SWEEP_WIDTH:

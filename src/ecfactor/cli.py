@@ -63,8 +63,6 @@ def cmd_factor(args) -> int:
 
 def cmd_census(args) -> int:
     d_list = [int(tok) for tok in args.D_list.split(",") if tok]
-    if args.pmin > args.pmax:
-        raise ValueError("--pmin must be <= --pmax")
     rows = census_mod.census_sweep(args.pmin, args.pmax, d_list, args.classes_max)
     csv_text = census_mod.rows_to_csv(rows)
     if args.out == "-":

@@ -101,7 +101,8 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     multipliers up to 2D suffice whenever gcd(a_p, p+1) <= D. Candidates
     are accepted only on exact divisibility, so over-enumeration is safe.
     A candidate g*s/2 - 1 needs g*s even, so for odd s only even g are
-    tried.
+    tried. Candidates grow with g, so the scan stops at the first one >= n,
+    after at most 2(n+1)/s multipliers.
     """
     if N < 1 or Nd < 1:
         raise ValueError("recover_from_ratio: counts must be >= 1")
@@ -109,7 +110,9 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     step = 1 + s % 2
     for g in range(step, 2 * D + 1, step):
         cand = g * s // 2 - 1
-        if 1 < cand < n and n % cand == 0:
+        if cand >= n:
+            break
+        if cand > 1 and n % cand == 0:
             return Recovery(cand, g, reduce_fraction(N, Nd))
     return None
 
@@ -188,16 +191,15 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
     """
     if n < 2:
         raise ValueError("factor_completely: n must be >= 2")
-    for q in (2, 3):
-        if n % (q * q) == 0:
-            raise ValueError(f"factor_completely: {n} is not squarefree ({q}^2 divides it)")
-    stats = OracleStats()
     primes: list[int] = []
     m = n
-    for small in (2, 3):
-        if m % small == 0:
-            primes.append(small)
-            m //= small
+    for q in (2, 3):
+        if m % (q * q) == 0:
+            raise ValueError(f"factor_completely: {n} is not squarefree ({q}^2 divides it)")
+        if m % q == 0:
+            primes.append(q)
+            m //= q
+    stats = OracleStats()
     work = [m] if m > 1 else []
     curves_used = 0
     failed = None

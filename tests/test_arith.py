@@ -123,9 +123,11 @@ class TestFactorSmall:
         with pytest.raises(ValueError):
             factor_small(0)
 
-    def test_matches_trial_division_on_semiprimes_to_2_40(self):
-        # factors above the trial-division bound 2**12 are split by rho,
-        # including squares and cubes; small cofactors mix both paths
+    def test_matches_trial_division_to_2_40(self):
+        # every x <= 3*10^4, then semiprimes to 2^40: factors above the
+        # trial-division bound 2**12 are split by rho, including squares and
+        # cubes; small cofactors mix both paths, and the cases around 4096^2
+        # sit where the prime table ends
         def trial_division(x):
             factors, d = [], 2
             while d * d <= x:
@@ -147,12 +149,14 @@ class TestFactorSmall:
                     return x
 
         rng = random.Random(40)
-        samples = []
+        samples = list(range(1, 3 * 10 ** 4 + 1))
         for _ in range(40):
             b = rng.randrange(6, 21)
             p = prime_of(b)
             samples += [p * prime_of(rng.randrange(b, 41 - b)), p * p]
         samples += [12 * 4099 * 4111, 7 * 4099 ** 3, 4095 * 4097]
+        samples += [4093 ** 2, 4093 * 4099, 4099 ** 2, 4096 ** 2 - 1, 4096 ** 2 + 1,
+                    4093 * 4099 * 4111]
         for x in samples:
             assert x < 2 ** 40
             assert factor_small(x) == trial_division(x), x

@@ -277,6 +277,14 @@ class TestCsvOutput:
         with pytest.raises(AssertionError, match="sieved"):  # the width counts from 5
             census_sweep(-10, 10 ** 6 + 5, [1])
 
+    def test_rejects_reversed_range(self, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr("ecfactor.census.primes_between", no_sieve)
+        with pytest.raises(ValueError, match="pmin must be <= pmax"):
+            census_sweep(10, 5, [1])
+
     def test_empty_range_header_only(self):
         assert rows_to_csv(census_sweep(24, 28, [1])) == CSV_HEADER + "\n"
 

@@ -94,6 +94,12 @@ class TestRecoverFromRatio:
     def test_matches_the_reference_scan(self):
         # raw counts and the counts of a twist flipping one prime, as in
         # _ratio_inputs; every (parity of s, hit or miss) pair must occur
+        # the scan stops at the first candidate >= n: a long scan that passes
+        # n early, s = 2(n+1) - 1, 2(n+1) and 2(n+1) + 1, and s far above n
+        edges = [(1000, 1006, 10 ** 4, 5005), (1, 70, 24, 35), (1, 71, 24, 35),
+                 (1, 72, 24, 35), (10 ** 6, 10 ** 6 - 1, 24, 1001)]
+        for N, Nd, D, n in edges:
+            assert recover_from_ratio(N, Nd, D, n) == self.reference(N, Nd, D, n)
         rng = random.Random(2024)
         seen = set()
         for _ in range(5000):
