@@ -210,11 +210,3 @@ def odd_part(x: int) -> int:
     if x < 1:
         raise ValueError("odd_part: x must be >= 1")
     return x >> ((x & -x).bit_length() - 1)
-
-
-def divisors(x: int) -> list[int]:
-    """All divisors of x, sorted increasing."""
-    out = [1]
-    for p, e in factor_small(x):
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)

@@ -1,11 +1,25 @@
 """Empirical verification of the counting lemmas behind the reduction.
 
-phi(p, D) counts 1 <= a <= 2*sqrt(p) with gcd(a, p+1) <= D. It is
-computed two ways (direct count, Moebius divisor sum) that must agree
-exactly, and bounded below by two closed-form expressions. Each of
-them does its per-prime work once per p and answers every D from it:
-phi_direct bisects the sorted gcd(a, p+1), phi_mobius the running sum of
-its divisor terms, and the bounds read the one cached factorisation of p+1.
+phi(p, D) counts 1 <= a <= B = floor(2*sqrt(p)) with gcd(a, p+1) <= D. It
+is computed two ways that must agree exactly, and bounded below by two
+closed-form expressions. The three kernels take a block of primes and a
+list of D and answer every (prime, D) at once, as numpy arrays; a scalar
+p and D is a block of one. D = 0 stands for p + 1, read in one place
+(`_d_grid`).
+
+- phi_direct enumerates: one gcd matrix over (prime, a) per block,
+  compared with every D.
+- phi_mobius is the divisor sum
+      phi(p, D) = sum over j | p+1, j <= B of c_D(j) * floor(B / j),
+      c_D(j)    = sum over d | j, d <= D of mu(j/d),
+  with the j found by divisibility, not by gcds. c_D depends only on j and
+  D, and one table of mu serves a whole sweep.
+- lower_bounds evaluates the two bounds as float64 arrays, in the order
+  of the formulas, from one factorisation of each p+1.
+
+A sweep cuts its primes into blocks of at most _BLOCK_CELLS (prime, a)
+cells, or one prime where a single row is longer, so memory stays bounded
+however large p is.
 
 The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0
@@ -39,79 +53,155 @@ from math import gcd
 import numpy as np
 
 from . import arith
-from .arith import divisors, is_probable_prime, isqrt, jacobi, odd_part, primes_between
+from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
 from .counting import _legendre_table, count_points_prime
 
 
-@lru_cache(maxsize=8)  # a sweep visits each p once, for every D in turn
-def _sorted_gcds(p: int) -> tuple[int, ...]:
-    """gcd(a, p+1) for 1 <= a <= floor(2*sqrt(p)), sorted increasing."""
-    a = np.arange(1, isqrt(4 * p) + 1, dtype=np.int64)
-    return tuple(np.sort(np.gcd(a, p + 1)).tolist())
+def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
+    """The primes as an int64 array, the D as a list, and whether both were scalars."""
+    ps = np.atleast_1d(np.asarray(p, dtype=np.int64))
+    return ps, [D] if np.ndim(D) == 0 else list(D), np.ndim(p) == 0 and np.ndim(D) == 0
 
 
-def phi_direct(p: int, D: int) -> int:
-    """#{a : 1 <= a <= floor(2*sqrt(p)), gcd(a, p+1) <= D} by enumeration."""
-    return bisect_right(_sorted_gcds(p), D)
+def _d_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
+    """The D of every (prime, D) cell as Python ints, with D = 0 read as p + 1.
 
-
-@lru_cache(maxsize=8)  # a sweep visits each p once, for every D in turn
-def _mobius_prefix(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The divisors d <= floor(2*sqrt(p)) of p+1, increasing, and the running
-    totals of their terms sum_k mu(k) * floor(bound / (k*d)).
-
-    Only squarefree k | (p+1)/d with k*d <= bound are expanded: a larger k*d
-    gives floor(bound / (k*d)) = 0, and so does every multiple of it.
+    This is the one place that reads D = 0; every kernel and every row takes
+    its D from here.
     """
-    bound = isqrt(4 * p)
-    m = p + 1
-    primes = [q for q, _ in arith.factor_small(m)]
-    ds, totals = [], [0]
-    for d in divisors(m):
-        if d > bound:
-            break
-        terms = [(d, 1)]  # (k*d, mu(k))
-        for q in primes:
-            if m // d % q == 0:
-                terms += [(kd * q, -mu) for kd, mu in terms if kd * q <= bound]
-        ds.append(d)
-        totals.append(totals[-1] + sum(mu * (bound // kd) for kd, mu in terms))
-    return tuple(ds), tuple(totals)
+    d = np.array(ds, dtype=object)
+    return np.where(d == 0, (ps + 1).astype(object)[:, None], d)
 
 
-def phi_mobius(p: int, D: int) -> int:
+def _count_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
+    """_d_grid as int64, with D above p + 1 cut to p + 1: gcd(a, p+1) <= p + 1."""
+    return np.minimum(_d_grid(ps, ds), (ps + 1)[:, None]).astype(np.int64)
+
+
+def _unwrap(grid: np.ndarray, scalar: bool):
+    return grid.item() if scalar else grid
+
+
+def _bounds(ps: np.ndarray) -> np.ndarray:
+    """floor(2*sqrt(p)) for each p."""
+    return np.array([isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
+
+
+def phi_direct(p, D):
+    """#{a : 1 <= a <= floor(2*sqrt(p)), gcd(a, p+1) <= D} by enumeration.
+
+    p is a prime or an array of primes and D an int or a list of them; the
+    result is an int, or an int64 array over (prime, D). One gcd matrix over
+    (prime, a) answers every D; the cells with a > floor(2*sqrt(p)) are set
+    above every D.
+    """
+    ps, ds, scalar = _operands(p, D)
+    m, bound = ps + 1, _bounds(ps)
+    a = np.arange(1, bound.max() + 1)
+    g = np.gcd(a, m[:, None])
+    np.copyto(g, m[:, None] + 1, where=a > bound[:, None])
+    counts = [np.count_nonzero(g <= d[:, None], axis=1) for d in _count_grid(ps, ds).T]
+    return _unwrap(np.stack(counts, axis=1), scalar)
+
+
+@lru_cache(maxsize=1)  # a sweep asks for the same table block after block
+def _mobius(n: int) -> np.ndarray:
+    """mu(j) for 0 <= j <= n, mu(0) = 0, sieved by the primes up to isqrt(n).
+
+    A squarefree j whose primes up to isqrt(n) multiply to less than j has
+    one more prime factor, above isqrt(n).
+    """
+    mu = np.ones(n + 1, dtype=np.int8)
+    small = np.ones(n + 1, dtype=np.int64)
+    for q in primes_between(2, isqrt(n)):
+        mu[q::q] *= -1
+        mu[q * q::q * q] = 0
+        small[q::q] *= q
+    mu[small < np.arange(n + 1)] *= -1
+    mu[0] = 0
+    return mu
+
+
+def _coefficients(j: np.ndarray, D: int, mu: np.ndarray) -> np.ndarray:
+    """c_D(j) = sum of mu(j/d) over the d | j with d <= D, for each j in an
+    array of j < len(mu).
+
+    Either d runs over 1, ..., D, or, since sum_{d | j} mu(j/d) is 1 at
+    j = 1 and 0 above, the k = j/d < j/D run over 1, ..., top/(D+1) and are
+    subtracted; the shorter loop has at most sqrt(top) steps.
+    """
+    top = int(j.max())
+    if D * D <= top:
+        return sum((j % d == 0) * mu[j // d].astype(np.int64) for d in range(1, D + 1))
+    c = (j == 1).astype(np.int64)
+    for k in range(1, top // (D + 1) + 1):
+        c -= ((j % k == 0) & (j > k * D)) * mu[k]
+    return c
+
+
+def phi_mobius(p, D):
     """Same count via the Moebius divisor sum, exact integer arithmetic.
 
-    Sums mu(k) * floor(bound / (k*d)) over divisors d <= D of p+1 and
-    squarefree k | (p+1)/d; the k and their signs are built from the primes
-    of p+1, factored once, and the sum is expanded once per p for every D.
+    phi(p, D) = sum over the j | p+1 with j <= B = floor(2*sqrt(p)) of
+    c_D(j) * floor(B / j), with c_D(j) = sum_{d | j, d <= D} mu(j/d). The j
+    come from a divisibility matrix over (prime, j), not from gcds, and c_D
+    from one table of mu, which serves every prime of a sweep. For
+    j <= B <= D, c_D(j) is 1 at j = 1 and 0 above, so every D >= B is read
+    as the largest B.
     """
-    ds, totals = _mobius_prefix(p)
-    return totals[bisect_right(ds, D)]
+    ps, ds, scalar = _operands(p, D)
+    m, bound = ps + 1, _bounds(ps)
+    top = int(bound.max())
+    # a power of two, so that a sweep's blocks share one table; built before
+    # the divisibility matrix, so that their arrays never coexist at large p
+    mu = _mobius(1 << (top - 1).bit_length())
+    a = np.arange(1, top + 1)
+    rows, j = np.divmod(np.flatnonzero((m[:, None] % a == 0) & (a <= bound[:, None])), top)
+    j += 1
+    d = _count_grid(ps, ds)
+    d[d >= bound[:, None]] = top
+    d = d[rows]
+    c = np.zeros(d.shape, dtype=np.int64)
+    for D in set(d.ravel().tolist()):
+        at = d == D
+        c[at] = _coefficients(np.broadcast_to(j[:, None], d.shape)[at], D, mu)
+    out = np.zeros((len(ps), len(ds)), dtype=np.int64)
+    np.add.at(out, rows, c * (bound[rows] // j)[:, None])
+    return _unwrap(out, scalar)
 
 
-def lower_bounds(p: int, D: int) -> tuple[float, float]:
-    """The two closed-form lower bounds for phi(p, D).
-
-    First: 2*sqrt(p) - (2*sqrt(p)/D)*tau(p+1) - tau((p+1)^2).
-    Second: sqrt(p)*phi(P)/P - 2^omega(P), with P the odd part of p+1.
-    Every divisor function comes from the one factorisation of p+1:
-    tau((p+1)^2) is the product of 2e+1, and phi(P) and omega(P) come from
-    its odd primes.
-    """
+def _divisor_functions(m: int) -> tuple[int, int, int, int, int]:
+    """tau(m), tau(m^2), the odd part P of m, phi(P) and omega(P), all from
+    the one factorisation of m; tau(m^2) is the product of 2e+1."""
     tau1 = tau2 = 1
-    P = phi_P = odd_part(p + 1)
+    P = phi_P = odd_part(m)
     omega_P = 0
-    for q, e in arith.factor_small(p + 1):
+    for q, e in arith.factor_small(m):
         tau1 *= e + 1
         tau2 *= 2 * e + 1
         if q > 2:
             phi_P = phi_P // q * (q - 1)
             omega_P += 1
-    sp = math.sqrt(p)
-    b22 = 2 * sp - (2 * sp / D) * tau1 - tau2
-    b23 = sp * phi_P / P - 2 ** omega_P
-    return b22, b23
+    return tau1, tau2, P, phi_P, omega_P
+
+
+def lower_bounds(p, D):
+    """The two closed-form lower bounds for phi(p, D).
+
+    First: 2*sqrt(p) - (2*sqrt(p)/D)*tau(p+1) - tau((p+1)^2).
+    Second: sqrt(p)*phi(P)/P - 2^omega(P), with P the odd part of p+1.
+    Both are float64 arrays over (prime, D), or two floats for a scalar p
+    and D, evaluated in the order written, so each value is the float the
+    formula gives.
+    """
+    ps, ds, scalar = _operands(p, D)
+    functions = np.array([_divisor_functions(m) for m in (ps + 1).tolist()], dtype=np.int64)
+    tau1, tau2, P, phi_P, omega_P = functions.T[:, :, None]
+    sp = np.sqrt(ps.astype(np.float64))[:, None]
+    d = _d_grid(ps, ds).astype(np.float64)
+    b22 = 2 * sp - (2 * sp / d) * tau1 - tau2
+    b23 = np.broadcast_to(sp * phi_P / P - 2.0 ** omega_P, b22.shape)
+    return _unwrap(b22, scalar), _unwrap(b23, scalar)
 
 
 @dataclass(frozen=True)
@@ -128,6 +218,11 @@ class CensusRow:
 
 _CLASS_ENUM_LIMIT = 1000
 _SWEEP_WIDTH = 10 ** 6  # widest [max(pmin, 5), pmax] one sweep takes
+# Largest pmax a sweep takes: a row then holds at most 2^21 cells, and the
+# base sieve of primes_between stays below 2^20.
+_PMAX_LIMIT = 1 << 40
+# Most (prime, a) cells one block of a sweep holds, unless one row is longer.
+_BLOCK_CELLS = 1 << 16
 
 
 def _coset_representatives(p: int, k: int) -> list[int]:
@@ -194,14 +289,27 @@ def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     return tuple(traces[np.argsort(np.gcd(traces, p + 1), kind="stable")].tolist())
 
 
+def _rows(primes: list[int], d_list: list[int], classes_max: int) -> list[CensusRow]:
+    """Rows for primes x d_list, ordered by (p, D), from one call of each
+    kernel; class counts for the primes <= classes_max."""
+    ps = np.array(primes, dtype=np.int64)
+    direct = phi_direct(ps, d_list).tolist()
+    mobius = phi_mobius(ps, d_list).tolist()
+    b22, b23 = (b.tolist() for b in lower_bounds(ps, d_list))
+    rows = []
+    for i, (p, ds) in enumerate(zip(primes, _d_grid(ps, d_list).tolist())):
+        traces = isomorphism_class_traces(p) if p <= classes_max else None
+        for k, D in enumerate(ds):
+            s = total = None
+            if traces is not None:
+                s, total = bisect_right(traces, D, key=lambda a: gcd(a, p + 1)), len(traces)
+            rows.append(CensusRow(p, D, direct[i][k], mobius[i][k], b22[i][k], b23[i][k], s, total))
+    return rows
+
+
 def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
     """Census row for (p, D); isomorphism-class counts only if with_classes."""
-    s = total = None
-    if with_classes:
-        traces = isomorphism_class_traces(p)
-        s, total = bisect_right(traces, D, key=lambda a: gcd(a, p + 1)), len(traces)
-    b22, b23 = lower_bounds(p, D)
-    return CensusRow(p, D, phi_direct(p, D), phi_mobius(p, D), b22, b23, s, total)
+    return _rows([p], [D], p if with_classes else 0)[0]
 
 
 def census_sweep(
@@ -210,7 +318,8 @@ def census_sweep(
     """Rows for every prime in [pmin, pmax] x every D, ordered by (p, D).
 
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
-    Every contract is checked before any row is computed, the width before the sieve.
+    Every contract is checked before any row is computed, width and pmax
+    before the sieve. The kernels run once per block of primes.
     """
     if pmin > pmax:
         raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
@@ -218,16 +327,20 @@ def census_sweep(
         raise ValueError(f"census_sweep: D must be >= 0, got {min(d_list)}")
     if pmax - max(pmin, 5) > _SWEEP_WIDTH:
         raise ValueError(f"census_sweep: [{pmin}, {pmax}] is wider than {_SWEEP_WIDTH}")
+    if pmax > _PMAX_LIMIT:
+        raise ValueError(f"census_sweep: pmax must be <= {_PMAX_LIMIT}, got {pmax}")
     primes = primes_between(max(pmin, 5), pmax)
     top = max((p for p in primes if p <= classes_max), default=0)
     if top > _CLASS_ENUM_LIMIT:
         raise ValueError(
             f"census_sweep: classes_max covers p = {top} > {_CLASS_ENUM_LIMIT}"
         )
+    if not primes or not d_list:
+        return []
+    step = max(1, _BLOCK_CELLS // isqrt(4 * primes[-1]))
     rows = []
-    for p in primes:
-        for D in d_list:
-            rows.append(census_row(p, p + 1 if D == 0 else D, p <= classes_max))
+    for i in range(0, len(primes), step):
+        rows += _rows(primes[i:i + step], d_list, classes_max)
     return rows
 
 

@@ -3,7 +3,8 @@ totient sieve.
 
 They are used only by the tests: the two checks are acceptance criterion 10,
 tau, omega and euler_phi are the references for the census's closed-form
-bounds, and the sieve is the reference for euler_phi.
+bounds, the sieve is the reference for euler_phi, and divisors serves the
+divisor-sum identity of euler_phi.
 """
 
 import math
@@ -17,6 +18,14 @@ def tau(x: int) -> int:
     for _, e in factor_small(x):
         out *= e + 1
     return out
+
+
+def divisors(x: int) -> list[int]:
+    """All divisors of x, sorted increasing."""
+    out = [1]
+    for p, e in factor_small(x):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def omega(x: int) -> int:

@@ -10,7 +10,6 @@ from ecfactor.arith import (
     _MR_WITNESSES,
     ReducedFraction,
     _miller_rabin,
-    divisors,
     factor_small,
     gcd,
     is_probable_prime,
@@ -21,7 +20,7 @@ from ecfactor.arith import (
     primes_up_to,
     reduce_fraction,
 )
-from proof_aux import euler_phi, omega, tau, totient_sieve
+from proof_aux import divisors, euler_phi, omega, tau, totient_sieve
 
 
 def test_gcd_examples():

@@ -3,8 +3,10 @@ import random
 from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 
+from ecfactor import census
 from ecfactor.arith import isqrt, odd_part, primes_up_to
 from ecfactor.census import (
     CSV_HEADER,
@@ -33,13 +35,25 @@ class TestPhiCounts:
         assert phi_mobius(7, 1) == 3
 
     def test_identity_medium_sweep(self):
-        for p in primes_up_to(3000):
-            if p < 5:
-                continue
+        # D = 0 reads as p + 1; 110 > 2*sqrt(3000); 2^70 does not fit int64
+        primes = [p for p in primes_up_to(3000) if p >= 5]
+        d_list = [0, 1, 2, 3, 5, 7, 10, 12, 40, 110, 2 ** 70]
+        block = phi_direct(np.array(primes), d_list), phi_mobius(np.array(primes), d_list)
+        for i, p in enumerate(primes):
             bound = isqrt(4 * p)
-            for D in (1, 2, 3, 5, 10, 12, p + 1):
-                plain = sum(1 for a in range(1, bound + 1) if gcd(a, p + 1) <= D)
+            for k, D in enumerate(d_list + [p + 1]):
+                plain = sum(1 for a in range(1, bound + 1) if gcd(a, p + 1) <= (D or p + 1))
                 assert phi_direct(p, D) == phi_mobius(p, D) == plain, (p, D)
+                if k < len(d_list):
+                    assert block[0][i, k] == block[1][i, k] == plain, (p, D)
+
+    def test_zero_D_is_p_plus_1_everywhere(self):
+        for p in (5, 7, 13, 101, 997):
+            assert phi_direct(p, 0) == phi_mobius(p, 0) == isqrt(4 * p)
+            assert lower_bounds(p, 0) == lower_bounds(p, p + 1)
+            row = census_row(p, 0, True)
+            assert row == census_sweep(p, p, [0])[0]
+            assert row.D == p + 1 and row.s_classes == row.total_classes
 
     def test_monotone_in_D_and_saturates(self):
         for p in (13, 101, 997):
@@ -276,6 +290,38 @@ class TestCsvOutput:
             census_sweep(5, 10 ** 6 + 6, [1])
         with pytest.raises(AssertionError, match="sieved"):  # the width counts from 5
             census_sweep(-10, 10 ** 6 + 5, [1])
+
+    def test_pmax_limit_checked_before_the_sieve(self, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr("ecfactor.census.primes_between", no_sieve)
+        with pytest.raises(ValueError, match=f"pmax must be <= {2 ** 40}"):
+            census_sweep(2 ** 40 - 10, 2 ** 40 + 1, [1])
+        with pytest.raises(AssertionError, match="sieved"):
+            census_sweep(2 ** 40 - 10, 2 ** 40, [1])
+
+    def test_blocks_give_the_rows_of_one_block(self, monkeypatch):
+        # 2*sqrt(3000) < 110, so the default cap holds [5, 3000] in one block
+        d_list = [0, 1, 7, 40, 200]
+        whole = census_sweep(5, 3000, d_list)
+        primes = [p for p in primes_up_to(3000) if p >= 5]
+        assert [r.p for r in whole[::len(d_list)]] == primes
+        blocks = []
+        kernel = census.phi_direct
+
+        def counted(p, D):
+            blocks.append(len(p))
+            return kernel(p, D)
+
+        monkeypatch.setattr("ecfactor.census.phi_direct", counted)
+        for cells, per_block in ((1, 1), (500, 500 // isqrt(4 * 2999))):
+            monkeypatch.setattr("ecfactor.census._BLOCK_CELLS", cells)
+            blocks.clear()
+            assert census_sweep(5, 3000, d_list) == whole
+            assert blocks == [per_block] * (len(primes) // per_block) + (
+                [len(primes) % per_block] if len(primes) % per_block else []
+            )
 
     def test_rejects_reversed_range(self, monkeypatch):
         def no_sieve(lo, hi):

@@ -212,6 +212,18 @@ class TestCensusCommand:
             "b9a2b882ba6bbc0478a37405d30239c1724f77945efb2ceccd9db752bff73717"
         )
 
+    def test_benchmark_range_csv_pinned(self, capsys):
+        # the census-sweep benchmark's D-list and class cap, over [300, 10500]
+        code, out, _ = run_cli(
+            capsys, "census", "--pmin", "300", "--pmax", "10500",
+            "--D-list", "1,2,3,5,10,0", "--classes-max", "400",
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "291e74038c6a97761f162ca44d562a46d3b67c7f82729dc107678c44b631058a"
+        )
+
     @staticmethod
     def census_capped(pmin, pmax):
         """`census --pmin pmin --pmax pmax --D-list 1 --classes-max 0` in a child
@@ -246,6 +258,44 @@ class TestCensusCommand:
         assert proc.stderr.startswith("error: ") and "10000000000" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert elapsed < 1.0
+
+    def test_pmax_above_the_limit_refused_before_the_sieve(self):
+        # sieving up to 1e18 needs a base sieve to 1e9: a MemoryError under the cap
+        proc, elapsed = self.census_capped(10 ** 18, 10 ** 18 + 100)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "pmax must be <= 1099511627776" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1.0
+
+    def test_large_p_window_memory_bounded(self):
+        # 8 primes near 1e12, each with 2e6 values of a: a sweep that kept the
+        # sorted gcds of every prime peaked near 180 MB; blocks keep it near 70 MB.
+        # The census is the only child of a wrapper, whose RUSAGE_CHILDREN
+        # peak is then the census's own.
+        src = str(Path(ecfactor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        measure = (
+            "import resource, subprocess, sys\n"
+            "rc = subprocess.run([sys.executable, '-m', 'ecfactor', *sys.argv[1:]]).returncode\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(rc)\n"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", measure, "census", "--pmin", str(10 ** 12),
+             "--pmax", str(10 ** 12 + 180), "--D-list", "1,0", "--classes-max", "0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 8 * 2
+        peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KB on Linux
+        assert peak_mb < 120
+        assert elapsed < 30
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "census", "--pmin", "10", "--pmax", "5")
