@@ -18,8 +18,10 @@ p and D is a block of one. D = 0 stands for p + 1, read in one place
   of the formulas, from one factorisation of each p+1.
 
 A sweep cuts its primes into blocks of at most _BLOCK_CELLS (prime, a)
-cells, or one prime where a single row is longer, so memory stays bounded
-however large p is.
+cells, or one prime where a single row is longer, and yields the CSV lines
+of each block as it is computed, formatted straight from the kernels'
+arrays (bound23 once per prime), so memory stays bounded by one block
+however large p is or however many primes the sweep has.
 
 The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0
@@ -36,7 +38,10 @@ of length p: O(p^2) multiply-adds in C and O(p) memory, in place of about
 p point counts. The curves with j = 0 (A = 0) or j = 1728 (B = 0) can
 have automorphisms beyond +-1, and then their classes are sextic or
 quartic twists of each other, not quadratic ones: gcd(6, p-1) classes at
-j = 0 and gcd(4, p-1) at j = 1728, each counted on its own.
+j = 0 and gcd(4, p-1) at j = 1728. Their traces -sum_x chi(x^3 + B) and
+-sum_x chi(x^3 + Ax) are read off the same character table in one array
+pass. A census row counts the classes with gcd(a, p+1) <= D by one
+binary search over the sorted gcds.
 
 The non-residue search measures how far one must go for a d that is a
 non-residue mod p but a residue mod m.
@@ -45,7 +50,7 @@ non-residue mod p but a residue mod m.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -54,6 +59,7 @@ import numpy as np
 
 from . import arith
 from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
+# count_points_prime is unused here but kept: bench/tracer.py wraps it by this name.
 from .counting import _legendre_table, count_points_prime
 
 
@@ -64,7 +70,7 @@ def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
 
 
 def _d_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
-    """The D of every (prime, D) cell as Python ints, with D = 0 read as p + 1.
+    """The D of every (prime, D) cell as Python numbers, with D = 0 read as p + 1.
 
     This is the one place that reads D = 0; every kernel and every row takes
     its D from here.
@@ -185,6 +191,14 @@ def _divisor_functions(m: int) -> tuple[int, int, int, int, int]:
     return tau1, tau2, P, phi_P, omega_P
 
 
+def _float_or_inf(D: int) -> float:
+    """float(D), or +inf for a D beyond the float range."""
+    try:
+        return float(D)
+    except OverflowError:
+        return math.inf
+
+
 def lower_bounds(p, D):
     """The two closed-form lower bounds for phi(p, D).
 
@@ -192,13 +206,14 @@ def lower_bounds(p, D):
     Second: sqrt(p)*phi(P)/P - 2^omega(P), with P the odd part of p+1.
     Both are float64 arrays over (prime, D), or two floats for a scalar p
     and D, evaluated in the order written, so each value is the float the
-    formula gives.
+    formula gives. A D beyond the float range is read as +inf, which gives
+    the first bound's limit 2*sqrt(p) - tau((p+1)^2).
     """
     ps, ds, scalar = _operands(p, D)
     functions = np.array([_divisor_functions(m) for m in (ps + 1).tolist()], dtype=np.int64)
     tau1, tau2, P, phi_P, omega_P = functions.T[:, :, None]
     sp = np.sqrt(ps.astype(np.float64))[:, None]
-    d = _d_grid(ps, ds).astype(np.float64)
+    d = _d_grid(ps, [_float_or_inf(D) for D in ds]).astype(np.float64)
     b22 = 2 * sp - (2 * sp / d) * tau1 - tau2
     b23 = np.broadcast_to(sp * phi_P / P - 2.0 ** omega_P, b22.shape)
     return _unwrap(b22, scalar), _unwrap(b23, scalar)
@@ -275,51 +290,69 @@ def isomorphism_class_traces(p: int) -> tuple[int, ...]:
       -a(t); every a(t) comes from one correlation (`_generic_traces`);
     - j = 0: one class y^2 = x^3 + B per coset of B in F_p*/(F_p*)^6;
     - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4;
-      these classes are counted one at a time.
+      their traces -sum_x chi(x^3 + Ax + B) come from one array pass over
+      the character table.
     That is 2(p-2) + gcd(6, p-1) + gcd(4, p-1) classes. The traces come in
     increasing order of gcd(a, p+1), so a census row counts those <= D by
-    bisection.
+    one binary search.
     """
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
     a = _generic_traces(p)
     special = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
     special += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
-    traces = np.concatenate((a, -a, [p + 1 - count_points_prime(p, A, B) for A, B in special]))
+    A, B = np.array(special, dtype=np.int64).T[:, :, None]
+    x = np.arange(p, dtype=np.int64)
+    sums = _legendre_table(p)[(x * x % p * x + A * x + B) % p].sum(axis=1, dtype=np.int64)
+    traces = np.concatenate((a, -a, -sums))
     return tuple(traces[np.argsort(np.gcd(traces, p + 1), kind="stable")].tolist())
 
 
-def _rows(primes: list[int], d_list: list[int], classes_max: int) -> list[CensusRow]:
-    """Rows for primes x d_list, ordered by (p, D), from one call of each
-    kernel; class counts for the primes <= classes_max."""
+def _class_counts(p: int, caps: np.ndarray) -> tuple[list[int], int]:
+    """The number of classes with gcd(a, p+1) <= D for each D in caps (each
+    at most p + 1), and the number of classes."""
+    gcds = np.gcd(isomorphism_class_traces(p), p + 1)
+    return np.searchsorted(gcds, caps, side="right").tolist(), len(gcds)
+
+
+def _block_columns(primes: list[int], d_list: list[int], classes_max: int):
+    """The census columns of primes x d_list, from one call of each kernel,
+    each a list over the primes: the D, phi_direct, phi_mobius and bound22
+    as lists over d_list, bound23 (which depends only on p), and the class
+    counts of `_class_counts`, or None above classes_max."""
     ps = np.array(primes, dtype=np.int64)
     direct = phi_direct(ps, d_list).tolist()
     mobius = phi_mobius(ps, d_list).tolist()
-    b22, b23 = (b.tolist() for b in lower_bounds(ps, d_list))
-    rows = []
-    for i, (p, ds) in enumerate(zip(primes, _d_grid(ps, d_list).tolist())):
-        traces = isomorphism_class_traces(p) if p <= classes_max else None
-        for k, D in enumerate(ds):
-            s = total = None
-            if traces is not None:
-                s, total = bisect_right(traces, D, key=lambda a: gcd(a, p + 1)), len(traces)
-            rows.append(CensusRow(p, D, direct[i][k], mobius[i][k], b22[i][k], b23[i][k], s, total))
-    return rows
+    b22, b23 = lower_bounds(ps, d_list)
+    classes = [
+        _class_counts(p, caps) if p <= classes_max else None
+        for p, caps in zip(primes, _count_grid(ps, d_list))
+    ]
+    return _d_grid(ps, d_list).tolist(), direct, mobius, b22.tolist(), b23[:, 0].tolist(), classes
 
 
 def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
     """Census row for (p, D); isomorphism-class counts only if with_classes."""
-    return _rows([p], [D], p if with_classes else 0)[0]
+    (ds,), (direct,), (mobius,), (b22,), (b23,), (classes,) = _block_columns(
+        [p], [D], p if with_classes else 0
+    )
+    s, total = (None, None) if classes is None else (classes[0][0], classes[1])
+    return CensusRow(p, ds[0], direct[0], mobius[0], b22[0], b23, s, total)
+
+
+CSV_HEADER = "p,D,phi_direct,phi_mobius,bound22,bound23,s_classes,total_classes"
 
 
 def census_sweep(
     pmin: int, pmax: int, d_list: list[int], classes_max: int = 1000
-) -> list[CensusRow]:
-    """Rows for every prime in [pmin, pmax] x every D, ordered by (p, D).
+) -> Iterator[str]:
+    """The census CSV for every prime in [pmin, pmax] x every D, ordered by
+    (p, D): the header line, then the lines of one block of primes at a time.
 
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
-    Every contract is checked before any row is computed, width and pmax
-    before the sieve. The kernels run once per block of primes.
+    Every contract is checked, and the range sieved, when this is called,
+    width and pmax before the sieve; the kernels run once per block of
+    primes, as the text is read.
     """
     if pmin > pmax:
         raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
@@ -335,28 +368,32 @@ def census_sweep(
         raise ValueError(
             f"census_sweep: classes_max covers p = {top} > {_CLASS_ENUM_LIMIT}"
         )
+    return _csv_blocks(primes, d_list, classes_max)
+
+
+def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Iterator[str]:
+    """The header line, then the CSV lines of each block of primes x d_list."""
+    yield CSV_HEADER + "\n"
     if not primes or not d_list:
-        return []
+        return
     step = max(1, _BLOCK_CELLS // isqrt(4 * primes[-1]))
-    rows = []
     for i in range(0, len(primes), step):
-        rows += _rows(primes[i:i + step], d_list, classes_max)
-    return rows
-
-
-CSV_HEADER = "p,D,phi_direct,phi_mobius,bound22,bound23,s_classes,total_classes"
-
-
-def rows_to_csv(rows: list[CensusRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        s = "" if r.s_classes is None else str(r.s_classes)
-        t = "" if r.total_classes is None else str(r.total_classes)
-        lines.append(
-            f"{r.p},{r.D},{r.phi_direct},{r.phi_mobius},"
-            f"{r.bound_22:.6g},{r.bound_23:.6g},{s},{t}"
-        )
-    return "\n".join(lines) + "\n"
+        block = primes[i:i + step]
+        lines = []
+        for p, ds, direct, mobius, b22, b23, classes in zip(
+            block, *_block_columns(block, d_list, classes_max)
+        ):
+            tail = f",{b23:.6g},"
+            if classes is None:
+                counts = [","] * len(ds)
+            else:
+                s_list, total = classes
+                counts = [f"{s},{total}" for s in s_list]
+            lines += [
+                f"{p},{D},{x},{y},{b:.6g}{tail}{c}"
+                for D, x, y, b, c in zip(ds, direct, mobius, b22, counts)
+            ]
+        yield "\n".join(lines) + "\n"
 
 
 class NonResidueNotFound(Exception):

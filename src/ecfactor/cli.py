@@ -63,13 +63,13 @@ def cmd_factor(args) -> int:
 
 def cmd_census(args) -> int:
     d_list = [int(tok) for tok in args.D_list.split(",") if tok]
-    rows = census_mod.census_sweep(args.pmin, args.pmax, d_list, args.classes_max)
-    csv_text = census_mod.rows_to_csv(rows)
+    # contracts are checked here, before --out is opened; blocks follow as read
+    blocks = census_mod.census_sweep(args.pmin, args.pmax, d_list, args.classes_max)
     if args.out == "-":
-        sys.stdout.write(csv_text)
+        sys.stdout.writelines(blocks)
     else:
         with open(args.out, "w") as fh:
-            fh.write(csv_text)
+            fh.writelines(blocks)
     return 0
 
 

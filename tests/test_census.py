@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from math import gcd
 
@@ -19,10 +20,24 @@ from ecfactor.census import (
     nonresidue_search,
     phi_direct,
     phi_mobius,
-    rows_to_csv,
 )
 from ecfactor.counting import count_points_prime
 from proof_aux import euler_phi, omega, phi_lower_check, primorial_check, tau
+
+
+def sweep_csv(*args, **kwargs):
+    """The whole census CSV of one sweep, its blocks joined."""
+    return "".join(census_sweep(*args, **kwargs))
+
+
+def csv_line(row):
+    """One census row in the CSV line format, formatted field by field."""
+    s = "" if row.s_classes is None else str(row.s_classes)
+    t = "" if row.total_classes is None else str(row.total_classes)
+    return (
+        f"{row.p},{row.D},{row.phi_direct},{row.phi_mobius},"
+        f"{row.bound_22:.6g},{row.bound_23:.6g},{s},{t}"
+    )
 
 
 class TestPhiCounts:
@@ -52,7 +67,7 @@ class TestPhiCounts:
             assert phi_direct(p, 0) == phi_mobius(p, 0) == isqrt(4 * p)
             assert lower_bounds(p, 0) == lower_bounds(p, p + 1)
             row = census_row(p, 0, True)
-            assert row == census_sweep(p, p, [0])[0]
+            assert sweep_csv(p, p, [0]) == f"{CSV_HEADER}\n{csv_line(row)}\n"
             assert row.D == p + 1 and row.s_classes == row.total_classes
 
     def test_monotone_in_D_and_saturates(self):
@@ -249,17 +264,13 @@ class TestProofAuxiliaries:
 
 class TestCsvOutput:
     def test_header_and_shape(self):
-        rows = census_sweep(5, 7, [1])
-        text = rows_to_csv(rows)
-        lines = text.strip().split("\n")
+        lines = sweep_csv(5, 7, [1]).strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("5,1,1,1,")
         assert lines[2].startswith("7,1,3,3,")
 
     def test_class_columns_empty_above_cap(self):
-        rows = census_sweep(5, 13, [1], classes_max=7)
-        text = rows_to_csv(rows)
-        for line in text.strip().split("\n")[1:]:
+        for line in sweep_csv(5, 13, [1], classes_max=7).strip().split("\n")[1:]:
             p = int(line.split(",")[0])
             s_col, t_col = line.split(",")[6:8]
             if p <= 7:
@@ -279,7 +290,7 @@ class TestCsvOutput:
         with pytest.raises(ValueError, match="1009"):
             census_sweep(5, 1010, [1], classes_max=2000)
         # primes above the limit are fine when classes_max leaves them out
-        assert len(census_sweep(1000, 1010, [1], classes_max=1000)) == 1
+        assert len(sweep_csv(1000, 1010, [1], classes_max=1000).splitlines()) == 2
 
     def test_width_checked_before_the_sieve(self, monkeypatch):
         def no_sieve(lo, hi):
@@ -304,9 +315,10 @@ class TestCsvOutput:
     def test_blocks_give_the_rows_of_one_block(self, monkeypatch):
         # 2*sqrt(3000) < 110, so the default cap holds [5, 3000] in one block
         d_list = [0, 1, 7, 40, 200]
-        whole = census_sweep(5, 3000, d_list)
+        whole = sweep_csv(5, 3000, d_list)
         primes = [p for p in primes_up_to(3000) if p >= 5]
-        assert [r.p for r in whole[::len(d_list)]] == primes
+        lines = whole.splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines[::len(d_list)]] == primes
         blocks = []
         kernel = census.phi_direct
 
@@ -318,7 +330,7 @@ class TestCsvOutput:
         for cells, per_block in ((1, 1), (500, 500 // isqrt(4 * 2999))):
             monkeypatch.setattr("ecfactor.census._BLOCK_CELLS", cells)
             blocks.clear()
-            assert census_sweep(5, 3000, d_list) == whole
+            assert sweep_csv(5, 3000, d_list) == whole
             assert blocks == [per_block] * (len(primes) // per_block) + (
                 [len(primes) % per_block] if len(primes) % per_block else []
             )
@@ -332,9 +344,38 @@ class TestCsvOutput:
             census_sweep(10, 5, [1])
 
     def test_empty_range_header_only(self):
-        assert rows_to_csv(census_sweep(24, 28, [1])) == CSV_HEADER + "\n"
+        assert sweep_csv(24, 28, [1]) == CSV_HEADER + "\n"
+        assert sweep_csv(5, 20, []) == CSV_HEADER + "\n"
 
     def test_six_significant_digit_reals(self):
         row = census_row(101, 1, with_classes=False)
-        line = rows_to_csv([row]).strip().split("\n")[1]
-        assert line.split(",")[5] == f"{row.bound_23:.6g}"
+        line = sweep_csv(101, 101, [1], classes_max=0).strip().split("\n")[1]
+        assert line.split(",")[4:6] == [f"{row.bound_22:.6g}", f"{row.bound_23:.6g}"]
+
+    @pytest.mark.parametrize("cells", [1, 500, None])
+    def test_streamed_csv_matches_scalar_rows(self, monkeypatch, cells):
+        # blocks of one prime, of four primes, and one block for [5, 3000]
+        if cells is not None:
+            monkeypatch.setattr("ecfactor.census._BLOCK_CELLS", cells)
+        primes = [p for p in primes_up_to(3000) if p >= 5]
+        d_list = [0, 1, 7, 40, 200, 2 ** 70]
+        reference = [CSV_HEADER]
+        for p in primes:
+            with_classes = p <= 1000
+            reference += [csv_line(census_row(p, D, with_classes)) for D in d_list]
+            # D = p + 2 is a column of its own here, one sweep per prime
+            line = csv_line(census_row(p, p + 2, with_classes))
+            assert sweep_csv(p, p, [p + 2]) == f"{CSV_HEADER}\n{line}\n", p
+        assert sweep_csv(5, 3000, d_list) == "\n".join(reference) + "\n"
+
+    def test_D_beyond_the_float_range_reads_as_infinity(self):
+        huge = 10 ** 400
+        b22, b23 = lower_bounds(101, huge)
+        assert b22 == 2 * math.sqrt(101) - tau(102 ** 2)
+        assert b23 == lower_bounds(101, 1)[1]
+        assert phi_direct(101, huge) == phi_mobius(101, huge) == isqrt(4 * 101)
+        # the largest float and every D below it keep their finite bound
+        largest = int(sys.float_info.max)
+        assert lower_bounds(101, largest) == lower_bounds_reference(101, largest)
+        row = census_row(101, huge, True)
+        assert (row.D, row.bound_22, row.s_classes) == (huge, b22, row.total_classes)

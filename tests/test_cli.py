@@ -302,6 +302,36 @@ class TestCensusCommand:
         assert code == 1
         assert "pmin" in err
 
+    def test_D_beyond_the_float_range(self, capsys):
+        huge = 10 ** 400
+        code, out, err = run_cli(
+            capsys, "census", "--pmax", "7", "--D-list", f"1,{huge},0"
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == CSV_HEADER
+        # D = 10^400 reads as +inf in bound22: 2*sqrt(p) - tau((p+1)^2)
+        assert lines[1:] == [
+            "5,1,1,1,-22.4164,-0.509288,2,12",
+            f"5,{huge},4,4,-4.52786,-0.509288,12,12",
+            "5,6,4,4,-7.50929,-0.509288,12,12",
+            "7,1,3,3,-22.8745,1.64575,8,18",
+            f"7,{huge},5,5,-1.7085,1.64575,18,18",
+            "7,8,5,5,-4.35425,1.64575,18,18",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--pmin", "10", "--pmax", "5"), ("--pmax", "20", "--D-list", "1,-1")],
+    )
+    def test_refused_sweep_leaves_out_untouched(self, capsys, tmp_path, argv):
+        target = tmp_path / "census.csv"
+        target.write_bytes(b"kept\n")
+        code, out, err = run_cli(capsys, "census", *argv, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert target.read_bytes() == b"kept\n"
+
 
 class TestCountCommand:
     def test_example(self, capsys):
