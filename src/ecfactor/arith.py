@@ -100,11 +100,6 @@ def is_probable_prime(x: int) -> bool:
     return all(_miller_rabin(x, rng.randrange(2, x - 1)) for _ in range(64))
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """Primes <= limit."""
-    return primes_between(2, limit)
-
-
 def primes_between(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi by Eratosthenes, sieving [lo, hi] alone.
 

@@ -27,21 +27,14 @@ The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0
 is isomorphic, or a quadratic twist, to E_t: y^2 = x^3 + t x + t with
 t = A^3/B^2, and t -> j = 6912t/(4t + 27) maps F_p minus {0, -27/4} onto
-F_p minus {0, 1728}. For x != -1, x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)),
-so
-
-    a(t) = -chi(-1) - sum_s w(s) chi(t + s),
-    w(s) = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = s,
-
-and all p - 2 traces come from one cyclic correlation of two int64 arrays
-of length p: O(p^2) multiply-adds in C and O(p) memory, in place of about
-p point counts. The curves with j = 0 (A = 0) or j = 1728 (B = 0) can
-have automorphisms beyond +-1, and then their classes are sextic or
-quartic twists of each other, not quadratic ones: gcd(6, p-1) classes at
-j = 0 and gcd(4, p-1) at j = 1728. Their traces -sum_x chi(x^3 + B) and
--sum_x chi(x^3 + Ax) are read off the same character table in one array
-pass. A census row counts the classes with gcd(a, p+1) <= D by one
-binary search over the sorted gcds.
+F_p minus {0, 1728}; all p - 2 traces a(t) come from one correlation,
+`counting.normal_form_traces`. The curves with j = 0 (A = 0) or j = 1728
+(B = 0) can have automorphisms beyond +-1, and then their classes are
+sextic or quartic twists of each other, not quadratic ones: gcd(6, p-1)
+classes at j = 0 and gcd(4, p-1) at j = 1728, whose traces come from one
+`counting.legendre_sums` over the column of their curves. A census line
+counts the classes with gcd(a, p+1) <= D by one binary search over the
+sorted gcds.
 
 The non-residue search measures how far one must go for a d that is a
 non-residue mod p but a residue mod m.
@@ -60,7 +53,7 @@ import numpy as np
 from . import arith
 from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
 # count_points_prime is unused here but kept: bench/tracer.py wraps it by this name.
-from .counting import _legendre_table, count_points_prime
+from .counting import count_points_prime, legendre_sums, normal_form_traces
 
 
 def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
@@ -72,7 +65,7 @@ def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
 def _d_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
     """The D of every (prime, D) cell as Python numbers, with D = 0 read as p + 1.
 
-    This is the one place that reads D = 0; every kernel and every row takes
+    This is the one place that reads D = 0; every kernel and every CSV line takes
     its D from here.
     """
     d = np.array(ds, dtype=object)
@@ -219,18 +212,6 @@ def lower_bounds(p, D):
     return _unwrap(b22, scalar), _unwrap(b23, scalar)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    p: int
-    D: int
-    phi_direct: int
-    phi_mobius: int
-    bound_22: float
-    bound_23: float
-    s_classes: int | None = None
-    total_classes: int | None = None
-
-
 _CLASS_ENUM_LIMIT = 1000
 _SWEEP_WIDTH = 10 ** 6  # widest [max(pmin, 5), pmax] one sweep takes
 # Largest pmax a sweep takes: a row then holds at most 2^21 cells, and the
@@ -253,32 +234,6 @@ def _coset_representatives(p: int, k: int) -> list[int]:
     return [pow(g, i, p) for i in range(k)]
 
 
-def _inverses(u: np.ndarray, p: int) -> np.ndarray:
-    """u^(p-2) mod p elementwise: the inverses of units, by square-and-multiply."""
-    out = np.ones_like(u)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * u % p
-        u = u * u % p
-        e >>= 1
-    return out
-
-
-def _generic_traces(p: int) -> np.ndarray:
-    """a(t) for t != 0, -27/4 in F_p, increasing t: the traces of
-    E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring."""
-    chi = _legendre_table(p).astype(np.int64)
-    u = np.arange(1, p, dtype=np.int64)  # u = x + 1 for x != -1
-    x = u - 1
-    s = x * x % p * x % p * _inverses(u, p) % p
-    w = np.bincount(s, weights=chi[u], minlength=p).astype(np.int64)
-    # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p
-    corr = np.correlate(np.concatenate((chi, chi[:-1])), w, "valid")
-    a = -chi[p - 1] - corr
-    return np.delete(a, [0, -27 * pow(4, -1, p) % p])
-
-
 @lru_cache(maxsize=512)
 def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     """Traces of all F_p-isomorphism classes of smooth curves over F_p.
@@ -287,57 +242,22 @@ def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     and are enumerated by j-invariant (Silverman, AEC III.1 and X.5):
     - j != 0, 1728: Aut = {+-1}, so j has two classes, E_t with
       j = 6912t/(4t + 27) and its quadratic twist, with traces a(t) and
-      -a(t); every a(t) comes from one correlation (`_generic_traces`);
+      -a(t); every a(t) comes from one correlation (`normal_form_traces`);
     - j = 0: one class y^2 = x^3 + B per coset of B in F_p*/(F_p*)^6;
     - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4;
-      their traces -sum_x chi(x^3 + Ax + B) come from one array pass over
-      the character table.
+      their traces -sum_x chi(x^3 + Ax + B) come from one `legendre_sums`.
     That is 2(p-2) + gcd(6, p-1) + gcd(4, p-1) classes. The traces come in
-    increasing order of gcd(a, p+1), so a census row counts those <= D by
+    increasing order of gcd(a, p+1), so a census line counts those <= D by
     one binary search.
     """
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
-    a = _generic_traces(p)
+    a = normal_form_traces(p)
     special = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
     special += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
     A, B = np.array(special, dtype=np.int64).T[:, :, None]
-    x = np.arange(p, dtype=np.int64)
-    sums = _legendre_table(p)[(x * x % p * x + A * x + B) % p].sum(axis=1, dtype=np.int64)
-    traces = np.concatenate((a, -a, -sums))
+    traces = np.concatenate((a, -a, -legendre_sums(p, A, B)))
     return tuple(traces[np.argsort(np.gcd(traces, p + 1), kind="stable")].tolist())
-
-
-def _class_counts(p: int, caps: np.ndarray) -> tuple[list[int], int]:
-    """The number of classes with gcd(a, p+1) <= D for each D in caps (each
-    at most p + 1), and the number of classes."""
-    gcds = np.gcd(isomorphism_class_traces(p), p + 1)
-    return np.searchsorted(gcds, caps, side="right").tolist(), len(gcds)
-
-
-def _block_columns(primes: list[int], d_list: list[int], classes_max: int):
-    """The census columns of primes x d_list, from one call of each kernel,
-    each a list over the primes: the D, phi_direct, phi_mobius and bound22
-    as lists over d_list, bound23 (which depends only on p), and the class
-    counts of `_class_counts`, or None above classes_max."""
-    ps = np.array(primes, dtype=np.int64)
-    direct = phi_direct(ps, d_list).tolist()
-    mobius = phi_mobius(ps, d_list).tolist()
-    b22, b23 = lower_bounds(ps, d_list)
-    classes = [
-        _class_counts(p, caps) if p <= classes_max else None
-        for p, caps in zip(primes, _count_grid(ps, d_list))
-    ]
-    return _d_grid(ps, d_list).tolist(), direct, mobius, b22.tolist(), b23[:, 0].tolist(), classes
-
-
-def census_row(p: int, D: int, with_classes: bool) -> CensusRow:
-    """Census row for (p, D); isomorphism-class counts only if with_classes."""
-    (ds,), (direct,), (mobius,), (b22,), (b23,), (classes,) = _block_columns(
-        [p], [D], p if with_classes else 0
-    )
-    s, total = (None, None) if classes is None else (classes[0][0], classes[1])
-    return CensusRow(p, ds[0], direct[0], mobius[0], b22[0], b23, s, total)
 
 
 CSV_HEADER = "p,D,phi_direct,phi_mobius,bound22,bound23,s_classes,total_classes"
@@ -372,26 +292,33 @@ def census_sweep(
 
 
 def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Iterator[str]:
-    """The header line, then the CSV lines of each block of primes x d_list."""
+    """The header line, then the CSV lines of each block of primes x d_list,
+    from one call of each kernel per block. At a prime up to classes_max the
+    class columns are the number of classes with gcd(a, p+1) <= D (D cut to
+    p + 1) and the number of classes; above it they are empty."""
     yield CSV_HEADER + "\n"
     if not primes or not d_list:
         return
     step = max(1, _BLOCK_CELLS // isqrt(4 * primes[-1]))
     for i in range(0, len(primes), step):
-        block = primes[i:i + step]
+        ps = np.array(primes[i:i + step], dtype=np.int64)
+        b22, b23 = lower_bounds(ps, d_list)
+        columns = zip(
+            ps.tolist(), _d_grid(ps, d_list).tolist(), _count_grid(ps, d_list),
+            phi_direct(ps, d_list).tolist(), phi_mobius(ps, d_list).tolist(),
+            b22.tolist(), b23[:, 0].tolist(),
+        )
         lines = []
-        for p, ds, direct, mobius, b22, b23, classes in zip(
-            block, *_block_columns(block, d_list, classes_max)
-        ):
-            tail = f",{b23:.6g},"
-            if classes is None:
-                counts = [","] * len(ds)
-            else:
-                s_list, total = classes
-                counts = [f"{s},{total}" for s in s_list]
+        for p, ds, caps, direct, mobius, bounds, bound23 in columns:
+            counts = [","] * len(ds)
+            if p <= classes_max:
+                gcds = np.gcd(isomorphism_class_traces(p), p + 1)
+                small = np.searchsorted(gcds, caps, "right").tolist()
+                counts = [f"{s},{len(gcds)}" for s in small]
+            tail = f",{bound23:.6g},"
             lines += [
                 f"{p},{D},{x},{y},{b:.6g}{tail}{c}"
-                for D, x, y, b, c in zip(ds, direct, mobius, b22, counts)
+                for D, x, y, b, c in zip(ds, direct, mobius, bounds, counts)
             ]
         yield "\n".join(lines) + "\n"
 

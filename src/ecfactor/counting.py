@@ -26,6 +26,22 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   or two points do. A walk that ends without a unique N raises instead of
   guessing. One count costs O(p^(1/4)) group operations and no table.
 
+`legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p); it
+takes one curve or a column of curves, and serves the count above and the
+census's j = 0 and j = 1728 classes.
+
+`normal_form_traces(p)` gives the traces a(t) of every normal form
+E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the curves `oracle.FactoredOracle`
+memoises and the census enumerates. For x != -1,
+x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)), so
+
+    a(t) = -chi(-1) - sum_s w(s) chi(t + s),
+    w(s) = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = s,
+
+and all p - 2 traces come from one cyclic correlation of two int64 arrays of
+length p off the character table: O(p^2) multiply-adds in C and O(p) memory,
+in place of about p point counts.
+
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
 quantities.
@@ -76,19 +92,46 @@ def _legendre_table(p: int) -> np.ndarray:
     return chi
 
 
-def _legendre_count(p: int, A: int, B: int) -> int:
-    """p + 1 + sum_x (x^3+Ax+B | p), for 0 <= A, B < p."""
-    # Exact in int64 up to p ~ 2.1e9, with about 18p bytes of transient arrays:
-    # the tests use it as the reference for baby-step/giant-step up to 1e7.
-    chi = _legendre_table(p)
+def legendre_sums(p: int, A, B):
+    """sum_x (x^3+Ax+B | p) for 0 <= A, B < p: an int64 for one curve, or an
+    array of k sums for A and B int64 arrays of shape (k, 1)."""
+    # Exact in int64 up to p ~ 2.1e9, with about 24p bytes of transient arrays
+    # per curve: the tests use it as the reference for baby-step/giant-step up
+    # to 1e7.
     x = np.arange(p, dtype=np.int64)
-    f = x * x  # Horner in place: every intermediate stays below 2p^2 + p
+    f = x * x  # Horner: every intermediate stays below 2p^2 + p
     f %= p
-    f += A
+    f = f + A  # a (k, p) array for a column of A; in place from here
     f *= x
     f += B
     f %= p
-    return p + 1 + int(chi[f].sum())
+    return _legendre_table(p)[f].sum(-1)  # int8 sums accumulate in int64
+
+
+def _legendre_count(p: int, A: int, B: int) -> int:
+    """p + 1 + sum_x (x^3+Ax+B | p), for 0 <= A, B < p."""
+    return p + 1 + int(legendre_sums(p, A, B))
+
+
+def normal_form_traces(p: int) -> np.ndarray:
+    """a(t) for t != 0, -27/4 in F_p, increasing t: the traces of
+    E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring.
+    O(p^2) time, for a prime p >= 5."""
+    chi = _legendre_table(p).astype(np.int64)
+    u = np.arange(1, p, dtype=np.int64)  # u = x + 1 for x != -1
+    x = u - 1
+    s = x * x % p * x % p
+    power, e = u, p - 2  # s * u^(p-2) = x^3/(x + 1), by square-and-multiply
+    while e:
+        if e & 1:
+            s = s * power % p
+        power = power * power % p
+        e >>= 1
+    w = np.bincount(s, weights=chi[u], minlength=p).astype(np.int64)
+    # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p
+    corr = np.correlate(np.concatenate((chi, chi[:-1])), w, "valid")
+    a = -chi[p - 1] - corr
+    return np.delete(a, [0, -27 * pow(4, -1, p) % p])
 
 
 # Affine points are (x, y) tuples of ints in [0, p); None is the point at
@@ -200,13 +243,15 @@ def _bsgs_count(p: int, A: int, B: int) -> int:
     raise ArithmeticError(f"count_points_prime: no unique count for ({A},{B}) mod {p}")
 
 
-_BRUTEFORCE_LIMIT = 10 ** 5
+# Largest n the brute-force counter takes: `count` and `--oracle direct` refuse
+# primes above it.
+BRUTEFORCE_LIMIT = 10 ** 5
 
 
 def count_affine_bruteforce(n: int, A: int, B: int) -> int:
     """#{(x,y) in (Z/n)^2 : y^2 = x^3 + Ax + B} by exhaustive enumeration."""
-    if n < 2 or n > _BRUTEFORCE_LIMIT:
-        raise ValueError(f"count_affine_bruteforce: need 2 <= n <= {_BRUTEFORCE_LIMIT}")
+    if n < 2 or n > BRUTEFORCE_LIMIT:
+        raise ValueError(f"count_affine_bruteforce: need 2 <= n <= {BRUTEFORCE_LIMIT}")
     y = np.arange(n, dtype=np.int64)
     nsqrt = np.bincount(y * y % n, minlength=n)
     f = (y * y % n * y + (A % n) * y + B % n) % n  # reuse y as the x range

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import counting
 from .arith import factor_small
-from .counting import _BRUTEFORCE_LIMIT, count_affine_bruteforce
+from .counting import BRUTEFORCE_LIMIT, count_affine_bruteforce
 from .curves import screen
 
 
@@ -131,10 +131,10 @@ class DirectOracle(Oracle):
             facts = factor_small(m)
         except ValueError as exc:  # m > 2^64 with a composite cofactor; names m
             raise UnsupportedModulusError(str(exc)) from None
-        if (big := facts[-1][0]) > _BRUTEFORCE_LIMIT:
+        if (big := facts[-1][0]) > BRUTEFORCE_LIMIT:
             raise UnsupportedModulusError(
                 f"modulus {m} has a factor {big} above the brute-force limit "
-                f"{_BRUTEFORCE_LIMIT}"
+                f"{BRUTEFORCE_LIMIT}"
             )
         if facts[0][0] < 5 or any(e > 1 for _, e in facts):
             raise UnsupportedModulusError(

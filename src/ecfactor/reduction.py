@@ -47,6 +47,11 @@ from .oracle import OracleStats
 # so recovery adds at most that much per query.
 D_MAX = 10 ** 4
 
+# Largest accepted max_d. A walk on a curve that never splits n visits every d
+# up to max_d, about 15 us each on the same host, so the cap bounds such a walk
+# near 15 s. The default 4*ceil(ln(n)^2) stays within it for n < e^500.
+MAX_D_LIMIT = 10 ** 6
+
 
 @dataclass(frozen=True)
 class ReductionConfig:
@@ -64,6 +69,10 @@ class ReductionConfig:
                 raise ValueError(f"ReductionConfig: {name} must be >= {low}, got {value}")
         if self.D > D_MAX:
             raise ValueError(f"ReductionConfig: D must be <= {D_MAX}, got {self.D}")
+        if self.max_d is not None and self.max_d > MAX_D_LIMIT:
+            raise ValueError(
+                f"ReductionConfig: max_d must be <= {MAX_D_LIMIT}, got {self.max_d}"
+            )
 
     def resolved_max_d(self, n: int) -> int:
         if self.max_d is not None:

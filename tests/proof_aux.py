@@ -9,7 +9,7 @@ divisor-sum identity of euler_phi.
 
 import math
 
-from ecfactor.arith import factor_small, primes_up_to
+from ecfactor.arith import factor_small, primes_between
 
 
 def tau(x: int) -> int:
@@ -44,7 +44,7 @@ def primorial_check(l: int) -> bool:
     """Exact check that the product of the first l primes is >= l^l."""
     if not 1 <= l <= 64:
         raise ValueError("primorial_check: need 1 <= l <= 64")
-    primes = primes_up_to(400)  # 64th prime is 311
+    primes = primes_between(2, 400)  # 64th prime is 311
     prod = 1
     for q in primes[:l]:
         prod *= q

@@ -18,11 +18,12 @@ from ecfactor.arith import (
     is_probable_prime,
     isqrt,
     jacobi,
-    primes_up_to,
+    primes_between,
     reduce_fraction,
 )
 from ecfactor.census import (
-    census_row,
+    CSV_HEADER,
+    census_sweep,
     lower_bounds,
     nonresidue_search,
     phi_direct,
@@ -66,7 +67,7 @@ def test_criterion_01_worked_example_exactness():
 @pytest.fixture(scope="module")
 def semiprime_runs():
     rng = random.Random(20240824)
-    primes = [p for p in primes_up_to(10 ** 4) if p >= 10 ** 3]
+    primes = primes_between(10 ** 3, 10 ** 4)
     runs = []
     for i in range(100):
         p, q = rng.sample(primes, 2)
@@ -99,7 +100,7 @@ def test_criterion_02_end_to_end_reduction(semiprime_runs):
 def test_criterion_03_exhaustive_recovery_soundness():
     started = time.monotonic()
     D = 12
-    primes = [p for p in primes_up_to(200) if p >= 5]
+    primes = primes_between(5, 200)
     rng = random.Random(3)
     checked = 0
     for i, p in enumerate(primes):
@@ -136,9 +137,7 @@ D_SWEEP = (1, 2, 3, 5, 10, 0)  # 0 stands for p+1
 
 def test_criterion_04_mobius_identity():
     started = time.monotonic()
-    for p in primes_up_to(10 ** 4):
-        if p < 5:
-            continue
+    for p in primes_between(5, 10 ** 4):
         for D in D_SWEEP:
             D = p + 1 if D == 0 else D
             assert phi_direct(p, D) == phi_mobius(p, D), (p, D)
@@ -149,9 +148,7 @@ def test_criterion_04_mobius_identity():
 
 def test_criterion_05_lower_bounds():
     violations = 0
-    for p in primes_up_to(10 ** 4):
-        if p < 5:
-            continue
+    for p in primes_between(5, 10 ** 4):
         for D in D_SWEEP:
             D = p + 1 if D == 0 else D
             direct = phi_direct(p, D)
@@ -164,15 +161,14 @@ def test_criterion_05_lower_bounds():
 
 def test_criterion_06_class_census():
     started = time.monotonic()
-    row = census_row(5, 6, True)
-    assert row.total_classes == 12 and row.s_classes == 12
-    assert census_row(5, 1, True).s_classes == 2
-    for p in primes_up_to(200):
-        if p < 5:
-            continue
-        for D in D_SWEEP:
-            D = p + 1 if D == 0 else D
-            assert census_row(p, D, True).s_classes >= 2 * phi_direct(p, D), (p, D)
+    columns = CSV_HEADER.split(",")
+    lines = "".join(census_sweep(5, 200, [6, 1, *D_SWEEP])).splitlines()[1:]
+    rows = [dict(zip(columns, line.split(","))) for line in lines]
+    assert rows[0]["total_classes"] == rows[0]["s_classes"] == "12"
+    assert rows[1]["s_classes"] == "2"
+    for row in rows:
+        p, D = int(row["p"]), int(row["D"])
+        assert int(row["s_classes"]) >= 2 * phi_direct(p, D), (p, D)
     elapsed = time.monotonic() - started
     assert elapsed < 120
     report(6, f"(class floor holds for all p <= 200, {elapsed:.1f}s)")
@@ -180,7 +176,7 @@ def test_criterion_06_class_census():
 
 def test_criterion_07_twist_and_hasse_suite():
     rng = random.Random(7)
-    primes = [p for p in primes_up_to(10 ** 4) if p >= 5]
+    primes = primes_between(5, 10 ** 4)
     for _ in range(10 ** 4):
         p = rng.choice(primes)
         A, B = random_smooth_pair(rng, p)
@@ -216,7 +212,7 @@ def test_criterion_08_oracle_equivalence():
 
 
 def test_criterion_09_nonresidue_empirics():
-    primes = [p for p in primes_up_to(500) if p >= 3]
+    primes = primes_between(3, 500)
     worst = None
     for p in primes:
         for m in primes:
@@ -261,7 +257,7 @@ def test_criterion_12_queries_at_four_primes():
     # a split needs a d that is a non-residue at exactly one prime; the walk
     # queries only squarefree d with (d|n) = -1, which halves the cost
     rng = random.Random(20261018)
-    primes = [p for p in primes_up_to(2000) if p >= 1000]
+    primes = primes_between(1000, 2000)
     per_n = []
     for _ in range(40):
         ps = sorted(rng.sample(primes, 4))

@@ -17,7 +17,6 @@ from ecfactor.arith import (
     jacobi,
     odd_part,
     primes_between,
-    primes_up_to,
     reduce_fraction,
 )
 from proof_aux import divisors, euler_phi, omega, tau, totient_sieve
@@ -62,7 +61,7 @@ class TestJacobi:
             assert jacobi(a * b, m) == jacobi(a, m) * jacobi(b, m)
 
     def test_euler_criterion_all_primes_below_1000(self):
-        for p in primes_up_to(999):
+        for p in primes_between(2, 999):
             if p == 2:
                 continue
             for a in range(1, p):
@@ -203,7 +202,7 @@ class TestPrimality:
         assert not is_probable_prime(1)
 
     def test_against_sieve(self):
-        primes = set(primes_up_to(10 ** 4))
+        primes = set(primes_between(2, 10 ** 4))
         for x in range(10 ** 4 + 1):
             assert is_probable_prime(x) == (x in primes)
 
@@ -213,7 +212,7 @@ class TestPrimality:
             expected = [x for x in range(lo, hi + 1) if is_probable_prime(x)]
             assert primes_between(lo, hi) == expected, (lo, hi)
         for limit in range(-1, 51):  # the base case of the recursion is hi < 4
-            assert primes_up_to(limit) == [x for x in range(limit + 1) if is_probable_prime(x)]
+            assert primes_between(2, limit) == [x for x in range(limit + 1) if is_probable_prime(x)]
         near = range(10 ** 10 - 1000, 10 ** 10 + 1)
         assert primes_between(near[0], near[-1]) == [x for x in near if is_probable_prime(x)]
 

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from ecfactor import census
-from ecfactor.arith import isqrt, odd_part, primes_up_to
+from ecfactor.arith import isqrt, odd_part, primes_between
 from ecfactor.census import (
     CSV_HEADER,
     NonResidueNotFound,
     _coset_representatives,
-    census_row,
     census_sweep,
     isomorphism_class_traces,
     lower_bounds,
@@ -30,14 +29,25 @@ def sweep_csv(*args, **kwargs):
     return "".join(census_sweep(*args, **kwargs))
 
 
-def csv_line(row):
-    """One census row in the CSV line format, formatted field by field."""
-    s = "" if row.s_classes is None else str(row.s_classes)
-    t = "" if row.total_classes is None else str(row.total_classes)
-    return (
-        f"{row.p},{row.D},{row.phi_direct},{row.phi_mobius},"
-        f"{row.bound_22:.6g},{row.bound_23:.6g},{s},{t}"
-    )
+def sweep_rows(*args, **kwargs):
+    """The lines of one sweep, each a dict from column name to field."""
+    lines = sweep_csv(*args, **kwargs).splitlines()
+    return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+
+
+def reference_lines(p, d_list, with_classes):
+    """The census lines of p x d_list from the scalar kernels, each field
+    formatted on its own, with the classes counted by a plain gcd loop."""
+    gcds = [gcd(a, p + 1) for a in isomorphism_class_traces(p)] if with_classes else []
+    lines = []
+    for D in d_list:
+        b22, b23 = lower_bounds(p, D)
+        classes = f"{sum(g <= (D or p + 1) for g in gcds)},{len(gcds)}" if gcds else ","
+        lines.append(
+            f"{p},{D or p + 1},{phi_direct(p, D)},{phi_mobius(p, D)},"
+            f"{b22:.6g},{b23:.6g},{classes}"
+        )
+    return lines
 
 
 class TestPhiCounts:
@@ -51,7 +61,7 @@ class TestPhiCounts:
 
     def test_identity_medium_sweep(self):
         # D = 0 reads as p + 1; 110 > 2*sqrt(3000); 2^70 does not fit int64
-        primes = [p for p in primes_up_to(3000) if p >= 5]
+        primes = primes_between(5, 3000)
         d_list = [0, 1, 2, 3, 5, 7, 10, 12, 40, 110, 2 ** 70]
         block = phi_direct(np.array(primes), d_list), phi_mobius(np.array(primes), d_list)
         for i, p in enumerate(primes):
@@ -66,9 +76,10 @@ class TestPhiCounts:
         for p in (5, 7, 13, 101, 997):
             assert phi_direct(p, 0) == phi_mobius(p, 0) == isqrt(4 * p)
             assert lower_bounds(p, 0) == lower_bounds(p, p + 1)
-            row = census_row(p, 0, True)
-            assert sweep_csv(p, p, [0]) == f"{CSV_HEADER}\n{csv_line(row)}\n"
-            assert row.D == p + 1 and row.s_classes == row.total_classes
+            (line,) = reference_lines(p, [0], True)
+            assert sweep_csv(p, p, [0]) == sweep_csv(p, p, [p + 1]) == f"{CSV_HEADER}\n{line}\n"
+            (row,) = sweep_rows(p, p, [0])
+            assert row["D"] == str(p + 1) and row["s_classes"] == row["total_classes"]
 
     def test_monotone_in_D_and_saturates(self):
         for p in (13, 101, 997):
@@ -97,16 +108,12 @@ class TestLowerBounds:
 
     def test_matches_reference_formula_to_3000(self):
         # bit-identical floats, so the census CSV cannot move
-        for p in primes_up_to(3000):
-            if p < 5:
-                continue
+        for p in primes_between(5, 3000):
             for D in (1, 2, 3, 5, 10, 12, p + 1):
                 assert lower_bounds(p, D) == lower_bounds_reference(p, D), (p, D)
 
     def test_bounds_hold_medium_sweep(self):
-        for p in primes_up_to(1000):
-            if p < 5:
-                continue
+        for p in primes_between(5, 1000):
             for D in (1, 2, 3, 5, 10, p + 1):
                 b22, b23 = lower_bounds(p, D)
                 direct = phi_direct(p, D)
@@ -154,9 +161,7 @@ def j_loop_traces(p):
 
 class TestClassCensus:
     def test_correlation_matches_j_loop_to_the_enumeration_limit(self):
-        for p in primes_up_to(1000):
-            if p < 5:
-                continue
+        for p in primes_between(5, 1000):
             traces = isomorphism_class_traces(p)
             assert Counter(traces) == Counter(j_loop_traces(p)), p
             assert len(traces) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
@@ -165,26 +170,24 @@ class TestClassCensus:
 
     def test_j_invariant_enumeration_matches_orbit_walk(self):
         rng = random.Random(5)
-        large = rng.sample([p for p in primes_up_to(1000) if p > 400], 3)
-        for p in [p for p in primes_up_to(400) if p >= 5] + large:
+        large = rng.sample(primes_between(401, 1000), 3)
+        for p in primes_between(5, 400) + large:
             traces = isomorphism_class_traces(p)
             assert Counter(traces) == Counter(orbit_walk_traces(p)), p
             assert len(traces) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
 
     def test_p5_examples(self):
-        row = census_row(5, 6, True)
-        assert row.total_classes == 12
-        assert row.s_classes == 12
-        assert census_row(5, 1, True).s_classes == 2
+        at_6, at_1 = sweep_rows(5, 5, [6, 1])
+        assert at_6["total_classes"] == "12"
+        assert at_6["s_classes"] == "12"
+        assert at_1["s_classes"] == "2"
 
     def test_p5_trace_multiset(self):
         traces = sorted(isomorphism_class_traces(5))
         assert traces == [-4, -3, -2, -2, -1, 0, 0, 1, 2, 2, 3, 4]
 
     def test_trace_multiset_symmetric_and_balanced(self):
-        for p in primes_up_to(200):
-            if p < 5:
-                continue
+        for p in primes_between(5, 200):
             counts = Counter(isomorphism_class_traces(p))
             assert sum(a * c for a, c in counts.items()) == 0
             for a, c in counts.items():
@@ -192,16 +195,12 @@ class TestClassCensus:
 
     def test_class_floor(self):
         # every admissible +-a pair is realized by at least one class each
-        for p in primes_up_to(200):
-            if p < 5:
-                continue
-            for D in (1, 3, 10, p + 1):
-                assert census_row(p, D, True).s_classes >= 2 * phi_direct(p, D)
+        for row in sweep_rows(5, 200, [1, 3, 10, 0]):
+            p, D = int(row["p"]), int(row["D"])
+            assert int(row["s_classes"]) >= 2 * phi_direct(p, D), (p, D)
 
     def test_signed_trace_doubling(self):
-        for p in primes_up_to(200):
-            if p < 5:
-                continue
+        for p in primes_between(5, 200):
             bound = isqrt(4 * p)
             for D in (1, 3, 10):
                 signed = sum(
@@ -213,9 +212,9 @@ class TestClassCensus:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            census_row(3, 1, True)
+            isomorphism_class_traces(3)
         with pytest.raises(ValueError):
-            census_row(1009, 1, True)
+            isomorphism_class_traces(1009)
 
 
 class TestNonResidueSearch:
@@ -316,7 +315,7 @@ class TestCsvOutput:
         # 2*sqrt(3000) < 110, so the default cap holds [5, 3000] in one block
         d_list = [0, 1, 7, 40, 200]
         whole = sweep_csv(5, 3000, d_list)
-        primes = [p for p in primes_up_to(3000) if p >= 5]
+        primes = primes_between(5, 3000)
         lines = whole.splitlines()[1:]
         assert [int(line.split(",")[0]) for line in lines[::len(d_list)]] == primes
         blocks = []
@@ -348,23 +347,23 @@ class TestCsvOutput:
         assert sweep_csv(5, 20, []) == CSV_HEADER + "\n"
 
     def test_six_significant_digit_reals(self):
-        row = census_row(101, 1, with_classes=False)
-        line = sweep_csv(101, 101, [1], classes_max=0).strip().split("\n")[1]
-        assert line.split(",")[4:6] == [f"{row.bound_22:.6g}", f"{row.bound_23:.6g}"]
+        b22, b23 = lower_bounds(101, 1)
+        (row,) = sweep_rows(101, 101, [1], classes_max=0)
+        assert [row["bound22"], row["bound23"]] == [f"{b22:.6g}", f"{b23:.6g}"]
 
     @pytest.mark.parametrize("cells", [1, 500, None])
     def test_streamed_csv_matches_scalar_rows(self, monkeypatch, cells):
         # blocks of one prime, of four primes, and one block for [5, 3000]
         if cells is not None:
             monkeypatch.setattr("ecfactor.census._BLOCK_CELLS", cells)
-        primes = [p for p in primes_up_to(3000) if p >= 5]
+        primes = primes_between(5, 3000)
         d_list = [0, 1, 7, 40, 200, 2 ** 70]
         reference = [CSV_HEADER]
         for p in primes:
             with_classes = p <= 1000
-            reference += [csv_line(census_row(p, D, with_classes)) for D in d_list]
+            reference += reference_lines(p, d_list, with_classes)
             # D = p + 2 is a column of its own here, one sweep per prime
-            line = csv_line(census_row(p, p + 2, with_classes))
+            (line,) = reference_lines(p, [p + 2], with_classes)
             assert sweep_csv(p, p, [p + 2]) == f"{CSV_HEADER}\n{line}\n", p
         assert sweep_csv(5, 3000, d_list) == "\n".join(reference) + "\n"
 
@@ -377,5 +376,6 @@ class TestCsvOutput:
         # the largest float and every D below it keep their finite bound
         largest = int(sys.float_info.max)
         assert lower_bounds(101, largest) == lower_bounds_reference(101, largest)
-        row = census_row(101, huge, True)
-        assert (row.D, row.bound_22, row.s_classes) == (huge, b22, row.total_classes)
+        (row,) = sweep_rows(101, 101, [huge])
+        assert (row["D"], row["bound22"]) == (str(huge), f"{b22:.6g}")
+        assert row["s_classes"] == row["total_classes"]

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecfactor
-from ecfactor.arith import primes_up_to
+from ecfactor.arith import primes_between
 from ecfactor.census import CSV_HEADER
 from ecfactor.cli import build_parser, main
-from ecfactor.reduction import D_MAX
+from ecfactor.reduction import D_MAX, MAX_D_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +153,12 @@ class TestFactorCommand:
         assert time.perf_counter() - start < 5.0
         assert code == 0
         assert math.prod(json.loads(out)["factors"]) == int(n)
+
+    def test_max_d_at_the_cap_is_accepted(self, capsys):
+        # one above it is refused (test_broken_contract_exits_1)
+        code, out, _ = run_cli(capsys, "factor", "35", "--max-d", str(MAX_D_LIMIT))
+        assert code == 0
+        assert json.loads(out)["factors"] == [5, 7]
 
     def test_exhaustion_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "35", "--max-curves", "0")
@@ -392,6 +398,8 @@ def test_usage_error_exit_code(capsys):
         ("count", "1", "1", "1"),
         # above the D cap: every failed recovery would scan up to 2*D multipliers
         ("factor", "5005", "--D", "100000000", "--seed", "1"),
+        # above the max_d cap: a curve that never splits n walks every d up to max_d
+        ("factor", "35", "--max-d", str(MAX_D_LIMIT + 1)),
     ],
 )
 def test_broken_contract_exits_1(capsys, argv):
@@ -472,7 +480,7 @@ def _argv(*parts):
 
 
 _ints = st.integers
-_PRIMES = [p for p in primes_up_to(320) if p >= 5]
+_PRIMES = primes_between(5, 320)
 # half raw ints, half squarefree products of primes >= 5, so valid inputs are common
 _N = _arg(st.one_of(
     _ints(-5, 10 ** 5),

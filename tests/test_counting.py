@@ -2,12 +2,13 @@ import random
 import time
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecfactor import counting
-from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_up_to
+from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_between
 from ecfactor.census import _coset_representatives
 from ecfactor.counting import (
     _bsgs_count,
@@ -15,6 +16,8 @@ from ecfactor.counting import (
     _legendre_table,
     count_affine_bruteforce,
     count_points_prime,
+    legendre_sums,
+    normal_form_traces,
 )
 
 
@@ -64,7 +67,7 @@ class TestCountPointsPrime:
 
     def test_hasse_random(self):
         rng = random.Random(5)
-        primes = [p for p in primes_up_to(10 ** 4) if p >= 5]
+        primes = primes_between(5, 10 ** 4)
         for _ in range(10 ** 4):
             p = rng.choice(primes)
             A, B = random_smooth_pair(rng, p)
@@ -76,9 +79,7 @@ class TestCountPointsPrime:
 
     def test_twist_identity(self):
         rng = random.Random(6)
-        for p in primes_up_to(299):
-            if p < 5:
-                continue
+        for p in primes_between(5, 299):
             for _ in range(20):
                 A, B = random_smooth_pair(rng, p)
                 n0 = count_points_prime(p, A, B)
@@ -98,9 +99,7 @@ class TestCountPointsPrime:
             a_t = p + 1 - count_points_prime(p, t, t)
             assert p + 1 - count_points_prime(p, A, B) == jacobi(A * B, p) * a_t, (p, A, B)
 
-        for p in primes_up_to(60):
-            if p < 5:
-                continue
+        for p in primes_between(5, 60):
             for A in range(1, p):
                 for B in range(1, p):
                     if (4 * A ** 3 + 27 * B ** 2) % p:
@@ -119,9 +118,7 @@ class TestLegendreTable:
     """The scattered-squares table against jacobi, symbol by symbol."""
 
     def test_matches_jacobi_below_3000(self):
-        for p in primes_up_to(2999):
-            if p < 5:
-                continue
+        for p in primes_between(5, 2999):
             expected = [0] + [jacobi(r, p) for r in range(1, p)]
             assert _legendre_table(p).tolist() == expected, p
 
@@ -132,6 +129,29 @@ class TestLegendreTable:
             chi = _legendre_table(p)
             for r in [rng.randrange(p) for _ in range(10 ** 4)]:
                 assert chi[r] == jacobi(r, p), (p, r)
+
+
+class TestCharacterSums:
+    """The census's batched sums against the counter's, curve by curve."""
+
+    def test_normal_form_traces_match_the_count_per_t(self):
+        # the census table of a(t) against the per-t count that
+        # FactoredOracle's twist memo stores
+        for p in primes_between(5, 200) + [997]:
+            ts = [t for t in range(1, p) if (4 * t + 27) % p]
+            traces = normal_form_traces(p).tolist()
+            assert traces == [p + 1 - count_points_prime(p, t, t) for t in ts], p
+
+    def test_legendre_sums_over_a_column_match_one_curve_at_a_time(self):
+        rng = random.Random(14)
+        for p in primes_between(5, 200) + [997, 9973]:
+            curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
+            curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+            curves += [random_smooth_pair(rng, p) for _ in range(5)]
+            A = np.array([[A] for A, _ in curves], dtype=np.int64)
+            B = np.array([[B] for _, B in curves], dtype=np.int64)
+            sums = legendre_sums(p, A, B).tolist()
+            assert sums == [_legendre_count(p, A, B) - p - 1 for A, B in curves], p
 
 
 @pytest.fixture
@@ -161,9 +181,7 @@ class TestShanksMestre:
         # one class, and they hold the extreme traces, e.g. |a| = floor(2 sqrt p)
         # at j = 1728 when p = u^2 + 1
         rng = random.Random(11)
-        for p in primes_up_to(10 ** 4):
-            if p <= 229:
-                continue
+        for p in primes_between(230, 10 ** 4):
             curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
             curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
             curves.append(random_smooth_pair(rng, p))
@@ -192,7 +210,7 @@ class TestShanksMestre:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
-        st.sampled_from([p for p in primes_up_to(3 * 10 ** 4) if p > 229]),
+        st.sampled_from(primes_between(230, 3 * 10 ** 4)),
         st.integers(0, 2 ** 64),
         st.integers(0, 2 ** 64),
     )
@@ -203,7 +221,7 @@ class TestShanksMestre:
 
     def test_dispatch_on_the_crossover(self, fresh_tables):
         # a count above the crossover builds no character table
-        below = primes_up_to(counting._CROSSOVER)[-1]
+        below = primes_between(2, counting._CROSSOVER)[-1]
         above = next(q for q in range(counting._CROSSOVER, 2 * counting._CROSSOVER)
                      if is_probable_prime(q))
         count_points_prime(above, 1, 1)
@@ -240,7 +258,7 @@ class TestAffineBruteforce:
 
     def test_legendre_sum_within_hasse(self):
         rng = random.Random(8)
-        primes = [p for p in primes_up_to(3000) if p >= 5]
+        primes = primes_between(5, 3000)
         for _ in range(500):
             p = rng.choice(primes)
             A, B = random_smooth_pair(rng, p)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from ecfactor import counting
-from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_up_to
+from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import count_points_prime
 from ecfactor.oracle import (
     DirectOracle,
@@ -93,7 +93,7 @@ class TestTwistMemo:
 
         monkeypatch.setattr(counting, "count_points_prime", counted)
         rng = random.Random(7)
-        primes = [p for p in primes_up_to(10 ** 4) if p >= 5]
+        primes = primes_between(5, 10 ** 4)
         oracles = {}
         j_0_or_1728 = 0
         for _ in range(10 ** 4):

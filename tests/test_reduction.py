@@ -11,7 +11,6 @@ from ecfactor.arith import (
     is_probable_prime,
     jacobi,
     primes_between,
-    primes_up_to,
     reduce_fraction,
 )
 from ecfactor.counting import count_points_prime
@@ -19,6 +18,7 @@ from ecfactor.curves import CurveSupplyExhausted, FactorFound, sample_curve, twi
 from ecfactor.oracle import DirectOracle, FactoredOracle
 from ecfactor.reduction import (
     D_MAX,
+    MAX_D_LIMIT,
     Recovery,
     ReductionConfig,
     factor_completely,
@@ -56,7 +56,7 @@ class TestRecoverFromRatio:
         # the recovered factor is exactly p
         D = 12
         rng = random.Random(10)
-        primes = [p for p in primes_up_to(60) if p >= 5]
+        primes = primes_between(5, 60)
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
                 n = p * q
@@ -118,7 +118,7 @@ class TestRecoverFromRatio:
         assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
-_SMALL_PRIMES = [p for p in primes_up_to(200) if p >= 5]
+_SMALL_PRIMES = primes_between(5, 200)
 
 
 @st.composite
@@ -361,7 +361,11 @@ class TestFactorCompletely:
         assert runs[0].stats.queries == runs[1].stats.queries
 
     @pytest.mark.parametrize(
-        "budget", [{"D": 0}, {"D": -5}, {"max_d": 1}, {"max_d": -3}, {"max_curves": -1}]
+        "budget",
+        [
+            {"D": 0}, {"D": -5}, {"max_d": 1}, {"max_d": -3}, {"max_curves": -1},
+            {"max_d": MAX_D_LIMIT + 1},
+        ],
     )
     def test_config_rejects_bad_budgets(self, budget):
         with pytest.raises(ValueError, match="ReductionConfig"):
