@@ -5,13 +5,12 @@
 It admits p once (a prime with 5 <= p < 2^60, else a `ValueError` naming p),
 refuses singular curves, and dispatches on `_CROSSOVER`:
 
-- p <= `_CROSSOVER`: the Legendre sum N = p + 1 + sum_x (x^3+Ax+B | p) with a
-  cached character table, so repeated counts at the same prime are cheap.
-  The cache holds one read-only table per prime and has a slot for each of
-  the 1898 primes up to `_CROSSOVER` (14.6 MB of tables together), so no
-  table is ever rebuilt. A table is built by scattering squares: every
-  entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
-  (which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
+- p <= `_CROSSOVER` and AB != 0 mod p: one lag of the normal-form
+  correlation below. E is the twist by B/A of E_t with t = A^3/B^2, so
+  N = p + 1 - (AB | p) a(t), and a(t) is two dot products of the character
+  table with the weights w of p.
+- p <= `_CROSSOVER` and A = 0 or B = 0: the Legendre sum
+  N = p + 1 + sum_x (x^3+Ax+B | p) over the character table.
 - p > `_CROSSOVER`: Shanks' baby-step/giant-step with Mestre's alternation
   between E and its quadratic twist E' (H. Cohen, *A Course in Computational
   Algebraic Number Theory*, section 7.4.3). It walks x0 = 0, 1, 2, ...; for
@@ -26,9 +25,18 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   or two points do. A walk that ends without a unique N raises instead of
   guessing. One count costs O(p^(1/4)) group operations and no table.
 
+The character table and the weights are built on the first count at a prime
+and cached read-only, so later counts there are cheap. Both caches have a
+slot for each of the 1898 primes up to `_CROSSOVER`, so nothing is ever
+rebuilt; filled, they hold 14.6 MB of int8 tables and 29.2 MB of int16
+weights, 43.8 MB together. A table is built by scattering squares: every
+entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
+(which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
+
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p); it
 takes one curve or a column of curves, and serves the count above and the
-census's j = 0 and j = 1728 classes.
+census's j = 0 and j = 1728 classes. It is also the slow exact reference the
+tests hold the one-lag count to.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
 E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the curves `oracle.FactoredOracle`
@@ -38,9 +46,12 @@ x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)), so
     a(t) = -chi(-1) - sum_s w(s) chi(t + s),
     w(s) = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = s,
 
-and all p - 2 traces come from one cyclic correlation of two int64 arrays of
-length p off the character table: O(p^2) multiply-adds in C and O(p) memory,
-in place of about p point counts.
+and all p - 2 traces come from one cyclic correlation of chi and w, arrays
+of length p: O(p^2) multiply-adds in C and O(p) memory, in place of about p
+point counts. A count reads the one lag t of it. The weights are built by
+discrete logarithms: for a primitive root g, the powers g^i come from an
+outer product of about sqrt(p) by sqrt(p) powers, one scatter of them gives
+log x, and s = g^(3 log x - log(x + 1)) for x != 0, -1 (x = 0 gives s = 0).
 
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
@@ -60,8 +71,11 @@ from .arith import factor_small, is_probable_prime, jacobi
 # Counts stop below here: just below it a baby-step/giant-step count takes about 0.7 s.
 _COUNT_LIMIT = 1 << 60
 
-# Largest prime counted by the Legendre sum. Above it baby-step/giant-step is
-# faster than a count with its table already cached.
+# Largest prime counted from the character table. The first count at 16381
+# builds its table and weights in about 0.9 ms and a later one takes 0.03 ms,
+# against about 0.16 ms for a baby-step/giant-step count at 16411 (2-core
+# host, Python 3.11), so above here a prime must be counted about seven times
+# before its table pays.
 _CROSSOVER = 1 << 14
 
 
@@ -79,7 +93,11 @@ def count_points_prime(p: int, A: int, B: int) -> int:
     B %= p
     if (4 * A ** 3 + 27 * B ** 2) % p == 0:
         raise ValueError(f"count_points_prime: singular curve ({A},{B}) mod {p}")
-    return _legendre_count(p, A, B) if p <= _CROSSOVER else _bsgs_count(p, A, B)
+    if p > _CROSSOVER:
+        return _bsgs_count(p, A, B)
+    if A == 0 or B == 0:
+        return _legendre_count(p, A, B)
+    return _normal_form_count(p, A, B)
 
 
 @lru_cache(maxsize=1 << 11)  # more slots than primes up to _CROSSOVER
@@ -113,21 +131,48 @@ def _legendre_count(p: int, A: int, B: int) -> int:
     return p + 1 + int(legendre_sums(p, A, B))
 
 
+@lru_cache(maxsize=1 << 11)  # as _legendre_table's
+def _normal_form_weights(p: int) -> np.ndarray:
+    """w(s) for 0 <= s < p, by discrete logs (module docstring): a read-only
+    int16 array, with sum |w| <= p - 1."""
+    qs = [q for q, _ in factor_small(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    m = isqrt(p - 2) + 1  # g^(mj + k) for 0 <= j, k < m covers every i < p - 1
+    row = [1]
+    for _ in range(m):
+        row.append(row[-1] * g % p)
+    col = [1]
+    for _ in range(m - 1):
+        col.append(col[-1] * row[m] % p)
+    power = (np.array(col)[:, None] * np.array(row[:m]) % p).ravel()[: p - 1]
+    log = np.empty(p, dtype=np.int64)
+    log[power] = np.arange(p - 1)
+    e = 3 * log[1 : p - 1]  # x = 1 .. p - 2
+    e -= log[2:]
+    s = np.take(power, e, mode="wrap")  # g^e, e taken mod p - 1
+    w = np.bincount(s, weights=_legendre_table(p)[2:], minlength=p).astype(np.int16)
+    w[0] += 1  # x = 0
+    w.flags.writeable = False  # shared by every later count at p
+    return w
+
+
+def _normal_form_count(p: int, A: int, B: int) -> int:
+    """p + 1 - (AB | p) a(t), t = A^3/B^2, for 0 < A, B < p and p <= _CROSSOVER."""
+    chi = _legendre_table(p)
+    w = _normal_form_weights(p)
+    t = A ** 3 * pow(B, -2, p) % p
+    # int8 x int16 dots accumulate in int16, exactly: every partial sum is at
+    # most sum |w| <= p - 1 < 2^15
+    corr = int(chi[t:].dot(w[: p - t])) + int(chi[:t].dot(w[p - t :]))
+    return p + 1 + int(chi[A * B % p]) * (int(chi[p - 1]) + corr)
+
+
 def normal_form_traces(p: int) -> np.ndarray:
     """a(t) for t != 0, -27/4 in F_p, increasing t: the traces of
     E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring.
     O(p^2) time, for a prime p >= 5."""
     chi = _legendre_table(p).astype(np.int64)
-    u = np.arange(1, p, dtype=np.int64)  # u = x + 1 for x != -1
-    x = u - 1
-    s = x * x % p * x % p
-    power, e = u, p - 2  # s * u^(p-2) = x^3/(x + 1), by square-and-multiply
-    while e:
-        if e & 1:
-            s = s * power % p
-        power = power * power % p
-        e >>= 1
-    w = np.bincount(s, weights=chi[u], minlength=p).astype(np.int64)
+    w = _normal_form_weights(p)
     # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p
     corr = np.correlate(np.concatenate((chi, chi[:-1])), w, "valid")
     a = -chi[p - 1] - corr

@@ -14,6 +14,7 @@ from ecfactor.counting import (
     _bsgs_count,
     _legendre_count,
     _legendre_table,
+    _normal_form_weights,
     count_affine_bruteforce,
     count_points_prime,
     legendre_sums,
@@ -78,11 +79,14 @@ class TestCountPointsPrime:
             assert abs(a) <= isqrt(4 * p)
 
     def test_twist_identity(self):
+        # every twist is counted by the code under test, the curve itself by
+        # the Legendre sum: at these primes a count with AB != 0 applies the
+        # twist identity itself
         rng = random.Random(6)
         for p in primes_between(5, 299):
             for _ in range(20):
                 A, B = random_smooth_pair(rng, p)
-                n0 = count_points_prime(p, A, B)
+                n0 = _legendre_count(p, A, B)
                 for d in range(1, p):
                     nd = count_points_prime(p, A * d * d % p, B * d ** 3 % p)
                     if jacobi(d, p) == -1:
@@ -135,12 +139,12 @@ class TestCharacterSums:
     """The census's batched sums against the counter's, curve by curve."""
 
     def test_normal_form_traces_match_the_count_per_t(self):
-        # the census table of a(t) against the per-t count that
-        # FactoredOracle's twist memo stores
+        # the census table of a(t) against the Legendre sum per t, not
+        # count_points_prime, which reads the same weights
         for p in primes_between(5, 200) + [997]:
             ts = [t for t in range(1, p) if (4 * t + 27) % p]
             traces = normal_form_traces(p).tolist()
-            assert traces == [p + 1 - count_points_prime(p, t, t) for t in ts], p
+            assert traces == [p + 1 - _legendre_count(p, t, t) for t in ts], p
 
     def test_legendre_sums_over_a_column_match_one_curve_at_a_time(self):
         rng = random.Random(14)
@@ -154,13 +158,55 @@ class TestCharacterSums:
             assert sums == [_legendre_count(p, A, B) - p - 1 for A, B in curves], p
 
 
+class TestOneLagCount:
+    """The one-lag count at table primes against the Legendre sum."""
+
+    def test_every_smooth_curve_below_60(self):
+        for p in primes_between(5, 59):
+            for A in range(p):
+                for B in range(p):
+                    if (4 * A ** 3 + 27 * B ** 2) % p:
+                        assert count_points_prime(p, A, B) == _legendre_count(p, A, B), (p, A, B)
+
+    def test_seeded_curves_up_to_the_crossover(self):
+        # 16381 is the largest prime below 2^14; the j = 0 and j = 1728
+        # classes take the Legendre sum, the random curves the one-lag count
+        rng = random.Random(15)
+        for p in (997, 9973, 16381):
+            curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
+            curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+            curves += [random_smooth_pair(rng, p) for _ in range(40)]
+            for A, B in curves:
+                assert count_points_prime(p, A, B) == _legendre_count(p, A, B), (p, A, B)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(primes_between(5, counting._CROSSOVER)),
+        st.integers(0, 2 ** 64),
+        st.integers(0, 2 ** 64),
+    )
+    def test_property_matches_legendre(self, p, A, B):
+        A, B = A % p, B % p
+        assume((4 * A ** 3 + 27 * B ** 2) % p)
+        assert count_points_prime(p, A, B) == _legendre_count(p, A, B)
+
+    def test_int16_dots_cannot_overflow(self):
+        p = primes_between(2, counting._CROSSOVER)[-1]
+        assert p == 16381
+        w = _normal_form_weights(p)
+        assert w.dtype == np.int16
+        assert np.abs(w.astype(np.int64)).sum() <= p - 1 < 2 ** 15
+
+
 @pytest.fixture
 def fresh_tables():
-    # start from an empty cache, and let the tables a test builds (some far
+    # start from empty caches, and let the tables a test builds (some far
     # above the crossover) go when it ends
     _legendre_table.cache_clear()
+    _normal_form_weights.cache_clear()
     yield
     _legendre_table.cache_clear()
+    _normal_form_weights.cache_clear()
 
 
 class TestTableCache:
@@ -171,6 +217,14 @@ class TestTableCache:
         assert _legendre_table(1009) is table
         assert not table.flags.writeable
         assert _legendre_table.cache_info().currsize == 1
+
+    def test_counts_at_one_prime_share_one_read_only_weights_array(self, fresh_tables):
+        count_points_prime(1009, 1, 1)
+        weights = _normal_form_weights(1009)
+        count_points_prime(1009, 2, 3)
+        assert _normal_form_weights(1009) is weights
+        assert not weights.flags.writeable
+        assert _normal_form_weights.cache_info().currsize == 1
 
 
 class TestShanksMestre:
@@ -220,15 +274,17 @@ class TestShanksMestre:
         assert _bsgs_count(p, A, B) == _legendre_count(p, A, B)
 
     def test_dispatch_on_the_crossover(self, fresh_tables):
-        # a count above the crossover builds no character table
+        # a count above the crossover builds no character table and no weights
         below = primes_between(2, counting._CROSSOVER)[-1]
         above = next(q for q in range(counting._CROSSOVER, 2 * counting._CROSSOVER)
                      if is_probable_prime(q))
         count_points_prime(above, 1, 1)
         count_points_prime(1000003, 2, 3)
         assert _legendre_table.cache_info().currsize == 0
+        assert _normal_form_weights.cache_info().currsize == 0
         count_points_prime(below, 1, 1)
         assert _legendre_table.cache_info().currsize == 1
+        assert _normal_form_weights.cache_info().currsize == 1
 
 
 class TestAffineBruteforce:
