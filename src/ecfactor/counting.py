@@ -25,13 +25,19 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   or two points do. A walk that ends without a unique N raises instead of
   guessing. One count costs O(p^(1/4)) group operations and no table.
 
-The character table and the weights are built on the first count at a prime
-and cached read-only, so later counts there are cheap. Both caches have a
-slot for each of the 1898 primes up to `_CROSSOVER`, so nothing is ever
-rebuilt; filled, they hold 14.6 MB of int8 tables and 29.2 MB of int16
-weights, 43.8 MB together. A table is built by scattering squares: every
-entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
-(which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
+The character table, the discrete logs and the weights are built on the
+first use at a prime and cached read-only, so later counts there are cheap.
+Each cache has a slot for each of the 1898 primes up to `_CROSSOVER`, so
+nothing is ever rebuilt; filled, they hold 14.6 MB of int8 tables, 29.2 MB
+of int16 weights and 29.2 MB of uint16 logs, 73.0 MB together. A table is
+built by scattering squares: every entry starts at -1, the (p-1)/2 values
+x^2 mod p for 1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are
+set to 1, and entry 0 to 0.
+
+`discrete_logs(p)` is public: `oracle.FactoredOracle` reads log_g t and the
+symbol (AB | p) off it at table primes, so a twist-memo hit takes no modular
+power. It returns None above the crossover, so only this module decides
+which primes have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p); it
 takes one curve or a column of curves, and serves the count above and the
@@ -48,10 +54,12 @@ x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)), so
 
 and all p - 2 traces come from one cyclic correlation of chi and w, arrays
 of length p: O(p^2) multiply-adds in C and O(p) memory, in place of about p
-point counts. A count reads the one lag t of it. The weights are built by
-discrete logarithms: for a primitive root g, the powers g^i come from an
-outer product of about sqrt(p) by sqrt(p) powers, one scatter of them gives
-log x, and s = g^(3 log x - log(x + 1)) for x != 0, -1 (x = 0 gives s = 0).
+point counts. A count reads the one lag t of it. The weights are built from
+discrete logarithms to the least primitive root g: the powers g^i come from
+an outer product of about sqrt(p) by sqrt(p) powers, and one scatter of
+them gives log x. For x != 0, -1, log s = 3 log x - log(x + 1) mod p - 1,
+so one bincount sums chi(x + 1) by log s and one gather at log s gives
+w(s) for s != 0; x = 0 is the one x with s = 0.
 
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
@@ -132,9 +140,14 @@ def _legendre_count(p: int, A: int, B: int) -> int:
 
 
 @lru_cache(maxsize=1 << 11)  # as _legendre_table's
-def _normal_form_weights(p: int) -> np.ndarray:
-    """w(s) for 0 <= s < p, by discrete logs (module docstring): a read-only
-    int16 array, with sum |w| <= p - 1."""
+def discrete_logs(p: int) -> tuple[int, np.ndarray] | None:
+    """(g, log) for a prime 5 <= p <= _CROSSOVER: g the least primitive root
+    mod p, and log a read-only uint16 array of length p with
+    g^log[x] = x mod p for 0 < x < p (log[0] is 0 and means nothing).
+    None above the crossover, where no count builds tables."""
+    _admit(p)
+    if p > _CROSSOVER:
+        return None
     qs = [q for q, _ in factor_small(p - 1)]
     g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
     m = isqrt(p - 2) + 1  # g^(mj + k) for 0 <= j, k < m covers every i < p - 1
@@ -144,14 +157,28 @@ def _normal_form_weights(p: int) -> np.ndarray:
     col = [1]
     for _ in range(m - 1):
         col.append(col[-1] * row[m] % p)
-    power = (np.array(col)[:, None] * np.array(row[:m]) % p).ravel()[: p - 1]
-    log = np.empty(p, dtype=np.int64)
-    log[power] = np.arange(p - 1)
-    e = 3 * log[1 : p - 1]  # x = 1 .. p - 2
+    # int32 holds every product, as p^2 < 2^28, and its remainder is quicker
+    power = np.array(col, dtype=np.int32)[:, None] * np.array(row[:m], dtype=np.int32)
+    power %= p
+    log = np.zeros(p, dtype=np.uint16)  # p - 2 < 2^14
+    log[power.ravel()[: p - 1]] = np.arange(p - 1, dtype=np.uint16)
+    log.flags.writeable = False  # shared by the weights and FactoredOracle
+    return g, log
+
+
+@lru_cache(maxsize=1 << 11)  # as _legendre_table's
+def _normal_form_weights(p: int) -> np.ndarray:
+    """w(s) for 0 <= s < p, by discrete logs (module docstring): a read-only
+    int16 array, with sum |w| <= p - 1."""
+    _, log = discrete_logs(p)
+    log = log.astype(np.int32)
+    e = 3 * log[1 : p - 1]  # log s for x = 1 .. p - 2
     e -= log[2:]
-    s = np.take(power, e, mode="wrap")  # g^e, e taken mod p - 1
-    w = np.bincount(s, weights=_legendre_table(p)[2:], minlength=p).astype(np.int16)
-    w[0] += 1  # x = 0
+    e %= p - 1
+    by_log = np.bincount(e, weights=_legendre_table(p)[2:], minlength=p - 1)
+    w = np.empty(p, dtype=np.int16)
+    w[0] = 1  # x = 0, the one x with s = 0
+    w[1:] = by_log[log[1:]]
     w.flags.writeable = False  # shared by every later count at p
     return w
 

@@ -10,13 +10,20 @@ Both go through the one `Oracle.query`, which multiplies per-prime counts.
 prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is the quadratic
 twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p
 (Silverman, AEC III.1), so a_p(E) = (AB|p)*a_t with a_t the trace of E_t.
-The symbol (AB|p) comes from Euler's criterion, (AB)^((p-1)/2) mod p. The
-memo stores a_t under (p, t), counting E_t on a miss. A curve with
-A = 0 or B = 0 mod p (j = 0 or 1728, whose classes can be sextic or quartic
-twists of one another) is counted in full. The oracle also remembers the
-primes of each modulus it has admitted; a refused modulus is refused again
-on every query. Both memos live as long as the oracle instance. Every query
-is still recorded, hit or not, so the query count does not depend on them.
+At a prime with a character table (p <= the crossover in `counting`) the
+oracle reads la = log_g A and lb = log_g B off `counting.discrete_logs(p)`:
+the memo key is (p, 3*la - 2*lb mod p - 1), which is log_g t, and
+(AB|p) = (-1)^(la + lb), as the primitive root g is a non-residue. A twist
+E^d has A*d^2 and B*d^3, so the same key, and a hit takes no modular power.
+Above the crossover the key is (p, t), t = A^3 * B^-2 mod p, and (AB|p)
+comes from Euler's criterion, (AB)^((p-1)/2) mod p. p decides which key a
+prime uses, so the two never collide. On a miss the memo counts E_t. A
+curve with A = 0 or B = 0 mod p (j = 0 or 1728, whose classes can be sextic
+or quartic twists of one another) is counted in full. The oracle also
+remembers the primes of each modulus it has admitted; a refused modulus is
+refused again on every query. The memos live as long as the oracle
+instance. Every query is still recorded, hit or not, so the query count
+does not depend on them.
 """
 
 from __future__ import annotations
@@ -80,8 +87,12 @@ class FactoredOracle(Oracle):
         if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
             raise ValueError("FactoredOracle: primes must be distinct and >= 5")
         self.primes = primes
-        # (p, t) -> a_t, the trace of y^2 = x^3 + t*x + t over F_p
+        # (p, log_g t) at table primes, (p, t) above them -> a_t, the trace
+        # of y^2 = x^3 + t*x + t over F_p
         self._twists: dict[tuple[int, int], int] = {}
+        # p -> (g, memoryview of counting.discrete_logs(p)), or () above the
+        # crossover
+        self._logs: dict[int, tuple] = {}
         # admitted modulus -> its primes
         self._moduli: dict[int, tuple[int, ...]] = {}
 
@@ -107,6 +118,20 @@ class FactoredOracle(Oracle):
         # so bench/tracer.py can wrap it
         if A == 0 or B == 0:
             return counting.count_points_prime(p, A, B)
+        logs = self._logs.get(p)
+        if logs is None:
+            found = counting.discrete_logs(p)
+            logs = self._logs[p] = () if found is None else (found[0], memoryview(found[1]))
+        if logs:
+            g, log = logs
+            la, lb = log[A], log[B]  # memoryview items are ints, and quicker than numpy's
+            e = (3 * la - 2 * lb) % (p - 1)  # log_g t
+            a = self._twists.get((p, e))
+            if a is None:
+                t = pow(g, e, p)
+                a = self._twists[p, e] = p + 1 - counting.count_points_prime(p, t, t)
+            # (AB|p) = (g|p)^(la + lb), and a primitive root is a non-residue
+            return p + 1 + a if (la + lb) & 1 else p + 1 - a
         t = A ** 3 * pow(B, -2, p) % p
         a = self._twists.get((p, t))
         if a is None:

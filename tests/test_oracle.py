@@ -4,10 +4,12 @@ import time
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ecfactor import counting
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
-from ecfactor.counting import count_points_prime
+from ecfactor.counting import _legendre_count, count_points_prime
 from ecfactor.oracle import (
     DirectOracle,
     FactoredOracle,
@@ -136,6 +138,74 @@ class TestTwistMemo:
         o.query(7, 1, 1)  # the same curve again: a hit at 7
         assert o.stats.queries == 3
         assert o.stats.per_modulus == {35: 2, 7: 1}
+
+
+class TestLogKeyedMemo:
+    """The hit path at table primes, keyed by log_g t with the sign read off
+    the parity of log A + log B, against the Legendre sum and brute force.
+    count_points_prime shares the discrete logs at these primes, so it is
+    not the reference here."""
+
+    def test_every_smooth_curve_and_every_twist_below_60(self):
+        for p in primes_between(5, 59):
+            o = FactoredOracle([p])
+            expected = {}
+            for A in range(p):
+                for B in range(p):
+                    if (4 * A ** 3 + 27 * B ** 2) % p:
+                        expected[A, B] = _legendre_count(p, A, B)
+            for A, B in expected:
+                for d in range(1, p):
+                    Ad, Bd = A * d * d % p, B * d ** 3 % p
+                    assert o.query(p, Ad, Bd) == expected[Ad, Bd], (p, A, B, d)
+
+    def test_twists_on_a_modulus_straddling_the_crossover(self):
+        # 16381 has a table and 16411 does not, and both are within
+        # DirectOracle's brute force; the twists give all four sign pairs
+        p, q = 16381, 16411
+        assert p <= counting._CROSSOVER < q
+        rng = random.Random(19)
+        o, direct = FactoredOracle([p, q]), DirectOracle()
+        signs = set()
+        for _ in range(4):
+            A, B = random_smooth_pair(rng, p * q)
+            for d in range(1, 12):
+                Ad, Bd = A * d * d % (p * q), B * d ** 3 % (p * q)
+                signs.add((jacobi(d, p), jacobi(d, q)))
+                assert o.query(p * q, Ad, Bd) == direct.query(p * q, Ad, Bd), (A, B, d)
+        assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(primes_between(5, counting._CROSSOVER)),
+        st.integers(0, 2 ** 64),
+        st.integers(0, 2 ** 64),
+        st.integers(1, 2 ** 64),
+    )
+    def test_property_curve_then_twist(self, p, A, B, d):
+        A, B, d = A % p, B % p, d % p
+        assume((4 * A ** 3 + 27 * B ** 2) % p and d)
+        o = FactoredOracle([p])
+        for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):  # a miss, then a hit
+            assert o.query(p, a, b) == _legendre_count(p, a, b), (p, a, b)
+
+    def test_twists_share_one_count_per_prime(self, monkeypatch):
+        primes = [1009, 1013, 1019]
+        m = math.prod(primes)
+        counts = []
+
+        def counted(p, A, B):
+            counts.append(p)
+            return count_points_prime(p, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        o = FactoredOracle(primes)
+        A, B = 2, 3  # A*B != 0 mod each prime
+        for d in range(1, 21):
+            Ad, Bd = A * d * d % m, B * d ** 3 % m
+            expected = math.prod(_legendre_count(p, Ad % p, Bd % p) for p in primes)
+            assert o.query(m, Ad, Bd) == expected, d
+        assert sorted(counts) == primes
 
 
 class TestDirectOracle:
