@@ -32,9 +32,10 @@ F_p minus {0, 1728}; all p - 2 traces a(t) come from one correlation,
 (B = 0) can have automorphisms beyond +-1, and then their classes are
 sextic or quartic twists of each other, not quadratic ones: gcd(6, p-1)
 classes at j = 0 and gcd(4, p-1) at j = 1728, whose traces come from one
-`counting.legendre_sums` over the column of their curves. A census line
-counts the classes with gcd(a, p+1) <= D by one binary search over the
-sorted gcds.
+`counting.legendre_sums` over the column of their curves, one curve per
+coset taken as a power of the primitive root of `counting.discrete_logs`.
+A census line counts the classes with gcd(a, p+1) <= D by one comparison
+of their gcds with every D.
 
 The non-residue search measures how far one must go for a d that is a
 non-residue mod p but a residue mod m.
@@ -53,7 +54,7 @@ import numpy as np
 from . import arith
 from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
 # count_points_prime is unused here but kept: bench/tracer.py wraps it by this name.
-from .counting import count_points_prime, legendre_sums, normal_form_traces
+from .counting import count_points_prime, discrete_logs, legendre_sums, normal_form_traces
 
 
 def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
@@ -221,21 +222,7 @@ _PMAX_LIMIT = 1 << 40
 _BLOCK_CELLS = 1 << 16
 
 
-def _coset_representatives(p: int, k: int) -> list[int]:
-    """g^0, ..., g^(k-1): one element of each coset of (F_p*)^k, for k | p - 1.
-
-    F_p*/(F_p*)^k is cyclic of order k, and the least g with
-    g^((p-1)/q) != 1 for each prime q | k generates it (k divides 4 or 6 here).
-    """
-    g = next(
-        g for g in range(2, p)
-        if all(pow(g, (p - 1) // q, p) != 1 for q in (2, 3) if k % q == 0)
-    )
-    return [pow(g, i, p) for i in range(k)]
-
-
-@lru_cache(maxsize=512)
-def isomorphism_class_traces(p: int) -> tuple[int, ...]:
+def isomorphism_class_traces(p: int) -> np.ndarray:
     """Traces of all F_p-isomorphism classes of smooth curves over F_p.
 
     Classes are orbits of (A, B) under (A, B) -> (l^4 A, l^6 B), l in F_p*,
@@ -246,18 +233,18 @@ def isomorphism_class_traces(p: int) -> tuple[int, ...]:
     - j = 0: one class y^2 = x^3 + B per coset of B in F_p*/(F_p*)^6;
     - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4;
       their traces -sum_x chi(x^3 + Ax + B) come from one `legendre_sums`.
-    That is 2(p-2) + gcd(6, p-1) + gcd(4, p-1) classes. The traces come in
-    increasing order of gcd(a, p+1), so a census line counts those <= D by
-    one binary search.
+    With g the primitive root of `counting.discrete_logs`, g^0, ..., g^(k-1)
+    meet each coset of (F_p*)^k once. That is 2(p-2) + gcd(6, p-1) +
+    gcd(4, p-1) classes, returned as an int64 array of their traces.
     """
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
     a = normal_form_traces(p)
-    special = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
-    special += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+    g, _ = discrete_logs(p)
+    special = [(0, pow(g, i, p)) for i in range(gcd(6, p - 1))]
+    special += [(pow(g, i, p), 0) for i in range(gcd(4, p - 1))]
     A, B = np.array(special, dtype=np.int64).T[:, :, None]
-    traces = np.concatenate((a, -a, -legendre_sums(p, A, B)))
-    return tuple(traces[np.argsort(np.gcd(traces, p + 1), kind="stable")].tolist())
+    return np.concatenate((a, -a, -legendre_sums(p, A, B)))
 
 
 CSV_HEADER = "p,D,phi_direct,phi_mobius,bound22,bound23,s_classes,total_classes"
@@ -313,7 +300,7 @@ def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Itera
             counts = [","] * len(ds)
             if p <= classes_max:
                 gcds = np.gcd(isomorphism_class_traces(p), p + 1)
-                small = np.searchsorted(gcds, caps, "right").tolist()
+                small = np.count_nonzero(gcds <= caps[:, None], axis=1).tolist()
                 counts = [f"{s},{len(gcds)}" for s in small]
             tail = f",{bound23:.6g},"
             lines += [

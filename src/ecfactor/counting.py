@@ -40,9 +40,9 @@ power. It returns None above the crossover, so only this module decides
 which primes have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p); it
-takes one curve or a column of curves, and serves the count above and the
-census's j = 0 and j = 1728 classes. It is also the slow exact reference the
-tests hold the one-lag count to.
+admits p as the count does, takes one curve or a column of curves, and
+serves the count above and the census's j = 0 and j = 1728 classes. It is
+also the slow exact reference the tests hold the one-lag count to.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
 E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the curves `oracle.FactoredOracle`
@@ -90,7 +90,7 @@ _CROSSOVER = 1 << 14
 @lru_cache(maxsize=1 << 12)
 def _admit(p: int) -> None:
     if not 5 <= p < _COUNT_LIMIT or not is_probable_prime(p):
-        raise ValueError(f"count_points_prime: p must be a prime in [5, 2^60), got {p}")
+        raise ValueError(f"counting: p must be a prime in [5, 2^60), got {p}")
 
 
 def count_points_prime(p: int, A: int, B: int) -> int:
@@ -119,8 +119,10 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 def legendre_sums(p: int, A, B):
-    """sum_x (x^3+Ax+B | p) for 0 <= A, B < p: an int64 for one curve, or an
-    array of k sums for A and B int64 arrays of shape (k, 1)."""
+    """sum_x (x^3+Ax+B | p) for a prime 5 <= p < 2^60 and 0 <= A, B < p: an
+    int64 for one curve, or an array of k sums for A and B int64 arrays of
+    shape (k, 1)."""
+    _admit(p)
     # Exact in int64 up to p ~ 2.1e9, with about 24p bytes of transient arrays
     # per curve: the tests use it as the reference for baby-step/giant-step up
     # to 1e7.
@@ -197,7 +199,9 @@ def _normal_form_count(p: int, A: int, B: int) -> int:
 def normal_form_traces(p: int) -> np.ndarray:
     """a(t) for t != 0, -27/4 in F_p, increasing t: the traces of
     E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring.
-    O(p^2) time, for a prime p >= 5."""
+    O(p^2) time, for a prime 5 <= p <= _CROSSOVER, the primes with tables."""
+    if discrete_logs(p) is None:
+        raise ValueError(f"normal_form_traces: p must be <= {_CROSSOVER}, got {p}")
     chi = _legendre_table(p).astype(np.int64)
     w = _normal_form_weights(p)
     # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p

@@ -4,12 +4,15 @@ totient sieve.
 They are used only by the tests: the two checks are acceptance criterion 10,
 tau, omega and euler_phi are the references for the census's closed-form
 bounds, the sieve is the reference for euler_phi, and divisors serves the
-divisor-sum identity of euler_phi.
+divisor-sum identity of euler_phi. special_curves gives the curves of the
+classes at j = 0 and j = 1728, whose traces the counting and census tests
+check one curve at a time.
 """
 
 import math
 
 from ecfactor.arith import factor_small, primes_between
+from ecfactor.counting import discrete_logs
 
 
 def tau(x: int) -> int:
@@ -66,3 +69,13 @@ def totient_sieve(limit: int) -> list[int]:
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
     return phi
+
+
+def special_curves(p: int) -> list[tuple[int, int]]:
+    """One curve of each F_p-isomorphism class with j = 0 or j = 1728, for a
+    prime 5 <= p <= 2^14: y^2 = x^3 + g^i for i < gcd(6, p - 1) and
+    y^2 = x^3 + g^i x for i < gcd(4, p - 1), with g a primitive root, whose
+    powers g^0, ..., g^(k-1) meet each coset of (F_p*)^k once."""
+    g, _ = discrete_logs(p)
+    curves = [(0, pow(g, i, p)) for i in range(math.gcd(6, p - 1))]
+    return curves + [(pow(g, i, p), 0) for i in range(math.gcd(4, p - 1))]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ecfactor import counting
 from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_between
-from ecfactor.census import _coset_representatives
 from ecfactor.counting import (
     _bsgs_count,
     _legendre_count,
@@ -21,6 +20,7 @@ from ecfactor.counting import (
     legendre_sums,
     normal_form_traces,
 )
+from proof_aux import special_curves
 
 
 def random_smooth_pair(rng, m):
@@ -150,13 +150,22 @@ class TestCharacterSums:
     def test_legendre_sums_over_a_column_match_one_curve_at_a_time(self):
         rng = random.Random(14)
         for p in primes_between(5, 200) + [997, 9973]:
-            curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
-            curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+            curves = special_curves(p)
             curves += [random_smooth_pair(rng, p) for _ in range(5)]
             A = np.array([[A] for A, _ in curves], dtype=np.int64)
             B = np.array([[B] for _, B in curves], dtype=np.int64)
             sums = legendre_sums(p, A, B).tolist()
             assert sums == [_legendre_count(p, A, B) - p - 1 for A, B in curves], p
+
+    def test_normal_form_traces_refuse_primes_above_the_crossover(self):
+        # 16411 is the least prime above 2^14, where no weights are built
+        with pytest.raises(ValueError, match=f"<= {counting._CROSSOVER}, got 16411$"):
+            normal_form_traces(16411)
+
+    @pytest.mark.parametrize("p", [9, 15, 2])
+    def test_legendre_sums_refuse_a_non_prime_or_small_p(self, p):
+        with pytest.raises(ValueError, match=f"p must be a prime in \\[5, 2\\^60\\), got {p}$"):
+            legendre_sums(p, 1, 1)
 
 
 class TestOneLagCount:
@@ -174,8 +183,7 @@ class TestOneLagCount:
         # classes take the Legendre sum, the random curves the one-lag count
         rng = random.Random(15)
         for p in (997, 9973, 16381):
-            curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
-            curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+            curves = special_curves(p)
             curves += [random_smooth_pair(rng, p) for _ in range(40)]
             for A, B in curves:
                 assert count_points_prime(p, A, B) == _legendre_count(p, A, B), (p, A, B)
@@ -264,8 +272,7 @@ class TestShanksMestre:
         # at j = 1728 when p = u^2 + 1
         rng = random.Random(11)
         for p in primes_between(230, 10 ** 4):
-            curves = [(0, B) for B in _coset_representatives(p, gcd(6, p - 1))]
-            curves += [(A, 0) for A in _coset_representatives(p, gcd(4, p - 1))]
+            curves = special_curves(p)
             curves.append(random_smooth_pair(rng, p))
             for A, B in curves:
                 assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
