@@ -4,16 +4,16 @@ Library layout:
   arith     - exact integer kernel (gcd, Jacobi symbols, factoring, sieving)
   curves    - Weierstrass curves mod n, twisting, screening, sampling
   counting  - exact point counts over F_p
-  oracle    - black-box count oracles with query accounting
+  oracle    - black-box count oracles with one query counter
   reduction - the factoring algorithm driven by an oracle
   census    - empirical verification of the trace-counting lemmas
   cli       - command-line front end
 """
 
-from .arith import ReducedFraction, reduce_fraction, jacobi, is_probable_prime
+from .arith import is_probable_prime, jacobi
 from .counting import count_points_prime
 from .curves import Curve, FactorFound, sample_curve, screen, twist
-from .oracle import DirectOracle, FactoredOracle, OracleStats
+from .oracle import DirectOracle, FactoredOracle
 from .reduction import (
     FactorizationResult,
     ReductionConfig,
@@ -29,8 +29,6 @@ __all__ = [
     "FactorFound",
     "FactoredOracle",
     "FactorizationResult",
-    "OracleStats",
-    "ReducedFraction",
     "ReductionConfig",
     "SplitOutcome",
     "count_points_prime",
@@ -38,7 +36,6 @@ __all__ = [
     "is_probable_prime",
     "jacobi",
     "recover_from_ratio",
-    "reduce_fraction",
     "sample_curve",
     "screen",
     "split",

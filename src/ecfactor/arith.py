@@ -16,7 +16,6 @@ import bisect
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 gcd = math.gcd
@@ -42,20 +41,6 @@ def jacobi(a: int, m: int) -> int:
             result = -result
         a %= m
     return result if m == 1 else 0
-
-
-@dataclass(frozen=True)
-class ReducedFraction:
-    numerator: int
-    denominator: int
-
-
-def reduce_fraction(num: int, den: int) -> ReducedFraction:
-    """Lowest-terms form of num/den, both >= 1."""
-    if num < 1 or den < 1:
-        raise ValueError("reduce_fraction: both terms must be >= 1")
-    g = math.gcd(num, den)
-    return ReducedFraction(num // g, den // g)
 
 
 # Miller-Rabin witnesses, the first 13 primes. _MR_PSI[k - 1] is psi_k, the

@@ -52,7 +52,7 @@ def cmd_factor(args) -> int:
         },
         "factors": list(result.factors),
         "curves_used": result.curves_used,
-        "oracle_queries": result.stats.queries,
+        "oracle_queries": result.queries,
         "seed": cfg.seed,
     }
     if not result.success:

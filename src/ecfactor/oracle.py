@@ -22,14 +22,13 @@ curve with A = 0 or B = 0 mod p (j = 0 or 1728, whose classes can be sextic
 or quartic twists of one another) is counted in full. The oracle also
 remembers the primes of each modulus it has admitted; a refused modulus is
 refused again on every query. The memos live as long as the oracle
-instance. Every query is still recorded, hit or not, so the query count
+instance. Every answered query is counted, hit or not, so the query count
 does not depend on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import counting
 from .arith import factor_small
@@ -45,32 +44,25 @@ class UnsupportedModulusError(ValueError):
     """Query modulus outside the oracle's admissible set."""
 
 
-@dataclass
-class OracleStats:
-    queries: int = 0
-    per_modulus: dict[int, int] = field(default_factory=dict)
-
-    def record(self, m: int) -> None:
-        self.queries += 1
-        self.per_modulus[m] = self.per_modulus.get(m, 0) + 1
-
-
 class Oracle:
-    """The one query path: admit m, require a smooth curve, record, count.
+    """The one query path: admit m, require a smooth curve, tally the query, count.
 
-    Subclasses supply `_primes(m)`, the primes of m or UnsupportedModulusError,
-    and `_count_prime(p, A, B)`, the count over F_p for 0 <= A, B < p.
+    `queries` is the number of answered queries over the oracle's life; a
+    refused query is not counted, and a run's cost is the difference across
+    it. Subclasses supply `_primes(m)`, the primes of m or
+    UnsupportedModulusError, and `_count_prime(p, A, B)`, the count over F_p
+    for 0 <= A, B < p.
     """
 
     def __init__(self) -> None:
-        self.stats = OracleStats()
+        self.queries = 0
 
     def query(self, m: int, A: int, B: int) -> int:
         primes = self._primes(m)
         g = screen(m, A, B)
         if g != 1:
             raise SingularCurveError(f"gcd(disc, {m}) = {g}; oracle requires smooth curves")
-        self.stats.record(m)
+        self.queries += 1
         return math.prod(self._count_prime(p, A % p, B % p) for p in primes)
 
 

@@ -23,13 +23,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arith import (
-    ReducedFraction,
-    factor_small,
-    is_probable_prime,
-    jacobi,
-    reduce_fraction,
-)
+from .arith import factor_small, is_probable_prime, jacobi
 from .curves import (
     Curve,
     CurveSupplyExhausted,
@@ -37,7 +31,6 @@ from .curves import (
     sample_curve,
     twist,
 )
-from .oracle import OracleStats
 
 
 # Largest accepted D. A recovery succeeds when gcd(a_p, p+1) <= D, and that
@@ -89,7 +82,6 @@ class ReductionConfig:
 class Recovery:
     factor: int
     multiplier: int
-    ratio: ReducedFraction
 
 
 @dataclass(frozen=True)
@@ -97,10 +89,6 @@ class SplitOutcome:
     factor: int | None
     source: str  # one of the six exits that `split` names
     curves_tried: int
-    queries: int
-    curve: Curve | None = None
-    d: int | None = None
-    recovery: Recovery | None = None
 
 
 def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
@@ -122,7 +110,7 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
         if cand >= n:
             break
         if cand > 1 and n % cand == 0:
-            return Recovery(cand, g, reduce_fraction(N, Nd))
+            return Recovery(cand, g)
     return None
 
 
@@ -130,23 +118,21 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     """Find one nontrivial factor of squarefree composite n, gcd(n, 6) = 1.
 
     The outcome's `source` names the exit. A factor comes from "ratio" (a
-    recovery from N/N_d; sets `curve`, `d` and `recovery`), "d_gcd" (a
-    proper gcd(d, n); sets `curve` and `d`), or "screen_gcd" or "iso_gcd"
-    (a gcd met while sampling a curve). `factor` is None after
+    recovery from N/N_d), "d_gcd" (a proper gcd(d, n)), or "screen_gcd" or
+    "iso_gcd" (a gcd met while sampling a curve). `factor` is None after
     "curves_exhausted" (`max_curves` curves failed) or "supply_exhausted"
-    (`sample_curve` found no fresh curve).
+    (`sample_curve` found no fresh curve). The queries it made are read off
+    the oracle's counter.
     """
     if n < 2 or math.gcd(n, 6) != 1:
         raise ValueError("split: n must be a squarefree composite coprime to 6")
     rng = random.Random(cfg.seed)
     max_d = cfg.resolved_max_d(n)
     max_curves = cfg.resolved_max_curves(n)
-    before = oracle.stats.queries
     used: list[Curve] = []
 
-    def outcome(factor, source, curve=None, d=None, recovery=None) -> SplitOutcome:
-        queries = oracle.stats.queries - before
-        return SplitOutcome(factor, source, len(used), queries, curve, d, recovery)
+    def outcome(factor, source) -> SplitOutcome:
+        return SplitOutcome(factor, source, len(used))
 
     try:
         for _ in range(max_curves):
@@ -157,7 +143,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
                 g = math.gcd(d, n)
                 if g > 1:
                     if g < n:
-                        return outcome(g, "d_gcd", c, d)
+                        return outcome(g, "d_gcd")
                     continue
                 if jacobi(d, n) != -1 or any(e > 1 for _, e in factor_small(d)):
                     continue
@@ -165,7 +151,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
                 Nd = oracle.query(n, cd.A, cd.B)
                 rec = recover_from_ratio(N, Nd, cfg.D, n)
                 if rec is not None:
-                    return outcome(rec.factor, "ratio", c, d, rec)
+                    return outcome(rec.factor, "ratio")
     except FactorFound as ff:
         return outcome(ff.factor, ff.source)
     except CurveSupplyExhausted:
@@ -177,7 +163,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
 class FactorizationResult:
     n: int
     factors: tuple[int, ...]
-    stats: OracleStats
+    queries: int  # the oracle's counter difference over the run
     curves_used: int
     failed_cofactor: int | None = None
 
@@ -194,9 +180,12 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
     """Complete factorization of squarefree n >= 2 via repeated splitting.
 
     Factors 2 and 3 are stripped first (the curve model needs p >= 5), so
-    n divisible by 4 or 9 is refused here; the oracle refuses any other
-    square. The rest is a work list of cofactors, split recursively. A
-    stuck cofactor is reported rather than guessed at.
+    n divisible by 4 or 9 is refused here. Any other square is refused by
+    the oracle when a query's modulus holds it, or here at the end when a
+    prime repeats: a screening gcd can split p off p^2*m before the oracle
+    sees the square, and the parts of a squarefree n never share a prime.
+    The rest is a work list of cofactors, split recursively. A stuck
+    cofactor is reported rather than guessed at.
     """
     if n < 2:
         raise ValueError("factor_completely: n must be >= 2")
@@ -208,7 +197,7 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
         if m % q == 0:
             primes.append(q)
             m //= q
-    stats = OracleStats()
+    before = oracle.queries
     work = [m] if m > 1 else []
     curves_used = 0
     failed = None
@@ -219,12 +208,13 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
             continue
         outcome = split(m, oracle, replace(cfg, seed=_child_seed(cfg.seed, m)))
         curves_used += outcome.curves_tried
-        if outcome.queries:
-            stats.queries += outcome.queries
-            stats.per_modulus[m] = outcome.queries
         if outcome.factor is None:
             failed = m
             break
         work.append(outcome.factor)
         work.append(m // outcome.factor)
-    return FactorizationResult(n, tuple(sorted(primes)), stats, curves_used, failed)
+    primes.sort()
+    for p, q in zip(primes, primes[1:]):
+        if p == q:
+            raise ValueError(f"factor_completely: {n} is not squarefree ({p}^2 divides it)")
+    return FactorizationResult(n, tuple(primes), oracle.queries - before, curves_used, failed)

@@ -19,7 +19,6 @@ from ecfactor.arith import (
     isqrt,
     jacobi,
     primes_between,
-    reduce_fraction,
 )
 from ecfactor.census import (
     CSV_HEADER,
@@ -53,8 +52,8 @@ def test_criterion_01_worked_example_exactness():
     Nd = oracle.query(35, 1 * 4 % 35, 1 * 8 % 35)  # twist by d = 2
     assert N == 45
     assert Nd == 15
-    ratio = reduce_fraction(N, Nd)
-    assert (ratio.numerator, ratio.denominator) == (3, 1)
+    g = gcd(N, Nd)
+    assert (N // g, Nd // g) == (3, 1)
     rec = recover_from_ratio(N, Nd, 3, 35)
     assert rec is not None
     assert rec.multiplier == 3
@@ -122,10 +121,9 @@ def test_criterion_03_exhaustive_recovery_soundness():
                     rec = recover_from_ratio(N, Nd, D, n)
                     assert rec is not None, (p, q, A, B, d)
                     assert rec.factor == p, (p, q, A, B, d, rec)
-                    g = gcd(p + 1 - ap, p + 1 + ap)
-                    assert rec.ratio == reduce_fraction(
-                        (p + 1 - ap) // g, (p + 1 + ap) // g
-                    )
+                    # N/Nd reduces to (p+1-a_p)/(p+1+a_p) over their common
+                    # factor, and the multiplier scales the terms back up
+                    assert rec.multiplier == gcd(p + 1 - ap, p + 1 + ap)
                     checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 600
@@ -242,9 +240,9 @@ def test_criterion_11_query_complexity(semiprime_runs):
     per_n = []
     for n, _pq, cfg, result in semiprime_runs:
         budget = cfg.resolved_max_curves(n) * (cfg.resolved_max_d(n) + 1)
-        assert result.stats.queries <= budget, (n, result.stats.queries, budget)
+        assert result.queries <= budget, (n, result.queries, budget)
         if result.success:
-            per_n.append(result.stats.queries)
+            per_n.append(result.queries)
     median = statistics.median(per_n)
     report(
         11,
@@ -265,7 +263,7 @@ def test_criterion_12_queries_at_four_primes():
         cfg = ReductionConfig(seed=rng.randrange(2 ** 32))
         result = factor_completely(n, FactoredOracle(ps), cfg)
         assert result.success and list(result.factors) == ps, n
-        per_n.append(result.stats.queries)
+        per_n.append(result.queries)
     median = statistics.median(per_n)
     assert median <= 12, median
     report(12, f"(median {median} oracle queries per n over 40 products of 4 primes)")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ecfactor.arith import (
     _MR_WITNESSES,
-    ReducedFraction,
     _miller_rabin,
     factor_small,
     gcd,
@@ -17,7 +16,6 @@ from ecfactor.arith import (
     jacobi,
     odd_part,
     primes_between,
-    reduce_fraction,
 )
 from proof_aux import divisors, euler_phi, omega, tau, totient_sieve
 
@@ -86,25 +84,6 @@ class TestIsqrt:
             x = rng.randrange(10 ** 12)
             t = isqrt(x)
             assert t * t <= x < (t + 1) * (t + 1)
-
-
-class TestReduceFraction:
-    def test_examples(self):
-        assert reduce_fraction(45, 15) == ReducedFraction(3, 1)
-        assert reduce_fraction(5, 7) == ReducedFraction(5, 7)
-        assert reduce_fraction(9, 3) == ReducedFraction(3, 1)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            reduce_fraction(0, 3)
-        with pytest.raises(ValueError):
-            reduce_fraction(3, 0)
-
-    @given(st.integers(1, 10 ** 9), st.integers(1, 10 ** 9))
-    def test_coprime_and_cross_multiplication(self, num, den):
-        r = reduce_fraction(num, den)
-        assert math.gcd(r.numerator, r.denominator) == 1
-        assert r.numerator * den == num * r.denominator
 
 
 class TestFactorSmall:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -143,6 +144,26 @@ class TestFactorCommand:
         assert report["factors"] == factors
         assert report["curves_used"] == curves_used
         assert report["oracle_queries"] == queries
+
+    def test_drawn_payloads_pinned(self, capsys):
+        # factors, curves_used and oracle_queries of seeded runs are part of
+        # the payload contract: 12 products of 8 primes in [1e3, 2e3], where
+        # a split walks many twists, then 12 of 2 primes in [1e5, 1.1e5]
+        rng = random.Random("factor payload pins")
+        drawn = []
+        for k, lo, hi in ((8, 1000, 2000), (2, 100_000, 110_000)):
+            pool = primes_between(lo, hi)
+            drawn += [(sorted(rng.sample(pool, k)), rng.randrange(2 ** 32)) for _ in range(12)]
+        got = []
+        for primes, seed in drawn:
+            code, out, _ = run_cli(capsys, "factor", str(math.prod(primes)), "--seed", str(seed))
+            report = json.loads(out)
+            assert code == 0 and report["factors"] == primes, (primes, seed)
+            got.append((report["curves_used"], report["oracle_queries"]))
+        assert got == [
+            (7, 59), (7, 79), (7, 70), (7, 65), (7, 54), (7, 69),
+            (7, 42), (7, 92), (7, 75), (7, 57), (7, 81), (7, 77),
+        ] + [(1, 2)] * 12
 
     def test_run_at_the_d_cap_is_time_bounded(self, capsys):
         # eight primes near 1e3: most twists do not isolate one prime, so

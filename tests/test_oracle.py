@@ -52,9 +52,9 @@ class TestFactoredOracle:
             for m in (15, 175, 1):  # 3 is not an oracle prime; 175 = 5^2 * 7
                 with pytest.raises(UnsupportedModulusError):
                     o.query(m, 1, 1)
-            assert o.stats.queries == 1
+            assert o.queries == 1
         assert o.query(35, 1, 1) == 45
-        assert o.stats.per_modulus == {35: 2}
+        assert o.queries == 2
 
     def test_twists_at_primes_above_the_legendre_range(self):
         # baby-step/giant-step primes, beyond DirectOracle's brute force; the
@@ -133,11 +133,13 @@ class TestTwistMemo:
 
     def test_hits_are_still_recorded(self):
         o = FactoredOracle([5, 7])
+        assert o.queries == 0
         o.query(35, 1, 1)
         o.query(35, 4, 8)  # the twist by d = 2: a memo hit at both primes
+        assert o.queries == 2
         o.query(7, 1, 1)  # the same curve again: a hit at 7
-        assert o.stats.queries == 3
-        assert o.stats.per_modulus == {35: 2, 7: 1}
+        o.query(5, 1, 1)  # and at 5, a modulus not asked about before
+        assert o.queries == 4
 
 
 class TestLogKeyedMemo:
@@ -220,7 +222,7 @@ class TestDirectOracle:
         o = DirectOracle()
         with pytest.raises(UnsupportedModulusError, match="100019"):
             o.query(10002200057, 1, 1)  # 100003 * 100019
-        assert o.stats.queries == 0
+        assert o.queries == 0
 
     def test_refuses_above_2_64_and_above_the_bruteforce_limit(self):
         # above 2^64, a modulus whose cofactor after trial division is
@@ -239,7 +241,7 @@ class TestDirectOracle:
             o.query(7 * 99991 ** 2, 1, 1)  # the largest prime below 1e5, twice
         assert time.perf_counter() - start < 1.0
         assert o._primes(5 * 99991 * 99989) == [5, 99989, 99991]
-        assert o.stats.queries == 0
+        assert o.queries == 0
 
     def test_modulus_argument_is_ignored(self):
         # bench/workloads.py constructs DirectOracle(m) for its cross-check
@@ -277,25 +279,18 @@ def test_stats_discipline():
         def __init__(self, inner):
             self.inner = inner
             self.observed = 0
-            self.stats = inner.stats
+
+        @property
+        def queries(self):
+            return self.inner.queries
 
         def query(self, m, A, B):
             value = self.inner.query(m, A, B)
-            self.observed += 1  # only successful queries are recorded
+            self.observed += 1  # only successful queries are counted
             return value
 
     inner = FactoredOracle([5, 7, 11, 13])
     wrapper = CountingWrapper(inner)
     result = factor_completely(5 * 7 * 11 * 13, wrapper, ReductionConfig(seed=17))
     assert result.success
-    assert inner.stats.queries == wrapper.observed
-    assert inner.stats.queries == sum(inner.stats.per_modulus.values())
-
-
-def test_stats_monotone_and_per_modulus():
-    o = FactoredOracle([5, 7])
-    o.query(35, 1, 1)
-    o.query(35, 4, 8)
-    o.query(5, 1, 1)
-    assert o.stats.queries == 3
-    assert o.stats.per_modulus == {35: 2, 5: 1}
+    assert result.queries == inner.queries == wrapper.observed > 0
