@@ -15,6 +15,14 @@ at which d is a non-residue, so a d that isolates one prime has
 twist by d0 (E^d is isomorphic to E^d0 by u = m), and d0 has the same
 symbol, so the walk has already queried d0 on this curve and its
 recovery would fail again.
+
+The walk takes (d|n) as the product of (q|n) over the primes q of d, read
+off the cached `factor_small(d)`; each (q|n) is taken once per split, and a
+d that is not squarefree reads 0 before any symbol is taken. At a 0, d is
+not squarefree or shares a prime with n, and gcd(d, n) ends the split
+unless it is 1 or n. So the walk ends at the same d, and queries the same
+d before it, as a walk that takes gcd(d, n) and the Jacobi symbol (d|n) at
+every d.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from .curves import (
 # Largest accepted D. A recovery succeeds when gcd(a_p, p+1) <= D, and that
 # gcd is at most |a_p| <= 2*sqrt(p) unless a_p = 0, so D = 10^4 already covers
 # every such curve at primes below 2.5e7. A failed recovery at the cap scans
-# 2*10^4 multipliers, about 2.5 ms on a 2-core x86 host with Python 3.11,
-# so recovery adds at most that much per query.
+# 2*10^4 multipliers, 3.6-5.5 ms for a 13- or 26-digit n on a 2-core x86 host
+# with Python 3.11, so recovery adds at most that much per query.
 D_MAX = 10 ** 4
 
 # Largest accepted max_d. A walk on a curve that never splits n visits every d
@@ -98,20 +106,38 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     multipliers up to 2D suffice whenever gcd(a_p, p+1) <= D. Candidates
     are accepted only on exact divisibility, so over-enumeration is safe.
     A candidate g*s/2 - 1 needs g*s even, so for odd s only even g are
-    tried. Candidates grow with g, so the scan stops at the first one >= n,
-    after at most 2(n+1)/s multipliers.
+    tried; over the tried g the candidates are an arithmetic progression,
+    taken by one addition each. Candidates grow with g, so the scan stops
+    at the first one >= n, after at most 2(n+1)/s multipliers.
     """
     if N < 1 or Nd < 1:
         raise ValueError("recover_from_ratio: counts must be >= 1")
     s = (N + Nd) // math.gcd(N, Nd)  # numerator + denominator of N/Nd
     step = 1 + s % 2
+    h = step * s // 2  # the candidates g*s/2 - 1 step by h as g steps by step
+    cand = -1
     for g in range(step, 2 * D + 1, step):
-        cand = g * s // 2 - 1
+        cand += h
         if cand >= n:
             break
         if cand > 1 and n % cand == 0:
             return Recovery(cand, g)
     return None
+
+
+def _twist_symbol(d: int, n: int, symbols: dict[int, int]) -> int:
+    """(d|n) for a squarefree d >= 2, as the product of (q|n) over the primes
+    q of d, and 0 for a d that is not squarefree. `symbols` caches (q|n) for
+    one n, so each prime's Jacobi symbol is taken once."""
+    sign = 1
+    for q, e in factor_small(d):
+        if e > 1:
+            return 0
+        s = symbols.get(q)
+        if s is None:
+            s = symbols[q] = jacobi(q, n)
+        sign *= s
+    return sign
 
 
 def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
@@ -130,6 +156,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     max_d = cfg.resolved_max_d(n)
     max_curves = cfg.resolved_max_curves(n)
     used: list[Curve] = []
+    symbols: dict[int, int] = {}  # prime q -> (q|n), for _twist_symbol
 
     def outcome(factor, source) -> SplitOutcome:
         return SplitOutcome(factor, source, len(used))
@@ -140,18 +167,17 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
             used.append(c)
             N = oracle.query(n, c.A, c.B)
             for d in range(2, max_d + 1):
-                g = math.gcd(d, n)
-                if g > 1:
-                    if g < n:
+                sign = _twist_symbol(d, n, symbols)
+                if sign == 0:  # d is not squarefree, or shares a prime with n
+                    g = math.gcd(d, n)
+                    if 1 < g < n:
                         return outcome(g, "d_gcd")
-                    continue
-                if jacobi(d, n) != -1 or any(e > 1 for _, e in factor_small(d)):
-                    continue
-                cd = twist(c, d)
-                Nd = oracle.query(n, cd.A, cd.B)
-                rec = recover_from_ratio(N, Nd, cfg.D, n)
-                if rec is not None:
-                    return outcome(rec.factor, "ratio")
+                elif sign == -1:
+                    cd = twist(c, d)
+                    Nd = oracle.query(n, cd.A, cd.B)
+                    rec = recover_from_ratio(N, Nd, cfg.D, n)
+                    if rec is not None:
+                        return outcome(rec.factor, "ratio")
     except FactorFound as ff:
         return outcome(ff.factor, ff.source)
     except CurveSupplyExhausted:

@@ -1,0 +1,184 @@
+"""Contract fuzzer for the command line: every argv ends in a right answer or
+a clean error.
+
+Hypothesis draws argvs for all four subcommands from edge values (0, +-1,
+D_MAX, the sweep width +- 1, 2^12 up to 2^64 + 13, +-10^30, 10^400) and
+small ints, and `cli.main` runs each in-process under a wall-clock alarm.
+Exit 0 must carry a right payload, exit 1 an `error:` line, and exit 2 an
+`error:` line or, for `factor`, the JSON of a stuck cofactor.
+
+Inputs whose valid runs are slow by design are kept out of the strategies:
+census widths stop at 2000 below the 10^6 cap (a sweep of width 10^6 takes
+about 11 s), while widths just above it, which are refused before the sieve,
+are drawn; and `--max-d` is never MAX_D_LIMIT itself, whose walk on a curve
+that never splits n can take about 15 s.
+"""
+
+import io
+import json
+import math
+import signal
+from collections import Counter
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ecfactor.arith import is_probable_prime, jacobi, primes_between
+from ecfactor.census import CSV_HEADER
+from ecfactor.cli import main
+from ecfactor.reduction import D_MAX, MAX_D_LIMIT
+
+TIME_BOUND_S = 10
+SWEEP_WIDTH = 10 ** 6
+EDGES = [
+    0, 1, -1, 2, 3, 4, 5, 35, D_MAX, D_MAX + 1, MAX_D_LIMIT + 1,
+    SWEEP_WIDTH - 1, SWEEP_WIDTH, SWEEP_WIDTH + 1, 2 ** 12, 2 ** 32 + 15,
+    2 ** 61 - 1, 2 ** 64 - 59, 2 ** 64 + 13, 10 ** 30, -10 ** 30, 10 ** 400,
+]
+PRIMES = primes_between(5, 3000)
+BRUTE_FORCE_N = 10 ** 4  # a `count` up to here is checked by enumeration
+
+
+class Overtime(Exception):
+    """An argv ran past TIME_BOUND_S."""
+
+
+@contextmanager
+def time_bound(seconds):
+    def expire(signum, frame):
+        raise Overtime(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run(argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        with time_bound(TIME_BOUND_S):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def tokens(*parts):
+    """An argv from optional (flag, value) or positional parts; None is left out."""
+    argv = []
+    for part in parts:
+        if isinstance(part, tuple):
+            if part[1] is not None:
+                argv += [part[0], str(part[1])]
+        elif part is not None:
+            argv.append(str(part))
+    return argv
+
+
+def maybe(values):
+    return st.one_of(st.none(), values)
+
+
+_ints = st.one_of(st.sampled_from(EDGES), st.integers(-10, 10 ** 6))
+_n = st.one_of(
+    _ints,
+    st.lists(st.sampled_from(PRIMES), min_size=1, max_size=5, unique=True).map(math.prod),
+)
+
+
+@st.composite
+def factor_argv(draw):
+    return ["factor"] + tokens(
+        draw(_n),
+        ("--D", draw(maybe(st.sampled_from([-1, 0, 1, 2, 12, D_MAX, D_MAX + 1, 10 ** 400])))),
+        ("--max-d", draw(maybe(st.sampled_from([-1, 0, 1, 2, 3, 40, 1000, MAX_D_LIMIT + 1])))),
+        ("--max-curves", draw(maybe(st.sampled_from([-1, 0, 1, 2, 10, 10 ** 30])))),
+        ("--seed", draw(maybe(_ints))),
+        ("--oracle", draw(maybe(st.sampled_from(["factored", "direct"])))),
+    )
+
+
+@st.composite
+def census_argv(draw):
+    pmin = draw(st.one_of(st.sampled_from([-10 ** 30, -1, 0, 5, 2 ** 40 - 2000, 2 ** 40 + 1]),
+                          st.integers(-10, 2000)))
+    width = draw(st.one_of(
+        st.sampled_from([-1, 0, SWEEP_WIDTH + 1, SWEEP_WIDTH + 2, 10 ** 30]),
+        st.integers(0, 2000),
+    ))
+    d_list = draw(maybe(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 10 ** 30, 10 ** 400]),
+                                 max_size=3).map(lambda ds: ",".join(map(str, ds)))))
+    return ["census"] + tokens(
+        ("--pmin", pmin),
+        ("--pmax", max(pmin, 5) + width),  # the width the sweep's cap measures
+        ("--D-list", d_list),
+        ("--classes-max", draw(maybe(st.sampled_from([-1, 0, 5, 400, 1000, 1001, 10 ** 6])))),
+    )
+
+
+@st.composite
+def count_argv(draw):
+    coefficient = st.one_of(st.sampled_from(EDGES), st.integers(-50, 50))
+    return ["count"] + tokens(draw(_n), draw(coefficient), draw(coefficient))
+
+
+@st.composite
+def nonresidue_argv(draw):
+    return ["nonresidue"] + tokens(
+        draw(st.one_of(_ints, st.sampled_from(PRIMES))),
+        draw(st.one_of(_ints, st.sampled_from(PRIMES))),
+        ("--cap", draw(maybe(st.sampled_from([-1, 0, 1, 3, 10 ** 4, 10 ** 30])))),
+    )
+
+
+def brute_force_count(n, A, B):
+    """|E(Z/n)| with the point at infinity at each prime, for squarefree n >= 5
+    prime to 6, by counting square roots of x^3 + Ax + B at each prime."""
+    total = 1
+    for p in (q for q in range(5, n + 1) if n % q == 0 and is_probable_prime(q)):
+        roots = Counter(y * y % p for y in range(p))
+        total *= 1 + sum(roots[(x ** 3 + A * x + B) % p] for x in range(p))
+    return total
+
+
+def check_success(argv, out):
+    command = argv[0]
+    if command == "census":
+        header, *rows = out.splitlines()
+        assert header == CSV_HEADER
+        pmin, pmax = int(argv[argv.index("--pmin") + 1]), int(argv[argv.index("--pmax") + 1])
+        for row in rows:
+            p = int(row.split(",")[0])
+            assert pmin <= p <= pmax and is_probable_prime(p), row
+        return
+    report = json.loads(out)
+    if command == "factor":
+        n = int(argv[1])
+        factors = report["factors"]
+        assert factors == sorted(factors) and math.prod(factors) == n
+        assert all(is_probable_prime(p) for p in factors), factors
+    elif command == "count":
+        n, A, B = map(int, argv[1:4])
+        if n <= BRUTE_FORCE_N:
+            assert report["count"] == brute_force_count(n, A, B)
+    else:
+        p, m, d = report["p"], report["m"], report["d_min"]
+        assert jacobi(d, p) == -1 and math.gcd(d, m) == 1 and jacobi(d, m) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(factor_argv(), census_argv(), count_argv(), nonresidue_argv()))
+def test_every_argv_ends_in_a_right_answer_or_a_clean_error(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1, 2), code
+    assert "Traceback" not in err
+    if code == 0:
+        check_success(argv, out)
+    elif code == 1:
+        assert "error:" in err
+    elif "error:" not in err:
+        assert argv[0] == "factor"
+        stuck = json.loads(out)["stuck_cofactor"]
+        assert stuck > 1 and int(argv[1]) % stuck == 0

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from ecfactor import curves
 from ecfactor.arith import primes_between
 from ecfactor.curves import (
     Curve,
@@ -61,16 +63,20 @@ class TestIsomorphicGcd:
             c2 = Curve(n, rng.randrange(n), rng.randrange(n))
             assert isomorphic_gcd(c1, c2) == isomorphic_gcd(c2, c1)
 
-    def test_twist_involution_at_prime_modulus(self):
-        # twisting twice by the same d lands back in the same class
+    def test_twist_involution_at_prime_modulus(self, monkeypatch):
+        # twisting twice by the same d lands back in the same class, for every
+        # smooth (A, B) and every d at every p < 100. The curves hold int64
+        # arrays of all smooth (A, B) at p, one call per (p, d), with the
+        # module's gcd swapped for numpy's elementwise one; every value the
+        # formulas reach stays below p^5 < 2^63
+        monkeypatch.setattr(curves, "gcd", np.gcd)
         for p in primes_between(5, 99):
-            for A in range(p):
-                for B in range(p):
-                    if (4 * A ** 3 + 27 * B ** 2) % p == 0:
-                        continue
-                    c = Curve(p, A, B)
-                    for d in range(1, p):
-                        assert isomorphic_gcd(twist(twist(c, d), d), c) == p
+            A, B = np.divmod(np.arange(p * p, dtype=np.int64), p)
+            smooth = (4 * A ** 3 + 27 * B ** 2) % p != 0
+            c = Curve(p, A[smooth], B[smooth])
+            assert len(c.A) == p * p - p  # the singular ones are (-3u^2, 2u^3), u in F_p
+            for d in range(1, p):
+                assert (isomorphic_gcd(twist(twist(c, d), d), c) == p).all(), (p, d)
 
 
 class TestSampleCurve:

@@ -210,6 +210,51 @@ class TestLogKeyedMemo:
         assert sorted(counts) == primes
 
 
+class TestPlan:
+    """FactoredOracle admits a modulus once into a plan of per-prime states;
+    the queries answered from a plan against DirectOracle's brute force."""
+
+    def test_singular_query_on_a_planned_modulus(self):
+        m = 1009 * 1013
+        o, direct = FactoredOracle([1009, 1013]), DirectOracle()
+        assert o.query(m, 2, 3) == direct.query(m, 2, 3)
+        assert o.queries == 1
+        A, B = m - 3, 2 + 2 * 1009  # -3 and 2 mod 1009, singular there alone
+        assert gcd((4 * A ** 3 + 27 * B ** 2) % m, m) == 1009
+        for a, b in ((A, B), (0, 0), (0, m)):
+            with pytest.raises(SingularCurveError):
+                o.query(m, a, b)
+        assert o.queries == 1
+        rng = random.Random(22)
+        for _ in range(3):
+            a, b = random_smooth_pair(rng, m)
+            assert o.query(m, a, b) == direct.query(m, a, b), (a, b)
+        assert o.queries == 4
+
+    def test_j_0_and_1728_on_a_modulus_with_a_table_prime_and_one_above(self):
+        # 1009 has a character table and 16411 does not, and both are within
+        # DirectOracle's brute force; A or B is 0 modulo one prime or both
+        p, q = 1009, 16411
+        assert p <= counting._CROSSOVER < q <= 10 ** 5
+        m = p * q
+        o, direct = FactoredOracle([p, q]), DirectOracle()
+        rng = random.Random(1728)
+        curves = []
+        for zero in (m, p, q):
+            for _ in range(2):
+                c = rng.randrange(1, m)
+                curves += [(0, c), (c, 0), (zero * rng.randrange(m // zero), c), (c, zero)]
+        tried = 0
+        for A, B in curves:
+            for d in range(1, 9):
+                Ad, Bd = A * d * d % m, B * d ** 3 % m
+                if (4 * Ad ** 3 + 27 * Bd ** 2) % p == 0 or (4 * Ad ** 3 + 27 * Bd ** 2) % q == 0:
+                    continue
+                tried += 1
+                assert o.query(m, Ad, Bd) == direct.query(m, Ad, Bd), (A, B, d)
+        assert tried > 100
+
+
 class TestDirectOracle:
     def test_examples(self):
         o = DirectOracle()
@@ -240,7 +285,7 @@ class TestDirectOracle:
         with pytest.raises(UnsupportedModulusError, match="squarefree"):
             o.query(7 * 99991 ** 2, 1, 1)  # the largest prime below 1e5, twice
         assert time.perf_counter() - start < 1.0
-        assert o._primes(5 * 99991 * 99989) == [5, 99989, 99991]
+        assert o._plan(5 * 99991 * 99989) == [5, 99989, 99991]
         assert o.queries == 0
 
     def test_modulus_argument_is_ignored(self):

@@ -16,6 +16,7 @@ from ecfactor.reduction import (
     MAX_D_LIMIT,
     Recovery,
     ReductionConfig,
+    _twist_symbol,
     factor_completely,
     recover_from_ratio,
     split,
@@ -345,6 +346,22 @@ class TestTwistWalk:
             assert oracle.queries <= queries, n
             saved += queries - oracle.queries
         assert saved > 0  # the sample reaches non-squarefree d with (d|n) = -1
+
+
+class TestTwistSymbol:
+    def test_product_of_prime_symbols_is_the_jacobi_symbol(self):
+        # one symbol cache per n, as one split keeps it; primes from 5 up so
+        # some d share a prime with n, where both sides are 0
+        rng = random.Random("twist symbol")
+        pool = primes_between(5, 3000)
+        for k in range(2, 9):
+            for _ in range(4):
+                n = math.prod(rng.sample(pool, k))
+                symbols = {}
+                for d in range(2, 3001):
+                    expected = jacobi(d, n) if _is_squarefree(d) else 0
+                    assert _twist_symbol(d, n, symbols) == expected, (n, d)
+                assert all(s == jacobi(q, n) for q, s in symbols.items())
 
 
 class TestFactorCompletely:
