@@ -8,8 +8,6 @@ exhausted its budgets. Commands raise; only `main` maps `ValueError` and
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
@@ -25,9 +23,8 @@ def _emit(report: dict, started: float) -> None:
     print(json.dumps(report))
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(n, D, max_d, max_curves, seed, oracle) -> int:
     started = time.monotonic()
-    n = args.n
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     facts = factor_small(n)
@@ -35,11 +32,9 @@ def cmd_factor(args) -> int:
         if e > 1:
             raise ValueError(f"{n} is not squarefree ({p}^{e})")
     odd_primes = [p for p, _ in facts if p >= 5]
-    oracle = FactoredOracle(odd_primes) if args.oracle == "factored" else DirectOracle()
-    cfg = ReductionConfig(
-        D=args.D, max_d=args.max_d, max_curves=args.max_curves, seed=args.seed
-    )
-    result = factor_completely(n, oracle, cfg)
+    counter = FactoredOracle(odd_primes) if oracle == "factored" else DirectOracle()
+    cfg = ReductionConfig(D=D, max_d=max_d, max_curves=max_curves, seed=seed)
+    result = factor_completely(n, counter, cfg)
     report = {
         "command": "factor",
         "n": n,
@@ -47,7 +42,7 @@ def cmd_factor(args) -> int:
             "D": cfg.D,
             "max_d": cfg.max_d,
             "max_curves": cfg.max_curves,
-            "oracle": args.oracle,
+            "oracle": oracle,
             "seed": cfg.seed,
         },
         "factors": list(result.factors),
@@ -61,31 +56,28 @@ def cmd_factor(args) -> int:
     return 0 if result.success else 2
 
 
-def cmd_census(args) -> int:
-    d_list = [int(tok) for tok in args.D_list.split(",") if tok]
+def cmd_census(pmin, pmax, D_list, out, classes_max) -> int:
+    d_list = [int(tok) for tok in D_list.split(",") if tok]
     # contracts are checked here, before --out is opened; blocks follow as read
-    blocks = census_mod.census_sweep(args.pmin, args.pmax, d_list, args.classes_max)
-    if args.out == "-":
+    blocks = census_mod.census_sweep(pmin, pmax, d_list, classes_max)
+    if out == "-":
         sys.stdout.writelines(blocks)
     else:
-        with open(args.out, "w") as fh:
+        with open(out, "w") as fh:
             fh.writelines(blocks)
     return 0
 
 
-def cmd_count(args) -> int:
+def cmd_count(n, A, B) -> int:
     started = time.monotonic()
-    value = DirectOracle().query(args.n, args.A, args.B)
-    _emit(
-        {"command": "count", "n": args.n, "A": args.A, "B": args.B, "count": value},
-        started,
-    )
+    value = DirectOracle().query(n, A, B)
+    _emit({"command": "count", "n": n, "A": A, "B": B, "count": value}, started)
     return 0
 
 
-def cmd_nonresidue(args) -> int:
+def cmd_nonresidue(p, m, cap) -> int:
     started = time.monotonic()
-    rec = census_mod.nonresidue_search(args.p, args.m, args.cap)
+    rec = census_mod.nonresidue_search(p, m, cap)
     _emit(
         {
             "command": "nonresidue",
@@ -99,58 +91,90 @@ def cmd_nonresidue(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call.
+# command -> (handler, positional names, {"--option": (dest, default, choices)}).
+# Positionals are ints. An option's value is a string when its default is one
+# or it has choices, and an int otherwise; a default of ... makes it required.
+COMMANDS = {
+    "factor": (cmd_factor, ("n",), {
+        "--D": ("D", 12, None),
+        "--max-d": ("max_d", None, None),
+        "--max-curves": ("max_curves", None, None),
+        "--seed": ("seed", 0, None),
+        "--oracle": ("oracle", "factored", ("factored", "direct")),
+    }),
+    "census": (cmd_census, (), {
+        "--pmin": ("pmin", 5, None),
+        "--pmax": ("pmax", ..., None),
+        "--D-list": ("D_list", "1,2,3,5,10", None),
+        "--out": ("out", "-", None),
+        "--classes-max": ("classes_max", 1000, None),
+    }),
+    "count": (cmd_count, ("n", "A", "B"), {}),
+    "nonresidue": (cmd_nonresidue, ("p", "m"), {"--cap": ("cap", 10 ** 4, None)}),
+}
 
-    Building it costs far more than a parse, and `parse_args` leaves it
-    unchanged, so every `main` call shares it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="ecfactor",
-        description="Factor squarefree integers via a point-counting oracle",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_factor = sub.add_parser("factor", help="factor a squarefree integer")
-    p_factor.add_argument("n", type=int)
-    p_factor.add_argument("--D", type=int, default=12)
-    p_factor.add_argument("--max-d", type=int, default=None)
-    p_factor.add_argument("--max-curves", type=int, default=None)
-    p_factor.add_argument("--seed", type=int, default=0)
-    p_factor.add_argument("--oracle", choices=("factored", "direct"), default="factored")
-    p_factor.set_defaults(func=cmd_factor)
+class UsageError(ValueError):
+    """An argv outside the grammar of COMMANDS."""
 
-    p_census = sub.add_parser("census", help="sweep the trace-count census to CSV")
-    p_census.add_argument("--pmin", type=int, default=5)
-    p_census.add_argument("--pmax", type=int, required=True)
-    p_census.add_argument("--D-list", dest="D_list", default="1,2,3,5,10")
-    p_census.add_argument("--out", default="-")
-    p_census.add_argument("--classes-max", type=int, default=1000)
-    p_census.set_defaults(func=cmd_census)
 
-    p_count = sub.add_parser("count", help="count points mod a squarefree n")
-    p_count.add_argument("n", type=int)
-    p_count.add_argument("A", type=int)
-    p_count.add_argument("B", type=int)
-    p_count.set_defaults(func=cmd_count)
+def _value(name: str, token: str, default=None, choices=None):
+    if choices and token not in choices:
+        raise UsageError(f"{name} must be one of {', '.join(choices)}, got {token!r}")
+    try:
+        return token if choices or isinstance(default, str) else int(token)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {token!r}") from None
 
-    p_nr = sub.add_parser("nonresidue", help="least d non-residue mod p, residue mod m")
-    p_nr.add_argument("p", type=int)
-    p_nr.add_argument("m", type=int)
-    p_nr.add_argument("--cap", type=int, default=10 ** 4)
-    p_nr.set_defaults(func=cmd_nonresidue)
-    return parser
+
+def parse(argv: list[str]):
+    """(handler, its keyword arguments) for argv, read in one pass. Options are
+    spelled exactly; a value is `--opt=value` or the next token, whatever it is."""
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"the command must be one of {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    handler, names, options = COMMANDS[command]
+    values = {dest: default for dest, default, _ in options.values()}
+    positionals = []
+    for token in tokens:
+        if not token.startswith("--"):
+            positionals.append(token)
+            continue
+        flag, has_value, value = token.partition("=")
+        if flag not in options:
+            raise UsageError(f"{command} has no option {flag}")
+        if not has_value and (value := next(tokens, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        values[options[flag][0]] = _value(flag, value, *options[flag][1:])
+    for flag, (dest, *_) in options.items():
+        if values[dest] is ...:
+            raise UsageError(f"{command} needs {flag}")
+    if len(positionals) != len(names):
+        raise UsageError(
+            f"{command} expects {len(names)} argument(s), got {len(positionals)}")
+    values.update((name, _value(name, tok)) for name, tok in zip(names, positionals))
+    return handler, values
+
+
+def usage() -> int:
+    """Print every command and option in COMMANDS to stdout; [options] are optional."""
+    print("usage: ecfactor COMMAND ARGUMENTS, with --option value or --option=value")
+    for command, (_, names, options) in COMMANDS.items():
+        words = [command, *names]
+        for flag, (dest, default, choices) in options.items():
+            value = "|".join(choices or ()) or dest.upper()
+            words.append(f"{flag} {value}" if default is ... else f"[{flag} {value}]")
+        print("  " + " ".join(words))
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        return usage()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
-        return args.func(args)
+        handler, values = parse(argv)
+        return handler(**values)
     except census_mod.NonResidueNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,13 @@ tau, omega and euler_phi are the references for the census's closed-form
 bounds, the sieve is the reference for euler_phi, and divisors serves the
 divisor-sum identity of euler_phi. special_curves gives the curves of the
 classes at j = 0 and j = 1728, whose traces the counting and census tests
-check one curve at a time.
+check one curve at a time. argparse_reference is the command-line grammar
+the CLI's one-pass parser is checked against.
 """
 
+import argparse
+import contextlib
+import io
 import math
 
 from ecfactor.arith import factor_small, primes_between
@@ -79,3 +83,44 @@ def special_curves(p: int) -> list[tuple[int, int]]:
     g, _ = discrete_logs(p)
     curves = [(0, pow(g, i, p)) for i in range(math.gcd(6, p - 1))]
     return curves + [(pow(g, i, p), 0) for i in range(math.gcd(4, p - 1))]
+
+
+def argparse_reference(argv: list[str]):
+    """(command, values) that argparse reads from argv, or None when it
+    refuses argv: the slow reference for `ecfactor.cli.parse`, the grammar of
+    `ecfactor.cli.COMMANDS` built with argparse's subparsers. Unlike `parse`,
+    argparse takes unambiguous prefixes of an option and reads a value like
+    `-1,2` after `--opt` as an option, not a value."""
+    parser = argparse.ArgumentParser(prog="ecfactor")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_factor = sub.add_parser("factor")
+    p_factor.add_argument("n", type=int)
+    p_factor.add_argument("--D", type=int, default=12)
+    p_factor.add_argument("--max-d", type=int, default=None)
+    p_factor.add_argument("--max-curves", type=int, default=None)
+    p_factor.add_argument("--seed", type=int, default=0)
+    p_factor.add_argument("--oracle", choices=("factored", "direct"), default="factored")
+
+    p_census = sub.add_parser("census")
+    p_census.add_argument("--pmin", type=int, default=5)
+    p_census.add_argument("--pmax", type=int, required=True)
+    p_census.add_argument("--D-list", dest="D_list", default="1,2,3,5,10")
+    p_census.add_argument("--out", default="-")
+    p_census.add_argument("--classes-max", type=int, default=1000)
+
+    p_count = sub.add_parser("count")
+    p_count.add_argument("n", type=int)
+    p_count.add_argument("A", type=int)
+    p_count.add_argument("B", type=int)
+
+    p_nr = sub.add_parser("nonresidue")
+    p_nr.add_argument("p", type=int)
+    p_nr.add_argument("m", type=int)
+    p_nr.add_argument("--cap", type=int, default=10 ** 4)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            values = vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+    return values.pop("command"), values

@@ -12,14 +12,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecfactor
 from ecfactor.arith import primes_between
 from ecfactor.census import CSV_HEADER
-from ecfactor.cli import build_parser, main
+from ecfactor.cli import COMMANDS, UsageError, main, parse
 from ecfactor.reduction import D_MAX, MAX_D_LIMIT
+from proof_aux import argparse_reference
+from test_contracts import census_argv, count_argv, factor_argv, nonresidue_argv
 
 
 def run_cli(capsys, *argv):
@@ -402,6 +404,49 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("factor", "-h")])
+def test_help_lists_every_command_and_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    for command, (_, names, options) in COMMANDS.items():
+        line = next(line for line in lines if line.split()[0] == command)
+        assert line.split()[1:1 + len(names)] == list(names)
+        assert all(flag in line.split() or f"[{flag}" in line.split() for flag in options)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("bogus", "35"),
+        ("factor", "35", "--bogus", "1"),
+        ("factor", "35", "--see", "3"),  # argparse took a prefix for --seed
+        ("factor", "35", "--seed"),
+        ("factor", "35", "--seed="),
+        ("census", "--pmax="),
+        ("factor",),
+        ("count", "35", "1"),
+        ("factor", "35", "36"),
+        ("factor", "35", "--"),
+        ("census", "--pmin", "5"),
+        ("factor", "35", "--oracle", "brute"),
+    ],
+)
+def test_usage_error_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [("--D-list", "-1,2"), ("--D-list=-1,2",)])
+def test_option_value_is_the_next_token_whatever_it_looks_like(capsys, argv):
+    # argparse read the separate "-1,2" as an option and refused it as usage
+    code, out, err = run_cli(capsys, "census", "--pmax", "7", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "D must be >= 0" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -451,18 +496,18 @@ def run_process(*argv):
     )
 
 
-def test_repeated_main_calls_share_one_parser(capsys):
+def test_repeated_main_calls_leave_nothing_behind(capsys):
     # a value parsed in one call, or a usage error, must not reach the next
-    parser = build_parser()
-    assert build_parser() is parser
+    table = repr(COMMANDS)
     argv = ("factor", "1001", "--seed", "42")
     fresh = run_process(*argv)
     assert fresh.returncode == 0
     assert run_cli(capsys, "factor", "1001", "--D", "1", "--seed", "42")[0] == 0
     assert run_cli(capsys, "factor")[0] == 1
+    assert run_cli(capsys, "factor", "1001", "--D", "x")[0] == 1
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert build_parser() is parser
+    assert repr(COMMANDS) == table
     report = payload(out)
     assert report == payload(fresh.stdout)
     assert report["config"]["D"] == 12
@@ -474,6 +519,7 @@ def test_repeated_main_calls_share_one_parser(capsys):
     [
         (("factor", "35", "--D", "0"), 1),
         (("nonresidue", "5", "7", "--cap", "1"), 2),
+        (("factor", "35", "--see", "3"), 1),
     ],
 )
 def test_process_exit_status(argv, code):
@@ -564,3 +610,49 @@ def test_same_seed_same_factor_payload(argv):
         runs.append((code, payload(out.getvalue())))
     assert runs[0][0] in (0, 2)
     assert runs[0] == runs[1]
+
+
+def _table_reading(argv):
+    """(command, values) that `cli.parse` reads from argv, or None on a UsageError."""
+    try:
+        handler, values = parse(argv)
+    except UsageError:
+        return None
+    return next(c for c, (h, _, _) in COMMANDS.items() if h is handler), values
+
+
+def _joined(argv):
+    """argv with each `--opt value` pair written as one `--opt=value` token."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        if token.startswith("--") and "=" not in token:
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        out.append(token)
+    return out
+
+
+def _one_dropped(argvs):
+    """argvs with one token after the command left out."""
+    return argvs.flatmap(lambda argv: st.integers(1, len(argv) - 1).map(
+        lambda i: argv[:i] + argv[i + 1:]))
+
+
+# the strategies of the in-process fuzzers here and in test_contracts.py, and
+# each with one token dropped, so that refused argvs are common too
+_ALL_ARGVS = st.one_of(
+    _FACTOR, _CENSUS, _COUNT, _NONRESIDUE,
+    factor_argv(), census_argv(), count_argv(), nonresidue_argv(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_ALL_ARGVS, _one_dropped(_ALL_ARGVS)))
+@example(["census", "--pmax", "7", "--D-list", "-1,2"])
+def test_table_parser_reads_what_argparse_read(argv):
+    expected = argparse_reference(argv)
+    if expected is None:
+        # argparse reads a value such as "-1,2" after "--opt" as an option and
+        # refuses argv; the table takes the next token, as argparse takes "--opt=-1,2"
+        expected = argparse_reference(_joined(argv))
+    assert _table_reading(argv) == expected

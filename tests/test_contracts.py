@@ -4,8 +4,8 @@ a clean error.
 Hypothesis draws argvs for all four subcommands from edge values (0, +-1,
 D_MAX, the sweep width +- 1, 2^12 up to 2^64 + 13, +-10^30, 10^400) and
 small ints, and `cli.main` runs each in-process under a wall-clock alarm.
-Exit 0 must carry a right payload, exit 1 an `error:` line, and exit 2 an
-`error:` line or, for `factor`, the JSON of a stuck cofactor.
+Exit 0 must carry a right payload, exit 1 stderr starting `error: `, and
+exit 2 an `error:` line or, for `factor`, the JSON of a stuck cofactor.
 
 Inputs whose valid runs are slow by design are kept out of the strategies:
 census widths stop at 2000 below the 10^6 cap (a sweep of width 10^6 takes
@@ -59,9 +59,12 @@ def time_bound(seconds):
 
 
 def run(argv):
+    """(exit code, stdout, stderr) of `main(argv)`; an exit 1 must write stderr
+    that starts with `error: `, as every usage and contract error does."""
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         with time_bound(TIME_BOUND_S):
             code = main(argv)
+    assert code != 1 or err.getvalue().startswith("error: "), err.getvalue()
     return code, out.getvalue(), err.getvalue()
 
 
