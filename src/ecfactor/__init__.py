@@ -2,7 +2,7 @@
 
 Library layout:
   arith     - exact integer kernel (gcd, Jacobi symbols, factoring, sieving)
-  curves    - Weierstrass curves mod n, twisting, screening, sampling
+  curves    - Weierstrass (A, B) pairs mod n: twisting, screening, sampling
   counting  - exact point counts over F_p
   oracle    - black-box count oracles with one query counter
   reduction - the factoring algorithm driven by an oracle
@@ -12,7 +12,7 @@ Library layout:
 
 from .arith import is_probable_prime, jacobi
 from .counting import count_points_prime
-from .curves import Curve, FactorFound, sample_curve, screen, twist
+from .curves import FactorFound, sample_curve, screen, twist
 from .oracle import DirectOracle, FactoredOracle
 from .reduction import (
     FactorizationResult,
@@ -24,7 +24,6 @@ from .reduction import (
 )
 
 __all__ = [
-    "Curve",
     "DirectOracle",
     "FactorFound",
     "FactoredOracle",

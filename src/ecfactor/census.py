@@ -220,6 +220,11 @@ _SWEEP_WIDTH = 10 ** 6  # widest [max(pmin, 5), pmax] one sweep takes
 _PMAX_LIMIT = 1 << 40
 # Most (prime, a) cells one block of a sweep holds, unless one row is longer.
 _BLOCK_CELLS = 1 << 16
+# Most (prime, a) cells, the sum of floor(2*sqrt(p)) over its primes, one
+# sweep takes. A sweep costs about 140 ns a cell on a 2-core x86 host with
+# Python 3.11, so no accepted sweep runs much past 20 s; [5, 10^6] holds
+# 1.015e8 cells, and the width cap alone let a sweep near 2^40 hold 7.5e10.
+_SWEEP_CELLS = 1 << 27
 
 
 def isomorphism_class_traces(p: int) -> np.ndarray:
@@ -258,8 +263,8 @@ def census_sweep(
 
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
     Every contract is checked, and the range sieved, when this is called,
-    width and pmax before the sieve; the kernels run once per block of
-    primes, as the text is read.
+    width and pmax before the sieve and the cell count after it; the
+    kernels run once per block of primes, as the text is read.
     """
     if pmin > pmax:
         raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
@@ -270,6 +275,12 @@ def census_sweep(
     if pmax > _PMAX_LIMIT:
         raise ValueError(f"census_sweep: pmax must be <= {_PMAX_LIMIT}, got {pmax}")
     primes = primes_between(max(pmin, 5), pmax)
+    cells = sum(isqrt(4 * p) for p in primes)
+    if cells > _SWEEP_CELLS:
+        raise ValueError(
+            f"census_sweep: [{pmin}, {pmax}] holds {cells} (prime, a) cells, "
+            f"more than {_SWEEP_CELLS}"
+        )
     top = max((p for p in primes if p <= classes_max), default=0)
     if top > _CLASS_ENUM_LIMIT:
         raise ValueError(

@@ -1,18 +1,19 @@
-"""Weierstrass curves y^2 = x^3 + Ax + B over Z/nZ.
+"""Weierstrass curves y^2 = x^3 + Ax + B over Z/nZ, as (A, B) pairs.
 
-Every operation that takes a gcd against the modulus can stumble on a
-nontrivial factor of n. `screen` and `isomorphic_gcd` return that gcd as
-it stands: 1, n, or a proper factor. `sample_curve` surfaces a proper
-factor as `FactorFound`, whose `source` is "screen_gcd" or "iso_gcd", so
-the factoring driver can stop immediately. Those are two of the six
-sources of `reduction.SplitOutcome`; the others are "ratio", "d_gcd",
+A curve is its pair of coefficients; every function takes the modulus n
+beside it, as the oracle's `query(m, A, B)` does. Every operation that
+takes a gcd against the modulus can stumble on a nontrivial factor of n.
+`screen` and `isomorphic_gcd` return that gcd as it stands: 1, n, or a
+proper factor. `sample_curve` surfaces a proper factor as `FactorFound`,
+whose `source` is "screen_gcd" or "iso_gcd", so the factoring driver can
+stop immediately. Those are two of the six sources of
+`reduction.SplitOutcome`; the others are "ratio", "d_gcd",
 "curves_exhausted" and "supply_exhausted".
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -29,13 +30,6 @@ class CurveSupplyExhausted(Exception):
     """sample_curve hit its redraw cap without producing a fresh curve."""
 
 
-@dataclass(frozen=True)
-class Curve:
-    n: int
-    A: int
-    B: int
-
-
 def screen(n: int, A: int, B: int) -> int:
     """gcd(4A^3 + 27B^2, n): 1 when the curve is smooth mod every prime of n,
     n when it is singular mod all of them, and otherwise a proper factor."""
@@ -44,27 +38,26 @@ def screen(n: int, A: int, B: int) -> int:
     return gcd((4 * A ** 3 + 27 * B ** 2) % n, n)
 
 
-def twist(c: Curve, d: int) -> Curve:
-    """Quadratic twist by d: (A, B) -> (A d^2, B d^3) mod n. Needs gcd(d,n)=1."""
-    g = gcd(d, c.n)
+def twist(n: int, A: int, B: int, d: int) -> tuple[int, int]:
+    """Quadratic twist by d: (A d^2, B d^3) mod n. Needs gcd(d, n) = 1."""
+    g = gcd(d, n)
     if g != 1:
         raise ValueError(f"twist: gcd(d, n) = {g} != 1; treat it as a found factor")
-    return Curve(c.n, c.A * d * d % c.n, c.B * d ** 3 % c.n)
+    return A * d * d % n, B * d ** 3 % n
 
 
-def isomorphic_gcd(c1: Curve, c2: Curve) -> int:
+def isomorphic_gcd(n: int, c1: tuple[int, int], c2: tuple[int, int]) -> int:
     """Necessary-condition isomorphism test: gcd(B2^2 A1^3 - A2^3 B1^2, n).
 
     1 means the curves share no isomorphism mod any prime of n; n means
     they are related (isomorphic or twists) mod every prime; anything else
     is a proper factor of n.
     """
-    if c1.n != c2.n:
-        raise ValueError("isomorphic_gcd: mismatched moduli")
-    return gcd((c2.B ** 2 * c1.A ** 3 - c2.A ** 3 * c1.B ** 2) % c1.n, c1.n)
+    (A1, B1), (A2, B2) = c1, c2
+    return gcd((B2 ** 2 * A1 ** 3 - A2 ** 3 * B1 ** 2) % n, n)
 
 
-def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
+def sample_curve(n: int, rng: random.Random, used: list[tuple[int, int]]) -> tuple[int, int]:
     """Draw a uniform smooth curve mod n, unrelated to every curve in `used`.
 
     Raises FactorFound the moment any screening gcd is a proper factor, and
@@ -81,17 +74,16 @@ def sample_curve(n: int, rng: random.Random, used: list[Curve]) -> Curve:
             continue
         if g > 1:
             raise FactorFound(g, "screen_gcd")
-        c = Curve(n, A, B)
         fresh = True
         for prev in used:
-            g = isomorphic_gcd(prev, c)
+            g = isomorphic_gcd(n, prev, (A, B))
             if g == n:
                 fresh = False
                 break
             if g > 1:
                 raise FactorFound(g, "iso_gcd")
         if fresh:
-            return c
+            return A, B
     raise CurveSupplyExhausted(
         f"no fresh curve mod {n} in {max_attempts} draws ({len(used)} used)"
     )

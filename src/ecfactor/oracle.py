@@ -8,38 +8,37 @@ Both go through the one `Oracle.query`: it admits m once into a plan,
 screens the curve, tallies the query and hands the plan to the
 implementation's count, the product of per-prime counts.
 
-`FactoredOracle` counts each quadratic twist class once per prime. At a
-prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is the quadratic
-twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p
-(Silverman, AEC III.1), so a_p(E) = (AB|p)*a_t with a_t the trace of E_t.
-Its plan for m is a tuple with one state per prime, built once per prime
-and shared by every modulus holding it: (p, p - 1, g, log, memo), with memo
-mapping a twist class to a_t. At a prime with a character table (p <= the
-crossover in `counting`), g and log come from `counting.discrete_logs(p)`,
-log as a memoryview. The count reads la = log_g A and lb = log_g B off it:
-the memo key is 3*la - 2*lb mod p - 1, which is log_g t, and
-(AB|p) = (-1)^(la + lb), as the primitive root g is a non-residue. A twist
-E^d has A*d^2 and B*d^3, so the same key, and a hit takes no modular power
-and no method call. Above the crossover g and log are None, the key is
-t = A^3 * B^-2 mod p, and (AB|p) comes from Euler's criterion,
-(AB)^((p-1)/2) mod p. Each memo belongs to one prime, so the two kinds of
-key never meet. On a miss the memo counts E_t through
+`FactoredOracle` counts each quadratic twist class once per prime of a
+modulus. At a prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is
+the quadratic twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t,
+t = A^3/B^2 mod p (Silverman, AEC III.1), so a_p(E) = (AB|p)*a_t with a_t
+the trace of E_t. Its plan for m is a tuple with one state per prime of m,
+built when m is first admitted: (p, p - 1, g, log, memo), with memo mapping
+a twist class to a_t. The plans are the oracle's one cache; a state is not
+shared between moduli, since a cofactor's split draws fresh curves. At a
+prime with a character table (p <= the crossover in `counting`), g and log
+come from `counting.discrete_logs(p)`, log as a memoryview. The count reads
+la = log_g A and lb = log_g B off it: the memo key is 3*la - 2*lb mod p - 1,
+which is log_g t, and (AB|p) = (-1)^(la + lb), as the primitive root g is a
+non-residue. A twist E^d has A*d^2 and B*d^3, so the same key, and a hit
+takes no modular power and no method call. Above the crossover g and log
+are None, the key is t = A^3 * B^-2 mod p, and (AB|p) comes from Euler's
+criterion, (AB)^((p-1)/2) mod p. Each memo belongs to one prime, so the two
+kinds of key never meet. On a miss the memo counts E_t through
 `counting.count_points_prime`. A curve with A = 0 or B = 0 mod p (j = 0 or
 1728, whose classes can be sextic or quartic twists of one another) is
 counted in full. A refused modulus gets no plan, so it is refused again on
-every query. Plans and memos live as long as the oracle instance. Every
-answered query is counted, hit or not, so the query count does not depend
-on them.
+every query. Plans live as long as the oracle instance. Every answered
+query is counted, hit or not, so the query count does not depend on them.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import counting
+from . import counting, curves
 from .arith import factor_small
 from .counting import BRUTEFORCE_LIMIT, count_affine_bruteforce
-from .curves import screen
 
 
 class SingularCurveError(ValueError):
@@ -67,7 +66,7 @@ class Oracle:
 
     def query(self, m: int, A: int, B: int) -> int:
         plan = self._plan(m)
-        g = screen(m, A, B)
+        g = curves.screen(m, A, B)  # a module lookup, so bench/tracer.py sees it
         if g != 1:
             raise SingularCurveError(f"gcd(disc, {m}) = {g}; oracle requires smooth curves")
         self.queries += 1
@@ -87,9 +86,7 @@ class FactoredOracle(Oracle):
         if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
             raise ValueError("FactoredOracle: primes must be distinct and >= 5")
         self.primes = primes
-        # p -> (p, p - 1, g, log, memo), the module docstring's per-prime state
-        self._states: dict[int, tuple] = {}
-        # admitted modulus -> the states of its primes
+        # admitted modulus -> (p, p - 1, g, log, memo) for each of its primes
         self._plans: dict[int, tuple[tuple, ...]] = {}
 
     def _plan(self, m: int) -> tuple[tuple, ...]:
@@ -106,16 +103,13 @@ class FactoredOracle(Oracle):
             raise UnsupportedModulusError(
                 f"modulus {m} is not a squarefree product of the oracle's primes"
             )
-        self._plans[m] = plan = tuple(self._state(p) for p in parts)
-        return plan
-
-    def _state(self, p: int) -> tuple:
-        state = self._states.get(p)
-        if state is None:
+        states = []
+        for p in parts:
             found = counting.discrete_logs(p)
             g, log = (None, None) if found is None else (found[0], memoryview(found[1]))
-            state = self._states[p] = (p, p - 1, g, log, {})
-        return state
+            states.append((p, p - 1, g, log, {}))
+        self._plans[m] = plan = tuple(states)
+        return plan
 
     def _count(self, plan: tuple[tuple, ...], A: int, B: int) -> int:
         # counting.count_points_prime is a module lookup, not a copied name,

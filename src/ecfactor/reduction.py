@@ -32,13 +32,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .arith import factor_small, is_probable_prime, jacobi
-from .curves import (
-    Curve,
-    CurveSupplyExhausted,
-    FactorFound,
-    sample_curve,
-    twist,
-)
+from .curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 
 
 # Largest accepted D. A recovery succeeds when gcd(a_p, p+1) <= D, and that
@@ -155,7 +149,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     rng = random.Random(cfg.seed)
     max_d = cfg.resolved_max_d(n)
     max_curves = cfg.resolved_max_curves(n)
-    used: list[Curve] = []
+    used: list[tuple[int, int]] = []
     symbols: dict[int, int] = {}  # prime q -> (q|n), for _twist_symbol
 
     def outcome(factor, source) -> SplitOutcome:
@@ -163,9 +157,9 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
 
     try:
         for _ in range(max_curves):
-            c = sample_curve(n, rng, used)
-            used.append(c)
-            N = oracle.query(n, c.A, c.B)
+            A, B = sample_curve(n, rng, used)
+            used.append((A, B))
+            N = oracle.query(n, A, B)
             for d in range(2, max_d + 1):
                 sign = _twist_symbol(d, n, symbols)
                 if sign == 0:  # d is not squarefree, or shares a prime with n
@@ -173,8 +167,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
                     if 1 < g < n:
                         return outcome(g, "d_gcd")
                 elif sign == -1:
-                    cd = twist(c, d)
-                    Nd = oracle.query(n, cd.A, cd.B)
+                    Nd = oracle.query(n, *twist(n, A, B, d))
                     rec = recover_from_ratio(N, Nd, cfg.D, n)
                     if rec is not None:
                         return outcome(rec.factor, "ratio")

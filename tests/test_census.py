@@ -307,6 +307,20 @@ class TestCsvOutput:
         with pytest.raises(AssertionError, match="sieved"):
             census_sweep(2 ** 40 - 10, 2 ** 40, [1])
 
+    def test_cells_checked_after_the_sieve_before_any_line(self, monkeypatch):
+        # a sweep's cells are the sum of floor(2*sqrt(p)) over its primes; a
+        # width-1e6 sweep ending at 2^40 holds 7.5e10 and is refused, while
+        # [0, 1e6] (1.015e8 cells) and width 928 near 2^40 (6.08e7) are taken.
+        # The accepted generators are not read
+        def no_work(p, D):
+            raise AssertionError("a line was computed")
+
+        monkeypatch.setattr("ecfactor.census.phi_direct", no_work)
+        with pytest.raises(ValueError, match="75497436000 .* more than 134217728"):
+            census_sweep(2 ** 40 - 10 ** 6, 2 ** 40, [1])
+        for pmin, pmax in ((0, 10 ** 6), (2 ** 40 - 2000, 2 ** 40 - 1072)):
+            census_sweep(pmin, pmax, [1])
+
     def test_blocks_give_the_rows_of_one_block(self, monkeypatch):
         # 2*sqrt(3000) < 110, so the default cap holds [5, 3000] in one block
         d_list = [0, 1, 7, 40, 200]

@@ -297,6 +297,16 @@ class TestCensusCommand:
         assert "Traceback" not in proc.stderr
         assert elapsed < 1.0
 
+    def test_sweep_of_too_many_cells_refused_before_any_line(self):
+        # width 1e6 ending at 2^40 passes the width and pmax caps, but its
+        # 7.5e10 (prime, a) cells would take hours; the sieve alone runs
+        proc, elapsed = self.census_capped(2 ** 40 - 10 ** 6, 2 ** 40)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "75497436000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 10
+
     def test_large_p_window_memory_bounded(self):
         # 8 primes near 1e12, each with 2e6 values of a: a sweep that kept the
         # sorted gcds of every prime peaked near 180 MB; blocks keep it near 70 MB.

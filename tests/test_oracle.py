@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecfactor import counting
+from ecfactor import counting, curves
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import _legendre_count, count_points_prime
 from ecfactor.oracle import (
@@ -137,8 +137,8 @@ class TestTwistMemo:
         o.query(35, 1, 1)
         o.query(35, 4, 8)  # the twist by d = 2: a memo hit at both primes
         assert o.queries == 2
-        o.query(7, 1, 1)  # the same curve again: a hit at 7
-        o.query(5, 1, 1)  # and at 5, a modulus not asked about before
+        o.query(7, 1, 1)  # the same curve mod 7: a miss, on a plan of its own
+        o.query(5, 1, 1)  # and mod 5, a modulus not asked about before
         assert o.queries == 4
 
 
@@ -213,6 +213,20 @@ class TestLogKeyedMemo:
 class TestPlan:
     """FactoredOracle admits a modulus once into a plan of per-prime states;
     the queries answered from a plan against DirectOracle's brute force."""
+
+    def test_interleaved_twists_on_a_modulus_and_its_divisor(self):
+        # each modulus has its own plan, with its own states at the primes
+        # the two share; 1009 has a character table and 16411 does not
+        m = 1009 * 1013 * 16411
+        o, direct = FactoredOracle([1009, 1013, 16411]), DirectOracle()
+        rng = random.Random(24)
+        for _ in range(3):
+            A, B = random_smooth_pair(rng, m)
+            for d in range(1, 8):
+                for k in (m, 1009 * 16411):
+                    Ad, Bd = A * d * d % k, B * d ** 3 % k
+                    assert o.query(k, Ad, Bd) == direct.query(k, Ad, Bd), (k, A, B, d)
+        assert o.queries == direct.queries == 42
 
     def test_singular_query_on_a_planned_modulus(self):
         m = 1009 * 1013
@@ -317,6 +331,31 @@ def test_oracle_equivalence_sample():
         for _ in range(3):
             A, B = random_smooth_pair(rng, m)
             assert fact.query(m, A, B) == direct.query(m, A, B)
+
+
+@pytest.mark.parametrize(
+    "make_oracle", [lambda: FactoredOracle([5, 7]), DirectOracle], ids=["factored", "direct"]
+)
+def test_every_screen_goes_through_the_curves_module(make_oracle, monkeypatch):
+    # one curves.screen call per answered query and per refused singular
+    # query, looked up where a wrapper installed on the module sees it; a
+    # modulus refused before the screen makes none
+    calls = []
+
+    def counted(m, A, B):
+        calls.append((m, A, B))
+        return gcd((4 * A ** 3 + 27 * B ** 2) % m, m)
+
+    monkeypatch.setattr(curves, "screen", counted)
+    o = make_oracle()
+    assert o.query(35, 1, 1) == 45
+    assert o.query(35, 4, 8) == 15
+    with pytest.raises(SingularCurveError):
+        o.query(35, 0, 7)
+    with pytest.raises(UnsupportedModulusError):
+        o.query(25, 1, 1)
+    assert calls == [(35, 1, 1), (35, 4, 8), (35, 0, 7)]
+    assert o.queries == 2
 
 
 def test_stats_discipline():

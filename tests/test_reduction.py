@@ -181,9 +181,10 @@ class TestSplit:
         out = split(35, FactoredOracle([5, 7]), cfg)
         assert out.source == "ratio"
         c, d = _final_witness(35, out.source, twists)
+        A, B = c
         oracle = FactoredOracle([5, 7])
-        N = oracle.query(35, c.A, c.B)
-        Nd = oracle.query(35, c.A * d * d % 35, c.B * d ** 3 % 35)
+        N = oracle.query(35, A, B)
+        Nd = oracle.query(35, A * d * d % 35, B * d ** 3 % 35)
         assert recover_from_ratio(N, Nd, 3, 35).factor == out.factor
         assert _reference_split(35, FactoredOracle([5, 7]), cfg)[:4] == (
             out.factor, out.curves_tried, c, d)
@@ -253,12 +254,12 @@ _ORACLES = {
 
 
 def _record_twists(monkeypatch):
-    """Record every (curve, d) that `split` twists by; returns the list."""
+    """Record every (n, curve, d) that `split` twists by; returns the list."""
     twists = []
 
-    def recording_twist(c, d):
-        twists.append((c, d))
-        return twist(c, d)
+    def recording_twist(n, A, B, d):
+        twists.append((n, (A, B), d))
+        return twist(n, A, B, d)
 
     monkeypatch.setattr(ecfactor.reduction, "twist", recording_twist)
     return twists
@@ -273,9 +274,9 @@ def _final_witness(n, source, twists):
     the moduli here). Any other exit ends on no twist.
     """
     if source == "ratio":
-        return twists[-1]
+        return twists[-1][1:]
     if source == "d_gcd":
-        return twists[-1][0], next(p for p in range(2, n) if n % p == 0)
+        return twists[-1][1], next(p for p in range(2, n) if n % p == 0)
     return None, None
 
 
@@ -295,7 +296,7 @@ def _reference_split(n, oracle, cfg):
         for _ in range(cfg.resolved_max_curves(n)):
             c = sample_curve(n, rng, used)
             used.append(c)
-            N = oracle.query(n, c.A, c.B)
+            N = oracle.query(n, *c)
             for d in range(2, cfg.resolved_max_d(n) + 1):
                 g = gcd(d, n)
                 if g > 1:
@@ -304,8 +305,7 @@ def _reference_split(n, oracle, cfg):
                     continue
                 if jacobi(d, n) != -1:
                     continue
-                cd = twist(c, d)
-                rec = recover_from_ratio(N, oracle.query(n, cd.A, cd.B), cfg.D, n)
+                rec = recover_from_ratio(N, oracle.query(n, *twist(n, *c, d)), cfg.D, n)
                 if rec is not None:
                     return result(rec.factor, c, d)
     except FactorFound as ff:
@@ -324,10 +324,10 @@ class TestTwistWalk:
         for n, primes, seed in _seeded_moduli((3, 4), 100, 1000, 20, "every query"):
             for make_oracle in _ORACLES.values():
                 split(n, make_oracle(primes), ReductionConfig(seed=seed))
-        assert any(d > 8 for _, d in twists)  # 8 is the least non-square d that is not squarefree
-        for c, d in twists:
-            assert jacobi(d, c.n) == -1, (c.n, d)
-            assert _is_squarefree(d), (c.n, d)
+        assert any(d > 8 for _, _, d in twists)  # 8 is the least non-square d that is not squarefree
+        for n, _, d in twists:
+            assert jacobi(d, n) == -1, (n, d)
+            assert _is_squarefree(d), (n, d)
 
     @pytest.mark.parametrize("make_oracle", _ORACLES.values(), ids=_ORACLES.keys())
     def test_matches_the_reference_walk(self, make_oracle, monkeypatch):
