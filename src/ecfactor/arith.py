@@ -4,10 +4,15 @@ Everything here works on plain Python ints (arbitrary precision), so there
 is no overflow anywhere in the pipeline. Factoring is trial division by
 the primes below 2**12, a table the module's sieve builds once, followed by
 one decision on the cofactor: 1 or a prime is kept, and a composite is split
-by Brent's rho. Rho runs only on inputs up to 2**64, where it takes about
-2**16 steps at most; above that a composite cofactor is refused. That
-contract is checked once, on the cofactor. The factoring algorithm proper
-never calls it on anything it could not handle.
+by Brent's rho. An x above 2**24 that is coprime to the product of those
+primes skips the trial loop: one gcd (about 4 us) shows the loop would find
+nothing, where the loop takes 40-60 us. Rho runs only on inputs up to
+2**64, where it takes about 2**16 steps at most; above that a composite
+cofactor is refused. That contract is checked once, on the cofactor. The
+factoring algorithm proper never calls it on anything it could not handle.
+
+Primality answers are cached: factoring n = pq tests n, p and q, and the
+reduction and the oracle then ask about the same three numbers again.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ def _miller_rabin(x: int, base: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=1 << 12)
 def is_probable_prime(x: int) -> bool:
     """Primality test: deterministic below 3.3e24, error < 2**-128 above."""
     if x < 2:
@@ -107,8 +113,9 @@ def primes_between(lo: int, hi: int) -> list[int]:
 # for each piece it splits off.
 _TRIAL_LIMIT = 1 << 12
 
-# The primes trial division divides by, built once.
+# The primes trial division divides by, built once, and their product.
 _TRIAL_PRIMES = tuple(primes_between(2, _TRIAL_LIMIT))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 # Rho runs only on cofactors of inputs up to here.
 _RHO_LIMIT = 1 << 64
@@ -162,7 +169,10 @@ def factor_small(x: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("factor_small: x must be >= 1")
     n = x
     factors = []
-    for q in _TRIAL_PRIMES:
+    trial = _TRIAL_PRIMES
+    if x > _TRIAL_LIMIT ** 2 and gcd(x, _TRIAL_PRODUCT) == 1:
+        trial = ()  # the loop would run to its end and divide nothing out
+    for q in trial:
         if q * q > x:
             break
         if x % q == 0:

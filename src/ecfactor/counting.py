@@ -16,14 +16,21 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   Algebraic Number Theory*, section 7.4.3). It walks x0 = 0, 1, 2, ...; for
   f = x0^3 + A x0 + B != 0 the point (x0 f, f^2) lies on
   Y^2 = X^3 + A f^2 X + B f^3, which is E when f is a square and E'
-  otherwise, so no square root is taken. Each point's order is read off a
-  baby-step/giant-step match in the Hasse interval and stripped prime by
-  prime, and folded into L_E or L_E', the lcm of the orders seen on each
-  side. The count is N once exactly one N in [p+1-r, p+1+r], r = floor(2
-  sqrt(p)), has L_E | N and L_E' | 2p+2-N. Mestre showed that for p > 229
-  the group exponents of E and E' always leave one such N; in practice one
-  or two points do. A walk that ends without a unique N raises instead of
-  guessing. One count costs O(p^(1/4)) group operations and no table.
+  otherwise, so no square root is taken. With L the lcm of the orders
+  seen so far on the point's side, the side's group order is L k for some
+  k in [kmin, kmax], the Hasse interval [p+1-r, p+1+r], r = floor(2
+  sqrt(p)), divided by L. Baby-step/giant-step sweeps k upward from kmin,
+  so its k is the least match ([k][L]P = O) there, and the order of [L]P
+  exceeds k - kmin. When 2k >= kmin + kmax, the next match lies beyond
+  kmax: k is the only one, and the count is L k on E, or 2p + 2 - L k on
+  E', with no factoring of k. A lower-half match is stripped prime by
+  prime to the order of [L]P and folded into L_E or L_E', the lcm of the
+  orders seen on each side. The count is N once exactly one N in the
+  Hasse interval has L_E | N and L_E' | 2p+2-N. Mestre showed that for
+  p > 229 the group exponents of E and E' always leave one such N; in
+  practice one or two points do. A walk that ends without a unique N
+  raises instead of guessing. One count costs O(p^(1/4)) group operations
+  and no table.
 
 The character table, the discrete logs and the weights are built on the
 first use at a prime and cached read-only, so later counts there are cheap.
@@ -76,18 +83,17 @@ import numpy as np
 from .arith import factor_small, is_probable_prime, jacobi
 
 
-# Counts stop below here: just below it a baby-step/giant-step count takes about 0.7 s.
+# Counts stop below here: just below it a baby-step/giant-step count takes about 0.4 s.
 _COUNT_LIMIT = 1 << 60
 
 # Largest prime counted from the character table. The first count at 16381
-# builds its table and weights in about 0.9 ms and a later one takes 0.03 ms,
-# against about 0.16 ms for a baby-step/giant-step count at 16411 (2-core
-# host, Python 3.11), so above here a prime must be counted about seven times
-# before its table pays.
+# builds its table and weights in about 0.6-0.9 ms and a later one takes
+# 0.02-0.03 ms, against about 0.1 ms for a baby-step/giant-step count at 16411
+# (2-core host, Python 3.11), so above here a prime must be counted about six
+# to ten times before its table pays.
 _CROSSOVER = 1 << 14
 
 
-@lru_cache(maxsize=1 << 12)
 def _admit(p: int) -> None:
     if not 5 <= p < _COUNT_LIMIT or not is_probable_prime(p):
         raise ValueError(f"counting: p must be a prime in [5, 2^60), got {p}")
@@ -243,11 +249,17 @@ def _mul(k: int, P, a: int, p: int):
 
 
 def _bsgs(Q, kmin: int, kmax: int, a: int, p: int) -> int:
-    """Some k >= 1 with [k]Q = O, where one such k lies in [kmin >= 1, kmax].
+    """The order of Q, or the least k in [kmin >= 1, kmax] with [k]Q = O,
+    where one such k lies in [kmin, kmax].
 
     Baby steps store x([j]Q) for j = 1..m; giant steps visit centres c =
     kmin + m, kmin + 3m + 1, ..., each covering [c - m, c + m]. A shared x
-    means [c]Q = +-[j]Q, and the y-coordinates tell the sign.
+    means [c]Q = +-[j]Q, and the y-coordinates tell the sign. A baby step
+    returns only the order itself: the first j with [j]Q = O or
+    x([j]Q) = x([i]Q), i < j, has j or j + i equal to it. Past the baby
+    steps the order is at least 2m, so a window holds one match, or two at
+    its ends when [c]Q = [m]Q has y = 0 and c - m is returned. The windows
+    go up from kmin, so the k returned is the least match >= kmin.
     """
     m = isqrt((kmax - kmin + 1) // 2) + 1
     baby: dict[int, tuple[int, int]] = {}
@@ -275,12 +287,25 @@ def _bsgs(Q, kmin: int, kmax: int, a: int, p: int) -> int:
 
 
 def _fold_order(P, L: int, lo: int, hi: int, a: int, p: int) -> int:
-    """lcm(L, order of P) = L * order of [L]P, given that the group order is a
-    multiple of L in [lo, hi]."""
+    """lcm(L, order of P) = L * order of [L]P, or the group order itself,
+    given that the group order is a multiple of L in [lo, hi].
+
+    The group order is L k for a match k ([k][L]P = O) in [kmin, kmax].
+    `_bsgs` returns the order of [L]P or the least match there; either way
+    a k >= kmin is the least match in [kmin, kmax], so the order of [L]P
+    exceeds k - kmin. When 2k >= kmin + kmax, any other match is at least
+    k + (k - kmin + 1) > kmax: k is the only match and L k the group order.
+    `_unique_count` then takes it at once: its step, a multiple of L k >= lo,
+    is wider than the Hasse interval. Otherwise k is stripped prime by prime
+    to the order of [L]P.
+    """
     Q = _mul(L, P, a, p)
     if Q is None:
         return L
-    k = _bsgs(Q, -(-lo // L), hi // L, a, p)
+    kmin, kmax = -(-lo // L), hi // L
+    k = _bsgs(Q, kmin, kmax, a, p)
+    if 2 * k >= kmin + kmax:
+        return L * k
     for q, e in factor_small(k):  # strip k down to the order of Q
         for _ in range(e):
             if _mul(k // q, Q, a, p) is not None:
@@ -306,7 +331,7 @@ def _bsgs_count(p: int, A: int, B: int) -> int:
     """#E(F_p) by Shanks-Mestre baby-step/giant-step, for 0 <= A, B < p, p > 229."""
     r = isqrt(4 * p)
     lo, hi = p + 1 - r, p + 1 + r
-    L = [1, 1]  # lcm of the point orders seen on E and on its twist
+    L = [1, 1]  # lcm of the point orders seen on E and on its twist, or a group order
     for x0 in range(p):
         f = ((x0 * x0 + A) * x0 + B) % p
         if f == 0:

@@ -7,15 +7,20 @@ bounds, the sieve is the reference for euler_phi, and divisors serves the
 divisor-sum identity of euler_phi. special_curves gives the curves of the
 classes at j = 0 and j = 1728, whose traces the counting and census tests
 check one curve at a time. argparse_reference is the command-line grammar
-the CLI's one-pass parser is checked against.
+the CLI's one-pass parser is checked against. bsgs_count_reference and
+factor_small_reference are the slow references for two fast paths: the
+Shanks-Mestre count that strips every point order, and trial division by
+every prime below 2^12.
 """
 
 import argparse
 import contextlib
 import io
 import math
+from collections import Counter
 
-from ecfactor.arith import factor_small, primes_between
+from ecfactor import arith, counting
+from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import discrete_logs
 
 
@@ -124,3 +129,60 @@ def argparse_reference(argv: list[str]):
     except SystemExit:
         return None
     return values.pop("command"), values
+
+
+def bsgs_count_reference(p: int, A: int, B: int) -> int:
+    """#E(F_p) for 0 <= A, B < p, p > 229, by the Shanks-Mestre walk of
+    `counting` with every baby-step/giant-step match stripped to the exact
+    point order, also a match in the upper half of its interval."""
+    r = math.isqrt(4 * p)
+    lo, hi = p + 1 - r, p + 1 + r
+    L = [1, 1]  # lcm of the point orders seen on E and on its twist
+    for x0 in range(p):
+        f = ((x0 * x0 + A) * x0 + B) % p
+        if f == 0:
+            continue
+        side = (1 - jacobi(f, p)) // 2
+        a = A * f * f % p
+        Q = counting._mul(L[side], (x0 * f % p, f * f % p), a, p)
+        if Q is not None:
+            k = counting._bsgs(Q, -(-lo // L[side]), hi // L[side], a, p)
+            for q, e in factor_small(k):  # strip k down to the order of Q
+                for _ in range(e):
+                    if counting._mul(k // q, Q, a, p) is not None:
+                        break
+                    k //= q
+            L[side] *= k
+        N = counting._unique_count(p, lo, hi, L[0], L[1])
+        if N is not None:
+            return N
+    raise ArithmeticError(f"no unique count for ({A},{B}) mod {p}")
+
+
+def factor_small_reference(x: int) -> tuple[tuple[int, int], ...]:
+    """`arith.factor_small` without its shortcut: trial division by every
+    prime below 2^12 until q^2 exceeds what is left, then the same decision
+    on the cofactor."""
+    if x < 1:
+        raise ValueError("factor_small: x must be >= 1")
+    n = x
+    factors = []
+    for q in arith._TRIAL_PRIMES:
+        if q * q > x:
+            break
+        if x % q == 0:
+            e = 0
+            while x % q == 0:
+                x //= q
+                e += 1
+            factors.append((q, e))
+    if x > arith._TRIAL_LIMIT ** 2 and not is_probable_prime(x):
+        if n > arith._RHO_LIMIT:
+            raise ValueError(
+                f"factor_small: {n} is above 2^64 and its cofactor {x} after "
+                f"trial division to {arith._TRIAL_LIMIT} is composite"
+            )
+        factors += sorted(Counter(arith._rho_primes(x)).items())
+    elif x > 1:
+        factors.append((x, 1))
+    return tuple(factors)

@@ -17,7 +17,7 @@ from ecfactor.arith import (
     odd_part,
     primes_between,
 )
-from proof_aux import divisors, euler_phi, omega, tau, totient_sieve
+from proof_aux import divisors, euler_phi, factor_small_reference, omega, tau, totient_sieve
 
 
 def test_gcd_examples():
@@ -156,6 +156,37 @@ class TestFactorSmall:
             (4294967279, 1), (4294967291, 1)
         )
 
+    def test_matches_the_full_trial_loop_above_2_24(self):
+        # above 2^24 an x coprime to every trial prime skips the trial loop
+        def prime_in(lo, hi):
+            while True:
+                x = rng.randrange(lo, hi)
+                if is_probable_prime(x):
+                    return x
+
+        rng = random.Random(24)
+        samples = []
+        for _ in range(30):
+            p, q = prime_in(4097, 2 ** 24), prime_in(4097, 2 ** 24)
+            samples += [p * q, 5 * 7 * p * q, 2 ** rng.randrange(1, 17) * p * q, 4093 * q]
+        samples += [prime_in(2 ** 24, 2 ** 40), prime_in(2 ** 63, 2 ** 64)]
+        samples += [2 ** 64 - k for k in range(1, 60, 2)] + [2 ** 24 + 1, 4099 * 4111]
+        for x in samples:
+            assert x > 2 ** 24
+            assert factor_small(x) == factor_small_reference(x), x
+        # above 2^64 both factor what trial division leaves 1 or prime, and
+        # refuse a composite cofactor with one message
+        for x in (2 ** 64 + 13, 2 ** 64 + 1, (2 ** 61 - 1) * (2 ** 89 - 1),
+                  5 * 7 * (2 ** 89 - 1), 2 ** 5 * 4093 * (2 ** 61 - 1)):
+            try:
+                expected = factor_small_reference(x)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    factor_small(x)
+                assert str(got.value) == str(e)
+            else:
+                assert factor_small(x) == expected, x
+
     def test_derived_functions(self):
         assert tau(36) == 9
         assert euler_phi(6) == 2
@@ -198,6 +229,27 @@ class TestPrimality:
     def test_large_values(self):
         assert is_probable_prime(2 ** 127 - 1)
         assert not is_probable_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+
+    def test_cached_answers_equal_cold_ones(self):
+        # psi_k and its even neighbours, Carmichael numbers, base-2 strong
+        # pseudoprimes, and primes among them
+        psi = [row[0] for row in self.PSI]
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                      321197185, 5394826801, 232250619601, 9746347772161]
+        spsp2 = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+                 65281, 74665, 80581, 85489, 88357, 90751]
+        primes = [1000003, 2 ** 31 - 1, 4294967291, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1]
+        xs = [x + e for x in psi for e in (-1, 0, 1)] + carmichael + spsp2 + primes
+        cold = []
+        for x in xs:
+            is_probable_prime.cache_clear()
+            cold.append(is_probable_prime(x))
+        is_probable_prime.cache_clear()
+        filling = [is_probable_prime(x) for x in xs]
+        hits = is_probable_prime.cache_info().hits
+        warm = [is_probable_prime(x) for x in xs]
+        assert is_probable_prime.cache_info().hits == hits + len(xs)
+        assert warm == filling == cold == [x in primes for x in xs]
 
     # psi_k (OEIS A014233), the least odd composite that is a strong
     # pseudoprime to each of the first k prime bases, with its factors

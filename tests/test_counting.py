@@ -20,7 +20,7 @@ from ecfactor.counting import (
     legendre_sums,
     normal_form_traces,
 )
-from proof_aux import special_curves
+from proof_aux import bsgs_count_reference, special_curves
 
 
 def random_smooth_pair(rng, m):
@@ -28,6 +28,16 @@ def random_smooth_pair(rng, m):
         A, B = rng.randrange(m), rng.randrange(m)
         if gcd((4 * A ** 3 + 27 * B ** 2) % m, m) == 1:
             return A, B
+
+
+def seeded_primes(rng, lo, hi, k):
+    """k primes drawn uniformly from [lo, hi)."""
+    out = []
+    while len(out) < k:
+        x = rng.randrange(lo, hi)
+        if is_probable_prime(x):
+            out.append(x)
+    return out
 
 
 class TestCountPointsPrime:
@@ -281,17 +291,8 @@ class TestShanksMestre:
         # the Legendre side costs about 40 ms per count at 1e6 and 0.4 s at
         # 1e7, so all but one prime sit near the low end
         rng = random.Random(12)
-
-        def seeded_primes(lo, hi, k):
-            out = []
-            while len(out) < k:
-                x = rng.randrange(lo, hi)
-                if is_probable_prime(x):
-                    out.append(x)
-            return out
-
-        primes = seeded_primes(10 ** 6, 15 * 10 ** 5, 32)
-        primes += seeded_primes(10 ** 7, 10 ** 7 + 10 ** 5, 1)
+        primes = seeded_primes(rng, 10 ** 6, 15 * 10 ** 5, 32)
+        primes += seeded_primes(rng, 10 ** 7, 10 ** 7 + 10 ** 5, 1)
         for p in primes:
             A, B = random_smooth_pair(rng, p)
             assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
@@ -323,6 +324,89 @@ class TestShanksMestre:
         assert _legendre_table.cache_info().currsize == 1
         assert _normal_form_weights.cache_info().currsize == 1
         assert discrete_logs.cache_info().currsize == 1
+
+    def test_upper_half_exit_against_the_always_strip_reference(self, monkeypatch):
+        # A match k with 2k >= kmin + kmax ends the count at once; a lower-half
+        # match is stripped. The reference strips every match. Near the
+        # crossover the Hasse window is widest against p, and the j = 0 and
+        # 1728 curves there are the likeliest to hold two matches in it: the
+        # least is then not the group order, and a count that skipped the
+        # strip would go wrong (a few in a hundred such curves).
+        folds = []  # [upper half?, what _fold_order returned] per match
+        bsgs, fold_order = counting._bsgs, counting._fold_order
+
+        def recording_bsgs(Q, kmin, kmax, a, p):
+            k = bsgs(Q, kmin, kmax, a, p)
+            folds.append([2 * k >= kmin + kmax, None])
+            return k
+
+        def recording_fold_order(*args):
+            before = len(folds)
+            M = fold_order(*args)
+            if len(folds) > before:
+                folds[-1][1] = M
+            return M
+
+        rng = random.Random(25)
+        curves = [(p, *random_smooth_pair(rng, p)) for p in seeded_primes(rng, 16411, 10 ** 6, 80)]
+        for p in seeded_primes(rng, 16411, 10 ** 6, 20) + seeded_primes(rng, 16411, 1 << 15, 60):
+            curves += [(p, 0, rng.randrange(1, p)), (p, rng.randrange(1, p), 0)]  # j = 0, 1728
+        monkeypatch.setattr(counting, "_bsgs", recording_bsgs)
+        monkeypatch.setattr(counting, "_fold_order", recording_fold_order)
+        exits = {"E": 0, "twist": 0}
+        stripped = 0
+        for p, A, B in curves:
+            expected = bsgs_count_reference(p, A, B)
+            folds.clear()
+            N = _bsgs_count(p, A, B)
+            assert N == expected, (p, A, B)
+            stripped += not all(upper for upper, _ in folds)
+            if folds and folds[-1][0]:
+                assert folds[-1][1] in (N, 2 * p + 2 - N), (p, A, B)
+                exits["E" if folds[-1][1] == N else "twist"] += 1
+        assert stripped >= len(curves) / 3, stripped
+        assert sum(exits.values()) >= len(curves) / 3, exits
+        assert min(exits.values()) >= len(curves) / 10, exits
+
+
+class TestCountsAbove1e7:
+    """Counts no enumeration reaches, checked by the group law: [N]P = O on E
+    and [2p + 2 - N]P = O on its twist, for the points (x0 f, f^2) of the
+    count's own walk, which lie on Y^2 = X^3 + A f^2 X + B f^3."""
+
+    @staticmethod
+    def kills(p, A, B, N, per_side=3):
+        seen = {0: 0, 1: 0}
+        for x0 in range(p):
+            f = ((x0 * x0 + A) * x0 + B) % p
+            if f == 0:
+                continue
+            side = (1 - jacobi(f, p)) // 2
+            if seen[side] == per_side:
+                if min(seen.values()) == per_side:
+                    return True
+                continue
+            seen[side] += 1
+            order = N if side == 0 else 2 * p + 2 - N
+            if counting._mul(order, (x0 * f % p, f * f % p), A * f * f % p, p) is not None:
+                return False
+        raise AssertionError(f"fewer than {per_side} points on a side at {p}")
+
+    def test_seeded_primes_from_1e7_to_2_40(self):
+        rng = random.Random(26)
+        primes = [seeded_primes(rng, lo, 2 * lo, 1)[0]
+                  for lo in (10 ** 7, 2 ** 25, 2 ** 27, 2 ** 29, 2 ** 31, 2 ** 33,
+                             2 ** 34, 2 ** 35, 2 ** 36, 2 ** 37, 2 ** 38, 2 ** 39)]
+        assert primes[-1] < 2 ** 40
+        start = time.perf_counter()
+        for p in primes:
+            A, B = random_smooth_pair(rng, p)
+            N = count_points_prime(p, A, B)
+            assert (N - p - 1) ** 2 <= 4 * p, (p, A, B, N)
+            assert self.kills(p, A, B, N), (p, A, B, N)
+            assert not self.kills(p, A, B, N + 2), (p, A, B, N)
+            assert not self.kills(p, A, B, N - 2), (p, A, B, N)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestAffineBruteforce:

@@ -1,0 +1,65 @@
+"""One sha256 over the payloads of the benchmark's inputs.
+
+    python3 tools/payload_digest.py [--src DIR]
+
+Runs `ecfactor.cli.main` in-process on batches 0-1 of seeds 1-4 of every
+workload in `bench/workloads.py`, in that order, with stdout captured. Each
+call's payload is its output with the factor JSON's `wall_ms` dropped
+(`workloads.payload`), so two versions of the program that answer alike
+print the same digest: it covers `factors`, `curves_used`, `oracle_queries`
+and the census CSV bytes. Prints the hex digest of one sha256 over the argv,
+exit code and payload of every call. Exits 2 if there are no ecfactor
+sources to run, and 1 if the run imported ecfactor from elsewhere.
+
+The inputs always come from the `bench/` next to this script. `--src` names
+the `src` directory of the program to run, by default the one next to this
+script, so a second checkout of another commit can be run on the same inputs:
+
+    python3 tools/payload_digest.py --src /path/to/other/checkout/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 4)
+BATCHES = (0, 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    src = parser.parse_args(argv).src.resolve()
+    if not (src / "ecfactor" / "cli.py").is_file():
+        print(f"error: no ecfactor sources under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import ecfactor.cli as cli
+    import workloads
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"error: ecfactor imported from {cli.__file__}, not under {src}", file=sys.stderr)
+        return 1
+    digest = hashlib.sha256()
+    for name in sorted(workloads.WORKLOADS):
+        for seed in SEEDS:
+            for j in BATCHES:
+                for inp in workloads.batch(name, seed, j):
+                    out = io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                        rc = cli.main(inp.argv)
+                    record = [inp.argv, rc, workloads.payload(inp, out.getvalue())]
+                    digest.update(json.dumps(record).encode() + b"\n")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
