@@ -11,25 +11,28 @@ implementation's count, the product of per-prime counts.
 `FactoredOracle` counts each quadratic twist class once per prime of a
 modulus. At a prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is
 the quadratic twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t,
-t = A^3/B^2 mod p (Silverman, AEC III.1), so a_p(E) = (AB|p)*a_t with a_t
-the trace of E_t. Its plan for m is a tuple with one state per prime of m,
-built when m is first admitted: (p, p - 1, g, log, memo), with memo mapping
-a twist class to a_t. The plans are the oracle's one cache; a state is not
-shared between moduli, since a cofactor's split draws fresh curves. At a
-prime with a character table (p <= the crossover in `counting`), g and log
-come from `counting.discrete_logs(p)`, log as a memoryview. The count reads
-la = log_g A and lb = log_g B off it: the memo key is 3*la - 2*lb mod p - 1,
-which is log_g t, and (AB|p) = (-1)^(la + lb), as the primitive root g is a
-non-residue. A twist E^d has A*d^2 and B*d^3, so the same key, and a hit
+t = A^3/B^2 mod p (Silverman, AEC III.1). E_t has A*B = t^2, a square, and
+a twist pair has n_p + n'_p = 2(p + 1), so with c = #E_t the count of E is
+c when (AB|p) = 1 and 2p + 2 - c when (AB|p) = -1. Its plan for m is a
+tuple with one state per prime of m, built when m is first admitted:
+(p, p - 1, g, log, memo), with memo mapping a twist class's key to c. The
+plans are the oracle's one cache; a state is not shared between moduli,
+since a cofactor's split draws fresh curves. At a prime with a character
+table (p <= the crossover in `counting`), g and log come from
+`counting.discrete_logs(p)`, log as a memoryview. The count reads
+la = log_g A and lb = log_g B off it: the key is 3*la - 2*lb mod p - 1,
+which is log_g t, and (AB|p) = (-1)^(la + lb), as the primitive root g is
+a non-residue. A twist E^d has A*d^2 and B*d^3, so the same key, and a hit
 takes no modular power and no method call. Above the crossover g and log
 are None, the key is t = A^3 * B^-2 mod p, and (AB|p) comes from Euler's
-criterion, (AB)^((p-1)/2) mod p. Each memo belongs to one prime, so the two
-kinds of key never meet. On a miss the memo counts E_t through
-`counting.count_points_prime`. A curve with A = 0 or B = 0 mod p (j = 0 or
-1728, whose classes can be sextic or quartic twists of one another) is
-counted in full. A refused modulus gets no plan, so it is refused again on
-every query. Plans live as long as the oracle instance. Every answered
-query is counted, hit or not, so the query count does not depend on them.
+criterion. Each memo belongs to one prime, so the two kinds of key never
+meet. The key is looked up once, and a miss counts E_t (t = g^key at a
+table prime) through `counting.count_points_prime`. A curve with A = 0 or
+B = 0 mod p (j = 0 or 1728, whose classes can be sextic or quartic twists
+of one another) is counted in full. A refused modulus gets no plan, so it
+is refused again on every query. Plans live as long as the oracle
+instance. Every answered query is counted, hit or not, so the query count
+does not depend on them.
 """
 
 from __future__ import annotations
@@ -117,31 +120,23 @@ class FactoredOracle(Oracle):
         N = 1
         for p, p1, g, log, memo in plan:
             a, b = A % p, B % p
-            if log is None or a == 0 or b == 0:
-                N *= self._count_prime(p, memo, a, b)
+            if a == 0 or b == 0:
+                N *= counting.count_points_prime(p, a, b)
                 continue
-            la, lb = log[a], log[b]  # memoryview items are ints, and quicker than numpy's
-            e = (3 * la - 2 * lb) % p1  # log_g t
-            at = memo.get(e)
-            if at is None:
-                t = pow(g, e, p)
-                at = memo[e] = p + 1 - counting.count_points_prime(p, t, t)
-            # (AB|p) = (g|p)^(la + lb), and a primitive root is a non-residue
-            N *= p + 1 + at if (la + lb) & 1 else p + 1 - at
+            if log is None:
+                key = a ** 3 * pow(b, -2, p) % p  # t
+                nonsquare = pow(a * b, p >> 1, p) != 1  # Euler's criterion
+            else:
+                la, lb = log[a], log[b]  # memoryview items are ints, and quicker than numpy's
+                key = (3 * la - 2 * lb) % p1  # log_g t
+                # (ab|p) = (g|p)^(la + lb), and a primitive root is a non-residue
+                nonsquare = (la + lb) & 1
+            c = memo.get(key)
+            if c is None:
+                t = key if log is None else pow(g, key, p)
+                c = memo[key] = counting.count_points_prime(p, t, t)
+            N *= 2 * p + 2 - c if nonsquare else c  # n_p + n'_p = 2(p + 1)
         return N
-
-    @staticmethod
-    def _count_prime(p: int, memo: dict[int, int], A: int, B: int) -> int:
-        """The count at p for 0 <= A, B < p off the log path: A = 0 or B = 0,
-        or p above the crossover, where memo is keyed by t itself."""
-        if A == 0 or B == 0:
-            return counting.count_points_prime(p, A, B)
-        t = A ** 3 * pow(B, -2, p) % p
-        at = memo.get(t)
-        if at is None:
-            at = memo[t] = p + 1 - counting.count_points_prime(p, t, t)
-        # Euler's criterion: (AB)^((p-1)/2) is 1 or p - 1, as (AB|p) is 1 or -1
-        return p + 1 - at if pow(A * B, p >> 1, p) == 1 else p + 1 + at
 
 
 class DirectOracle(Oracle):

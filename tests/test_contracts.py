@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from ecfactor.arith import is_probable_prime, jacobi, primes_between
 from ecfactor.census import CSV_HEADER
-from ecfactor.cli import main
+from ecfactor.cli import COMMANDS, main
 from ecfactor.reduction import D_MAX, MAX_D_LIMIT
 
 TIME_BOUND_S = 10
@@ -38,6 +38,7 @@ EDGES = [
 ]
 PRIMES = primes_between(5, 3000)
 BRUTE_FORCE_N = 10 ** 4  # a `count` up to here is checked by enumeration
+CLASS_OFFSET = {1: 6, 5: 2, 7: 4, 11: 0}  # F_p has 2p + this many curve classes, by p mod 12
 
 
 class Overtime(Exception):
@@ -146,15 +147,43 @@ def brute_force_count(n, A, B):
     return total
 
 
+def census_option(argv, flag):
+    """The value of a census flag in argv, or the command's default."""
+    if flag in argv:
+        return argv[argv.index(flag) + 1]
+    return COMMANDS["census"][2][flag][1]
+
+
+def check_census_row(p, D, classes_max, row):
+    """A census CSV row for the cell (p, D): phi_direct = phi_mobius, phi at
+    least both bounds, and the class columns empty above classes_max, else
+    s_classes <= total_classes = the number of classes over F_p."""
+    assert len(row) == 8, row
+    rp, rD, direct, mobius = map(int, row[:4])
+    assert (rp, rD) == (p, D) and direct == mobius, row
+    assert direct >= float(row[4]) and direct >= float(row[5]), row
+    if p > classes_max:
+        assert row[6:] == ["", ""], row
+    else:
+        s, total = int(row[6]), int(row[7])
+        assert s <= total == 2 * p + CLASS_OFFSET[p % 12], row
+
+
 def check_success(argv, out):
     command = argv[0]
     if command == "census":
         header, *rows = out.splitlines()
         assert header == CSV_HEADER
-        pmin, pmax = int(argv[argv.index("--pmin") + 1]), int(argv[argv.index("--pmax") + 1])
-        for row in rows:
-            p = int(row.split(",")[0])
-            assert pmin <= p <= pmax and is_probable_prime(p), row
+        pmin, pmax = (int(census_option(argv, flag)) for flag in ("--pmin", "--pmax"))
+        d_list = [int(tok) for tok in census_option(argv, "--D-list").split(",") if tok]
+        classes_max = int(census_option(argv, "--classes-max"))
+        # rows in (p, D) order, with D = 0 printed as p + 1
+        cells = [
+            (p, p + 1 if D == 0 else D) for p in primes_between(max(pmin, 5), pmax) for D in d_list
+        ]
+        assert len(rows) == len(cells), (len(rows), len(cells))
+        for (p, D), row in zip(cells, rows):
+            check_census_row(p, D, classes_max, row.split(","))
         return
     report = json.loads(out)
     if command == "factor":

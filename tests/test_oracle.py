@@ -191,8 +191,13 @@ class TestLogKeyedMemo:
         for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):  # a miss, then a hit
             assert o.query(p, a, b) == _legendre_count(p, a, b), (p, a, b)
 
-    def test_twists_share_one_count_per_prime(self, monkeypatch):
-        primes = [1009, 1013, 1019]
+    @pytest.mark.parametrize(
+        "primes",
+        [[1009, 1013, 1019], [16411, 100003], [1009, 16411]],
+        ids=["table", "above-crossover", "straddling"],
+    )
+    def test_twists_share_one_count_per_prime(self, monkeypatch, primes):
+        # keyed by log_g t at table primes and by t above the crossover
         m = math.prod(primes)
         counts = []
 
