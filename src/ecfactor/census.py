@@ -13,7 +13,10 @@ p and D is a block of one. D = 0 stands for p + 1, read in one place
       phi(p, D) = sum over j | p+1, j <= B of c_D(j) * floor(B / j),
       c_D(j)    = sum over d | j, d <= D of mu(j/d),
   with the j found by divisibility, not by gcds. c_D depends only on j and
-  D, and one table of mu serves a whole sweep.
+  D, so each block tabulates it once, over its distinct D (cut to B) and
+  its distinct j, a row per D by the shorter of two loops (at most about
+  sqrt(B) vector steps); one gather reads every (prime, j) coefficient,
+  and one `np.add.reduceat` sums each prime's terms.
 - lower_bounds evaluates the two bounds as float64 arrays, in the order
   of the formulas, from one factorisation of each p+1.
 
@@ -27,13 +30,15 @@ The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0
 is isomorphic, or a quadratic twist, to E_t: y^2 = x^3 + t x + t with
 t = A^3/B^2, and t -> j = 6912t/(4t + 27) maps F_p minus {0, -27/4} onto
-F_p minus {0, 1728}; all p - 2 traces a(t) come from one correlation,
-`counting.normal_form_traces`. The curves with j = 0 (A = 0) or j = 1728
-(B = 0) can have automorphisms beyond +-1, and then their classes are
-sextic or quartic twists of each other, not quadratic ones: gcd(6, p-1)
-classes at j = 0 and gcd(4, p-1) at j = 1728, whose traces come from one
-`counting.legendre_sums` over the column of their curves, one curve per
-coset taken as a power of the primitive root of `counting.discrete_logs`.
+F_p minus {0, 1728}; all p - 2 traces a(t) come from one float64
+correlation, `counting.normal_form_traces`, exact since every partial sum
+is an integer of size at most p - 1 < 2^53. The curves with j = 0 (A = 0)
+or j = 1728 (B = 0) can have automorphisms beyond +-1, and then their
+classes are sextic or quartic twists of each other, not quadratic ones:
+gcd(6, p-1) classes at j = 0 and gcd(4, p-1) at j = 1728, whose traces
+come from one `counting.legendre_sums` over the column of their curves,
+one curve per coset taken as a power of the primitive root of
+`counting.discrete_logs`.
 A census line counts the classes with gcd(a, p+1) <= D by one comparison
 of their gcds with every D.
 
@@ -56,6 +61,8 @@ from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
 # count_points_prime is unused here but kept: bench/tracer.py wraps it by this name.
 from .counting import count_points_prime, discrete_logs, legendre_sums, normal_form_traces
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
     """The primes as an int64 array, the D as a list, and whether both were scalars."""
@@ -63,19 +70,21 @@ def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
     return ps, [D] if np.ndim(D) == 0 else list(D), np.ndim(p) == 0 and np.ndim(D) == 0
 
 
-def _d_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
-    """The D of every (prime, D) cell as Python numbers, with D = 0 read as p + 1.
+def _d_grid(ps: np.ndarray, ds: list, dtype=object) -> np.ndarray:
+    """The D of every (prime, D) cell, with D = 0 read as p + 1, in dtype:
+    Python numbers by default, so that a D past int64 is kept whole.
 
     This is the one place that reads D = 0; every kernel and every CSV line takes
     its D from here.
     """
-    d = np.array(ds, dtype=object)
-    return np.where(d == 0, (ps + 1).astype(object)[:, None], d)
+    d = np.array(ds, dtype=dtype)
+    return np.where(d == 0, (ps + 1).astype(dtype)[:, None], d)
 
 
 def _count_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
     """_d_grid as int64, with D above p + 1 cut to p + 1: gcd(a, p+1) <= p + 1."""
-    return np.minimum(_d_grid(ps, ds), (ps + 1)[:, None]).astype(np.int64)
+    d = _d_grid(ps, [min(D, _INT64_MAX) for D in ds], np.int64)
+    return np.minimum(d, (ps + 1)[:, None])
 
 
 def _unwrap(grid: np.ndarray, scalar: bool):
@@ -132,7 +141,7 @@ def _coefficients(j: np.ndarray, D: int, mu: np.ndarray) -> np.ndarray:
     """
     top = int(j.max())
     if D * D <= top:
-        return sum((j % d == 0) * mu[j // d].astype(np.int64) for d in range(1, D + 1))
+        return sum(((j % d == 0) * mu[j // d] for d in range(1, D + 1)), np.zeros_like(j))
     c = (j == 1).astype(np.int64)
     for k in range(1, top // (D + 1) + 1):
         c -= ((j % k == 0) & (j > k * D)) * mu[k]
@@ -144,10 +153,11 @@ def phi_mobius(p, D):
 
     phi(p, D) = sum over the j | p+1 with j <= B = floor(2*sqrt(p)) of
     c_D(j) * floor(B / j), with c_D(j) = sum_{d | j, d <= D} mu(j/d). The j
-    come from a divisibility matrix over (prime, j), not from gcds, and c_D
-    from one table of mu, which serves every prime of a sweep. For
-    j <= B <= D, c_D(j) is 1 at j = 1 and 0 above, so every D >= B is read
-    as the largest B.
+    come from a divisibility matrix over (prime, j), not from gcds. c_D is
+    tabulated once over the block's distinct D and distinct j, from one
+    table of mu that serves every block of a sweep, and read by one gather.
+    For j <= B <= D, c_D(j) is 1 at j = 1 and 0 above, so every D >= B is
+    read as the largest B.
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
@@ -160,13 +170,14 @@ def phi_mobius(p, D):
     j += 1
     d = _count_grid(ps, ds)
     d[d >= bound[:, None]] = top
-    d = d[rows]
-    c = np.zeros(d.shape, dtype=np.int64)
-    for D in set(d.ravel().tolist()):
-        at = d == D
-        c[at] = _coefficients(np.broadcast_to(j[:, None], d.shape)[at], D, mu)
-    out = np.zeros((len(ps), len(ds)), dtype=np.int64)
-    np.add.at(out, rows, c * (bound[rows] // j)[:, None])
+    # c_D(j) once per distinct D and distinct j of the block; d's inverse is
+    # reshaped, as numpy 1.x returns it flat and 2.x in d's shape
+    dv, di = np.unique(d, return_inverse=True)
+    jv, ji = np.unique(j, return_inverse=True)
+    table = np.stack([_coefficients(jv, D, mu) for D in dv.tolist()])
+    c = table[di.reshape(d.shape)[rows], ji[:, None]]
+    # the rows ascend, and each prime's first row is its divisor j = 1
+    out = np.add.reduceat(c * (bound[rows] // j)[:, None], np.flatnonzero(j == 1), axis=0)
     return _unwrap(out, scalar)
 
 
@@ -207,7 +218,7 @@ def lower_bounds(p, D):
     functions = np.array([_divisor_functions(m) for m in (ps + 1).tolist()], dtype=np.int64)
     tau1, tau2, P, phi_P, omega_P = functions.T[:, :, None]
     sp = np.sqrt(ps.astype(np.float64))[:, None]
-    d = _d_grid(ps, [_float_or_inf(D) for D in ds]).astype(np.float64)
+    d = _d_grid(ps, [_float_or_inf(D) for D in ds], np.float64)
     b22 = 2 * sp - (2 * sp / d) * tau1 - tau2
     b23 = np.broadcast_to(sp * phi_P / P - 2.0 ** omega_P, b22.shape)
     return _unwrap(b22, scalar), _unwrap(b23, scalar)

@@ -60,13 +60,16 @@ x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)), so
     w(s) = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = s,
 
 and all p - 2 traces come from one cyclic correlation of chi and w, arrays
-of length p: O(p^2) multiply-adds in C and O(p) memory, in place of about p
-point counts. A count reads the one lag t of it. The weights are built from
-discrete logarithms to the least primitive root g: the powers g^i come from
-an outer product of about sqrt(p) by sqrt(p) powers, and one scatter of
-them gives log x. For x != 0, -1, log s = 3 log x - log(x + 1) mod p - 1,
-so one bincount sums chi(x + 1) by log s and one gather at log s gives
-w(s) for s != 0; x = 0 is the one x with s = 0.
+of length p: O(p^2) multiply-adds and O(p) memory, in place of about p
+point counts. It runs on float64 copies, so that `np.correlate` takes the
+BLAS dot, and is exact: every partial sum is an integer of size at most
+sum |w| <= p - 1 < 2^53. A count reads the one lag t of it, exactly in
+int16. The weights are built from discrete logarithms to the least
+primitive root g: the powers g^i come from an outer product of about
+sqrt(p) by sqrt(p) powers, and one scatter of them gives log x. For
+x != 0, -1, log s = 3 log x - log(x + 1) mod p - 1, so one bincount sums
+chi(x + 1) by log s and one gather at log s gives w(s) for s != 0; x = 0
+is the one x with s = 0.
 
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
@@ -203,17 +206,21 @@ def _normal_form_count(p: int, A: int, B: int) -> int:
 
 
 def normal_form_traces(p: int) -> np.ndarray:
-    """a(t) for t != 0, -27/4 in F_p, increasing t: the traces of
-    E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring.
-    O(p^2) time, for a prime 5 <= p <= _CROSSOVER, the primes with tables."""
+    """a(t) for t != 0, -27/4 in F_p, increasing t, as int64: the traces of
+    E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring,
+    taken through the float64 dot and exact. O(p^2) time, for a prime
+    5 <= p <= _CROSSOVER, the primes with tables."""
     if discrete_logs(p) is None:
         raise ValueError(f"normal_form_traces: p must be <= {_CROSSOVER}, got {p}")
-    chi = _legendre_table(p).astype(np.int64)
-    w = _normal_form_weights(p)
-    # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p
+    chi = _legendre_table(p).astype(np.float64)
+    w = _normal_form_weights(p).astype(np.float64)
+    # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p, by the float64
+    # dot; exact, as every partial sum is an integer of size at most
+    # sum |w| <= p - 1 < 2^53
     corr = np.correlate(np.concatenate((chi, chi[:-1])), w, "valid")
-    a = -chi[p - 1] - corr
-    return np.delete(a, [0, -27 * pow(4, -1, p) % p])
+    keep = np.ones(p, dtype=bool)
+    keep[[0, -27 * pow(4, -1, p) % p]] = False
+    return (-chi[p - 1] - corr[keep]).astype(np.int64)
 
 
 # Affine points are (x, y) tuples of ints in [0, p); None is the point at

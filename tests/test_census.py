@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ecfactor import census
-from ecfactor.arith import isqrt, odd_part, primes_between
+from ecfactor.arith import is_probable_prime, isqrt, odd_part, primes_between
 from ecfactor.census import (
     CSV_HEADER,
     NonResidueNotFound,
@@ -70,6 +70,32 @@ class TestPhiCounts:
                 assert phi_direct(p, D) == phi_mobius(p, D) == plain, (p, D)
                 if k < len(d_list):
                     assert block[0][i, k] == block[1][i, k] == plain, (p, D)
+
+    def test_identity_at_large_p_and_repeated_D(self):
+        # both sides of _coefficients' D*D <= top switch, D cut to top, D = 0,
+        # a D past int64 and a repeated D, at one prime a block and all three
+        # in one block
+        rng = random.Random("phi identity at large p")
+        primes = []
+        for k in (20, 30, 40):
+            p = (1 << k) + rng.randrange(1 << 10)
+            while not is_probable_prime(p):
+                p += 1
+            primes.append(p)
+        d_lists = []
+        for p in primes:
+            top = isqrt(4 * p)
+            r = isqrt(top)
+            d_lists.append([1, 2, r, r + 1, top - 1, top, top + 1, 0, 2 ** 70, 3, 3])
+        blocks = [([p], ds) for p, ds in zip(primes, d_lists)]
+        blocks.append((primes, sum(d_lists, [])))
+        for block, d_list in blocks:
+            ps = np.array(block)
+            direct, mobius = phi_direct(ps, d_list), phi_mobius(ps, d_list)
+            assert direct.shape == mobius.shape == (len(block), len(d_list))
+            for i, p in enumerate(block):
+                for k, D in enumerate(d_list):
+                    assert mobius[i, k] == direct[i, k], (p, D)
 
     def test_zero_D_is_p_plus_1_everywhere(self):
         for p in (5, 7, 13, 101, 997):

@@ -253,6 +253,19 @@ class TestCensusCommand:
             "291e74038c6a97761f162ca44d562a46d3b67c7f82729dc107678c44b631058a"
         )
 
+    def test_class_limit_and_repeated_huge_D_csv_pinned(self, capsys):
+        # classes to the enumeration limit, D = 0 and 3 repeated, D = 2^70
+        code, out, _ = run_cli(
+            capsys, "census", "--pmin", "5", "--pmax", "20000",
+            "--D-list", "0,1,2,3,5,10,40,1000,0,3,1180591620717411303424",
+            "--classes-max", "1000",
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "6707dd3f415f090f70c44d63c4f22e5deadb9495754629dcdfae840b357d1983"
+        )
+
     @staticmethod
     def census_capped(pmin, pmax):
         """`census --pmin pmin --pmax pmax --D-list 1 --classes-max 0` in a child

@@ -156,6 +156,14 @@ class TestCharacterSums:
             ts = [t for t in range(1, p) if (4 * t + 27) % p]
             traces = normal_form_traces(p).tolist()
             assert traces == [p + 1 - _legendre_count(p, t, t) for t in ts], p
+        # the float64 correlation above p = 1000, up to the largest table prime
+        rng = random.Random("normal form traces above 1000")
+        for p in (4093, 9973, 16381):
+            ts = [t for t in range(1, p) if (4 * t + 27) % p]
+            traces = normal_form_traces(p).tolist()
+            assert len(traces) == len(ts) == p - 2, p
+            for i in sorted(rng.sample(range(p - 2), 200)):
+                assert traces[i] == p + 1 - _legendre_count(p, ts[i], ts[i]), (p, ts[i])
 
     def test_legendre_sums_over_a_column_match_one_curve_at_a_time(self):
         rng = random.Random(14)
