@@ -46,10 +46,10 @@ symbol (AB | p) off it at table primes, so a twist-memo hit takes no modular
 power. It returns None above the crossover, so only this module decides
 which primes have tables.
 
-`legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p); it
-admits p as the count does, takes one curve or a column of curves, and
-serves the count above and the census's j = 0 and j = 1728 classes. It is
-also the slow exact reference the tests hold the one-lag count to.
+`legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
+primes 5 <= p <= 2^24 only, as it holds about 24p bytes per curve. It takes
+one curve or a column of curves, and serves the count above, the census's
+j = 0 and j = 1728 classes, and the tests as the one-lag count's reference.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
 E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the curves `oracle.FactoredOracle`
@@ -128,13 +128,14 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 def legendre_sums(p: int, A, B):
-    """sum_x (x^3+Ax+B | p) for a prime 5 <= p < 2^60 and 0 <= A, B < p: an
+    """sum_x (x^3+Ax+B | p) for a prime 5 <= p <= 2^24 and 0 <= A, B < p: an
     int64 for one curve, or an array of k sums for A and B int64 arrays of
-    shape (k, 1)."""
+    shape (k, 1). A larger p is refused: its transient arrays would take
+    about 24p bytes per curve."""
     _admit(p)
-    # Exact in int64 up to p ~ 2.1e9, with about 24p bytes of transient arrays
-    # per curve: the tests use it as the reference for baby-step/giant-step up
-    # to 1e7.
+    if p > 1 << 24:
+        raise ValueError(f"legendre_sums: p must be <= 2^24, got {p}")
+    # The tests use it as the reference for baby-step/giant-step up to ~1e7.
     x = np.arange(p, dtype=np.int64)
     f = x * x  # Horner: every intermediate stays below 2p^2 + p
     f %= p

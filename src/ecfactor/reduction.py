@@ -17,12 +17,12 @@ symbol, so the walk has already queried d0 on this curve and its
 recovery would fail again.
 
 The walk takes (d|n) as the product of (q|n) over the primes q of d, read
-off the cached `factor_small(d)`; each (q|n) is taken once per split, and a
-d that is not squarefree reads 0 before any symbol is taken. At a 0, d is
-not squarefree or shares a prime with n, and gcd(d, n) ends the split
-unless it is 1 or n. So the walk ends at the same d, and queries the same
-d before it, as a walk that takes gcd(d, n) and the Jacobi symbol (d|n) at
-every d.
+off the cached `factor_small(d)`, each (q|n) once per split; a d that is
+not squarefree is skipped. The walk goes up from 2, so the first d with
+(d|n) = 0 is n's least prime: any other squarefree d sharing a prime with n
+is above that prime. It ends the split with no gcd, and d < n keeps a prime
+n whole, as gcd(d, n) = n would. So the walk ends at the same d, and queries
+the same d before it, as a walk taking gcd(d, n) and (d|n) at every d.
 """
 
 from __future__ import annotations
@@ -100,33 +100,29 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     multipliers up to 2D suffice whenever gcd(a_p, p+1) <= D. Candidates
     are accepted only on exact divisibility, so over-enumeration is safe.
     A candidate g*s/2 - 1 needs g*s even, so for odd s only even g are
-    tried; over the tried g the candidates are an arithmetic progression,
-    taken by one addition each. Candidates grow with g, so the scan stops
-    at the first one >= n, after at most 2(n+1)/s multipliers.
+    tried. The tried g are step, 2*step, ..., so the candidates are the one
+    range h-1, 2h-1, ... with h = step*s/2, cut at the last g <= 2D and at
+    n, and a hit's multiplier is (cand+1)/h * step.
     """
     if N < 1 or Nd < 1:
         raise ValueError("recover_from_ratio: counts must be >= 1")
     s = (N + Nd) // math.gcd(N, Nd)  # numerator + denominator of N/Nd
     step = 1 + s % 2
-    h = step * s // 2  # the candidates g*s/2 - 1 step by h as g steps by step
-    cand = -1
-    for g in range(step, 2 * D + 1, step):
-        cand += h
-        if cand >= n:
-            break
+    h = step * s // 2
+    for cand in range(h - 1, min(2 * D // step * h, n), h):
         if cand > 1 and n % cand == 0:
-            return Recovery(cand, g)
+            return Recovery(cand, (cand + 1) // h * step)
     return None
 
 
-def _twist_symbol(d: int, n: int, symbols: dict[int, int]) -> int:
-    """(d|n) for a squarefree d >= 2, as the product of (q|n) over the primes
-    q of d, and 0 for a d that is not squarefree. `symbols` caches (q|n) for
+def _twist_symbol(d: int, n: int, symbols: dict[int, int]) -> int | None:
+    """(d|n) for a squarefree d >= 2, the product of (q|n) over the primes q
+    of d, or None for a d that is not squarefree. `symbols` caches (q|n) for
     one n, so each prime's Jacobi symbol is taken once."""
     sign = 1
     for q, e in factor_small(d):
         if e > 1:
-            return 0
+            return None
         s = symbols.get(q)
         if s is None:
             s = symbols[q] = jacobi(q, n)
@@ -138,11 +134,11 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     """Find one nontrivial factor of squarefree composite n, gcd(n, 6) = 1.
 
     The outcome's `source` names the exit. A factor comes from "ratio" (a
-    recovery from N/N_d), "d_gcd" (a proper gcd(d, n)), or "screen_gcd" or
-    "iso_gcd" (a gcd met while sampling a curve). `factor` is None after
-    "curves_exhausted" (`max_curves` curves failed) or "supply_exhausted"
-    (`sample_curve` found no fresh curve). The queries it made are read off
-    the oracle's counter.
+    recovery from N/N_d), "d_gcd" (the walk reached n's least prime), or
+    "screen_gcd" or "iso_gcd" (a gcd met while sampling a curve). `factor`
+    is None after "curves_exhausted" (`max_curves` curves failed) or
+    "supply_exhausted" (`sample_curve` found no fresh curve). The queries it
+    made are read off the oracle's counter.
     """
     if n < 2 or math.gcd(n, 6) != 1:
         raise ValueError("split: n must be a squarefree composite coprime to 6")
@@ -162,10 +158,8 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
             N = oracle.query(n, A, B)
             for d in range(2, max_d + 1):
                 sign = _twist_symbol(d, n, symbols)
-                if sign == 0:  # d is not squarefree, or shares a prime with n
-                    g = math.gcd(d, n)
-                    if 1 < g < n:
-                        return outcome(g, "d_gcd")
+                if sign == 0 and d < n:  # d is n's least prime
+                    return outcome(d, "d_gcd")
                 elif sign == -1:
                     Nd = oracle.query(n, *twist(n, A, B, d))
                     rec = recover_from_ratio(N, Nd, cfg.D, n)

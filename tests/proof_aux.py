@@ -7,10 +7,11 @@ bounds, the sieve is the reference for euler_phi, and divisors serves the
 divisor-sum identity of euler_phi. special_curves gives the curves of the
 classes at j = 0 and j = 1728, whose traces the counting and census tests
 check one curve at a time. argparse_reference is the command-line grammar
-the CLI's one-pass parser is checked against. bsgs_count_reference and
-factor_small_reference are the slow references for two fast paths: the
-Shanks-Mestre count that strips every point order, and trial division by
-every prime below 2^12.
+the CLI's one-pass parser is checked against. bsgs_count_reference,
+factor_small_reference and recover_reference are the slow references for
+three fast paths: the Shanks-Mestre count that strips every point order,
+trial division by every prime below 2^12, and the ratio recovery's
+candidates kept by hand as a progression that stops at the first one >= n.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from collections import Counter
 from ecfactor import arith, counting
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import discrete_logs
+from ecfactor.reduction import Recovery
 
 
 def tau(x: int) -> int:
@@ -186,3 +188,22 @@ def factor_small_reference(x: int) -> tuple[tuple[int, int], ...]:
     elif x > 1:
         factors.append((x, 1))
     return tuple(factors)
+
+
+def recover_reference(N: int, Nd: int, D: int, n: int) -> Recovery | None:
+    """`reduction.recover_from_ratio` with its candidates g*s/2 - 1 taken by
+    one addition per multiplier g, and the scan stopped at the first
+    candidate >= n."""
+    if N < 1 or Nd < 1:
+        raise ValueError("recover_from_ratio: counts must be >= 1")
+    s = (N + Nd) // math.gcd(N, Nd)  # numerator + denominator of N/Nd
+    step = 1 + s % 2
+    h = step * s // 2  # the candidates g*s/2 - 1 step by h as g steps by step
+    cand = -1
+    for g in range(step, 2 * D + 1, step):
+        cand += h
+        if cand >= n:
+            break
+        if cand > 1 and n % cand == 0:
+            return Recovery(cand, g)
+    return None

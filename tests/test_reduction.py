@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from math import gcd
@@ -21,6 +22,7 @@ from ecfactor.reduction import (
     recover_from_ratio,
     split,
 )
+from proof_aux import recover_reference
 
 
 class TestRecoverFromRatio:
@@ -110,6 +112,30 @@ class TestRecoverFromRatio:
             assert rec == self.reference(N, Nd, D, n), (N, Nd, D, n)
             seen.add(((N + Nd) // gcd(N, Nd) % 2, rec is None))
         assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+    @pytest.mark.parametrize("N, Nd, D, n, expected", [
+        # N = Nd: s = 2 and h = 1, so the candidates 0 and 1 are passed over
+        (7, 7, 1, 35, None),
+        (7, 7, 3, 35, Recovery(5, 6)),
+        # odd s = 3: only even g, whose candidates are 2, 5, ...
+        (1, 2, 1, 35, None),
+        (1, 2, 2, 35, Recovery(5, 4)),
+        # the candidates reach n = 7, which divides n but is not taken
+        (1, 1, D_MAX, 7, None),
+    ])
+    def test_edges_match_the_progression_reference(self, N, Nd, D, n, expected):
+        assert recover_from_ratio(N, Nd, D, n) == expected
+        assert recover_reference(N, Nd, D, n) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 2 ** 128), st.integers(1, 2 ** 128), st.integers(1, D_MAX),
+       st.integers(2, 2 ** 127).map(lambda k: 2 * k + 1))
+def test_recovery_matches_the_progression_reference(N, Nd, D, n):
+    def key(rec):
+        return None if rec is None else (rec.factor, rec.multiplier)
+
+    assert key(recover_from_ratio(N, Nd, D, n)) == key(recover_reference(N, Nd, D, n))
 
 
 _SMALL_PRIMES = primes_between(5, 200)
@@ -347,11 +373,34 @@ class TestTwistWalk:
             saved += queries - oracle.queries
         assert saved > 0  # the sample reaches non-squarefree d with (d|n) = -1
 
+    def test_pinned_walk(self):
+        # every exit, factor, curve count and query count of 600 seeded
+        # splits, under both oracles; the d_gcd exit is n's least prime, the
+        # first d the ascending walk reaches that shares a prime with n
+        rng = random.Random("walk pin")
+        pool = primes_between(5, 500)
+        rows = []
+        for k in (2, 3, 4):
+            for _ in range(100):
+                primes = sorted(rng.sample(pool, k))
+                seed = rng.randrange(2 ** 32)
+                n = math.prod(primes)
+                for name, make_oracle in _ORACLES.items():
+                    oracle = make_oracle(primes)
+                    out = split(n, oracle, ReductionConfig(seed=seed))
+                    rows.append((name, n, out.factor, out.source, out.curves_tried,
+                                 oracle.queries))
+                    if out.source == "d_gcd":
+                        assert out.factor == primes[0], n
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "8f442725bb7aac891a79e71c0a068d9d30a86a27c7dd140bb1ee978789cbdb34")
+
 
 class TestTwistSymbol:
     def test_product_of_prime_symbols_is_the_jacobi_symbol(self):
         # one symbol cache per n, as one split keeps it; primes from 5 up so
-        # some d share a prime with n, where both sides are 0
+        # some d share a prime with n, where both sides are 0; a d that is
+        # not squarefree reads None, and the walk skips it
         rng = random.Random("twist symbol")
         pool = primes_between(5, 3000)
         for k in range(2, 9):
@@ -359,7 +408,7 @@ class TestTwistSymbol:
                 n = math.prod(rng.sample(pool, k))
                 symbols = {}
                 for d in range(2, 3001):
-                    expected = jacobi(d, n) if _is_squarefree(d) else 0
+                    expected = jacobi(d, n) if _is_squarefree(d) else None
                     assert _twist_symbol(d, n, symbols) == expected, (n, d)
                 assert all(s == jacobi(q, n) for q, s in symbols.items())
 
