@@ -41,10 +41,11 @@ built by scattering squares: every entry starts at -1, the (p-1)/2 values
 x^2 mod p for 1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are
 set to 1, and entry 0 to 0.
 
-`discrete_logs(p)` is public: `oracle.FactoredOracle` reads log_g t and the
-symbol (AB | p) off it at table primes, so a twist-memo hit takes no modular
-power. It returns None above the crossover, so only this module decides
-which primes have tables.
+`discrete_logs(p)` is public: at table primes `oracle.FactoredOracle` reads
+only the parity of log_g(AB mod p) off it, which is (AB | p) as g is a
+non-residue, so a twist answered from its record takes no modular power. It
+returns None above the crossover, so only this module decides which primes
+have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
 primes 5 <= p <= 2^24 only, as it holds about 24p bytes per curve. It takes
@@ -52,8 +53,8 @@ one curve or a column of curves, and serves the count above, the census's
 j = 0 and j = 1728 classes, and the tests as the one-lag count's reference.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
-E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the curves `oracle.FactoredOracle`
-memoises and the census enumerates. For x != -1,
+E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the normal forms whose twists
+`oracle.FactoredOracle` answers from one count and the census enumerates. For x != -1,
 x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)), so
 
     a(t) = -chi(-1) - sum_s w(s) chi(t + s),

@@ -8,31 +8,36 @@ Both go through the one `Oracle.query`: it admits m once into a plan,
 screens the curve, tallies the query and hands the plan to the
 implementation's count, the product of per-prime counts.
 
-`FactoredOracle` counts each quadratic twist class once per prime of a
-modulus. At a prime p, a curve E: y^2 = x^3 + Ax + B with A*B != 0 mod p is
-the quadratic twist by B/A of the normal form E_t: y^2 = x^3 + t*x + t,
-t = A^3/B^2 mod p (Silverman, AEC III.1). E_t has A*B = t^2, a square, and
-a twist pair has n_p + n'_p = 2(p + 1), so with c = #E_t the count of E is
-c when (AB|p) = 1 and 2p + 2 - c when (AB|p) = -1. Its plan for m is a
-tuple with one state per prime of m, built when m is first admitted:
-(p, p - 1, g, log, memo), with memo mapping a twist class's key to c. The
-plans are the oracle's one cache; a state is not shared between moduli,
-since a cofactor's split draws fresh curves. At a prime with a character
-table (p <= the crossover in `counting`), g and log come from
-`counting.discrete_logs(p)`, log as a memoryview. The count reads
-la = log_g A and lb = log_g B off it: the key is 3*la - 2*lb mod p - 1,
-which is log_g t, and (AB|p) = (-1)^(la + lb), as the primitive root g is
-a non-residue. A twist E^d has A*d^2 and B*d^3, so the same key, and a hit
-takes no modular power and no method call. Above the crossover g and log
-are None, the key is t = A^3 * B^-2 mod p, and (AB|p) comes from Euler's
-criterion. Each memo belongs to one prime, so the two kinds of key never
-meet. The key is looked up once, and a miss counts E_t (t = g^key at a
-table prime) through `counting.count_points_prime`. A curve with A = 0 or
-B = 0 mod p (j = 0 or 1728, whose classes can be sextic or quartic twists
-of one another) is counted in full. A refused modulus gets no plan, so it
-is refused again on every query. Plans live as long as the oracle
-instance. Every answered query is counted, hit or not, so the query count
-does not depend on them.
+`FactoredOracle` answers a twist of the last curve it counted on a modulus
+without counting. At a prime p, a curve E: y^2 = x^3 + Ax + B with
+A*B != 0 mod p is the quadratic twist by B/A of the normal form
+E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p (Silverman, AEC III.1). E_t has
+A*B = t^2, a square, and a twist pair has n_p + n'_p = 2(p + 1), so two
+curves with one t have the same count when (AB|p) is the same for both, and
+counts summing to 2p + 2 otherwise. Its plan for m, built when m is first
+admitted, holds (p, log) for each prime of m, a dict of j = 0 and 1728
+counts, and the record: the last curve (A0, B0) counted there, as
+A0^3 mod m, B0^2 mod m and, for each prime, (p, log, c_p, s_p) with c_p the
+count and s_p = 1 when (A0*B0|p) = -1, else 0. A query with
+A^3*B0^2 = A0^3*B^2 (mod m) has the record's t at every prime, so where
+s_p is a symbol it counts c_p when its own symbol is s_p and 2p + 2 - c_p
+otherwise, read in one inline loop with no count. At a table prime
+(p <= the crossover in `counting`) log is `counting.discrete_logs(p)`'s
+table as a memoryview, and the symbol is the parity of log_g(AB mod p), as
+the primitive root g is a non-residue; above the crossover log is None and
+the symbol comes from Euler's criterion. Any other query is counted prime by
+prime through `counting.count_points_prime` and becomes the new record.
+A prime where A or B is 0 (j = 0 or 1728, whose classes can be sextic or
+quartic twists of one another) gets s_p = None in the record, and a member
+query has a 0 there too, since A^3*B0^2 = A0^3*B^2 with a smooth curve
+puts the zero on the same coefficient. It is counted once per isomorphism
+class, b*(F_p^*)^6 of y^2 = x^3 + b and a*(F_p^*)^4 of y^2 = x^3 + ax,
+which one power names exactly: b^((p-1)/gcd(6, p-1)) and
+a^((p-1)/gcd(4, p-1)) mod p. The plans are the oracle's one cache, and live
+as long as the oracle instance; a plan is not shared between moduli, since a
+cofactor's split draws fresh curves. A refused modulus gets no plan, so it
+is refused again on every query. Every answered query is counted, from the
+record or not, so the query count does not depend on the plans.
 """
 
 from __future__ import annotations
@@ -89,10 +94,10 @@ class FactoredOracle(Oracle):
         if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
             raise ValueError("FactoredOracle: primes must be distinct and >= 5")
         self.primes = primes
-        # admitted modulus -> (p, p - 1, g, log, memo) for each of its primes
-        self._plans: dict[int, tuple[tuple, ...]] = {}
+        # admitted modulus -> [record, m, ((p, log), ...), j = 0 and 1728 counts]
+        self._plans: dict[int, list] = {}
 
-    def _plan(self, m: int) -> tuple[tuple, ...]:
+    def _plan(self, m: int) -> list:
         plan = self._plans.get(m)
         if plan is not None:
             return plan
@@ -100,43 +105,64 @@ class FactoredOracle(Oracle):
         rest = m
         for p in self.primes:
             if rest % p == 0:
-                parts.append(p)
+                found = counting.discrete_logs(p)
+                parts.append((p, None if found is None else memoryview(found[1])))
                 rest //= p
         if rest != 1 or m < 2:
             raise UnsupportedModulusError(
                 f"modulus {m} is not a squarefree product of the oracle's primes"
             )
-        states = []
-        for p in parts:
-            found = counting.discrete_logs(p)
-            g, log = (None, None) if found is None else (found[0], memoryview(found[1]))
-            states.append((p, p - 1, g, log, {}))
-        self._plans[m] = plan = tuple(states)
+        self._plans[m] = plan = [None, m, tuple(parts), {}]
         return plan
 
-    def _count(self, plan: tuple[tuple, ...], A: int, B: int) -> int:
+    def _count(self, plan: list, A: int, B: int) -> int:
         # counting.count_points_prime is a module lookup, not a copied name,
         # so bench/tracer.py can wrap it
+        record, m, parts, classes = plan
+        if record is not None and (A * A * A * record[1] - record[0] * B * B) % m == 0:
+            # t = A^3/B^2 is the record's at every prime: where A0*B0 != 0,
+            # a quadratic twist of the recorded curve
+            ab = A * B
+            N = 1
+            for p, log, c, s in record[2]:
+                x = ab % p
+                # (ab|p) = (g|p)^log x, and a primitive root is a non-residue;
+                # Euler's criterion above the crossover
+                if (log[x] & 1 if log is not None else pow(x, p >> 1, p) != 1) == s:
+                    N *= c
+                elif s is None:  # A = 0 or B = 0 mod p, as for the record
+                    N *= _class_count(classes, p, A % p, B % p)
+                else:
+                    N *= 2 * p + 2 - c  # n_p + n'_p = 2(p + 1)
+            return N
+        rows = []
         N = 1
-        for p, p1, g, log, memo in plan:
+        for p, log in parts:
             a, b = A % p, B % p
             if a == 0 or b == 0:
-                N *= counting.count_points_prime(p, a, b)
-                continue
-            if log is None:
-                key = a ** 3 * pow(b, -2, p) % p  # t
-                nonsquare = pow(a * b, p >> 1, p) != 1  # Euler's criterion
+                c, s = _class_count(classes, p, a, b), None
             else:
-                la, lb = log[a], log[b]  # memoryview items are ints, and quicker than numpy's
-                key = (3 * la - 2 * lb) % p1  # log_g t
-                # (ab|p) = (g|p)^(la + lb), and a primitive root is a non-residue
-                nonsquare = (la + lb) & 1
-            c = memo.get(key)
-            if c is None:
-                t = key if log is None else pow(g, key, p)
-                c = memo[key] = counting.count_points_prime(p, t, t)
-            N *= 2 * p + 2 - c if nonsquare else c  # n_p + n'_p = 2(p + 1)
+                c = counting.count_points_prime(p, a, b)
+                x = a * b % p
+                s = log[x] & 1 if log is not None else pow(x, p >> 1, p) != 1
+            rows.append((p, log, c, s))
+            N *= c
+        plan[0] = (A * A * A % m, B * B % m, rows)
         return N
+
+
+def _class_count(classes: dict, p: int, a: int, b: int) -> int:
+    """The count of y^2 = x^3 + b (a = 0) or y^2 = x^3 + ax (b = 0) mod p,
+    once per isomorphism class: b*(F_p^*)^6 is read off b^((p-1)/gcd(6, p-1)),
+    and a*(F_p^*)^4 off a^((p-1)/gcd(4, p-1))."""
+    if a == 0:
+        key = (p, 0, pow(b, (p - 1) // math.gcd(6, p - 1), p))
+    else:
+        key = (p, 1, pow(a, (p - 1) // math.gcd(4, p - 1), p))
+    c = classes.get(key)
+    if c is None:
+        c = classes[key] = counting.count_points_prime(p, a, b)
+    return c
 
 
 class DirectOracle(Oracle):

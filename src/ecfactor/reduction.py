@@ -23,6 +23,12 @@ not squarefree is skipped. The walk goes up from 2, so the first d with
 is above that prime. It ends the split with no gcd, and d < n keeps a prime
 n whole, as gcd(d, n) = n would. So the walk ends at the same d, and queries
 the same d before it, as a walk taking gcd(d, n) and (d|n) at every d.
+
+Each curve keeps the set of N_d whose recovery failed. A twist whose N_d is
+in it is still queried, but not recovered: the same ratio N/N_d gives the
+same None. For n = pq a twist with (d|n) = -1 is a non-residue at one prime
+alone, and N_d takes one of two values, so a curve runs recovery at most
+twice however far its walk goes.
 """
 
 from __future__ import annotations
@@ -156,15 +162,18 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
             A, B = sample_curve(n, rng, used)
             used.append((A, B))
             N = oracle.query(n, A, B)
+            failed: set[int] = set()  # the N_d whose recovery failed on this curve
             for d in range(2, max_d + 1):
                 sign = _twist_symbol(d, n, symbols)
                 if sign == 0 and d < n:  # d is n's least prime
                     return outcome(d, "d_gcd")
                 elif sign == -1:
                     Nd = oracle.query(n, *twist(n, A, B, d))
-                    rec = recover_from_ratio(N, Nd, cfg.D, n)
-                    if rec is not None:
-                        return outcome(rec.factor, "ratio")
+                    if Nd not in failed:
+                        rec = recover_from_ratio(N, Nd, cfg.D, n)
+                        if rec is not None:
+                            return outcome(rec.factor, "ratio")
+                        failed.add(Nd)
     except FactorFound as ff:
         return outcome(ff.factor, ff.source)
     except CurveSupplyExhausted:

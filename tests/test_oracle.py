@@ -82,11 +82,13 @@ class TestFactoredOracle:
 
 
 class TestTwistMemo:
-    """FactoredOracle's twist-class memo against uncached counts."""
+    """FactoredOracle's answers from the record of the last curve counted
+    on a modulus, against uncached counts."""
 
     def test_criterion_7_samples(self, monkeypatch):
         # criterion 7's sampler, one oracle per prime reused across samples,
-        # so unrelated curves that share a key hit the memo as well
+        # so a curve with the record's t = A^3/B^2 is answered from the
+        # record even when it is not a twist the sampler drew
         full_counts = []
 
         def counted(p, A, B):
@@ -106,8 +108,9 @@ class TestTwistMemo:
             for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):
                 assert o.query(p, a, b) == count_points_prime(p, a, b), (p, a, b, d)
             j_0_or_1728 += A * B % p == 0
-        # every twist with A*B != 0 was answered without a count, and the full
-        # counts went through counting.count_points_prime, where a wrapper sees them
+        # every twist with A*B != 0 was answered from the record without a
+        # count, and the full counts went through counting.count_points_prime,
+        # where a wrapper sees them
         assert len(oracles) <= len(full_counts) <= 10 ** 4 + j_0_or_1728
 
     def test_j_0_and_1728_curves_and_their_twists(self):
@@ -135,16 +138,80 @@ class TestTwistMemo:
         o = FactoredOracle([5, 7])
         assert o.queries == 0
         o.query(35, 1, 1)
-        o.query(35, 4, 8)  # the twist by d = 2: a memo hit at both primes
+        o.query(35, 4, 8)  # the twist by d = 2: answered from the record
         assert o.queries == 2
-        o.query(7, 1, 1)  # the same curve mod 7: a miss, on a plan of its own
+        o.query(7, 1, 1)  # the same curve mod 7: counted, on a plan of its own
         o.query(5, 1, 1)  # and mod 5, a modulus not asked about before
         assert o.queries == 4
 
 
+_STEPS = ("fresh", "twist", "old twist", "j = 0", "j = 1728")
+
+
+class TestRecord:
+    """FactoredOracle keeps, per modulus, the record of the last curve it
+    counted; a query with the record's t = A^3/B^2 at every prime is
+    answered from it, and any other curve is counted and replaces it."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(_STEPS), st.integers(1, 2 ** 64), st.integers(0, 2 ** 64)),
+        min_size=1, max_size=16,
+    ))
+    def test_query_sequences_against_the_direct_oracle(self, steps):
+        # 1009 has a character table and 16411 does not; a sequence mixes
+        # fresh curves, twists of the last curve, twists of a curve the record
+        # has since replaced, and curves with A = 0 or B = 0 modulo one prime
+        # or both, and their twists
+        p, q = 1009, 16411
+        m = p * q
+        o, direct = FactoredOracle([p, q]), DirectOracle()
+        drawn = [(2, 3)]  # every curve drawn, the newest last
+        answered = 0
+        for step, x, y in steps:
+            if step == "fresh":
+                A, B = x % m, y % m
+            elif step in ("twist", "old twist"):
+                A, B = drawn[-1] if step == "twist" else drawn[y % len(drawn)]
+                A, B = A * x * x % m, B * x ** 3 % m
+            else:
+                zero = (m, p, q)[y % 3]  # A or B is 0 modulo zero
+                c = zero * (y // 3 % (m // zero))
+                A, B = (c, x % m) if step == "j = 0" else (x % m, c)
+            drawn.append((A, B))
+            try:
+                expected = direct.query(m, A, B)
+            except SingularCurveError:
+                with pytest.raises(SingularCurveError):
+                    o.query(m, A, B)
+                continue
+            assert o.query(m, A, B) == expected, (step, A, B)
+            answered += 1
+        assert o.queries == direct.queries == answered
+
+    def test_j_0_and_1728_are_counted_once_per_class(self, monkeypatch):
+        # every y^2 = x^3 + b and every y^2 = x^3 + ax on one plan per prime:
+        # the classes b*(F_p^*)^6 and a*(F_p^*)^4 number gcd(6, p - 1) and
+        # gcd(4, p - 1), and each is counted once; 16411 is above the crossover
+        full_counts = []
+
+        def counted(p, A, B):
+            full_counts.append(p)
+            return count_points_prime(p, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        primes = [37, 101, 1009, 16411]
+        o = FactoredOracle(primes)
+        for p in primes:
+            for c in range(1, p):
+                for A, B in ((0, c), (c, 0)):
+                    assert o.query(p, A, B) == count_points_prime(p, A, B), (p, A, B)
+            assert full_counts.count(p) == gcd(6, p - 1) + gcd(4, p - 1), p
+
+
 class TestLogKeyedMemo:
-    """The hit path at table primes, keyed by log_g t with the sign read off
-    the parity of log A + log B, against the Legendre sum and brute force.
+    """The record's answers at table primes, with (AB|p) read off the parity
+    of log_g(AB), against the Legendre sum and brute force.
     count_points_prime shares the discrete logs at these primes, so it is
     not the reference here."""
 
@@ -188,7 +255,7 @@ class TestLogKeyedMemo:
         A, B, d = A % p, B % p, d % p
         assume((4 * A ** 3 + 27 * B ** 2) % p and d)
         o = FactoredOracle([p])
-        for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):  # a miss, then a hit
+        for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):  # counted, then from the record
             assert o.query(p, a, b) == _legendre_count(p, a, b), (p, a, b)
 
     @pytest.mark.parametrize(
@@ -197,7 +264,8 @@ class TestLogKeyedMemo:
         ids=["table", "above-crossover", "straddling"],
     )
     def test_twists_share_one_count_per_prime(self, monkeypatch, primes):
-        # keyed by log_g t at table primes and by t above the crossover
+        # every twist has the record's t at each prime, so each prime is
+        # counted once, at a table prime or above the crossover
         m = math.prod(primes)
         counts = []
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from math import gcd
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecfactor.reduction
+from ecfactor import cli
 from ecfactor.arith import is_probable_prime, jacobi, primes_between
 from ecfactor.counting import count_points_prime
 from ecfactor.curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
@@ -394,6 +396,59 @@ class TestTwistWalk:
                         assert out.factor == primes[0], n
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "8f442725bb7aac891a79e71c0a068d9d30a86a27c7dd140bb1ee978789cbdb34")
+
+
+def _recoveries_per_curve(monkeypatch):
+    """Wrap `split`'s sample_curve and recover_from_ratio; returns a list with
+    one list per curve drawn, of the (N, N_d) that recovery was called on."""
+    per_curve = []
+
+    def sampling(n, rng, used):
+        curve = sample_curve(n, rng, used)
+        per_curve.append([])
+        return curve
+
+    def recovering(N, Nd, D, n):
+        per_curve[-1].append((N, Nd))
+        return recover_from_ratio(N, Nd, D, n)
+
+    monkeypatch.setattr(ecfactor.reduction, "sample_curve", sampling)
+    monkeypatch.setattr(ecfactor.reduction, "recover_from_ratio", recovering)
+    return per_curve
+
+
+class TestRecoveryOncePerCount:
+    """`split` runs recovery once per distinct N_d on a curve: the same ratio
+    N/N_d fails the same way, so a repeated N_d is queried but not recovered."""
+
+    def test_the_dead_first_curve(self, monkeypatch, capsys):
+        # a first curve whose gcd(a_p, p+1) exceeds D at both primes walks
+        # every admissible d up to max_d, but its twists have two counts, so
+        # recovery runs twice on it and once on the second curve, which splits n
+        per_curve = _recoveries_per_curve(monkeypatch)
+        assert cli.main(["factor", "1077272742627746153", "--seed", "419625122"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["factors"] == [1009900799, 1066711447]
+        assert report["oracle_queries"] == 2086
+        assert report["curves_used"] == 2
+        assert [len(calls) for calls in per_curve] == [2, 1]
+        assert len(set(per_curve[0])) == 2
+
+    def test_at_most_two_per_curve_for_two_primes(self, monkeypatch):
+        # for n = pq a twist with (d|n) = -1 is a non-residue at p alone or at
+        # q alone, and N_d is one of two products, so recovery runs at most
+        # twice per curve; the sample has curves that fail at both
+        per_curve = _recoveries_per_curve(monkeypatch)
+        queried = 0
+        for n, primes, seed in _seeded_moduli((2,), 1000, 100_000, 150, "two primes"):
+            oracle = FactoredOracle(primes)
+            split(n, oracle, ReductionConfig(seed=seed))
+            queried += oracle.queries
+        assert max(len(calls) for calls in per_curve) == 2
+        for calls in per_curve:
+            assert len(set(calls)) == len(calls)
+        # each curve's own query is not a twist, and some twists repeated a count
+        assert queried - len(per_curve) > sum(len(calls) for calls in per_curve)
 
 
 class TestTwistSymbol:

@@ -1,5 +1,6 @@
 """The scripts under tools/ against what the README says they print."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,54 @@ def test_query_table_reproduces_the_readme_walk_column():
         row = cells(line)
         readme.append([*row[:3], row[-1]])
     assert [row[:4] for row in printed] == readme
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsSummary:
+    """tools/bench_pairs.py's summary arithmetic on fixed numbers; no benchmark runs."""
+
+    # sorted: 0.145 0.146 0.147 0.147 0.148 0.149 0.150 0.150 0.151 0.152, so the
+    # inclusive quartiles fall on 0.147, (0.148 + 0.149) / 2 and 0.150
+    parent = [0.150, 0.146, 0.147, 0.152, 0.149, 0.147, 0.151, 0.145, 0.150, 0.148]
+
+    def test_quartiles_and_pairs(self):
+        bp = load_bench_pairs()
+        change = [x - 0.010 for x in self.parent]
+        change[3] = 0.153  # the pair of 0.152 lost; the change's median is (0.138 + 0.139) / 2
+        s = bp.summarize(self.parent, change, "lower", 0.2)
+        assert s["parent"] == {"q1": 0.147, "median": 0.1485, "q3": 0.15, "n": 10}
+        assert s["change"]["median"] == 0.1385
+        assert s["change_vs_parent_median"] == -0.0673  # 0.1385 / 0.1485 - 1
+        assert s["bound"] == 0.2
+        assert s["parent_interquartile_range"] == 0.003
+        assert s["pairs_change_better"] == "9 of 10"
+        # for a metric where higher is better the same pairs count the other way
+        assert bp.summarize(self.parent, change, "higher", 0.1)["pairs_change_better"] == "1 of 10"
+
+    def test_claim_rule(self):
+        bp = load_bench_pairs()
+        faster = [x - 0.010 for x in self.parent]
+        claim = bp.claim_holds(self.parent, faster, "lower")
+        assert claim == {"pairs_change_better": "10 of 10", "median_gap": 0.01,
+                         "parent_interquartile_range": 0.003, "met": True}
+        # 9 of 10 pairs is enough: the medians are then 0.009 apart
+        nine = faster[:9] + [0.2]
+        assert bp.claim_holds(self.parent, nine, "lower")["met"]
+        # 8 of 10 is not, however wide the gap
+        eight = faster[:8] + [0.2, 0.2]
+        assert bp.claim_holds(self.parent, eight, "lower")["pairs_change_better"] == "8 of 10"
+        assert not bp.claim_holds(self.parent, eight, "lower")["met"]
+        # every pair won, but by less than the parent's interquartile range
+        close = [x - 0.002 for x in self.parent]
+        claim = bp.claim_holds(self.parent, close, "lower")
+        assert claim["pairs_change_better"] == "10 of 10"
+        assert claim["median_gap"] == 0.002 and not claim["met"]
+        # higher is better: the gap is read the other way
+        assert bp.claim_holds(self.parent, [x + 0.010 for x in self.parent], "higher")["met"]
+        assert not bp.claim_holds(self.parent, faster, "higher")["met"]

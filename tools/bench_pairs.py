@@ -1,0 +1,177 @@
+"""Paired benchmark runs of this checkout against a base checkout, as one JSON.
+
+    python3 tools/bench_pairs.py --base DIR --seeds 51-60 \
+        [--workloads factor-twist,factor-cold,census-sweep] \
+        [--claim factor-twist:wall_ref_s] [--description TEXT] > BENCH_N.json
+
+For each workload and each seed it runs
+
+    python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
+
+once from the root of the base tree (the parent) and once from the root of
+this one (the change), back to back: the parent first at odd seeds and the
+change first at even seeds. DIR is a second tree of the program, for example
+a `git archive` of the parent commit unpacked elsewhere. The script refuses
+to run (exit 2) if the two trees' `bench/` files differ, since the pairs
+would then not run the same benchmark.
+
+It prints one JSON object: every run's printed lines and result, and a
+summary per workload and end-to-end metric of `BENCHMARK.json`: q1, median
+and q3 of each side by `statistics.quantiles(n=4, method='inclusive')`,
+`change_vs_parent_median` (change median / parent median - 1), the metric's
+bound, the parent's interquartile range and `pairs_change_better`. With
+`--claim W:METRIC`, `claim` says whether the claim rule holds on that
+metric: the change is better in at least 9 of 10 pairs, and the gap between
+the medians is larger than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COUNT_LINES = ("failed_share", "oracle crosscheck", "oracle_queries", "curves_used")
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def pairs_better(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads better than the parent."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric's summary over paired runs, in the shape of `BENCH_*.json`."""
+    qp, qc = quartiles(parent), quartiles(change)
+    return {
+        "parent": {k: round(v, 4) for k, v in qp.items()},
+        "change": {k: round(v, 4) for k, v in qc.items()},
+        "change_vs_parent_median": round(qc["median"] / qp["median"] - 1, 4),
+        "bound": bound,
+        "parent_interquartile_range": round(qp["q3"] - qp["q1"], 4),
+        "pairs_change_better": f"{pairs_better(parent, change, better)} of {len(parent)}",
+    }
+
+
+def claim_holds(parent: list[float], change: list[float], better: str) -> dict:
+    """The claim rule: better in at least 9 of 10 pairs, and a gap between the
+    medians larger than the parent's interquartile range."""
+    won = pairs_better(parent, change, better)
+    qp = quartiles(parent)
+    gap = qp["median"] - statistics.median(change)
+    if better != "lower":
+        gap = -gap
+    iqr = qp["q3"] - qp["q1"]
+    return {
+        "pairs_change_better": f"{won} of {len(parent)}",
+        "median_gap": round(gap, 4),
+        "parent_interquartile_range": round(iqr, 4),
+        "met": 10 * won >= 9 * len(parent) and gap > iqr,
+    }
+
+
+def bench_files(tree: Path) -> dict[str, bytes]:
+    return {
+        str(f.relative_to(tree)): f.read_bytes()
+        for f in sorted((tree / "bench").rglob("*"))
+        if f.is_file() and not {"__pycache__", "out"} & set(f.relative_to(tree / "bench").parts)
+    }
+
+
+def run(tree: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "30", "--trace", "0"],
+        capture_output=True, text=True, cwd=tree, timeout=1800,
+    )
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    return {"workload": workload, "seed": seed, "trace": 0,
+            "printed": lines[:-1] if result else lines, "rc": proc.returncode, "result": result}
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="root of the parent's tree")
+    parser.add_argument("--seeds", type=seed_range, required=True, help="LO-HI, inclusive")
+    parser.add_argument("--workloads", default=None, help="comma-separated; default all")
+    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
+    parser.add_argument("--description", default="")
+    args = parser.parse_args(argv)
+    base = args.base.resolve()
+    if bench_files(base) != bench_files(ROOT):
+        print(f"error: bench/ differs between {ROOT} and {base}", file=sys.stderr)
+        return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    metrics = spec["end_to_end"]
+    sides = {"parent": base, "change": ROOT}
+    runs = []
+    for workload in workloads:
+        for seed in args.seeds:
+            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                print(f"{workload} seed {seed} {side}", file=sys.stderr)
+                runs.append({"side": side, **run(sides[side], workload, seed)})
+
+    def values(side, workload, metric):
+        return [r["result"]["metrics"][metric]["value"] for r in runs
+                if r["side"] == side and r["workload"] == workload]
+
+    missing = [r for r in runs if r["result"] is None]
+    summary = claim = None
+    if not missing:
+        summary = {
+            w: {m["name"]: summarize(values("parent", w, m["name"]),
+                                     values("change", w, m["name"]), m["better"], m["bound"])
+                for m in metrics}
+            for w in workloads
+        }
+        if args.claim:
+            workload, metric = args.claim.split(":")
+            better = next(m["better"] for m in metrics if m["name"] == metric)
+            claim = {"workload": workload, "metric": metric,
+                     **claim_holds(values("parent", workload, metric),
+                                   values("change", workload, metric), better)}
+    counts = lambda r: [line for line in r["printed"] if line.startswith(COUNT_LINES)]
+    identical = all(counts(a) == counts(b) for a, b in zip(runs[::2], runs[1::2]))
+    doc = {
+        "description": args.description,
+        "command": "python3 bench/run.py --workload W --seed S --seconds 30 --trace 0, "
+                   "from the root of each checkout",
+        "machine": f"{platform.machine()} {platform.system()}, {os.cpu_count()} cores"
+                   f", Python {platform.python_version()}; the two runs of one "
+                   "(workload, seed) pair ran back to back, parent first at odd seeds "
+                   "and change first at even seeds",
+        "seeds": {"pairs": args.seeds},
+        "claim": claim,
+        "summary": summary,
+        "failed_operations": {
+            side: sum(r["result"]["failed"] for r in runs if r["side"] == side and r["result"])
+            for side in sides
+        },
+        "runs_without_result": len(missing),
+        "printed_counts_identical": identical,
+        "runs": runs,
+    }
+    print(json.dumps(doc, indent=1))
+    return 1 if missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
