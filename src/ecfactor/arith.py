@@ -195,6 +195,13 @@ def factor_small(x: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+def primitive_root(p: int) -> int:
+    """The least primitive root mod an odd prime p: the least g >= 2 with
+    g^((p-1)/q) != 1 mod p for every prime q | p - 1."""
+    qs = [q for q, _ in factor_small(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+
 def odd_part(x: int) -> int:
     """Largest odd divisor of x."""
     if x < 1:

@@ -37,8 +37,8 @@ or j = 1728 (B = 0) can have automorphisms beyond +-1, and then their
 classes are sextic or quartic twists of each other, not quadratic ones:
 gcd(6, p-1) classes at j = 0 and gcd(4, p-1) at j = 1728, whose traces
 come from one `counting.legendre_sums` over the column of their curves,
-one curve per coset taken as a power of the primitive root of
-`counting.discrete_logs`.
+one curve per coset taken as a power of the least primitive root,
+`arith.primitive_root`.
 A census line counts the classes with gcd(a, p+1) <= D by one comparison
 of their gcds with every D.
 
@@ -59,7 +59,7 @@ import numpy as np
 from . import arith
 from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
 # count_points_prime is unused here but kept: bench/tracer.py wraps it by this name.
-from .counting import count_points_prime, discrete_logs, legendre_sums, normal_form_traces
+from .counting import count_points_prime, legendre_sums, normal_form_traces
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -249,14 +249,14 @@ def isomorphism_class_traces(p: int) -> np.ndarray:
     - j = 0: one class y^2 = x^3 + B per coset of B in F_p*/(F_p*)^6;
     - j = 1728: one class y^2 = x^3 + Ax per coset of A in F_p*/(F_p*)^4;
       their traces -sum_x chi(x^3 + Ax + B) come from one `legendre_sums`.
-    With g the primitive root of `counting.discrete_logs`, g^0, ..., g^(k-1)
-    meet each coset of (F_p*)^k once. That is 2(p-2) + gcd(6, p-1) +
-    gcd(4, p-1) classes, returned as an int64 array of their traces.
+    With g the least primitive root (`arith.primitive_root`), g^0, ...,
+    g^(k-1) meet each coset of (F_p*)^k once. That is 2(p-2) + gcd(6, p-1)
+    + gcd(4, p-1) classes, returned as an int64 array of their traces.
     """
     if not 5 <= p <= _CLASS_ENUM_LIMIT:
         raise ValueError(f"class enumeration restricted to 5 <= p <= {_CLASS_ENUM_LIMIT}")
     a = normal_form_traces(p)
-    g, _ = discrete_logs(p)
+    g = arith.primitive_root(p)
     special = [(0, pow(g, i, p)) for i in range(gcd(6, p - 1))]
     special += [(pow(g, i, p), 0) for i in range(gcd(4, p - 1))]
     A, B = np.array(special, dtype=np.int64).T[:, :, None]

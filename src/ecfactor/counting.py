@@ -32,20 +32,17 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   raises instead of guessing. One count costs O(p^(1/4)) group operations
   and no table.
 
-The character table, the discrete logs and the weights are built on the
-first use at a prime and cached read-only, so later counts there are cheap.
-Each cache has a slot for each of the 1898 primes up to `_CROSSOVER`, so
-nothing is ever rebuilt; filled, they hold 14.6 MB of int8 tables, 29.2 MB
-of int16 weights and 29.2 MB of uint16 logs, 73.0 MB together. A table is
-built by scattering squares: every entry starts at -1, the (p-1)/2 values
-x^2 mod p for 1 <= x <= (p-1)/2 (which are exactly the nonzero squares) are
-set to 1, and entry 0 to 0.
+The character table and the weights are built on the first use at a prime
+and cached read-only, so later counts there are cheap. Each cache has a
+slot for each of the 1898 primes up to `_CROSSOVER`, so nothing is ever
+rebuilt; filled, they hold 14.6 MB of int8 tables and 29.2 MB of int16
+weights, 43.8 MB together. A table is built by scattering squares: every
+entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
+(which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
 
-`discrete_logs(p)` is public: at table primes `oracle.FactoredOracle` reads
-only the parity of log_g(AB mod p) off it, which is (AB | p) as g is a
-non-residue, so a twist answered from its record takes no modular power. It
-returns None above the crossover, so only this module decides which primes
-have tables.
+`character_table(p)` is public: `oracle.FactoredOracle` reads (AB | p) off
+it when it answers a twist from its record. It returns None above the
+crossover, so only this module decides which primes have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
 primes 5 <= p <= 2^24 only, as it holds about 24p bytes per curve. It takes
@@ -66,8 +63,9 @@ point counts. It runs on float64 copies, so that `np.correlate` takes the
 BLAS dot, and is exact: every partial sum is an integer of size at most
 sum |w| <= p - 1 < 2^53. A count reads the one lag t of it, exactly in
 int16. The weights are built from discrete logarithms to the least
-primitive root g: the powers g^i come from an outer product of about
-sqrt(p) by sqrt(p) powers, and one scatter of them gives log x. For
+primitive root g (`arith.primitive_root`), kept only while the weights are
+built: the powers g^i come from an outer product of about sqrt(p) by
+sqrt(p) powers, and one scatter of them gives log x. For
 x != 0, -1, log s = 3 log x - log(x + 1) mod p - 1, so one bincount sums
 chi(x + 1) by log s and one gather at log s gives w(s) for s != 0; x = 0
 is the one x with s = 0.
@@ -84,7 +82,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import factor_small, is_probable_prime, jacobi
+from .arith import factor_small, is_probable_prime, jacobi, primitive_root
 
 
 # Counts stop below here: just below it a baby-step/giant-step count takes about 0.4 s.
@@ -152,17 +150,19 @@ def _legendre_count(p: int, A: int, B: int) -> int:
     return p + 1 + int(legendre_sums(p, A, B))
 
 
-@lru_cache(maxsize=1 << 11)  # as _legendre_table's
-def discrete_logs(p: int) -> tuple[int, np.ndarray] | None:
-    """(g, log) for a prime 5 <= p <= _CROSSOVER: g the least primitive root
-    mod p, and log a read-only uint16 array of length p with
-    g^log[x] = x mod p for 0 < x < p (log[0] is 0 and means nothing).
-    None above the crossover, where no count builds tables."""
+def character_table(p: int) -> np.ndarray | None:
+    """The read-only int8 table of (x | p) for 0 <= x < p, shared with the
+    counts, at a prime 5 <= p <= _CROSSOVER; None above the crossover, where
+    no count builds tables."""
     _admit(p)
-    if p > _CROSSOVER:
-        return None
-    qs = [q for q, _ in factor_small(p - 1)]
-    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    return _legendre_table(p) if p <= _CROSSOVER else None
+
+
+@lru_cache(maxsize=1 << 11)  # as _legendre_table's
+def _normal_form_weights(p: int) -> np.ndarray:
+    """w(s) for 0 <= s < p, by discrete logs (module docstring): a read-only
+    int16 array, with sum |w| <= p - 1."""
+    g = primitive_root(p)
     m = isqrt(p - 2) + 1  # g^(mj + k) for 0 <= j, k < m covers every i < p - 1
     row = [1]
     for _ in range(m):
@@ -173,18 +173,8 @@ def discrete_logs(p: int) -> tuple[int, np.ndarray] | None:
     # int32 holds every product, as p^2 < 2^28, and its remainder is quicker
     power = np.array(col, dtype=np.int32)[:, None] * np.array(row[:m], dtype=np.int32)
     power %= p
-    log = np.zeros(p, dtype=np.uint16)  # p - 2 < 2^14
-    log[power.ravel()[: p - 1]] = np.arange(p - 1, dtype=np.uint16)
-    log.flags.writeable = False  # shared by the weights and FactoredOracle
-    return g, log
-
-
-@lru_cache(maxsize=1 << 11)  # as _legendre_table's
-def _normal_form_weights(p: int) -> np.ndarray:
-    """w(s) for 0 <= s < p, by discrete logs (module docstring): a read-only
-    int16 array, with sum |w| <= p - 1."""
-    _, log = discrete_logs(p)
-    log = log.astype(np.int32)
+    log = np.zeros(p, dtype=np.int32)  # g^log[x] = x for 0 < x < p
+    log[power.ravel()[: p - 1]] = np.arange(p - 1, dtype=np.int32)
     e = 3 * log[1 : p - 1]  # log s for x = 1 .. p - 2
     e -= log[2:]
     e %= p - 1
@@ -212,7 +202,7 @@ def normal_form_traces(p: int) -> np.ndarray:
     E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring,
     taken through the float64 dot and exact. O(p^2) time, for a prime
     5 <= p <= _CROSSOVER, the primes with tables."""
-    if discrete_logs(p) is None:
+    if character_table(p) is None:
         raise ValueError(f"normal_form_traces: p must be <= {_CROSSOVER}, got {p}")
     chi = _legendre_table(p).astype(np.float64)
     w = _normal_form_weights(p).astype(np.float64)

@@ -15,18 +15,17 @@ E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p (Silverman, AEC III.1). E_t has
 A*B = t^2, a square, and a twist pair has n_p + n'_p = 2(p + 1), so two
 curves with one t have the same count when (AB|p) is the same for both, and
 counts summing to 2p + 2 otherwise. Its plan for m, built when m is first
-admitted, holds (p, log) for each prime of m, a dict of j = 0 and 1728
+admitted, holds (p, chi) for each prime of m, a dict of j = 0 and 1728
 counts, and the record: the last curve (A0, B0) counted there, as
-A0^3 mod m, B0^2 mod m and, for each prime, (p, log, c_p, s_p) with c_p the
-count and s_p = 1 when (A0*B0|p) = -1, else 0. A query with
+A0^3 mod m, B0^2 mod m and, for each prime, (p, chi, c_p, s_p) with c_p the
+count and s_p = (A0*B0|p), +1 or -1. A query with
 A^3*B0^2 = A0^3*B^2 (mod m) has the record's t at every prime, so where
-s_p is a symbol it counts c_p when its own symbol is s_p and 2p + 2 - c_p
+s_p is a symbol it counts c_p when (AB|p) = s_p and 2p + 2 - c_p
 otherwise, read in one inline loop with no count. At a table prime
-(p <= the crossover in `counting`) log is `counting.discrete_logs(p)`'s
-table as a memoryview, and the symbol is the parity of log_g(AB mod p), as
-the primitive root g is a non-residue; above the crossover log is None and
-the symbol comes from Euler's criterion. Any other query is counted prime by
-prime through `counting.count_points_prime` and becomes the new record.
+(p <= the crossover in `counting`) chi is `counting.character_table(p)` as
+a memoryview and the symbol is chi[AB mod p]; above the crossover chi is
+None and the symbol comes from `jacobi`. Any other query is counted prime
+by prime through `counting.count_points_prime` and becomes the new record.
 A prime where A or B is 0 (j = 0 or 1728, whose classes can be sextic or
 quartic twists of one another) gets s_p = None in the record, and a member
 query has a 0 there too, since A^3*B0^2 = A0^3*B^2 with a smooth curve
@@ -45,7 +44,7 @@ from __future__ import annotations
 import math
 
 from . import counting, curves
-from .arith import factor_small
+from .arith import factor_small, jacobi
 from .counting import BRUTEFORCE_LIMIT, count_affine_bruteforce
 
 
@@ -94,7 +93,7 @@ class FactoredOracle(Oracle):
         if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
             raise ValueError("FactoredOracle: primes must be distinct and >= 5")
         self.primes = primes
-        # admitted modulus -> [record, m, ((p, log), ...), j = 0 and 1728 counts]
+        # admitted modulus -> [record, m, ((p, chi), ...), j = 0 and 1728 counts]
         self._plans: dict[int, list] = {}
 
     def _plan(self, m: int) -> list:
@@ -105,8 +104,8 @@ class FactoredOracle(Oracle):
         rest = m
         for p in self.primes:
             if rest % p == 0:
-                found = counting.discrete_logs(p)
-                parts.append((p, None if found is None else memoryview(found[1])))
+                chi = counting.character_table(p)
+                parts.append((p, None if chi is None else memoryview(chi)))
                 rest //= p
         if rest != 1 or m < 2:
             raise UnsupportedModulusError(
@@ -124,11 +123,9 @@ class FactoredOracle(Oracle):
             # a quadratic twist of the recorded curve
             ab = A * B
             N = 1
-            for p, log, c, s in record[2]:
+            for p, chi, c, s in record[2]:
                 x = ab % p
-                # (ab|p) = (g|p)^log x, and a primitive root is a non-residue;
-                # Euler's criterion above the crossover
-                if (log[x] & 1 if log is not None else pow(x, p >> 1, p) != 1) == s:
+                if (chi[x] if chi is not None else jacobi(x, p)) == s:
                     N *= c
                 elif s is None:  # A = 0 or B = 0 mod p, as for the record
                     N *= _class_count(classes, p, A % p, B % p)
@@ -137,15 +134,15 @@ class FactoredOracle(Oracle):
             return N
         rows = []
         N = 1
-        for p, log in parts:
+        for p, chi in parts:
             a, b = A % p, B % p
             if a == 0 or b == 0:
                 c, s = _class_count(classes, p, a, b), None
             else:
                 c = counting.count_points_prime(p, a, b)
                 x = a * b % p
-                s = log[x] & 1 if log is not None else pow(x, p >> 1, p) != 1
-            rows.append((p, log, c, s))
+                s = chi[x] if chi is not None else jacobi(x, p)
+            rows.append((p, chi, c, s))
             N *= c
         plan[0] = (A * A * A % m, B * B % m, rows)
         return N

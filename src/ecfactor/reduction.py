@@ -183,7 +183,6 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    n: int
     factors: tuple[int, ...]
     queries: int  # the oracle's counter difference over the run
     curves_used: int
@@ -239,4 +238,4 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
     for p, q in zip(primes, primes[1:]):
         if p == q:
             raise ValueError(f"factor_completely: {n} is not squarefree ({p}^2 divides it)")
-    return FactorizationResult(n, tuple(primes), oracle.queries - before, curves_used, failed)
+    return FactorizationResult(tuple(primes), oracle.queries - before, curves_used, failed)

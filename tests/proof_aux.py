@@ -22,7 +22,6 @@ from collections import Counter
 
 from ecfactor import arith, counting
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
-from ecfactor.counting import discrete_logs
 from ecfactor.reduction import Recovery
 
 
@@ -87,7 +86,7 @@ def special_curves(p: int) -> list[tuple[int, int]]:
     prime 5 <= p <= 2^14: y^2 = x^3 + g^i for i < gcd(6, p - 1) and
     y^2 = x^3 + g^i x for i < gcd(4, p - 1), with g a primitive root, whose
     powers g^0, ..., g^(k-1) meet each coset of (F_p*)^k once."""
-    g, _ = discrete_logs(p)
+    g = arith.primitive_root(p)
     curves = [(0, pow(g, i, p)) for i in range(math.gcd(6, p - 1))]
     return curves + [(pow(g, i, p), 0) for i in range(math.gcd(4, p - 1))]
 

@@ -16,6 +16,7 @@ from ecfactor.arith import (
     jacobi,
     odd_part,
     primes_between,
+    primitive_root,
 )
 from proof_aux import divisors, euler_phi, factor_small_reference, omega, tau, totient_sieve
 
@@ -84,6 +85,16 @@ class TestIsqrt:
             x = rng.randrange(10 ** 12)
             t = isqrt(x)
             assert t * t <= x < (t + 1) * (t + 1)
+
+
+class TestPrimitiveRoot:
+    def test_least_primitive_root_to_1000_and_at_16381(self):
+        # g has order p - 1, and no smaller h >= 2 reaches every residue
+        for p in primes_between(3, 1000) + [16381]:
+            g = primitive_root(p)
+            assert len({pow(g, i, p) for i in range(p - 1)}) == p - 1, p
+            for h in range(2, g):
+                assert len({pow(h, i, p) for i in range(p - 1)}) < p - 1, (p, h)
 
 
 class TestFactorSmall:

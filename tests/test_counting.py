@@ -14,9 +14,9 @@ from ecfactor.counting import (
     _legendre_count,
     _legendre_table,
     _normal_form_weights,
+    character_table,
     count_affine_bruteforce,
     count_points_prime,
-    discrete_logs,
     legendre_sums,
     normal_form_traces,
 )
@@ -227,33 +227,31 @@ class TestOneLagCount:
         assert np.abs(w.astype(np.int64)).sum() <= p - 1 < 2 ** 15
 
 
-class TestDiscreteLogs:
-    def test_logs_invert_powers_of_a_least_primitive_root(self):
-        # log is a bijection onto 0 .. p - 2 with g^log[x] = x, so g has
-        # order p - 1; no smaller g' >= 2 reaches every residue
-        for p in primes_between(5, 1000) + [16381]:
-            g, log = discrete_logs(p)
-            assert sorted(log[1:].tolist()) == list(range(p - 1)), p
-            assert all(pow(g, int(log[x]), p) == x for x in range(1, p)), p
-            for h in range(2, g):
-                assert len({pow(h, i, p) for i in range(p - 1)}) < p - 1, (p, h)
+class TestCharacterTable:
+    def test_table_is_the_legendre_symbol(self):
+        rng = random.Random(31)
+        table_primes = primes_between(5, counting._CROSSOVER)
+        for p in rng.sample(table_primes, 24) + [5, 16381]:
+            chi = character_table(p)
+            assert chi is _legendre_table(p) and not chi.flags.writeable, p
+            assert chi.tolist() == [jacobi(x, p) for x in range(p)], p
 
     def test_none_above_the_crossover(self):
-        assert discrete_logs(primes_between(2, counting._CROSSOVER)[-1]) is not None
+        assert character_table(primes_between(2, counting._CROSSOVER)[-1]) is not None
         for p in (16411, 1000003):
-            assert discrete_logs(p) is None
+            assert character_table(p) is None
         with pytest.raises(ValueError, match="got 9$"):
-            discrete_logs(9)
+            character_table(9)
 
 
 @pytest.fixture
 def fresh_tables():
     # start from empty caches, and let the tables a test builds (some far
     # above the crossover) go when it ends
-    for cache in (_legendre_table, _normal_form_weights, discrete_logs):
+    for cache in (_legendre_table, _normal_form_weights):
         cache.cache_clear()
     yield
-    for cache in (_legendre_table, _normal_form_weights, discrete_logs):
+    for cache in (_legendre_table, _normal_form_weights):
         cache.cache_clear()
 
 
@@ -273,14 +271,6 @@ class TestTableCache:
         assert _normal_form_weights(1009) is weights
         assert not weights.flags.writeable
         assert _normal_form_weights.cache_info().currsize == 1
-
-    def test_counts_at_one_prime_share_one_read_only_log_array(self, fresh_tables):
-        count_points_prime(1009, 1, 1)
-        g, log = discrete_logs(1009)
-        count_points_prime(1009, 2, 3)
-        assert discrete_logs(1009)[1] is log
-        assert log.dtype == np.uint16 and not log.flags.writeable
-        assert discrete_logs.cache_info().currsize == 1
 
 
 class TestShanksMestre:
@@ -320,8 +310,7 @@ class TestShanksMestre:
         assert _bsgs_count(p, A, B) == _legendre_count(p, A, B)
 
     def test_dispatch_on_the_crossover(self, fresh_tables):
-        # a count above the crossover builds no character table, no weights
-        # and no logs
+        # a count above the crossover builds no character table and no weights
         below = primes_between(2, counting._CROSSOVER)[-1]
         above = next(q for q in range(counting._CROSSOVER, 2 * counting._CROSSOVER)
                      if is_probable_prime(q))
@@ -329,11 +318,9 @@ class TestShanksMestre:
         count_points_prime(1000003, 2, 3)
         assert _legendre_table.cache_info().currsize == 0
         assert _normal_form_weights.cache_info().currsize == 0
-        assert discrete_logs.cache_info().currsize == 0
         count_points_prime(below, 1, 1)
         assert _legendre_table.cache_info().currsize == 1
         assert _normal_form_weights.cache_info().currsize == 1
-        assert discrete_logs.cache_info().currsize == 1
 
     def test_upper_half_exit_against_the_always_strip_reference(self, monkeypatch):
         # A match k with 2k >= kmin + kmax ends the count at once; a lower-half

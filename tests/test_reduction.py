@@ -561,3 +561,41 @@ class TestFactorCompletely:
             assert run == fresh
             assert run.queries > 0
         assert runs[0].queries + runs[1].queries == oracle.queries
+
+
+class LyingOracle(FactoredOracle):
+    """A FactoredOracle that adds +-2 to a seeded share of its answers."""
+
+    def __init__(self, primes, share, seed):
+        super().__init__(primes)
+        self.share = share
+        self.rng = random.Random(seed)
+
+    def _count(self, plan, A, B):
+        N = super()._count(plan, A, B)
+        # N >= 4 for k >= 2 primes >= 5, so every answer stays >= 2
+        return N + self.rng.choice((-2, 2)) if self.rng.random() < self.share else N
+
+
+class TestLyingOracle:
+    """A wrong count may cost the split its factor, never the factors' truth:
+    a run either finds exactly the primes of n or reports a stuck cofactor,
+    with every factor it did report a true prime of n."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, 8]),
+        st.sampled_from([0.01, 0.1, 0.5, 1]),
+        st.integers(0, 2 ** 32),
+    )
+    def test_wrong_answers_give_no_wrong_factor(self, k, share, seed):
+        rng = random.Random(seed)
+        primes = sorted(rng.sample(primes_between(1000, 2000), k))
+        n = math.prod(primes)
+        oracle = LyingOracle(primes, share, seed)
+        res = factor_completely(n, oracle, ReductionConfig(max_curves=8, max_d=64, seed=seed))
+        if res.success:
+            assert list(res.factors) == primes
+        else:
+            assert set(res.factors) <= set(primes)
+            assert n % res.failed_cofactor == 0

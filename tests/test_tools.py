@@ -59,6 +59,20 @@ class TestBenchPairsSummary:
         # for a metric where higher is better the same pairs count the other way
         assert bp.summarize(self.parent, change, "higher", 0.1)["pairs_change_better"] == "1 of 10"
 
+    def test_worse_than_bound(self):
+        bp = load_bench_pairs()
+        worse = lambda change, better, bound: bp.summarize(
+            self.parent, [change] * 10, better, bound)["worse_than_bound"]
+        # lower is better, parent median 0.1485: 0.1785 is +20.2%, 0.1780 +19.9%
+        assert worse(0.1785, "lower", 0.2)
+        assert not worse(0.1780, "lower", 0.2)
+        assert not worse(0.1785, "lower", 0.25)
+        assert not worse(0.05, "lower", 0.2)
+        # higher is better: 0.1185 is -20.2%, 0.1190 -19.9%; a rise never counts
+        assert worse(0.1185, "higher", 0.2)
+        assert not worse(0.1190, "higher", 0.2)
+        assert not worse(0.5, "higher", 0.2)
+
     def test_claim_rule(self):
         bp = load_bench_pairs()
         faster = [x - 0.010 for x in self.parent]

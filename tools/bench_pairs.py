@@ -19,7 +19,10 @@ It prints one JSON object: every run's printed lines and result, and a
 summary per workload and end-to-end metric of `BENCHMARK.json`: q1, median
 and q3 of each side by `statistics.quantiles(n=4, method='inclusive')`,
 `change_vs_parent_median` (change median / parent median - 1), the metric's
-bound, the parent's interquartile range and `pairs_change_better`. With
+bound, `worse_than_bound` (the change's median is worse than the parent's
+by more than that relative bound), the parent's interquartile range and
+`pairs_change_better`. `regressions` lists every `workload/metric` worse
+than its bound; a change that claims no gain must leave it empty. With
 `--claim W:METRIC`, `claim` says whether the claim rule holds on that
 metric: the change is better in at least 9 of 10 pairs, and the gap between
 the medians is larger than the parent's interquartile range.
@@ -54,11 +57,13 @@ def pairs_better(parent: list[float], change: list[float], better: str) -> int:
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """One metric's summary over paired runs, in the shape of `BENCH_*.json`."""
     qp, qc = quartiles(parent), quartiles(change)
+    ratio = qc["median"] / qp["median"] - 1
     return {
         "parent": {k: round(v, 4) for k, v in qp.items()},
         "change": {k: round(v, 4) for k, v in qc.items()},
-        "change_vs_parent_median": round(qc["median"] / qp["median"] - 1, 4),
+        "change_vs_parent_median": round(ratio, 4),
         "bound": bound,
+        "worse_than_bound": (ratio if better == "lower" else -ratio) > bound,
         "parent_interquartile_range": round(qp["q3"] - qp["q1"], 4),
         "pairs_change_better": f"{pairs_better(parent, change, better)} of {len(parent)}",
     }
@@ -134,7 +139,7 @@ def main(argv=None) -> int:
                 if r["side"] == side and r["workload"] == workload]
 
     missing = [r for r in runs if r["result"] is None]
-    summary = claim = None
+    summary = claim = regressions = None
     if not missing:
         summary = {
             w: {m["name"]: summarize(values("parent", w, m["name"]),
@@ -142,6 +147,8 @@ def main(argv=None) -> int:
                 for m in metrics}
             for w in workloads
         }
+        regressions = [f"{w}/{m}" for w, by_metric in summary.items()
+                       for m, s in by_metric.items() if s["worse_than_bound"]]
         if args.claim:
             workload, metric = args.claim.split(":")
             better = next(m["better"] for m in metrics if m["name"] == metric)
@@ -161,6 +168,7 @@ def main(argv=None) -> int:
         "seeds": {"pairs": args.seeds},
         "claim": claim,
         "summary": summary,
+        "regressions": regressions,
         "failed_operations": {
             side: sum(r["result"]["failed"] for r in runs if r["side"] == side and r["result"])
             for side in sides
