@@ -7,8 +7,8 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
 
 - p <= `_CROSSOVER` and AB != 0 mod p: one lag of the normal-form
   correlation below. E is the twist by B/A of E_t with t = A^3/B^2, so
-  N = p + 1 - (AB | p) a(t), and a(t) is two dot products of the character
-  table with the weights w of p.
+  N = p + 1 - (AB | p) a(t), and a(t) is one dot product of p entries of
+  the doubled character table with the weights w of p.
 - p <= `_CROSSOVER` and A = 0 or B = 0: the Legendre sum
   N = p + 1 + sum_x (x^3+Ax+B | p) over the character table.
 - p > `_CROSSOVER`: Shanks' baby-step/giant-step with Mestre's alternation
@@ -35,10 +35,14 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
 The character table and the weights are built on the first use at a prime
 and cached read-only, so later counts there are cheap. Each cache has a
 slot for each of the 1898 primes up to `_CROSSOVER`, so nothing is ever
-rebuilt; filled, they hold 14.6 MB of int8 tables and 29.2 MB of int16
-weights, 43.8 MB together. A table is built by scattering squares: every
+rebuilt; filled, they hold 29.2 MB of int8 tables and 29.2 MB of int16
+weights, 58.4 MB together. A table is built by scattering squares: every
 entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
 (which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
+It is built doubled, an array of length 2p whose second half repeats the
+first, and the cache hands out the view of its first p entries; the
+one-lag count reads the doubled array through the view's `.base`, so the
+p cyclic terms chi(t + s) of its lag are one contiguous slice.
 
 `character_table(p)` is public: `oracle.FactoredOracle` reads (AB | p) off
 it when it answers a twist from its record. It returns None above the
@@ -61,11 +65,11 @@ and all p - 2 traces come from one cyclic correlation of chi and w, arrays
 of length p: O(p^2) multiply-adds and O(p) memory, in place of about p
 point counts. It runs on float64 copies, so that `np.correlate` takes the
 BLAS dot, and is exact: every partial sum is an integer of size at most
-sum |w| <= p - 1 < 2^53. A count reads the one lag t of it, exactly in
-int16. The weights are built from discrete logarithms to the least
-primitive root g (`arith.primitive_root`), kept only while the weights are
-built: the powers g^i come from an outer product of about sqrt(p) by
-sqrt(p) powers, and one scatter of them gives log x. For
+sum |w| <= p - 1 < 2^53. A count reads the one lag t of it, exactly, as
+one int8 x int16 dot. The weights are built from discrete logarithms to
+the least primitive root g (`arith.primitive_root`), kept only while the
+weights are built: the powers g^i come from an outer product of about
+sqrt(p) by sqrt(p) powers, and one scatter of them gives log x. For
 x != 0, -1, log s = 3 log x - log(x + 1) mod p - 1, so one bincount sums
 chi(x + 1) by log s and one gather at log s gives w(s) for s != 0; x = 0
 is the one x with s = 0.
@@ -107,7 +111,7 @@ def count_points_prime(p: int, A: int, B: int) -> int:
     _admit(p)
     A %= p
     B %= p
-    if (4 * A ** 3 + 27 * B ** 2) % p == 0:
+    if (4 * A * A * A + 27 * B * B) % p == 0:
         raise ValueError(f"count_points_prime: singular curve ({A},{B}) mod {p}")
     if p > _CROSSOVER:
         return _bsgs_count(p, A, B)
@@ -118,12 +122,15 @@ def count_points_prime(p: int, A: int, B: int) -> int:
 
 @lru_cache(maxsize=1 << 11)  # more slots than primes up to _CROSSOVER
 def _legendre_table(p: int) -> np.ndarray:
-    chi = np.full(p, -1, dtype=np.int8)
+    """The read-only int8 table of (x | p) for 0 <= x < p: a view of the
+    first half of a read-only array of length 2p whose halves are equal."""
+    chi = np.full(2 * p, -1, dtype=np.int8)
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     chi[x * x % p] = 1
     chi[0] = 0
+    chi[p:] = chi[:p]
     chi.flags.writeable = False  # shared by every later count at p
-    return chi
+    return chi[:p]
 
 
 def legendre_sums(p: int, A, B):
@@ -190,11 +197,13 @@ def _normal_form_count(p: int, A: int, B: int) -> int:
     """p + 1 - (AB | p) a(t), t = A^3/B^2, for 0 < A, B < p and p <= _CROSSOVER."""
     chi = _legendre_table(p)
     w = _normal_form_weights(p)
-    t = A ** 3 * pow(B, -2, p) % p
-    # int8 x int16 dots accumulate in int16, exactly: every partial sum is at
-    # most sum |w| <= p - 1 < 2^15
-    corr = int(chi[t:].dot(w[: p - t])) + int(chi[:t].dot(w[p - t :]))
-    return p + 1 + int(chi[A * B % p]) * (int(chi[p - 1]) + corr)
+    t = A * A * A * pow(B, -2, p) % p
+    # corr = sum_s w(s) chi((t + s) mod p), one slice of the doubled table.
+    # numpy's integer dot accumulates in a C long and casts the sum to int16,
+    # which is exact: |corr| <= sum |w| <= p - 1 < 2^15
+    corr = int(chi.base[t : t + p].dot(w))
+    chi_minus_1 = 1 if p & 3 == 1 else -1  # (-1 | p)
+    return p + 1 + int(chi[A * B % p]) * (chi_minus_1 + corr)
 
 
 def normal_form_traces(p: int) -> np.ndarray:
@@ -204,12 +213,12 @@ def normal_form_traces(p: int) -> np.ndarray:
     5 <= p <= _CROSSOVER, the primes with tables."""
     if character_table(p) is None:
         raise ValueError(f"normal_form_traces: p must be <= {_CROSSOVER}, got {p}")
-    chi = _legendre_table(p).astype(np.float64)
+    chi = _legendre_table(p).base.astype(np.float64)  # the doubled table
     w = _normal_form_weights(p).astype(np.float64)
     # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p, by the float64
     # dot; exact, as every partial sum is an integer of size at most
     # sum |w| <= p - 1 < 2^53
-    corr = np.correlate(np.concatenate((chi, chi[:-1])), w, "valid")
+    corr = np.correlate(chi[:-1], w, "valid")
     keep = np.ones(p, dtype=bool)
     keep[[0, -27 * pow(4, -1, p) % p]] = False
     return (-chi[p - 1] - corr[keep]).astype(np.int64)

@@ -35,7 +35,7 @@ def screen(n: int, A: int, B: int) -> int:
     n when it is singular mod all of them, and otherwise a proper factor."""
     if n < 2:
         raise ValueError("screen: modulus must be >= 2")
-    return gcd((4 * A ** 3 + 27 * B ** 2) % n, n)
+    return gcd((4 * A * A * A + 27 * B * B) % n, n)
 
 
 def twist(n: int, A: int, B: int, d: int) -> tuple[int, int]:
@@ -43,7 +43,7 @@ def twist(n: int, A: int, B: int, d: int) -> tuple[int, int]:
     g = gcd(d, n)
     if g != 1:
         raise ValueError(f"twist: gcd(d, n) = {g} != 1; treat it as a found factor")
-    return A * d * d % n, B * d ** 3 % n
+    return A * d * d % n, B * d * d * d % n
 
 
 def isomorphic_gcd(n: int, c1: tuple[int, int], c2: tuple[int, int]) -> int:

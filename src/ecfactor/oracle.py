@@ -17,24 +17,27 @@ curves with one t have the same count when (AB|p) is the same for both, and
 counts summing to 2p + 2 otherwise. Its plan for m, built when m is first
 admitted, holds (p, chi) for each prime of m, a dict of j = 0 and 1728
 counts, and the record: the last curve (A0, B0) counted there, as
-A0^3 mod m, B0^2 mod m and, for each prime, (p, chi, c_p, s_p) with c_p the
-count and s_p = (A0*B0|p), +1 or -1. A query with
-A^3*B0^2 = A0^3*B^2 (mod m) has the record's t at every prime, so where
-s_p is a symbol it counts c_p when (AB|p) = s_p and 2p + 2 - c_p
-otherwise, read in one inline loop with no count. At a table prime
-(p <= the crossover in `counting`) chi is `counting.character_table(p)` as
-a memoryview and the symbol is chi[AB mod p]; above the crossover chi is
-None and the symbol comes from `jacobi`. Any other query is counted prime
-by prime through `counting.count_points_prime` and becomes the new record.
-A prime where A or B is 0 (j = 0 or 1728, whose classes can be sextic or
-quartic twists of one another) gets s_p = None in the record, and a member
-query has a 0 there too, since A^3*B0^2 = A0^3*B^2 with a smooth curve
-puts the zero on the same coefficient. It is counted once per isomorphism
-class, b*(F_p^*)^6 of y^2 = x^3 + b and a*(F_p^*)^4 of y^2 = x^3 + ax,
-which one power names exactly: b^((p-1)/gcd(6, p-1)) and
-a^((p-1)/gcd(4, p-1)) mod p. The plans are the oracle's one cache, and live
-as long as the oracle instance; a plan is not shared between moduli, since a
-cofactor's split draws fresh curves. A refused modulus gets no plan, so it
+A0^3 mod m, B0^2 mod m and, for each prime, a row (p, chi, by_symbol).
+by_symbol is a 3-tuple indexed by the symbol (AB|p) of a query: entry 1
+holds the count for +1 and entry -1 the count for -1, that is c_p and
+2p + 2 - c_p in the order that s_p = (A0*B0|p) puts them, c_p the record's
+count. A query with A^3*B0^2 = A0^3*B^2 (mod m) has the record's t at
+every prime, so it reads one symbol and one entry per prime, in one inline
+loop with no count. At a table prime (p <= the crossover in `counting`)
+chi is `counting.character_table(p)` as a memoryview and the symbol is
+chi[AB mod p]; above the crossover chi is None and the symbol comes from
+`jacobi`. The oracle keeps each prime's chi from the first plan that
+admits it, so later plans take it from there. Any other query is counted
+prime by prime through `counting.count_points_prime` and becomes the new
+record. A prime where A or B is 0 (j = 0 or 1728, whose classes can be
+sextic or quartic twists of one another) gets by_symbol = None in the
+record, and a member query has a 0 there too, since A^3*B0^2 = A0^3*B^2
+with a smooth curve puts the zero on the same coefficient. It is counted
+once per isomorphism class, b*(F_p^*)^6 of y^2 = x^3 + b and a*(F_p^*)^4
+of y^2 = x^3 + ax, which one power names exactly: b^((p-1)/gcd(6, p-1))
+and a^((p-1)/gcd(4, p-1)) mod p. The plans and the per-prime chi are the
+oracle's caches, and live as long as the oracle instance; a plan is not
+shared between moduli, since a cofactor's split draws fresh curves. A refused modulus gets no plan, so it
 is refused again on every query. Every answered query is counted, from the
 record or not, so the query count does not depend on the plans.
 """
@@ -95,6 +98,9 @@ class FactoredOracle(Oracle):
         self.primes = primes
         # admitted modulus -> [record, m, ((p, chi), ...), j = 0 and 1728 counts]
         self._plans: dict[int, list] = {}
+        # prime -> its character table as a memoryview, or None above the
+        # crossover; filled by the first plan that admits the prime
+        self._tables: dict[int, memoryview | None] = {}
 
     def _plan(self, m: int) -> list:
         plan = self._plans.get(m)
@@ -102,10 +108,13 @@ class FactoredOracle(Oracle):
             return plan
         parts = []
         rest = m
+        tables = self._tables
         for p in self.primes:
             if rest % p == 0:
-                chi = counting.character_table(p)
-                parts.append((p, None if chi is None else memoryview(chi)))
+                if p not in tables:
+                    chi = counting.character_table(p)  # admits p
+                    tables[p] = None if chi is None else memoryview(chi)
+                parts.append((p, tables[p]))
                 rest //= p
         if rest != 1 or m < 2:
             raise UnsupportedModulusError(
@@ -123,26 +132,28 @@ class FactoredOracle(Oracle):
             # a quadratic twist of the recorded curve
             ab = A * B
             N = 1
-            for p, chi, c, s in record[2]:
-                x = ab % p
-                if (chi[x] if chi is not None else jacobi(x, p)) == s:
-                    N *= c
-                elif s is None:  # A = 0 or B = 0 mod p, as for the record
+            for p, chi, by_symbol in record[2]:
+                if by_symbol is None:  # A = 0 or B = 0 mod p, as for the record
                     N *= _class_count(classes, p, A % p, B % p)
                 else:
-                    N *= 2 * p + 2 - c  # n_p + n'_p = 2(p + 1)
+                    x = ab % p
+                    N *= by_symbol[chi[x] if chi is not None else jacobi(x, p)]
             return N
         rows = []
         N = 1
         for p, chi in parts:
             a, b = A % p, B % p
             if a == 0 or b == 0:
-                c, s = _class_count(classes, p, a, b), None
+                c, by_symbol = _class_count(classes, p, a, b), None
             else:
                 c = counting.count_points_prime(p, a, b)
                 x = a * b % p
-                s = chi[x] if chi is not None else jacobi(x, p)
-            rows.append((p, chi, c, s))
+                twin = 2 * p + 2 - c  # n_p + n'_p = 2(p + 1)
+                if (chi[x] if chi is not None else jacobi(x, p)) == 1:
+                    by_symbol = (None, c, twin)
+                else:
+                    by_symbol = (None, twin, c)
+            rows.append((p, chi, by_symbol))
             N *= c
         plan[0] = (A * A * A % m, B * B % m, rows)
         return N

@@ -16,13 +16,18 @@ twist by d0 (E^d is isomorphic to E^d0 by u = m), and d0 has the same
 symbol, so the walk has already queried d0 on this curve and its
 recovery would fail again.
 
-The walk takes (d|n) as the product of (q|n) over the primes q of d, read
-off the cached `factor_small(d)`, each (q|n) once per split; a d that is
-not squarefree is skipped. The walk goes up from 2, so the first d with
-(d|n) = 0 is n's least prime: any other squarefree d sharing a prime with n
-is above that prime. It ends the split with no gcd, and d < n keeps a prime
-n whole, as gcd(d, n) = n would. So the walk ends at the same d, and queries
-the same d before it, as a walk taking gcd(d, n) and (d|n) at every d.
+The walk reads the squarefree d and their primes off one schedule shared
+by every split: a module-level list of (d, primes of d), ascending, that
+grows on demand, a segment [lo, 2 lo) at a time, as far as a walk reaches,
+and stops at `_SCHEDULE_LIMIT` so its memory stays bounded. A walk past
+the limit takes each further d's primes from the cached `factor_small(d)`
+and skips a d that is not squarefree. The walk takes (d|n) as the product
+of (q|n) over the primes q of d, each (q|n) once per split. The walk goes
+up from 2, so the first d with (d|n) = 0 is n's least prime: any other
+squarefree d sharing a prime with n is above that prime. It ends the split
+with no gcd, and d < n keeps a prime n whole, as gcd(d, n) = n would. So
+the walk ends at the same d, and queries the same d before it, as a walk
+taking gcd(d, n) and (d|n) at every d.
 
 Each curve keeps the set of N_d whose recovery failed. A twist whose N_d is
 in it is still queried, but not recovered: the same ratio N/N_d gives the
@@ -37,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arith import factor_small, is_probable_prime, jacobi
+from .arith import factor_small, is_probable_prime, jacobi, primes_between
 from .curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 
 
@@ -115,25 +120,70 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     s = (N + Nd) // math.gcd(N, Nd)  # numerator + denominator of N/Nd
     step = 1 + s % 2
     h = step * s // 2
-    for cand in range(h - 1, min(2 * D // step * h, n), h):
-        if cand > 1 and n % cand == 0:
+    # the range starts at its first candidate above 1: h - 1 for h >= 3,
+    # 3 for h = 2 and 2 for h = 1
+    for cand in range((2 // h + 1) * h - 1, min(2 * D // step * h, n), h):
+        if n % cand == 0:
             return Recovery(cand, (cand + 1) // h * step)
     return None
 
 
-def _twist_symbol(d: int, n: int, symbols: dict[int, int]) -> int | None:
-    """(d|n) for a squarefree d >= 2, the product of (q|n) over the primes q
-    of d, or None for a d that is not squarefree. `symbols` caches (q|n) for
-    one n, so each prime's Jacobi symbol is taken once."""
-    sign = 1
-    for q, e in factor_small(d):
-        if e > 1:
-            return None
-        s = symbols.get(q)
-        if s is None:
-            s = symbols[q] = jacobi(q, n)
-        sign *= s
-    return sign
+# The shared twist schedule ends below here. Every n below about 2^92 has a
+# default max_d under it; a walk past it takes its d from `factor_small`.
+_SCHEDULE_LIMIT = 1 << 14
+
+# (d, primes of d) for every squarefree 2 <= d < _schedule_end, ascending
+_schedule: list[tuple[int, tuple[int, ...]]] = []
+_schedule_end = 2
+
+
+def _grow_schedule() -> None:
+    """Extend the schedule over [lo, min(2 lo, _SCHEDULE_LIMIT)), lo its
+    end, by a segment sieve: the primes q <= sqrt(hi) cross out the
+    multiples of q^2 and divide the multiples of q, and what is left above 1
+    of a squarefree d is its one prime above sqrt(hi)."""
+    global _schedule_end
+    lo = _schedule_end
+    hi = min(2 * lo, _SCHEDULE_LIMIT)
+    rest = list(range(lo, hi))
+    primes: list[list[int]] = [[] for _ in rest]
+    for q in primes_between(2, math.isqrt(hi - 1)):
+        for i in range(-lo % (q * q), hi - lo, q * q):
+            rest[i] = 0
+        for i in range(-lo % q, hi - lo, q):
+            if rest[i]:
+                rest[i] //= q
+                primes[i].append(q)
+    for d, r, qs in zip(range(lo, hi), rest, primes):
+        if r:
+            if r > 1:
+                qs.append(r)
+            _schedule.append((d, tuple(qs)))
+    _schedule_end = hi
+
+
+def _twists(max_d: int):
+    """(d, primes of d) for the squarefree 2 <= d <= max_d, ascending: off
+    the schedule, grown as far as this walk reaches, then off `factor_small`."""
+    i = 0
+    while True:
+        while i < len(_schedule):
+            entry = _schedule[i]
+            if entry[0] > max_d:
+                return
+            yield entry
+            i += 1
+        if _schedule_end >= _SCHEDULE_LIMIT:
+            break
+        _grow_schedule()
+    for d in range(_SCHEDULE_LIMIT, max_d + 1):
+        primes = []
+        for q, e in factor_small(d):
+            if e > 1:
+                break
+            primes.append(q)
+        else:
+            yield d, tuple(primes)
 
 
 def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
@@ -152,7 +202,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     max_d = cfg.resolved_max_d(n)
     max_curves = cfg.resolved_max_curves(n)
     used: list[tuple[int, int]] = []
-    symbols: dict[int, int] = {}  # prime q -> (q|n), for _twist_symbol
+    symbols: dict[int, int] = {}  # prime q -> (q|n)
 
     def outcome(factor, source) -> SplitOutcome:
         return SplitOutcome(factor, source, len(used))
@@ -163,8 +213,13 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
             used.append((A, B))
             N = oracle.query(n, A, B)
             failed: set[int] = set()  # the N_d whose recovery failed on this curve
-            for d in range(2, max_d + 1):
-                sign = _twist_symbol(d, n, symbols)
+            for d, primes in _twists(max_d):
+                sign = 1
+                for q in primes:
+                    s = symbols.get(q)
+                    if s is None:
+                        s = symbols[q] = jacobi(q, n)
+                    sign *= s
                 if sign == 0 and d < n:  # d is n's least prime
                     return outcome(d, "d_gcd")
                 elif sign == -1:

@@ -236,6 +236,14 @@ class TestCharacterTable:
             assert chi is _legendre_table(p) and not chi.flags.writeable, p
             assert chi.tolist() == [jacobi(x, p) for x in range(p)], p
 
+    def test_a_view_of_the_first_half_of_a_doubled_table(self):
+        for p in (5, 1499, 16381):
+            chi = character_table(p)
+            assert chi is _legendre_table(p) and len(chi) == p, p
+            doubled = chi.base
+            assert len(doubled) == 2 * p and not doubled.flags.writeable, p
+            assert (doubled[:p] == doubled[p:]).all(), p
+
     def test_none_above_the_crossover(self):
         assert character_table(primes_between(2, counting._CROSSOVER)[-1]) is not None
         for p in (16411, 1000003):

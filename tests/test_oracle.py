@@ -209,11 +209,11 @@ class TestRecord:
             assert full_counts.count(p) == gcd(6, p - 1) + gcd(4, p - 1), p
 
 
-class TestLogKeyedMemo:
-    """The record's answers at table primes, with (AB|p) read off the parity
-    of log_g(AB), against the Legendre sum and brute force.
-    count_points_prime shares the discrete logs at these primes, so it is
-    not the reference here."""
+class TestSymbolRows:
+    """The record's rows indexed by (AB|p), read off the character table at
+    table primes and by jacobi above the crossover, against the Legendre sum
+    and brute force. count_points_prime shares the table and the weights at
+    table primes, so it is not the reference here."""
 
     def test_every_smooth_curve_and_every_twist_below_60(self):
         for p in primes_between(5, 59):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ecfactor.reduction
 from ecfactor import cli
-from ecfactor.arith import is_probable_prime, jacobi, primes_between
+from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import count_points_prime
 from ecfactor.curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 from ecfactor.oracle import DirectOracle, FactoredOracle, UnsupportedModulusError
@@ -19,7 +19,8 @@ from ecfactor.reduction import (
     MAX_D_LIMIT,
     Recovery,
     ReductionConfig,
-    _twist_symbol,
+    _SCHEDULE_LIMIT,
+    _twists,
     factor_completely,
     recover_from_ratio,
     split,
@@ -128,6 +129,28 @@ class TestRecoverFromRatio:
     def test_edges_match_the_progression_reference(self, N, Nd, D, n, expected):
         assert recover_from_ratio(N, Nd, D, n) == expected
         assert recover_reference(N, Nd, D, n) == expected
+
+    @staticmethod
+    def every_candidate(N, Nd, D, n):
+        """The progression from h - 1, testing cand > 1 at each candidate."""
+        s = (N + Nd) // gcd(N, Nd)
+        step = 1 + s % 2
+        h = step * s // 2
+        for cand in range(h - 1, min(2 * D // step * h, n), h):
+            if cand > 1 and n % cand == 0:
+                return Recovery(cand, (cand + 1) // h * step)
+        return None
+
+    @pytest.mark.parametrize("N, Nd, D, n, expected", [
+        # s = 4, h = 2: the candidates 1, 3, 5, ... start at 3
+        (1, 3, 1, 21, Recovery(3, 2)),
+        (3, 1, 2, 35, Recovery(5, 3)),
+        (1, 3, 1, 35, None),
+        (9, 3, 6, 11 * 13, Recovery(11, 6)),
+    ])
+    def test_h_2_starts_at_3(self, N, Nd, D, n, expected):
+        assert recover_from_ratio(N, Nd, D, n) == expected
+        assert self.every_candidate(N, Nd, D, n) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -451,21 +474,56 @@ class TestRecoveryOncePerCount:
         assert queried - len(per_curve) > sum(len(calls) for calls in per_curve)
 
 
-class TestTwistSymbol:
-    def test_product_of_prime_symbols_is_the_jacobi_symbol(self):
-        # one symbol cache per n, as one split keeps it; primes from 5 up so
-        # some d share a prime with n, where both sides are 0; a d that is
-        # not squarefree reads None, and the walk skips it
+class TestTwistSchedule:
+    """The walk's d and their primes come off one shared schedule, grown on
+    demand up to _SCHEDULE_LIMIT and read from factor_small past it."""
+
+    @pytest.fixture
+    def fresh_schedule(self, monkeypatch):
+        monkeypatch.setattr(ecfactor.reduction, "_schedule", [])
+        monkeypatch.setattr(ecfactor.reduction, "_schedule_end", 2)
+
+    @staticmethod
+    def expected(lo, hi):
+        rows = []
+        for d in range(lo, hi + 1):
+            facts = factor_small(d)
+            if all(e == 1 for _, e in facts):
+                rows.append((d, tuple(q for q, _ in facts)))
+        return rows
+
+    def test_entries_are_the_squarefree_d_with_their_primes(self, fresh_schedule):
+        # a walk to 2999 grows the schedule only to the segment holding 2999
+        assert list(_twists(2999)) == self.expected(2, 2999)
+        assert ecfactor.reduction._schedule_end == 4096
+        # a walk past the limit grows it across every boundary 2^k and stops
+        # there; the d past it come from factor_small
+        assert list(_twists(_SCHEDULE_LIMIT + 300)) == self.expected(2, _SCHEDULE_LIMIT + 300)
+        assert ecfactor.reduction._schedule == self.expected(2, _SCHEDULE_LIMIT - 1)
+        assert ecfactor.reduction._schedule_end == _SCHEDULE_LIMIT
+
+    def test_sign_product_is_the_jacobi_symbol(self):
+        # primes from 5 up, so some d share a prime with n and both sides are 0
         rng = random.Random("twist symbol")
         pool = primes_between(5, 3000)
         for k in range(2, 9):
             for _ in range(4):
                 n = math.prod(rng.sample(pool, k))
-                symbols = {}
-                for d in range(2, 3001):
-                    expected = jacobi(d, n) if _is_squarefree(d) else None
-                    assert _twist_symbol(d, n, symbols) == expected, (n, d)
-                assert all(s == jacobi(q, n) for q, s in symbols.items())
+                for d, primes in _twists(3000):
+                    assert math.prod(jacobi(q, n) for q in primes) == jacobi(d, n), (n, d)
+
+    def test_a_walk_past_the_limit(self, fresh_schedule, capsys):
+        # the first curve of this n is dead and walks to max_d, past the
+        # limit; queries, curves and factors are pinned from the walk that
+        # took every d's primes from factor_small
+        argv = ["factor", "1077272742627746153", "--seed", "419625122", "--max-d", "20000"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["factors"] == [1009900799, 1066711447]
+        assert report["oracle_queries"] == 6102
+        assert report["curves_used"] == 2
+        assert ecfactor.reduction._schedule_end == _SCHEDULE_LIMIT
+        assert ecfactor.reduction._schedule[-1][0] < _SCHEDULE_LIMIT
 
 
 class TestFactorCompletely:
