@@ -31,7 +31,11 @@ def cmd_factor(n, D, max_d, max_curves, seed, oracle) -> int:
     for p, e in facts:
         if e > 1:
             raise ValueError(f"{n} is not squarefree ({p}^{e})")
+    # one odd prime is never split, so the oracle counts at none: a prime n
+    # above the oracle's 2^60 limit is still answered
     odd_primes = [p for p, _ in facts if p >= 5]
+    if len(odd_primes) < 2:
+        odd_primes = []
     counter = FactoredOracle(odd_primes) if oracle == "factored" else DirectOracle()
     cfg = ReductionConfig(D=D, max_d=max_d, max_curves=max_curves, seed=seed)
     result = factor_completely(n, counter, cfg)

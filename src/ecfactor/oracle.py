@@ -26,11 +26,11 @@ every prime, so it reads one symbol and one entry per prime, in one inline
 loop with no count. At a table prime (p <= the crossover in `counting`)
 chi is `counting.character_table(p)` as a memoryview and the symbol is
 chi[AB mod p]; above the crossover chi is None and the symbol comes from
-`jacobi`. The oracle keeps each prime's chi from the first plan that
-admits it, so later plans take it from there. Any other query is counted
-prime by prime through `counting.count_points_prime` and becomes the new
-record. A prime where A or B is 0 (j = 0 or 1728, whose classes can be
-sextic or quartic twists of one another) gets by_symbol = None in the
+`jacobi`. The oracle admits each of its primes and takes its chi once,
+at construction, and every plan takes chi from there. Any other query is
+counted prime by prime through `counting.count_points_prime` and becomes
+the new record. A prime where A or B is 0 (j = 0 or 1728, whose classes
+can be sextic or quartic twists of one another) gets by_symbol = None in the
 record, and a member query has a 0 there too, since A^3*B0^2 = A0^3*B^2
 with a smooth curve puts the zero on the same coefficient. It is counted
 once per isomorphism class, b*(F_p^*)^6 of y^2 = x^3 + b and a*(F_p^*)^4
@@ -88,19 +88,23 @@ class FactoredOracle(Oracle):
 
     Admissible moduli are squarefree products of any subset of the
     configured primes; that covers the cofactors the recursion asks about.
+    Each configured prime must be a prime in [5, 2^60), and is refused at
+    construction otherwise.
     """
 
     def __init__(self, primes: list[int]):
         super().__init__()
         primes = sorted(primes)
-        if len(set(primes)) != len(primes) or any(p < 5 for p in primes):
-            raise ValueError("FactoredOracle: primes must be distinct and >= 5")
-        self.primes = primes
+        if len(set(primes)) != len(primes):
+            raise ValueError("FactoredOracle: primes must be distinct")
         # admitted modulus -> [record, m, ((p, chi), ...), j = 0 and 1728 counts]
         self._plans: dict[int, list] = {}
         # prime -> its character table as a memoryview, or None above the
-        # crossover; filled by the first plan that admits the prime
+        # crossover
         self._tables: dict[int, memoryview | None] = {}
+        for p in primes:
+            chi = counting.character_table(p)  # admits p: a prime in [5, 2^60)
+            self._tables[p] = None if chi is None else memoryview(chi)
 
     def _plan(self, m: int) -> list:
         plan = self._plans.get(m)
@@ -108,13 +112,9 @@ class FactoredOracle(Oracle):
             return plan
         parts = []
         rest = m
-        tables = self._tables
-        for p in self.primes:
+        for p, chi in self._tables.items():
             if rest % p == 0:
-                if p not in tables:
-                    chi = counting.character_table(p)  # admits p
-                    tables[p] = None if chi is None else memoryview(chi)
-                parts.append((p, tables[p]))
+                parts.append((p, chi))
                 rest //= p
         if rest != 1 or m < 2:
             raise UnsupportedModulusError(

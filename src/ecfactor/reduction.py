@@ -16,13 +16,13 @@ twist by d0 (E^d is isomorphic to E^d0 by u = m), and d0 has the same
 symbol, so the walk has already queried d0 on this curve and its
 recovery would fail again.
 
-The walk reads the squarefree d and their primes off one schedule shared
-by every split: a module-level list of (d, primes of d), ascending, that
-grows on demand, a segment [lo, 2 lo) at a time, as far as a walk reaches,
-and stops at `_SCHEDULE_LIMIT` so its memory stays bounded. A walk past
-the limit takes each further d's primes from the cached `factor_small(d)`
-and skips a d that is not squarefree. The walk takes (d|n) as the product
-of (q|n) over the primes q of d, each (q|n) once per split. The walk goes
+The walk reads the squarefree d and their primes off one segment sieve,
+`_segment(lo, hi)`, which gives (d, primes of d) for the squarefree d in
+[lo, hi). Below `_SCHEDULE_LIMIT` it reads the segments [2^k, 2^(k+1)) as
+far as it reaches; they are cached and shared by every split. Past the
+limit it sieves segments of the limit's width afresh and keeps none, so
+memory stays bounded. The walk takes (d|n) as the product of (q|n) over
+the primes q of d, each (q|n) once per split. The walk goes
 up from 2, so the first d with (d|n) = 0 is n's least prime: any other
 squarefree d sharing a prime with n is above that prime. It ends the split
 with no gcd, and d < n keeps a prime n whole, as gcd(d, n) = n would. So
@@ -38,11 +38,12 @@ twice however far its walk goes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
 
-from .arith import factor_small, is_probable_prime, jacobi, primes_between
+from .arith import is_probable_prime, jacobi, primes_between
 from .curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 
 
@@ -54,8 +55,9 @@ from .curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 D_MAX = 10 ** 4
 
 # Largest accepted max_d. A walk on a curve that never splits n visits every d
-# up to max_d, about 15 us each on the same host, so the cap bounds such a walk
-# near 15 s. The default 4*ceil(ln(n)^2) stays within it for n < e^500.
+# up to max_d, about 4-6 us each on the same host, so the cap bounds such a
+# walk near 6 s, at about 40 MB peak RSS. The default 4*ceil(ln(n)^2) stays
+# within it for n < e^500.
 MAX_D_LIMIT = 10 ** 6
 
 
@@ -128,23 +130,17 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     return None
 
 
-# The shared twist schedule ends below here. Every n below about 2^92 has a
-# default max_d under it; a walk past it takes its d from `factor_small`.
+# The twist walk's cached segments end here. Every n below about 2^92 has a
+# default max_d under it; a walk past it sieves segments it does not keep.
 _SCHEDULE_LIMIT = 1 << 14
 
-# (d, primes of d) for every squarefree 2 <= d < _schedule_end, ascending
-_schedule: list[tuple[int, tuple[int, ...]]] = []
-_schedule_end = 2
 
-
-def _grow_schedule() -> None:
-    """Extend the schedule over [lo, min(2 lo, _SCHEDULE_LIMIT)), lo its
-    end, by a segment sieve: the primes q <= sqrt(hi) cross out the
-    multiples of q^2 and divide the multiples of q, and what is left above 1
-    of a squarefree d is its one prime above sqrt(hi)."""
-    global _schedule_end
-    lo = _schedule_end
-    hi = min(2 * lo, _SCHEDULE_LIMIT)
+@functools.lru_cache(maxsize=16)  # more slots than the 13 segments below the limit
+def _segment(lo: int, hi: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(d, primes of d) for every squarefree d in [lo, hi), 2 <= lo, ascending,
+    by a segment sieve: the primes q <= sqrt(hi) cross out the multiples of
+    q^2 and divide the multiples of q, and what is left above 1 of a
+    squarefree d is its one prime above sqrt(hi)."""
     rest = list(range(lo, hi))
     primes: list[list[int]] = [[] for _ in rest]
     for q in primes_between(2, math.isqrt(hi - 1)):
@@ -154,36 +150,30 @@ def _grow_schedule() -> None:
             if rest[i]:
                 rest[i] //= q
                 primes[i].append(q)
-    for d, r, qs in zip(range(lo, hi), rest, primes):
-        if r:
-            if r > 1:
-                qs.append(r)
-            _schedule.append((d, tuple(qs)))
-    _schedule_end = hi
+    return tuple(
+        (d, (*qs, r) if r > 1 else tuple(qs))
+        for d, r, qs in zip(range(lo, hi), rest, primes)
+        if r
+    )
 
 
 def _twists(max_d: int):
-    """(d, primes of d) for the squarefree 2 <= d <= max_d, ascending: off
-    the schedule, grown as far as this walk reaches, then off `factor_small`."""
-    i = 0
-    while True:
-        while i < len(_schedule):
-            entry = _schedule[i]
+    """(d, primes of d) for the squarefree 2 <= d <= max_d, ascending: off the
+    cached segments [2^k, 2^(k+1)) below `_SCHEDULE_LIMIT`, then off segments
+    of that width, cut at max_d + 1 and sieved afresh."""
+    lo = 2
+    while lo <= max_d:
+        if lo < _SCHEDULE_LIMIT:
+            hi = 2 * lo
+            entries = _segment(lo, hi)
+        else:
+            hi = min(lo + _SCHEDULE_LIMIT, max_d + 1)
+            entries = _segment.__wrapped__(lo, hi)
+        for entry in entries:
             if entry[0] > max_d:
                 return
             yield entry
-            i += 1
-        if _schedule_end >= _SCHEDULE_LIMIT:
-            break
-        _grow_schedule()
-    for d in range(_SCHEDULE_LIMIT, max_d + 1):
-        primes = []
-        for q, e in factor_small(d):
-            if e > 1:
-                break
-            primes.append(q)
-        else:
-            yield d, tuple(primes)
+        lo = hi
 
 
 def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:

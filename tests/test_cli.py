@@ -52,6 +52,16 @@ class TestFactorCommand:
         assert report["factors"] == [7]
         assert report["oracle_queries"] == 0
 
+    @pytest.mark.parametrize("n", ["1152921504606847009", "3458764513820541027"])
+    def test_one_prime_above_counting_limit_is_answered(self, capsys, n):
+        # the least prime above 2^60, alone and times 3: a single odd prime is
+        # never counted, so the oracle is not asked to admit it
+        code, out, _ = run_cli(capsys, "factor", n)
+        assert code == 0
+        report = json.loads(out)
+        assert report["factors"][-1] == 1152921504606847009
+        assert report["oracle_queries"] == 0
+
     def test_non_squarefree_rejected(self, capsys):
         code, _, err = run_cli(capsys, "factor", "45")
         assert code == 1
@@ -70,9 +80,9 @@ class TestFactorCommand:
         assert "Traceback" not in err
 
     def test_prime_above_counting_limit(self, capsys):
-        # 5 * (2^61 - 1): the oracle's count at the large prime is refused,
-        # since counts stop below 2^60. At seed 0 a screening gcd finds 5
-        # first and the prime is never counted, so seed 1 is pinned.
+        # 5 * (2^61 - 1): the oracle refuses the large prime when it is
+        # built, since counts stop below 2^60, before a screening gcd can
+        # find 5
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "factor", "11529215046068469755", "--seed", "1")
         assert time.perf_counter() - start < 1.0

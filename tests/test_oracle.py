@@ -80,6 +80,13 @@ class TestFactoredOracle:
         with pytest.raises(ValueError):
             FactoredOracle([5, 5])
 
+    @pytest.mark.parametrize("primes, bad", [([5, 9], 9), ([7, 100003 * 100019], 100003 * 100019)])
+    def test_rejects_a_composite_at_construction(self, primes, bad):
+        # each prime is admitted once, when the oracle is built, not at the
+        # first query whose modulus holds it; below and above the crossover
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            FactoredOracle(primes)
+
 
 class TestTwistMemo:
     """FactoredOracle's answers from the record of the last curve counted

@@ -20,6 +20,7 @@ from ecfactor.reduction import (
     Recovery,
     ReductionConfig,
     _SCHEDULE_LIMIT,
+    _segment,
     _twists,
     factor_completely,
     recover_from_ratio,
@@ -475,13 +476,13 @@ class TestRecoveryOncePerCount:
 
 
 class TestTwistSchedule:
-    """The walk's d and their primes come off one shared schedule, grown on
-    demand up to _SCHEDULE_LIMIT and read from factor_small past it."""
+    """The walk's d and their primes come off one segment sieve: the
+    segments [2^k, 2^(k+1)) below _SCHEDULE_LIMIT are cached and shared,
+    and the segments past it are sieved afresh and not kept."""
 
     @pytest.fixture
-    def fresh_schedule(self, monkeypatch):
-        monkeypatch.setattr(ecfactor.reduction, "_schedule", [])
-        monkeypatch.setattr(ecfactor.reduction, "_schedule_end", 2)
+    def fresh_segments(self):
+        _segment.cache_clear()
 
     @staticmethod
     def expected(lo, hi):
@@ -492,15 +493,29 @@ class TestTwistSchedule:
                 rows.append((d, tuple(q for q, _ in facts)))
         return rows
 
-    def test_entries_are_the_squarefree_d_with_their_primes(self, fresh_schedule):
-        # a walk to 2999 grows the schedule only to the segment holding 2999
+    @staticmethod
+    def assert_cached(top):
+        # exactly the segments [2^k, 2^(k+1)) with 2^k < top are cached: each
+        # reads back as a hit and none is added
+        info = _segment.cache_info()
+        bounds = [(2 ** k, 2 ** (k + 1)) for k in range(1, top.bit_length() - 1)]
+        rows = [row for lo, hi in bounds for row in _segment(lo, hi)]
+        after = _segment.cache_info()
+        assert info.currsize == after.currsize == len(bounds)
+        assert after.hits - info.hits == len(bounds)
+        return rows
+
+    def test_entries_are_the_squarefree_d_with_their_primes(self, fresh_segments):
+        # a walk to 2999 sieves only the segments up to the one holding 2999
         assert list(_twists(2999)) == self.expected(2, 2999)
-        assert ecfactor.reduction._schedule_end == 4096
-        # a walk past the limit grows it across every boundary 2^k and stops
-        # there; the d past it come from factor_small
-        assert list(_twists(_SCHEDULE_LIMIT + 300)) == self.expected(2, _SCHEDULE_LIMIT + 300)
-        assert ecfactor.reduction._schedule == self.expected(2, _SCHEDULE_LIMIT - 1)
-        assert ecfactor.reduction._schedule_end == _SCHEDULE_LIMIT
+        self.assert_cached(4096)
+        # a walk past the limit caches every segment below it and no more;
+        # the d past it come from segments of the limit's width, the last
+        # one cut at max_d + 1
+        top = 2 * _SCHEDULE_LIMIT + 300
+        assert list(_twists(top)) == self.expected(2, top)
+        assert self.assert_cached(_SCHEDULE_LIMIT) == self.expected(2, _SCHEDULE_LIMIT - 1)
+        assert _segment.cache_info().currsize == 13
 
     def test_sign_product_is_the_jacobi_symbol(self):
         # primes from 5 up, so some d share a prime with n and both sides are 0
@@ -512,7 +527,7 @@ class TestTwistSchedule:
                 for d, primes in _twists(3000):
                     assert math.prod(jacobi(q, n) for q in primes) == jacobi(d, n), (n, d)
 
-    def test_a_walk_past_the_limit(self, fresh_schedule, capsys):
+    def test_a_walk_past_the_limit(self, fresh_segments, capsys):
         # the first curve of this n is dead and walks to max_d, past the
         # limit; queries, curves and factors are pinned from the walk that
         # took every d's primes from factor_small
@@ -522,8 +537,20 @@ class TestTwistSchedule:
         assert report["factors"] == [1009900799, 1066711447]
         assert report["oracle_queries"] == 6102
         assert report["curves_used"] == 2
-        assert ecfactor.reduction._schedule_end == _SCHEDULE_LIMIT
-        assert ecfactor.reduction._schedule[-1][0] < _SCHEDULE_LIMIT
+        self.assert_cached(_SCHEDULE_LIMIT)
+
+    def test_a_long_walk_keeps_nothing_past_the_limit(self, fresh_segments, capsys):
+        # the same dead curve walks to 10^5: the segments past the limit
+        # land in no cache, neither _segment's nor factor_small's
+        factor_small.cache_clear()
+        argv = ["factor", "1077272742627746153", "--seed", "419625122", "--max-d", "100000"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["factors"] == [1009900799, 1066711447]
+        assert report["oracle_queries"] == 30338
+        assert report["curves_used"] == 2
+        self.assert_cached(_SCHEDULE_LIMIT)
+        assert factor_small.cache_info().currsize < 100
 
 
 class TestFactorCompletely:
