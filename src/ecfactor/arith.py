@@ -125,8 +125,10 @@ def _brent_rho(x: int, c: int) -> int:
     """A divisor of the odd composite x from Brent's rho on y -> y^2 + c, start 2.
 
     Differences are multiplied in batches of 64 between gcds; a batch that
-    overshoots to gcd = x is replayed one step at a time. Returns x when this
-    c fails, and the caller tries the next c.
+    overshoots to gcd = x is replayed one step at a time. They are signed:
+    the product then differs from that of their absolute values at most in
+    sign mod x, which no gcd with x sees. Returns x when this c fails, and
+    the caller tries the next c.
     """
     y, r, prod, g = 2, 1, 1, 1
     while g == 1:
@@ -138,7 +140,7 @@ def _brent_rho(x: int, c: int) -> int:
             y_saved = y
             for _ in range(min(64, r - k)):
                 y = (y * y + c) % x
-                prod = prod * abs(x0 - y) % x
+                prod = prod * (x0 - y) % x
             g = gcd(prod, x)
             k += 64
         r *= 2
@@ -146,7 +148,7 @@ def _brent_rho(x: int, c: int) -> int:
         g = 1
         while g == 1:
             y_saved = (y_saved * y_saved + c) % x
-            g = gcd(abs(x0 - y_saved), x)
+            g = gcd(x0 - y_saved, x)
     return g
 
 

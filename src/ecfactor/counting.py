@@ -21,16 +21,20 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   k in [kmin, kmax], the Hasse interval [p+1-r, p+1+r], r = floor(2
   sqrt(p)), divided by L. Baby-step/giant-step sweeps k upward from kmin,
   so its k is the least match ([k][L]P = O) there, and the order of [L]P
-  exceeds k - kmin. When 2k >= kmin + kmax, the next match lies beyond
-  kmax: k is the only one, and the count is L k on E, or 2p + 2 - L k on
-  E', with no factoring of k. A lower-half match is stripped prime by
-  prime to the order of [L]P and folded into L_E or L_E', the lcm of the
-  orders seen on each side. The count is N once exactly one N in the
-  Hasse interval has L_E | N and L_E' | 2p+2-N. Mestre showed that for
-  p > 229 the group exponents of E and E' always leave one such N; in
-  practice one or two points do. A walk that ends without a unique N
-  raises instead of guessing. One count costs O(p^(1/4)) group operations
-  and no table.
+  divides k and exceeds k - kmin. `_fold_order` turns k into L times that
+  order, or into the group order when k is the only match, by testing the
+  few divisors of k that could be the order of a point with a second
+  match; when 2k >= kmin + kmax there are none, and the count is L k on E,
+  or 2p + 2 - L k on E', with no factoring of k. The result becomes the
+  side's L_E or L_E', the lcm of the orders seen on each side. The count
+  is N once exactly one N in the Hasse interval has L_E | N and
+  L_E' | 2p+2-N. Mestre showed that for p > 229 the group exponents of E
+  and E' always leave one such N; in practice one or two points do. A
+  walk that ends without a unique N raises instead of guessing. One count
+  costs O(p^(1/4)) group operations and no table. The baby and giant
+  steps add affine points, one modular inverse each; a scalar
+  multiplication runs in Jacobian coordinates and takes one inverse in
+  all.
 
 The character table and the weights are built on the first use at a prime
 and cached read-only, so later counts there are cheap. Each cache has a
@@ -89,7 +93,7 @@ import numpy as np
 from .arith import factor_small, is_probable_prime, jacobi, primitive_root
 
 
-# Counts stop below here: just below it a baby-step/giant-step count takes about 0.4 s.
+# Counts stop below here: just below it a baby-step/giant-step count takes about 0.3 s.
 _COUNT_LIMIT = 1 << 60
 
 # Largest prime counted from the character table. The first count at 16381
@@ -246,14 +250,47 @@ def _add(P, Q, a: int, p: int):
 
 
 def _mul(k: int, P, a: int, p: int):
-    R = None
-    while k:
-        if k & 1:
-            R = _add(R, P, a, p)
-        k >>= 1
-        if k:
-            P = _add(P, P, a, p)
-    return R
+    """[k]P for k >= 0, by left-to-right double-and-add in Jacobian
+    coordinates: (X, Y, Z) is the point (X/Z^2, Y/Z^3), and Z = 0 is O.
+    Input and output are affine, and the one modular inverse is taken at the
+    end. An addition of R = +-P goes through `_add`."""
+    if P is None or k == 0:
+        return None
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        # R = 2R; Z becomes 0 at a point with Y = 0, of order 2
+        YY = Y * Y % p
+        S = 4 * X * YY % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + a * ZZ * ZZ) % p
+        X = (M * M - 2 * S) % p
+        Z = 2 * Y * Z % p
+        Y = (M * (S - X) - 8 * YY * YY) % p
+        if bit == "0":
+            continue
+        if not Z:  # R = O
+            X, Y, Z = x, y, 1
+            continue
+        # R = R + P, P affine
+        ZZ = Z * Z % p
+        H = (x * ZZ - X) % p
+        r = (y * ZZ * Z - Y) % p
+        if not H:  # R = P if r = 0, else R = -P
+            R = _add((x, -y % p if r else y), P, a, p)
+            X, Y, Z = (*R, 1) if R else (1, 1, 0)
+            continue
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X = (r * r - HHH - 2 * V) % p
+        Y = (r * (V - X) - Y * HHH) % p
+        Z = Z * H % p
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    zz = zi * zi % p
+    return X * zz % p, Y * zz * zi % p
 
 
 def _bsgs(Q, kmin: int, kmax: int, a: int, p: int) -> int:
@@ -298,14 +335,20 @@ def _fold_order(P, L: int, lo: int, hi: int, a: int, p: int) -> int:
     """lcm(L, order of P) = L * order of [L]P, or the group order itself,
     given that the group order is a multiple of L in [lo, hi].
 
-    The group order is L k for a match k ([k][L]P = O) in [kmin, kmax].
-    `_bsgs` returns the order of [L]P or the least match there; either way
-    a k >= kmin is the least match in [kmin, kmax], so the order of [L]P
-    exceeds k - kmin. When 2k >= kmin + kmax, any other match is at least
-    k + (k - kmin + 1) > kmax: k is the only match and L k the group order.
-    `_unique_count` then takes it at once: its step, a multiple of L k >= lo,
-    is wider than the Hasse interval. Otherwise k is stripped prime by prime
-    to the order of [L]P.
+    The group order is L k' for a match k' ([k'][L]P = O) in [kmin, kmax].
+    `_bsgs` returns the order of [L]P or the least match k there; either
+    way the order divides k and exceeds k - kmin, and the next match is k
+    plus the order. So a second match lies in [kmin, kmax] only if the order
+    is at most kmax - k, and the order is then the least divisor d of k in
+    (k - kmin, kmax - k] with [d][L]P = O: the divisors there are tested in
+    increasing order. If none is a match, L k is returned: a k below kmin
+    came from the baby steps and is the order, and a k >= kmin is the only
+    match, so L k is the group order; `_unique_count` then takes it at once,
+    as its step, a multiple of L k >= lo, is wider than the Hasse interval.
+    The range is empty when 2k >= kmin + kmax, and k is then not factored.
+    When it holds more divisors than k has prime factors, counted with
+    multiplicity, k is stripped prime by prime to the order instead, which
+    takes no more scalar multiplications than that.
     """
     Q = _mul(L, P, a, p)
     if Q is None:
@@ -314,7 +357,14 @@ def _fold_order(P, L: int, lo: int, hi: int, a: int, p: int) -> int:
     k = _bsgs(Q, kmin, kmax, a, p)
     if 2 * k >= kmin + kmax:
         return L * k
-    for q, e in factor_small(k):  # strip k down to the order of Q
+    factors = factor_small(k)
+    divisors = [1]
+    for q, e in factors:
+        divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+    divisors = sorted(d for d in divisors if k - kmin < d <= kmax - k)
+    if len(divisors) <= sum(e for _, e in factors):
+        return L * next((d for d in divisors if _mul(d, Q, a, p) is None), k)
+    for q, e in factors:  # strip k down to the order of Q
         for _ in range(e):
             if _mul(k // q, Q, a, p) is not None:
                 break

@@ -8,9 +8,11 @@ divisor-sum identity of euler_phi. special_curves gives the curves of the
 classes at j = 0 and j = 1728, whose traces the counting and census tests
 check one curve at a time. argparse_reference is the command-line grammar
 the CLI's one-pass parser is checked against. bsgs_count_reference,
-factor_small_reference and recover_reference are the slow references for
-three fast paths: the Shanks-Mestre count that strips every point order,
-trial division by every prime below 2^12, and the ratio recovery's
+mul_reference, factor_small_reference, brent_rho_reference and
+recover_reference are the slow references for five fast paths: the
+Shanks-Mestre count that strips every point order, the scalar
+multiplication in Jacobian coordinates, trial division by every prime below
+2^12, Brent's rho on signed differences, and the ratio recovery's
 candidates kept by hand as a progression that stops at the first one >= n.
 """
 
@@ -132,10 +134,25 @@ def argparse_reference(argv: list[str]):
     return values.pop("command"), values
 
 
+def mul_reference(k: int, P, a: int, p: int):
+    """[k]P on Y^2 = X^3 + aX + b for k >= 0, by right-to-left double-and-add
+    in affine coordinates, one modular inverse per group operation in
+    `counting._add`: the slow reference for `counting._mul`."""
+    R = None
+    while k:
+        if k & 1:
+            R = counting._add(R, P, a, p)
+        k >>= 1
+        if k:
+            P = counting._add(P, P, a, p)
+    return R
+
+
 def bsgs_count_reference(p: int, A: int, B: int) -> int:
     """#E(F_p) for 0 <= A, B < p, p > 229, by the Shanks-Mestre walk of
     `counting` with every baby-step/giant-step match stripped to the exact
-    point order, also a match in the upper half of its interval."""
+    point order, also a match in the upper half of its interval, and every
+    scalar multiplication outside `counting._bsgs` taken by `mul_reference`."""
     r = math.isqrt(4 * p)
     lo, hi = p + 1 - r, p + 1 + r
     L = [1, 1]  # lcm of the point orders seen on E and on its twist
@@ -145,12 +162,12 @@ def bsgs_count_reference(p: int, A: int, B: int) -> int:
             continue
         side = (1 - jacobi(f, p)) // 2
         a = A * f * f % p
-        Q = counting._mul(L[side], (x0 * f % p, f * f % p), a, p)
+        Q = mul_reference(L[side], (x0 * f % p, f * f % p), a, p)
         if Q is not None:
             k = counting._bsgs(Q, -(-lo // L[side]), hi // L[side], a, p)
             for q, e in factor_small(k):  # strip k down to the order of Q
                 for _ in range(e):
-                    if counting._mul(k // q, Q, a, p) is not None:
+                    if mul_reference(k // q, Q, a, p) is not None:
                         break
                     k //= q
             L[side] *= k
@@ -187,6 +204,31 @@ def factor_small_reference(x: int) -> tuple[tuple[int, int], ...]:
     elif x > 1:
         factors.append((x, 1))
     return tuple(factors)
+
+
+def brent_rho_reference(x: int, c: int) -> int:
+    """`arith._brent_rho` with the absolute value of every difference taken
+    before it is multiplied in or its gcd with x is taken."""
+    y, r, prod, g = 2, 1, 1, 1
+    while g == 1:
+        x0 = y
+        for _ in range(r):
+            y = (y * y + c) % x
+        k = 0
+        while k < r and g == 1:
+            y_saved = y
+            for _ in range(min(64, r - k)):
+                y = (y * y + c) % x
+                prod = prod * abs(x0 - y) % x
+            g = math.gcd(prod, x)
+            k += 64
+        r *= 2
+    if g == x:
+        g = 1
+        while g == 1:
+            y_saved = (y_saved * y_saved + c) % x
+            g = math.gcd(abs(x0 - y_saved), x)
+    return g
 
 
 def recover_reference(N: int, Nd: int, D: int, n: int) -> Recovery | None:

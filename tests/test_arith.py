@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecfactor import arith
 from ecfactor.arith import (
     _MR_WITNESSES,
     _miller_rabin,
@@ -18,7 +19,15 @@ from ecfactor.arith import (
     primes_between,
     primitive_root,
 )
-from proof_aux import divisors, euler_phi, factor_small_reference, omega, tau, totient_sieve
+from proof_aux import (
+    brent_rho_reference,
+    divisors,
+    euler_phi,
+    factor_small_reference,
+    omega,
+    tau,
+    totient_sieve,
+)
 
 
 def test_gcd_examples():
@@ -166,6 +175,29 @@ class TestFactorSmall:
         assert factor_small(4294967291 * 4294967279) == (
             (4294967279, 1), (4294967291, 1)
         )
+
+    def test_brent_rho_matches_the_abs_reference(self):
+        # seeded odd composites up to 2^64 with no prime factor below 2^12:
+        # semiprimes with a least prime of 13 to 22 bits, squares, three
+        # primes, and a few balanced near 2^64, at every c the caller tries
+        def prime_in(lo, hi):
+            while True:
+                x = rng.randrange(lo, hi)
+                if is_probable_prime(x):
+                    return x
+
+        rng = random.Random(35)
+        samples = []
+        for _ in range(66):
+            p = prime_in(2 ** 12, 2 ** rng.randrange(13, 23))
+            samples += [p * prime_in(p, 2 ** 64 // p), p * p]
+            samples.append(p * prime_in(2 ** 12, 2 ** 20) * prime_in(2 ** 12, 2 ** 20))
+        samples += [prime_in(2 ** 31, 2 ** 32) * prime_in(2 ** 31, 2 ** 32) for _ in range(4)]
+        for x in samples:
+            assert x < 2 ** 64 and math.gcd(x, math.prod(arith._TRIAL_PRIMES)) == 1, x
+            for c in (1, 2, 3):
+                assert arith._brent_rho(x, c) == brent_rho_reference(x, c), (x, c)
+        assert len(samples) >= 200
 
     def test_matches_the_full_trial_loop_above_2_24(self):
         # above 2^24 an x coprime to every trial prime skips the trial loop

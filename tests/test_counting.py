@@ -20,7 +20,7 @@ from ecfactor.counting import (
     legendre_sums,
     normal_form_traces,
 )
-from proof_aux import bsgs_count_reference, special_curves
+from proof_aux import bsgs_count_reference, divisors, mul_reference, special_curves
 
 
 def random_smooth_pair(rng, m):
@@ -373,6 +373,145 @@ class TestShanksMestre:
         assert sum(exits.values()) >= len(curves) / 3, exits
         assert min(exits.values()) >= len(curves) / 10, exits
 
+    def test_divisor_test_against_the_always_strip_reference(self, monkeypatch):
+        # The curves of the upper-half test, whose j = 0 and 1728 curves near
+        # the crossover often hold a lower-half match and a second point on a
+        # side (L > 1). Every fold must return L times the order of [L]P, by
+        # the reference's strip, or its side's group order, and make no more
+        # scalar multiplications after the match k than k has prime factors.
+        rng = random.Random(25)
+        curves = [(p, *random_smooth_pair(rng, p)) for p in seeded_primes(rng, 16411, 10 ** 6, 80)]
+        for p in seeded_primes(rng, 16411, 10 ** 6, 20) + seeded_primes(rng, 16411, 1 << 15, 60):
+            curves += [(p, 0, rng.randrange(1, p)), (p, rng.randrange(1, p), 0)]  # j = 0, 1728
+        bsgs, fold_order, mul = counting._bsgs, counting._fold_order, counting._mul
+        state = {}  # the match of the current fold and the _mul calls since
+
+        def recording_bsgs(Q, kmin, kmax, a, p):
+            k = bsgs(Q, kmin, kmax, a, p)
+            state.update(k=k, kmin=kmin, kmax=kmax, muls=0)
+            return k
+
+        def counting_mul(k, P, a, p):
+            if "k" in state:
+                state["muls"] += 1
+            return mul(k, P, a, p)
+
+        folds = []  # (P, L, a, k, candidates, muls, result) per fold past its match
+
+        def recording_fold_order(P, L, lo, hi, a, p):
+            state.clear()
+            M = fold_order(P, L, lo, hi, a, p)
+            if "k" in state:
+                k, kmin, kmax = state["k"], state["kmin"], state["kmax"]
+                candidates = sum(k - kmin < d <= kmax - k for d in divisors(k))
+                folds.append((P, L, a, k, candidates, state["muls"], M))
+            state.clear()
+            return M
+
+        monkeypatch.setattr(counting, "_bsgs", recording_bsgs)
+        monkeypatch.setattr(counting, "_mul", counting_mul)
+        monkeypatch.setattr(counting, "_fold_order", recording_fold_order)
+        second_points = tested = stripped = 0
+        for p, A, B in curves:
+            folds.clear()
+            N = _bsgs_count(p, A, B)
+            assert N == bsgs_count_reference(p, A, B), (p, A, B)
+            for P, L, a, k, candidates, muls, M in folds:
+                omega = sum(e for _, e in factor_small(k))
+                assert muls <= omega, (p, A, B, k, muls)
+                Q = mul_reference(L, P, a, p)
+                order = k
+                for q, e in factor_small(k):
+                    for _ in range(e):
+                        if mul_reference(order // q, Q, a, p) is not None:
+                            break
+                        order //= q
+                if M != L * order:
+                    assert M in (N, 2 * p + 2 - N), (p, A, B, L, k, M)
+                    assert mul_reference(M, P, a, p) is None, (p, A, B, L, k, M)
+                second_points += L > 1
+                tested += 0 < candidates <= omega
+                stripped += candidates > omega
+        # 46 folds of a second point, 38 by the divisor test, 88 by the strip
+        assert second_points >= 30 and tested >= 20 and stripped >= 40, (second_points, tested, stripped)
+
+
+class TestScalarMul:
+    """`_mul` in Jacobian coordinates against the affine `mul_reference`, exactly."""
+
+    P16411 = next(q for q in range(counting._CROSSOVER + 1, 2 * counting._CROSSOVER)
+                  if is_probable_prime(q))
+
+    def test_infinity_and_zero(self):
+        p = self.P16411
+        assert counting._mul(5, None, 1, p) is None
+        assert counting._mul(0, None, 1, p) is None
+        assert counting._mul(0, (3, 7), 1, p) is None
+        assert mul_reference(0, (3, 7), 1, p) is None
+
+    def test_points_with_y_zero(self):
+        # (r, 0) lies on Y^2 = X^3 + aX - r^3 - ar and has order 2
+        rng = random.Random(31)
+        for p in (self.P16411, 1000003, 2 ** 31 - 1, 1152921504606846883):
+            for _ in range(10):
+                P, a = (rng.randrange(p), 0), rng.randrange(p)
+                for k in list(range(12)) + [rng.randrange(2 ** 64) for _ in range(4)]:
+                    assert counting._mul(k, P, a, p) == mul_reference(k, P, a, p), (p, P, a, k)
+                    assert counting._mul(k, P, a, p) == (P if k & 1 else None)
+
+    def test_small_orders_reach_the_plus_minus_P_branch(self, monkeypatch):
+        # points of order 3 to 60, from [N/d] of walk points on curves at
+        # 16411; k = ord - 1, ord + 1, 2 ord and every k below 3 ord + 2
+        rng = random.Random(32)
+        p = self.P16411
+        points = {}  # order -> (Q, a)
+        while len(points) < 20:
+            A, B = random_smooth_pair(rng, p)
+            N = count_points_prime(p, A, B)
+            x0 = rng.randrange(p)
+            f = ((x0 * x0 + A) * x0 + B) % p
+            if not f or jacobi(f, p) != 1:
+                continue
+            P, a = (x0 * f % p, f * f % p), A * f * f % p
+            for d in range(3, 61):
+                Q = mul_reference(N // d, P, a, p) if N % d == 0 else None
+                if Q is not None:
+                    order = next(j for j in range(1, d + 1) if mul_reference(j, Q, a, p) is None)
+                    points.setdefault(order, (Q, a))
+        cases = [(order, Q, a, k, mul_reference(k, Q, a, p))
+                 for order, (Q, a) in points.items()
+                 for k in sorted({order - 1, order + 1, 2 * order, *range(3 * order + 2)})]
+        add, branch = counting._add, []
+
+        def recording_add(P, Q, a, p):
+            R = add(P, Q, a, p)
+            branch.append(R is None)
+            return R
+
+        monkeypatch.setattr(counting, "_add", recording_add)
+        for order, Q, a, k, expected in cases:
+            assert counting._mul(k, Q, a, p) == expected, (order, k)
+        # both the R = P and the R = -P cases of the branch were reached
+        assert branch.count(True) >= 10 and branch.count(False) >= 10, branch
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(counting._CROSSOVER + 1, (1 << 60) - 1),
+        st.integers(0, 2 ** 64),
+        st.integers(0, 2 ** 64),
+        st.integers(0, 2 ** 64),
+        st.integers(0, 2 ** 64 - 1),
+    )
+    def test_property_matches_the_affine_reference(self, p, A, B, x0, k):
+        while not is_probable_prime(p):
+            p += 1
+        assume(p < 1 << 60)
+        A, B, x0 = A % p, B % p, x0 % p
+        f = ((x0 * x0 + A) * x0 + B) % p  # a walk point, on E or on its twist
+        assume(f)
+        P, a = (x0 * f % p, f * f % p), A * f * f % p
+        assert counting._mul(k, P, a, p) == mul_reference(k, P, a, p)
+
 
 class TestCountsAbove1e7:
     """Counts no enumeration reaches, checked by the group law: [N]P = O on E
@@ -393,7 +532,7 @@ class TestCountsAbove1e7:
                 continue
             seen[side] += 1
             order = N if side == 0 else 2 * p + 2 - N
-            if counting._mul(order, (x0 * f % p, f * f % p), A * f * f % p, p) is not None:
+            if mul_reference(order, (x0 * f % p, f * f % p), A * f * f % p, p) is not None:
                 return False
         raise AssertionError(f"fewer than {per_side} points on a side at {p}")
 
