@@ -11,8 +11,16 @@ nothing, where the loop takes 40-60 us. Rho runs only on inputs up to
 cofactor is refused. That contract is checked once, on the cofactor. The
 factoring algorithm proper never calls it on anything it could not handle.
 
-Primality answers are cached: factoring n = pq tests n, p and q, and the
-reduction and the oracle then ask about the same three numbers again.
+Primality rests on the same table and product. An x <= 2**12 is looked up
+in the table. A larger x is composite when it shares a factor with the
+product, and otherwise has no prime factor below 2**12, so it is prime
+when x <= 2**24; only a coprime x above 2**24 runs Miller-Rabin. A
+composite with a prime below 2**12, such as a product of primes near
+1000, is settled by that one gcd, with no modular power. `factor_small`
+takes the gcd once per x and hands its cofactor, which has no prime below
+2**12, straight to the Miller-Rabin step. Both steps cache their answers:
+rho tests again the cofactor `factor_small` tested, and the reduction and
+the oracle ask about the same n, p and q again.
 """
 
 from __future__ import annotations
@@ -77,11 +85,17 @@ def _miller_rabin(x: int, base: int) -> bool:
 @lru_cache(maxsize=1 << 12)
 def is_probable_prime(x: int) -> bool:
     """Primality test: deterministic below 3.3e24, error < 2**-128 above."""
-    if x < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if x % p == 0:
-            return x == p
+    if x <= _TRIAL_LIMIT:
+        return x in _TRIAL_PRIME_SET
+    return gcd(x, _TRIAL_PRODUCT) == 1 and _sieved_is_prime(x)
+
+
+@lru_cache(maxsize=1 << 12)
+def _sieved_is_prime(x: int) -> bool:
+    """Primality of an x > 2**12 with no prime factor below 2**12: prime up
+    to 2**24, and decided by Miller-Rabin above."""
+    if x <= _TRIAL_LIMIT ** 2:
+        return True
     k = bisect.bisect_right(_MR_PSI, x) + 1  # witnesses x needs; 14 above psi_13
     if not all(_miller_rabin(x, w) for w in _MR_WITNESSES[:k]):
         return False
@@ -115,6 +129,7 @@ _TRIAL_LIMIT = 1 << 12
 
 # The primes trial division divides by, built once, and their product.
 _TRIAL_PRIMES = tuple(primes_between(2, _TRIAL_LIMIT))
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 # Rho runs only on cofactors of inputs up to here.
@@ -153,8 +168,9 @@ def _brent_rho(x: int, c: int) -> int:
 
 
 def _rho_primes(x: int) -> list[int]:
-    """Prime factors of x > 1 with multiplicity, splitting composites by rho."""
-    if is_probable_prime(x):
+    """Prime factors of x > 2**12 with multiplicity, splitting composites by
+    rho, for an x with no prime factor below 2**12."""
+    if _sieved_is_prime(x):
         return [x]
     c = 1
     while (f := _brent_rho(x, c)) == x:
@@ -185,7 +201,7 @@ def factor_small(x: int) -> tuple[tuple[int, int], ...]:
             factors.append((q, e))
     # x is 1 or prime if the loop stopped at q*q > x, and otherwise has no
     # prime factor below 2**12; either way x <= 2**24 is 1 or prime
-    if x > _TRIAL_LIMIT ** 2 and not is_probable_prime(x):
+    if x > _TRIAL_LIMIT ** 2 and not _sieved_is_prime(x):
         if n > _RHO_LIMIT:
             raise ValueError(
                 f"factor_small: {n} is above 2^64 and its cofactor {x} after "

@@ -36,26 +36,27 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   multiplication runs in Jacobian coordinates and takes one inverse in
   all.
 
-The character table and the weights are built on the first use at a prime
-and cached read-only, so later counts there are cheap. Each cache has a
-slot for each of the 1898 primes up to `_CROSSOVER`, so nothing is ever
-rebuilt; filled, they hold 29.2 MB of int8 tables and 29.2 MB of int16
-weights, 58.4 MB together. A table is built by scattering squares: every
-entry starts at -1, the (p-1)/2 values x^2 mod p for 1 <= x <= (p-1)/2
-(which are exactly the nonzero squares) are set to 1, and entry 0 to 0.
-It is built doubled, an array of length 2p whose second half repeats the
-first, and the cache hands out the view of its first p entries; the
-one-lag count reads the doubled array through the view's `.base`, so the
-p cyclic terms chi(t + s) of its lag are one contiguous slice.
+The character table and the weights are built together, on the first use
+at a prime, and cached read-only, so later counts there are cheap. The
+cache has a slot for each of the 1898 primes up to `_CROSSOVER`, so nothing
+is ever rebuilt; filled, it holds 29.2 MB of int8 tables and 29.2 MB of
+int16 weights, 58.4 MB together. One build works over the powers
+y_i = g^i, 0 <= i < p - 1, of the least primitive root g
+(`arith.primitive_root`), taken as an outer product of about sqrt(p) by
+sqrt(p) powers and dropped once the build ends. Since (g^i | p) = (-1)^i,
+two scatters of them give the table, and entry 0 is 0. It is built doubled,
+an array of length 2p whose second half repeats the first, and the cache
+hands out the view of its first p entries; the one-lag count reads the
+doubled array through the view's `.base`, so the p cyclic terms
+chi(t + s) of its lag are one contiguous slice.
 
 `character_table(p)` is public: `oracle.FactoredOracle` reads (AB | p) off
 it when it answers a twist from its record. It returns None above the
 crossover, so only this module decides which primes have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
-primes 5 <= p <= 2^24 only, as it holds about 24p bytes per curve. It takes
-one curve or a column of curves, and serves the count above, the census's
-j = 0 and j = 1728 classes, and the tests as the one-lag count's reference.
+table primes only. It takes one curve or a column of curves, and serves
+the count above and the census's j = 0 and j = 1728 classes.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
 E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the normal forms whose twists
@@ -70,13 +71,15 @@ of length p: O(p^2) multiply-adds and O(p) memory, in place of about p
 point counts. It runs on float64 copies, so that `np.correlate` takes the
 BLAS dot, and is exact: every partial sum is an integer of size at most
 sum |w| <= p - 1 < 2^53. A count reads the one lag t of it, exactly, as
-one int8 x int16 dot. The weights are built from discrete logarithms to
-the least primitive root g (`arith.primitive_root`), kept only while the
-weights are built: the powers g^i come from an outer product of about
-sqrt(p) by sqrt(p) powers, and one scatter of them gives log x. For
-x != 0, -1, log s = 3 log x - log(x + 1) mod p - 1, so one bincount sums
-chi(x + 1) by log s and one gather at log s gives w(s) for s != 0; x = 0
-is the one x with s = 0.
+one int8 x int16 dot. The weights come from the same powers: x + 1 runs
+over the y_i as x runs over x != -1, chi(x + 1) = (-1)^i, and
+(x + 1)^(-1) = g^(-i) is the power array read backwards, so
+s_i = (y_i - 1)^3 g^(-i), and w is the bincount of the s_i at even i less
+that at odd i. x = 0 (i = 0) is the one x with s = 0. The build takes no
+squares scatter, no discrete logarithm and no gather: 47 us at p = 1499
+and 261 us at 16381, against 57 and 355 us for a squares scatter and
+discrete-log weights (medians of 7 timeit runs, caches emptied before
+each build; 2-core x86 host, Python 3.11, numpy 2.4).
 
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
@@ -97,10 +100,10 @@ from .arith import factor_small, is_probable_prime, jacobi, primitive_root
 _COUNT_LIMIT = 1 << 60
 
 # Largest prime counted from the character table. The first count at 16381
-# builds its table and weights in about 0.6-0.9 ms and a later one takes
-# 0.02-0.03 ms, against about 0.1 ms for a baby-step/giant-step count at 16411
-# (2-core host, Python 3.11), so above here a prime must be counted about six
-# to ten times before its table pays.
+# builds its table and weights in about 0.8-1.1 ms in a fresh process and a
+# later one takes 0.02-0.03 ms, against about 0.15 ms for a baby-step/giant-step
+# count at 16411 (2-core host, Python 3.11), so above here a prime must be
+# counted about five to seven times before its table pays.
 _CROSSOVER = 1 << 14
 
 
@@ -125,27 +128,54 @@ def count_points_prime(p: int, A: int, B: int) -> int:
 
 
 @lru_cache(maxsize=1 << 11)  # more slots than primes up to _CROSSOVER
-def _legendre_table(p: int) -> np.ndarray:
-    """The read-only int8 table of (x | p) for 0 <= x < p: a view of the
-    first half of a read-only array of length 2p whose halves are equal."""
-    chi = np.full(2 * p, -1, dtype=np.int8)
-    x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    chi[x * x % p] = 1
+def _table_and_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The character table and the weights w of a prime 5 <= p <= _CROSSOVER,
+    from one array of powers (module docstring). The table is the read-only
+    int8 (x | p) for 0 <= x < p: a view of the first half of a read-only
+    array of length 2p whose halves are equal. The weights are the read-only
+    int16 w(s) for 0 <= s < p, with sum |w| <= p - 1."""
+    g = primitive_root(p)
+    m = isqrt(p - 2) + 1  # g^(mj + k) for 0 <= j, k < m covers every i < p - 1
+    row = [1]
+    for _ in range(m):
+        row.append(row[-1] * g % p)
+    col = [1]
+    for _ in range(m - 1):
+        col.append(col[-1] * row[m] % p)
+    # int32 holds every product, as p^2 < 2^28, and its remainder is quicker
+    y = np.array(col, dtype=np.int32)[:, None] * np.array(row[:m], dtype=np.int32)
+    y %= p
+    y = y.ravel()[: p - 1]  # y[i] = g^i
+    chi = np.empty(2 * p, dtype=np.int8)
+    chi[y[0::2]] = 1  # (g^i | p) = (-1)^i
+    chi[y[1::2]] = -1
     chi[0] = 0
     chi[p:] = chi[:p]
     chi.flags.writeable = False  # shared by every later count at p
-    return chi[:p]
+    # s = x^3/(x + 1) for x + 1 = y: (y - 1)^3 / y = y^2 - 3y + 3 - 1/y, with
+    # y^2 = g^(2i) the even powers twice over, as p - 1 is even, and
+    # 1/y = g^(-i) the powers read backwards
+    half = y[0::2]
+    s = np.concatenate((half, half))
+    s -= 3 * y
+    s[1:] -= y[:0:-1]
+    s[0] -= 1
+    s += 3
+    s %= p
+    w = np.bincount(s[0::2], minlength=p)  # chi(x + 1) = chi(g^i) = (-1)^i
+    w -= np.bincount(s[1::2], minlength=p)
+    w = w.astype(np.int16)
+    w.flags.writeable = False  # shared by every later count at p
+    return chi[:p], w
 
 
 def legendre_sums(p: int, A, B):
-    """sum_x (x^3+Ax+B | p) for a prime 5 <= p <= 2^24 and 0 <= A, B < p: an
-    int64 for one curve, or an array of k sums for A and B int64 arrays of
-    shape (k, 1). A larger p is refused: its transient arrays would take
-    about 24p bytes per curve."""
-    _admit(p)
-    if p > 1 << 24:
-        raise ValueError(f"legendre_sums: p must be <= 2^24, got {p}")
-    # The tests use it as the reference for baby-step/giant-step up to ~1e7.
+    """sum_x (x^3+Ax+B | p) for a prime 5 <= p <= _CROSSOVER and 0 <= A, B < p:
+    an int64 for one curve, or an array of k sums for A and B int64 arrays of
+    shape (k, 1). A larger p has no character table and is refused."""
+    chi = character_table(p)
+    if chi is None:
+        raise ValueError(f"legendre_sums: p must be <= {_CROSSOVER}, got {p}")
     x = np.arange(p, dtype=np.int64)
     f = x * x  # Horner: every intermediate stays below 2p^2 + p
     f %= p
@@ -153,7 +183,7 @@ def legendre_sums(p: int, A, B):
     f *= x
     f += B
     f %= p
-    return _legendre_table(p)[f].sum(-1)  # int8 sums accumulate in int64
+    return chi[f].sum(-1)  # int8 sums accumulate in int64
 
 
 def _legendre_count(p: int, A: int, B: int) -> int:
@@ -166,41 +196,12 @@ def character_table(p: int) -> np.ndarray | None:
     counts, at a prime 5 <= p <= _CROSSOVER; None above the crossover, where
     no count builds tables."""
     _admit(p)
-    return _legendre_table(p) if p <= _CROSSOVER else None
-
-
-@lru_cache(maxsize=1 << 11)  # as _legendre_table's
-def _normal_form_weights(p: int) -> np.ndarray:
-    """w(s) for 0 <= s < p, by discrete logs (module docstring): a read-only
-    int16 array, with sum |w| <= p - 1."""
-    g = primitive_root(p)
-    m = isqrt(p - 2) + 1  # g^(mj + k) for 0 <= j, k < m covers every i < p - 1
-    row = [1]
-    for _ in range(m):
-        row.append(row[-1] * g % p)
-    col = [1]
-    for _ in range(m - 1):
-        col.append(col[-1] * row[m] % p)
-    # int32 holds every product, as p^2 < 2^28, and its remainder is quicker
-    power = np.array(col, dtype=np.int32)[:, None] * np.array(row[:m], dtype=np.int32)
-    power %= p
-    log = np.zeros(p, dtype=np.int32)  # g^log[x] = x for 0 < x < p
-    log[power.ravel()[: p - 1]] = np.arange(p - 1, dtype=np.int32)
-    e = 3 * log[1 : p - 1]  # log s for x = 1 .. p - 2
-    e -= log[2:]
-    e %= p - 1
-    by_log = np.bincount(e, weights=_legendre_table(p)[2:], minlength=p - 1)
-    w = np.empty(p, dtype=np.int16)
-    w[0] = 1  # x = 0, the one x with s = 0
-    w[1:] = by_log[log[1:]]
-    w.flags.writeable = False  # shared by every later count at p
-    return w
+    return _table_and_weights(p)[0] if p <= _CROSSOVER else None
 
 
 def _normal_form_count(p: int, A: int, B: int) -> int:
     """p + 1 - (AB | p) a(t), t = A^3/B^2, for 0 < A, B < p and p <= _CROSSOVER."""
-    chi = _legendre_table(p)
-    w = _normal_form_weights(p)
+    chi, w = _table_and_weights(p)
     t = A * A * A * pow(B, -2, p) % p
     # corr = sum_s w(s) chi((t + s) mod p), one slice of the doubled table.
     # numpy's integer dot accumulates in a C long and casts the sum to int16,
@@ -217,8 +218,9 @@ def normal_form_traces(p: int) -> np.ndarray:
     5 <= p <= _CROSSOVER, the primes with tables."""
     if character_table(p) is None:
         raise ValueError(f"normal_form_traces: p must be <= {_CROSSOVER}, got {p}")
-    chi = _legendre_table(p).base.astype(np.float64)  # the doubled table
-    w = _normal_form_weights(p).astype(np.float64)
+    chi, w = _table_and_weights(p)
+    chi = chi.base.astype(np.float64)  # the doubled table
+    w = w.astype(np.float64)
     # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p, by the float64
     # dot; exact, as every partial sum is an integer of size at most
     # sum |w| <= p - 1 < 2^53

@@ -6,9 +6,10 @@ takes a gcd against the modulus can stumble on a nontrivial factor of n.
 `screen` and `isomorphic_gcd` return that gcd as it stands: 1, n, or a
 proper factor. `sample_curve` surfaces a proper factor as `FactorFound`,
 whose `source` is "screen_gcd" or "iso_gcd", so the factoring driver can
-stop immediately. Those are two of the six sources of
-`reduction.SplitOutcome`; the others are "ratio", "d_gcd",
-"curves_exhausted" and "supply_exhausted".
+stop immediately; the twist walk raises it with "d_gcd" when it reaches
+the modulus's least prime. Those are three of the six sources of
+`reduction.SplitOutcome`; the others are "ratio", "curves_exhausted" and
+"supply_exhausted".
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class FactorFound(Exception):
     def __init__(self, factor: int, source: str):
         super().__init__(f"found factor {factor} by {source}")
         self.factor = factor
-        self.source = source  # "screen_gcd" or "iso_gcd"
+        self.source = source  # "screen_gcd", "iso_gcd" or "d_gcd"
 
 
 class CurveSupplyExhausted(Exception):

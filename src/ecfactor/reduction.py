@@ -29,6 +29,13 @@ with no gcd, and d < n keeps a prime n whole, as gcd(d, n) = n would. So
 the walk ends at the same d, and queries the same d before it, as a walk
 taking gcd(d, n) and (d|n) at every d.
 
+The walk over one curve is `twist_walk`, a method: it takes the modulus,
+the oracle, the curve, its count N, the config and the split's symbol
+cache, and returns parts of the modulus or None. `split` keeps what does
+not depend on the method: the curve sampling, the budgets, the exits and
+the outcome. A split's parts are pairwise coprime integers > 1 whose
+product is n, and `factor_completely` pushes every part.
+
 Each curve keeps the set of N_d whose recovery failed. A twist whose N_d is
 in it is still queried, but not recovered: the same ratio N/N_d gives the
 same None. For n = pq a twist with (d|n) = -1 is a non-residue at one prime
@@ -101,9 +108,10 @@ class Recovery:
 
 @dataclass(frozen=True)
 class SplitOutcome:
-    factor: int | None
+    factor: int | None  # parts[0], or None when no factor was found
     source: str  # one of the six exits that `split` names
     curves_tried: int
+    parts: tuple[int, ...]  # pairwise coprime, each > 1, product n; (n,) if no factor
 
 
 def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
@@ -176,6 +184,34 @@ def _twists(max_d: int):
         lo = hi
 
 
+def twist_walk(
+    n: int, oracle, curve: tuple[int, int], N: int, cfg: ReductionConfig, symbols: dict[int, int]
+) -> tuple[int, int] | None:
+    """The twist walk on one curve of count N: the parts (f, n // f) of a
+    recovery from N/N_d, or None when the walk reaches max_d. Reaching n's
+    least prime raises `FactorFound` with source "d_gcd". symbols maps a
+    prime q to (q|n), shared by every curve of one split."""
+    A, B = curve
+    failed: set[int] = set()  # the N_d whose recovery failed on this curve
+    for d, primes in _twists(cfg.resolved_max_d(n)):
+        sign = 1
+        for q in primes:
+            s = symbols.get(q)
+            if s is None:
+                s = symbols[q] = jacobi(q, n)
+            sign *= s
+        if sign == 0 and d < n:  # d is n's least prime
+            raise FactorFound(d, "d_gcd")
+        elif sign == -1:
+            Nd = oracle.query(n, *twist(n, A, B, d))
+            if Nd not in failed:
+                rec = recover_from_ratio(N, Nd, cfg.D, n)
+                if rec is not None:
+                    return rec.factor, n // rec.factor
+                failed.add(Nd)
+    return None
+
+
 def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     """Find one nontrivial factor of squarefree composite n, gcd(n, 6) = 1.
 
@@ -189,41 +225,27 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     if n < 2 or math.gcd(n, 6) != 1:
         raise ValueError("split: n must be a squarefree composite coprime to 6")
     rng = random.Random(cfg.seed)
-    max_d = cfg.resolved_max_d(n)
     max_curves = cfg.resolved_max_curves(n)
     used: list[tuple[int, int]] = []
     symbols: dict[int, int] = {}  # prime q -> (q|n)
 
-    def outcome(factor, source) -> SplitOutcome:
-        return SplitOutcome(factor, source, len(used))
+    def outcome(source: str, parts: tuple[int, ...] | None = None) -> SplitOutcome:
+        if parts is None:
+            return SplitOutcome(None, source, len(used), (n,))
+        return SplitOutcome(parts[0], source, len(used), parts)
 
     try:
         for _ in range(max_curves):
-            A, B = sample_curve(n, rng, used)
-            used.append((A, B))
-            N = oracle.query(n, A, B)
-            failed: set[int] = set()  # the N_d whose recovery failed on this curve
-            for d, primes in _twists(max_d):
-                sign = 1
-                for q in primes:
-                    s = symbols.get(q)
-                    if s is None:
-                        s = symbols[q] = jacobi(q, n)
-                    sign *= s
-                if sign == 0 and d < n:  # d is n's least prime
-                    return outcome(d, "d_gcd")
-                elif sign == -1:
-                    Nd = oracle.query(n, *twist(n, A, B, d))
-                    if Nd not in failed:
-                        rec = recover_from_ratio(N, Nd, cfg.D, n)
-                        if rec is not None:
-                            return outcome(rec.factor, "ratio")
-                        failed.add(Nd)
+            curve = sample_curve(n, rng, used)
+            used.append(curve)
+            parts = twist_walk(n, oracle, curve, oracle.query(n, *curve), cfg, symbols)
+            if parts is not None:
+                return outcome("ratio", parts)
     except FactorFound as ff:
-        return outcome(ff.factor, ff.source)
+        return outcome(ff.source, (ff.factor, n // ff.factor))
     except CurveSupplyExhausted:
-        return outcome(None, "supply_exhausted")
-    return outcome(None, "curves_exhausted")
+        return outcome("supply_exhausted")
+    return outcome("curves_exhausted")
 
 
 @dataclass(frozen=True)
@@ -274,11 +296,10 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
             continue
         outcome = split(m, oracle, replace(cfg, seed=_child_seed(cfg.seed, m)))
         curves_used += outcome.curves_tried
-        if outcome.factor is None:
+        if outcome.parts == (m,):
             failed = m
             break
-        work.append(outcome.factor)
-        work.append(m // outcome.factor)
+        work.extend(outcome.parts)
     primes.sort()
     for p, q in zip(primes, primes[1:]):
         if p == q:

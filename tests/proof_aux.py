@@ -8,19 +8,29 @@ divisor-sum identity of euler_phi. special_curves gives the curves of the
 classes at j = 0 and j = 1728, whose traces the counting and census tests
 check one curve at a time. argparse_reference is the command-line grammar
 the CLI's one-pass parser is checked against. bsgs_count_reference,
-mul_reference, factor_small_reference, brent_rho_reference and
-recover_reference are the slow references for five fast paths: the
-Shanks-Mestre count that strips every point order, the scalar
+mul_reference, factor_small_reference, brent_rho_reference,
+recover_reference, is_probable_prime_reference, legendre_table_reference and
+normal_form_weights_reference are the slow references for eight fast paths:
+the Shanks-Mestre count that strips every point order, the scalar
 multiplication in Jacobian coordinates, trial division by every prime below
-2^12, Brent's rho on signed differences, and the ratio recovery's
-candidates kept by hand as a progression that stops at the first one >= n.
+2^12, Brent's rho on signed differences, the ratio recovery's candidates
+kept by hand as a progression that stops at the first one >= n, primality
+by division by the Miller-Rabin witnesses and then Miller-Rabin, the
+character table by scattering squares, and the weights by discrete
+logarithms. legendre_count_reference counts a curve by the Legendre sum
+over that table at any prime up to about 1e7, above the crossover too.
 """
 
 import argparse
+import bisect
 import contextlib
+import functools
 import io
 import math
+import random
 from collections import Counter
+
+import numpy as np
 
 from ecfactor import arith, counting
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
@@ -248,3 +258,61 @@ def recover_reference(N: int, Nd: int, D: int, n: int) -> Recovery | None:
         if cand > 1 and n % cand == 0:
             return Recovery(cand, g)
     return None
+
+
+def is_probable_prime_reference(x: int) -> bool:
+    """`arith.is_probable_prime` by division by the 13 Miller-Rabin witnesses,
+    then the witnesses x needs, and 64 seeded random ones above psi_13."""
+    if x < 2:
+        return False
+    for p in arith._MR_WITNESSES:
+        if x % p == 0:
+            return x == p
+    k = bisect.bisect_right(arith._MR_PSI, x) + 1  # witnesses x needs; 14 above psi_13
+    if not all(arith._miller_rabin(x, w) for w in arith._MR_WITNESSES[:k]):
+        return False
+    if k <= len(arith._MR_PSI):
+        return True
+    rng = random.Random(x)
+    return all(arith._miller_rabin(x, rng.randrange(2, x - 1)) for _ in range(64))
+
+
+@functools.lru_cache(maxsize=4)  # the counts of one test at one prime share it
+def legendre_table_reference(p: int) -> np.ndarray:
+    """The int8 table of (x | p) for 0 <= x < p and an odd prime p, by
+    scattering squares: every entry starts at -1, the (p-1)/2 values x^2 mod p
+    for 1 <= x <= (p-1)/2 (exactly the nonzero squares) are set to 1, and
+    entry 0 to 0."""
+    chi = np.full(p, -1, dtype=np.int8)
+    x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    return chi
+
+
+def legendre_count_reference(p: int, A: int, B: int) -> int:
+    """p + 1 + sum_x (x^3+Ax+B | p) over `legendre_table_reference`, for a
+    prime p and 0 <= A, B < p; about 24p bytes of transient arrays."""
+    x = np.arange(p, dtype=np.int64)
+    f = (x * x % p + A) * x + B  # Horner: every intermediate stays below 2p^2 + p
+    f %= p
+    return p + 1 + int(legendre_table_reference(p)[f].sum())
+
+
+def normal_form_weights_reference(p: int) -> np.ndarray:
+    """The weights w(s) of `counting` for a prime 5 <= p <= 2^14, by discrete
+    logarithms to the least primitive root g: log s = 3 log x - log(x + 1)
+    mod p - 1 for x != 0, -1, one bincount of chi(x + 1) by log s, and one
+    gather at log s; x = 0 is the one x with s = 0. An int16 array."""
+    g = arith.primitive_root(p)
+    power = [1]
+    for _ in range(p - 2):
+        power.append(power[-1] * g % p)
+    log = np.zeros(p, dtype=np.int64)  # g^log[x] = x for 0 < x < p
+    log[power] = np.arange(p - 1)
+    e = (3 * log[1 : p - 1] - log[2:]) % (p - 1)  # log s for x = 1 .. p - 2
+    by_log = np.bincount(e, weights=legendre_table_reference(p)[2:], minlength=p - 1)
+    w = np.empty(p, dtype=np.int16)
+    w[0] = 1  # x = 0, the one x with s = 0
+    w[1:] = by_log[log[1:]]
+    return w

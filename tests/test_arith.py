@@ -24,6 +24,7 @@ from proof_aux import (
     divisors,
     euler_phi,
     factor_small_reference,
+    is_probable_prime_reference,
     omega,
     tau,
     totient_sieve,
@@ -286,6 +287,7 @@ class TestPrimality:
         cold = []
         for x in xs:
             is_probable_prime.cache_clear()
+            arith._sieved_is_prime.cache_clear()
             cold.append(is_probable_prime(x))
         is_probable_prime.cache_clear()
         filling = [is_probable_prime(x) for x in xs]
@@ -311,6 +313,34 @@ class TestPrimality:
         (318665857834031151167461, (399165290221, 798330580441)),
         (3317044064679887385961981, (1287836182261, 2575672364521)),
     ]
+
+    def test_matches_the_witness_division_reference(self):
+        # the table to 2^12, one gcd with the trial product to 2^24, and
+        # Miller-Rabin only past it, against division by the 13 witnesses
+        # and Miller-Rabin on everything else
+        rng = random.Random("primality reference")
+        xs = list(range(-2, 1 << 16))
+        xs += [rng.randrange((1 << 16) + 1, (1 << 24) + 1) for _ in range(20000)]
+        pool = primes_between(1000, 2000)  # the factor-twist cofactors
+        xs += [math.prod(rng.sample(pool, k)) for k in range(2, 9) for _ in range(300)]
+        # above 2^64 with a prime below 2^12
+        xs += [rng.choice(arith._TRIAL_PRIMES) * rng.randrange(1 << 64, 1 << 90)
+               for _ in range(300)]
+        # the least composites the gcd cannot see: two primes above 2^12
+        above = primes_between(1 << 12, 4400)
+        xs += [q * r for i, q in enumerate(above) for r in above[i:]]
+        xs += [psi + e for psi in arith._MR_PSI for e in (-2, 0, 2)]
+        xs += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+               5394826801, 232250619601, 9746347772161]
+        psi_13 = arith._MR_PSI[-1]
+        for lo, hi in ((1 << 24, 1 << 32), (1 << 32, 1 << 64), (psi_13, 1 << 100)):
+            found = 0
+            while found < 40:
+                x = rng.randrange(lo + 1, hi)
+                found += is_probable_prime_reference(x)
+                xs.append(x)
+        for x in xs:
+            assert is_probable_prime(x) == is_probable_prime_reference(x), x
 
     @pytest.mark.parametrize("k, psi, factors", [(k, *row) for k, row in enumerate(PSI, 1)])
     def test_psi_k_needs_more_than_k_witnesses(self, k, psi, factors):

@@ -12,15 +12,22 @@ from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, prime
 from ecfactor.counting import (
     _bsgs_count,
     _legendre_count,
-    _legendre_table,
-    _normal_form_weights,
+    _table_and_weights,
     character_table,
     count_affine_bruteforce,
     count_points_prime,
     legendre_sums,
     normal_form_traces,
 )
-from proof_aux import bsgs_count_reference, divisors, mul_reference, special_curves
+from proof_aux import (
+    bsgs_count_reference,
+    divisors,
+    legendre_count_reference,
+    legendre_table_reference,
+    mul_reference,
+    normal_form_weights_reference,
+    special_curves,
+)
 
 
 def random_smooth_pair(rng, m):
@@ -130,18 +137,20 @@ class TestCountPointsPrime:
 
 
 class TestLegendreTable:
-    """The scattered-squares table against jacobi, symbol by symbol."""
+    """The character table, and the scattered-squares reference that the
+    counts above the crossover are checked against, against jacobi, symbol
+    by symbol."""
 
     def test_matches_jacobi_below_3000(self):
         for p in primes_between(5, 2999):
             expected = [0] + [jacobi(r, p) for r in range(1, p)]
-            assert _legendre_table(p).tolist() == expected, p
+            assert character_table(p).tolist() == expected, p
 
     def test_matches_jacobi_near_1e6(self):
         rng = random.Random(10)
         primes = [p for p in range(10 ** 6 - 200, 10 ** 6 + 200) if is_probable_prime(p)]
         for p in primes[:3]:
-            chi = _legendre_table(p)
+            chi = legendre_table_reference(p)
             for r in [rng.randrange(p) for _ in range(10 ** 4)]:
                 assert chi[r] == jacobi(r, p), (p, r)
 
@@ -180,10 +189,10 @@ class TestCharacterSums:
         with pytest.raises(ValueError, match=f"<= {counting._CROSSOVER}, got 16411$"):
             normal_form_traces(16411)
 
-    # 2^40 + 15 is prime, but its arrays would take terabytes
+    # 2^40 + 15 is prime, but above the crossover it has no character table
     @pytest.mark.parametrize("p", [9, 15, 2, 1099511627791])
     def test_legendre_sums_refuse_a_non_prime_or_small_p(self, p):
-        bound = "<= 2\\^24" if p > 1 << 24 else "a prime in \\[5, 2\\^60\\)"
+        bound = f"<= {counting._CROSSOVER}" if p > 1 << 24 else "a prime in \\[5, 2\\^60\\)"
         with pytest.raises(ValueError, match=f"p must be {bound}, got {p}$"):
             legendre_sums(p, 1, 1)
 
@@ -222,7 +231,7 @@ class TestOneLagCount:
     def test_int16_dots_cannot_overflow(self):
         p = primes_between(2, counting._CROSSOVER)[-1]
         assert p == 16381
-        w = _normal_form_weights(p)
+        w = _table_and_weights(p)[1]
         assert w.dtype == np.int16
         assert np.abs(w.astype(np.int64)).sum() <= p - 1 < 2 ** 15
 
@@ -233,13 +242,13 @@ class TestCharacterTable:
         table_primes = primes_between(5, counting._CROSSOVER)
         for p in rng.sample(table_primes, 24) + [5, 16381]:
             chi = character_table(p)
-            assert chi is _legendre_table(p) and not chi.flags.writeable, p
+            assert chi is _table_and_weights(p)[0] and not chi.flags.writeable, p
             assert chi.tolist() == [jacobi(x, p) for x in range(p)], p
 
     def test_a_view_of_the_first_half_of_a_doubled_table(self):
         for p in (5, 1499, 16381):
             chi = character_table(p)
-            assert chi is _legendre_table(p) and len(chi) == p, p
+            assert chi is _table_and_weights(p)[0] and len(chi) == p, p
             doubled = chi.base
             assert len(doubled) == 2 * p and not doubled.flags.writeable, p
             assert (doubled[:p] == doubled[p:]).all(), p
@@ -254,31 +263,53 @@ class TestCharacterTable:
 
 @pytest.fixture
 def fresh_tables():
-    # start from empty caches, and let the tables a test builds (some far
-    # above the crossover) go when it ends
-    for cache in (_legendre_table, _normal_form_weights):
+    # start from empty caches, and let the tables a test builds (the
+    # reference's far above the crossover) go when it ends
+    for cache in (_table_and_weights, legendre_table_reference):
         cache.cache_clear()
     yield
-    for cache in (_legendre_table, _normal_form_weights):
+    for cache in (_table_and_weights, legendre_table_reference):
         cache.cache_clear()
 
 
 class TestTableCache:
     def test_counts_at_one_prime_share_one_read_only_table(self, fresh_tables):
         count_points_prime(1009, 1, 1)
-        table = _legendre_table(1009)
+        table = _table_and_weights(1009)[0]
         count_points_prime(1009, 2, 3)
-        assert _legendre_table(1009) is table
+        assert _table_and_weights(1009)[0] is table
         assert not table.flags.writeable
-        assert _legendre_table.cache_info().currsize == 1
+        assert _table_and_weights.cache_info().currsize == 1
 
     def test_counts_at_one_prime_share_one_read_only_weights_array(self, fresh_tables):
         count_points_prime(1009, 1, 1)
-        weights = _normal_form_weights(1009)
+        weights = _table_and_weights(1009)[1]
         count_points_prime(1009, 2, 3)
-        assert _normal_form_weights(1009) is weights
+        assert _table_and_weights(1009)[1] is weights
         assert not weights.flags.writeable
-        assert _normal_form_weights.cache_info().currsize == 1
+        assert _table_and_weights.cache_info().currsize == 1
+
+
+class TestOneBuild:
+    """The table and the weights from one array of powers, against the
+    scattered-squares table and the discrete-log weights."""
+
+    @staticmethod
+    def check(p):
+        chi, w = _table_and_weights(p)
+        assert chi.dtype == np.int8 and w.dtype == np.int16, p
+        assert np.array_equal(chi, legendre_table_reference(p)), p
+        assert np.array_equal(w, normal_form_weights_reference(p)), p
+
+    def test_every_prime_below_3000(self, fresh_tables):
+        for p in primes_between(5, 2999):
+            self.check(p)
+
+    def test_seeded_primes_to_the_crossover(self, fresh_tables):
+        # 16381 is the largest table prime
+        rng = random.Random("one build")
+        for p in rng.sample(primes_between(3000, counting._CROSSOVER), 12) + [16381]:
+            self.check(p)
 
 
 class TestShanksMestre:
@@ -293,7 +324,7 @@ class TestShanksMestre:
             curves = special_curves(p)
             curves.append(random_smooth_pair(rng, p))
             for A, B in curves:
-                assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
+                assert _bsgs_count(p, A, B) == legendre_count_reference(p, A, B), (p, A, B)
 
     def test_seeded_primes_near_1e6_to_1e7(self, fresh_tables):
         # the Legendre side costs about 40 ms per count at 1e6 and 0.4 s at
@@ -303,8 +334,8 @@ class TestShanksMestre:
         primes += seeded_primes(rng, 10 ** 7, 10 ** 7 + 10 ** 5, 1)
         for p in primes:
             A, B = random_smooth_pair(rng, p)
-            assert _bsgs_count(p, A, B) == _legendre_count(p, A, B), (p, A, B)
-            _legendre_table.cache_clear()
+            assert _bsgs_count(p, A, B) == legendre_count_reference(p, A, B), (p, A, B)
+            legendre_table_reference.cache_clear()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -315,7 +346,7 @@ class TestShanksMestre:
     def test_property_matches_legendre(self, p, A, B):
         A, B = A % p, B % p
         assume((4 * A ** 3 + 27 * B ** 2) % p)
-        assert _bsgs_count(p, A, B) == _legendre_count(p, A, B)
+        assert _bsgs_count(p, A, B) == legendre_count_reference(p, A, B)
 
     def test_dispatch_on_the_crossover(self, fresh_tables):
         # a count above the crossover builds no character table and no weights
@@ -324,11 +355,9 @@ class TestShanksMestre:
                      if is_probable_prime(q))
         count_points_prime(above, 1, 1)
         count_points_prime(1000003, 2, 3)
-        assert _legendre_table.cache_info().currsize == 0
-        assert _normal_form_weights.cache_info().currsize == 0
+        assert _table_and_weights.cache_info().currsize == 0
         count_points_prime(below, 1, 1)
-        assert _legendre_table.cache_info().currsize == 1
-        assert _normal_form_weights.cache_info().currsize == 1
+        assert _table_and_weights.cache_info().currsize == 1
 
     def test_upper_half_exit_against_the_always_strip_reference(self, monkeypatch):
         # A match k with 2k >= kmin + kmax ends the count at once; a lower-half

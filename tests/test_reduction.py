@@ -684,3 +684,48 @@ class TestLyingOracle:
         else:
             assert set(res.factors) <= set(primes)
             assert n % res.failed_cofactor == 0
+
+
+# The per-curve methods `split` can run. Each takes the contract below.
+_METHODS = [ecfactor.reduction.twist_walk]
+
+
+@pytest.mark.parametrize("method", _METHODS, ids=lambda method: method.__name__)
+class TestMethodContract:
+    """Each method, run by `split` on every curve: its parts are pairwise
+    coprime, each > 1, and multiply to n under both oracles, and a lying
+    oracle costs a run its factors but never their truth."""
+
+    @pytest.mark.parametrize("make_oracle", _ORACLES.values(), ids=_ORACLES.keys())
+    def test_parts_are_coprime_and_multiply_to_n(self, method, make_oracle, monkeypatch):
+        monkeypatch.setattr(ecfactor.reduction, "twist_walk", method)
+        # the small primes also end splits by a gcd, with the method's
+        # parts or with split's own
+        moduli = _seeded_moduli((2, 3, 4), 1000, 20_000, 12, "method contract")
+        moduli += _seeded_moduli((2, 3), 5, 60, 20, "method contract, small primes")
+        sources = set()
+        for n, primes, seed in moduli:
+            out = split(n, make_oracle(primes), ReductionConfig(seed=seed))
+            sources.add(out.source)
+            assert math.prod(out.parts) == n, (n, out)
+            assert all(part > 1 for part in out.parts), (n, out)
+            assert all(gcd(a, b) == 1 for i, a in enumerate(out.parts) for b in out.parts[i + 1:])
+            assert (out.factor is None) == (out.parts == (n,)), (n, out)
+        assert {"ratio", "d_gcd", "screen_gcd"} <= sources
+
+    def test_a_lying_oracle_gives_no_wrong_factor(self, method, monkeypatch):
+        # TestLyingOracle's check, on seeded draws of its k, share and seed
+        monkeypatch.setattr(ecfactor.reduction, "twist_walk", method)
+        rng = random.Random("method contract, lying oracle")
+        for _ in range(40):
+            k, share = rng.choice([2, 3, 4, 8]), rng.choice([0.01, 0.1, 0.5, 1])
+            seed = rng.randrange(2 ** 32)
+            primes = sorted(random.Random(seed).sample(primes_between(1000, 2000), k))
+            n = math.prod(primes)
+            oracle = LyingOracle(primes, share, seed)
+            res = factor_completely(n, oracle, ReductionConfig(max_curves=8, max_d=64, seed=seed))
+            if res.success:
+                assert list(res.factors) == primes
+            else:
+                assert set(res.factors) <= set(primes)
+                assert n % res.failed_cofactor == 0
