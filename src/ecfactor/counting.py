@@ -75,11 +75,9 @@ one int8 x int16 dot. The weights come from the same powers: x + 1 runs
 over the y_i as x runs over x != -1, chi(x + 1) = (-1)^i, and
 (x + 1)^(-1) = g^(-i) is the power array read backwards, so
 s_i = (y_i - 1)^3 g^(-i), and w is the bincount of the s_i at even i less
-that at odd i. x = 0 (i = 0) is the one x with s = 0. The build takes no
-squares scatter, no discrete logarithm and no gather: 47 us at p = 1499
-and 261 us at 16381, against 57 and 355 us for a squares scatter and
-discrete-log weights (medians of 7 timeit runs, caches emptied before
-each build; 2-core x86 host, Python 3.11, numpy 2.4).
+that at odd i. x = 0 (i = 0) is the one x with s = 0. The build takes
+47 us at p = 1499 and 261 us at 16381 (medians of 7 timeit runs, caches
+emptied before each build; 2-core x86 host, Python 3.11, numpy 2.4).
 
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same

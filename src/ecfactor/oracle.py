@@ -15,9 +15,9 @@ E_t: y^2 = x^3 + t*x + t, t = A^3/B^2 mod p (Silverman, AEC III.1). E_t has
 A*B = t^2, a square, and a twist pair has n_p + n'_p = 2(p + 1), so two
 curves with one t have the same count when (AB|p) is the same for both, and
 counts summing to 2p + 2 otherwise. Its plan for m, built when m is first
-admitted, holds (p, chi) for each prime of m, a dict of j = 0 and 1728
-counts, and the record: the last curve (A0, B0) counted there, as
-A0^3 mod m, B0^2 mod m and, for each prime, a row (p, chi, by_symbol).
+admitted, holds (p, chi) for each prime of m and the record: the last curve
+(A0, B0) counted there, as A0^3 mod m, B0^2 mod m and, for each prime, a
+row (p, chi, by_symbol).
 by_symbol is a 3-tuple indexed by the symbol (AB|p) of a query: entry 1
 holds the count for +1 and entry -1 the count for -1, that is c_p and
 2p + 2 - c_p in the order that s_p = (A0*B0|p) puts them, c_p the record's
@@ -35,9 +35,11 @@ record, and a member query has a 0 there too, since A^3*B0^2 = A0^3*B^2
 with a smooth curve puts the zero on the same coefficient. It is counted
 once per isomorphism class, b*(F_p^*)^6 of y^2 = x^3 + b and a*(F_p^*)^4
 of y^2 = x^3 + ax, which one power names exactly: b^((p-1)/gcd(6, p-1))
-and a^((p-1)/gcd(4, p-1)) mod p. The plans and the per-prime chi are the
-oracle's caches, and live as long as the oracle instance; a plan is not
-shared between moduli, since a cofactor's split draws fresh curves. A refused modulus gets no plan, so it
+and a^((p-1)/gcd(4, p-1)) mod p. Those class counts are kept per oracle,
+keyed by p, so a cofactor reuses its parent modulus's. The plans, the
+class counts and the per-prime chi are the oracle's caches, and live as
+long as the oracle instance; a plan is not shared between moduli, since a
+cofactor's split draws fresh curves. A refused modulus gets no plan, so it
 is refused again on every query. Every answered query is counted, from the
 record or not, so the query count does not depend on the plans.
 """
@@ -97,8 +99,10 @@ class FactoredOracle(Oracle):
         primes = sorted(primes)
         if len(set(primes)) != len(primes):
             raise ValueError("FactoredOracle: primes must be distinct")
-        # admitted modulus -> [record, m, ((p, chi), ...), j = 0 and 1728 counts]
+        # admitted modulus -> [record, m, ((p, chi), ...)]
         self._plans: dict[int, list] = {}
+        # (p, zero coefficient, class power) -> count, for j = 0 and 1728
+        self._classes: dict[tuple[int, int, int], int] = {}
         # prime -> its character table as a memoryview, or None above the
         # crossover
         self._tables: dict[int, memoryview | None] = {}
@@ -120,13 +124,14 @@ class FactoredOracle(Oracle):
             raise UnsupportedModulusError(
                 f"modulus {m} is not a squarefree product of the oracle's primes"
             )
-        self._plans[m] = plan = [None, m, tuple(parts), {}]
+        self._plans[m] = plan = [None, m, tuple(parts)]
         return plan
 
     def _count(self, plan: list, A: int, B: int) -> int:
         # counting.count_points_prime is a module lookup, not a copied name,
         # so bench/tracer.py can wrap it
-        record, m, parts, classes = plan
+        record, m, parts = plan
+        classes = self._classes
         if record is not None and (A * A * A * record[1] - record[0] * B * B) % m == 0:
             # t = A^3/B^2 is the record's at every prime: where A0*B0 != 0,
             # a quadratic twist of the recorded curve

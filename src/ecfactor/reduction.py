@@ -16,25 +16,22 @@ twist by d0 (E^d is isomorphic to E^d0 by u = m), and d0 has the same
 symbol, so the walk has already queried d0 on this curve and its
 recovery would fail again.
 
-The walk reads the squarefree d and their primes off one segment sieve,
-`_segment(lo, hi)`, which gives (d, primes of d) for the squarefree d in
-[lo, hi). Below `_SCHEDULE_LIMIT` it reads the segments [2^k, 2^(k+1)) as
-far as it reaches; they are cached and shared by every split. Past the
-limit it sieves segments of the limit's width afresh and keeps none, so
-memory stays bounded. The walk takes (d|n) as the product of (q|n) over
-the primes q of d, each (q|n) once per split. The walk goes
-up from 2, so the first d with (d|n) = 0 is n's least prime: any other
-squarefree d sharing a prime with n is above that prime. It ends the split
-with no gcd, and d < n keeps a prime n whole, as gcd(d, n) = n would. So
-the walk ends at the same d, and queries the same d before it, as a walk
-taking gcd(d, n) and (d|n) at every d.
+The walk reads the squarefree d off one sieve of flags, `_squarefree(lo,
+hi)`, over the segments [2^k, 2^(k+1)), cached and shared by every split;
+below `MAX_D_LIMIT` there are at most 19 of them, under 2^20 bytes in all.
+It takes (d|n) by one `jacobi` per squarefree d. The walk goes up from 2,
+so the first d with (d|n) = 0 is n's least prime: any other squarefree d
+sharing a prime with n is above that prime. It ends the split with no gcd,
+and d < n keeps a prime n whole, as gcd(d, n) = n would. So the walk ends
+at the same d, and queries the same d before it, as a walk taking
+gcd(d, n) and (d|n) at every d.
 
 The walk over one curve is `twist_walk`, a method: it takes the modulus,
-the oracle, the curve, its count N, the config and the split's symbol
-cache, and returns parts of the modulus or None. `split` keeps what does
-not depend on the method: the curve sampling, the budgets, the exits and
-the outcome. A split's parts are pairwise coprime integers > 1 whose
-product is n, and `factor_completely` pushes every part.
+the oracle, the curve, its count N and the config, and returns parts of
+the modulus or None. `split` keeps what does not depend on the method: the
+curve sampling, the budgets, the exits and the outcome. A split's parts are
+pairwise coprime integers > 1 whose product is n, and `factor_completely`
+pushes every part.
 
 Each curve keeps the set of N_d whose recovery failed. A twist whose N_d is
 in it is still queried, but not recovered: the same ratio N/N_d gives the
@@ -46,6 +43,7 @@ twice however far its walk goes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -62,8 +60,8 @@ from .curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
 D_MAX = 10 ** 4
 
 # Largest accepted max_d. A walk on a curve that never splits n visits every d
-# up to max_d, about 4-6 us each on the same host, so the cap bounds such a
-# walk near 6 s, at about 40 MB peak RSS. The default 4*ceil(ln(n)^2) stays
+# up to max_d, about 3.5-4.6 us each on the same host, so the cap bounds such
+# a walk near 5 s, at about 30 MB peak RSS. The default 4*ceil(ln(n)^2) stays
 # within it for n < e^500.
 MAX_D_LIMIT = 10 ** 6
 
@@ -138,68 +136,36 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
     return None
 
 
-# The twist walk's cached segments end here. Every n below about 2^92 has a
-# default max_d under it; a walk past it sieves segments it does not keep.
-_SCHEDULE_LIMIT = 1 << 14
-
-
-@functools.lru_cache(maxsize=16)  # more slots than the 13 segments below the limit
-def _segment(lo: int, hi: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(d, primes of d) for every squarefree d in [lo, hi), 2 <= lo, ascending,
-    by a segment sieve: the primes q <= sqrt(hi) cross out the multiples of
-    q^2 and divide the multiples of q, and what is left above 1 of a
-    squarefree d is its one prime above sqrt(hi)."""
-    rest = list(range(lo, hi))
-    primes: list[list[int]] = [[] for _ in rest]
+@functools.cache
+def _squarefree(lo: int, hi: int) -> bytes:
+    """One flag per d in [lo, hi), 2 <= lo: 1 where d is squarefree, 0 where
+    the square of a prime q <= sqrt(hi) divides it."""
+    flags = bytearray(b"\x01") * (hi - lo)
     for q in primes_between(2, math.isqrt(hi - 1)):
-        for i in range(-lo % (q * q), hi - lo, q * q):
-            rest[i] = 0
-        for i in range(-lo % q, hi - lo, q):
-            if rest[i]:
-                rest[i] //= q
-                primes[i].append(q)
-    return tuple(
-        (d, (*qs, r) if r > 1 else tuple(qs))
-        for d, r, qs in zip(range(lo, hi), rest, primes)
-        if r
-    )
+        first = -lo % (q * q)
+        flags[first::q * q] = bytes(len(flags[first::q * q]))
+    return bytes(flags)
 
 
 def _twists(max_d: int):
-    """(d, primes of d) for the squarefree 2 <= d <= max_d, ascending: off the
-    cached segments [2^k, 2^(k+1)) below `_SCHEDULE_LIMIT`, then off segments
-    of that width, cut at max_d + 1 and sieved afresh."""
+    """The squarefree 2 <= d <= max_d, ascending, off the cached flags of
+    the segments [2^k, 2^(k+1))."""
     lo = 2
     while lo <= max_d:
-        if lo < _SCHEDULE_LIMIT:
-            hi = 2 * lo
-            entries = _segment(lo, hi)
-        else:
-            hi = min(lo + _SCHEDULE_LIMIT, max_d + 1)
-            entries = _segment.__wrapped__(lo, hi)
-        for entry in entries:
-            if entry[0] > max_d:
-                return
-            yield entry
-        lo = hi
+        yield from itertools.compress(range(lo, min(2 * lo, max_d + 1)), _squarefree(lo, 2 * lo))
+        lo *= 2
 
 
 def twist_walk(
-    n: int, oracle, curve: tuple[int, int], N: int, cfg: ReductionConfig, symbols: dict[int, int]
+    n: int, oracle, curve: tuple[int, int], N: int, cfg: ReductionConfig
 ) -> tuple[int, int] | None:
     """The twist walk on one curve of count N: the parts (f, n // f) of a
     recovery from N/N_d, or None when the walk reaches max_d. Reaching n's
-    least prime raises `FactorFound` with source "d_gcd". symbols maps a
-    prime q to (q|n), shared by every curve of one split."""
+    least prime raises `FactorFound` with source "d_gcd"."""
     A, B = curve
     failed: set[int] = set()  # the N_d whose recovery failed on this curve
-    for d, primes in _twists(cfg.resolved_max_d(n)):
-        sign = 1
-        for q in primes:
-            s = symbols.get(q)
-            if s is None:
-                s = symbols[q] = jacobi(q, n)
-            sign *= s
+    for d in _twists(cfg.resolved_max_d(n)):
+        sign = jacobi(d, n)
         if sign == 0 and d < n:  # d is n's least prime
             raise FactorFound(d, "d_gcd")
         elif sign == -1:
@@ -227,7 +193,6 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     rng = random.Random(cfg.seed)
     max_curves = cfg.resolved_max_curves(n)
     used: list[tuple[int, int]] = []
-    symbols: dict[int, int] = {}  # prime q -> (q|n)
 
     def outcome(source: str, parts: tuple[int, ...] | None = None) -> SplitOutcome:
         if parts is None:
@@ -238,7 +203,7 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
         for _ in range(max_curves):
             curve = sample_curve(n, rng, used)
             used.append(curve)
-            parts = twist_walk(n, oracle, curve, oracle.query(n, *curve), cfg, symbols)
+            parts = twist_walk(n, oracle, curve, oracle.query(n, *curve), cfg)
             if parts is not None:
                 return outcome("ratio", parts)
     except FactorFound as ff:

@@ -349,6 +349,27 @@ class TestPlan:
                 assert o.query(m, Ad, Bd) == direct.query(m, Ad, Bd), (A, B, d)
         assert tried > 100
 
+    def test_a_cofactor_reuses_its_parents_class_counts(self, monkeypatch):
+        # y^2 = x^3 + 2 has j = 0 at every prime; its class is counted once
+        # per prime, on the modulus and not again on its cofactor, though the
+        # cofactor has a plan of its own; a sextic twist by u = 3 (B * 3^6)
+        # is the same class
+        primes = [1009, 1013, 16411]
+        m = math.prod(primes)
+        counts = []
+
+        def counted(p, A, B):
+            counts.append(p)
+            return count_points_prime(p, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        o = FactoredOracle(primes)
+        for k in (m, 1009 * 16411, 1013):
+            for B in (2, 2 * 3 ** 6):
+                expected = math.prod(count_points_prime(p, 0, B) for p in primes if k % p == 0)
+                assert o.query(k, 0, B % k) == expected, (k, B)
+        assert sorted(counts) == primes
+
 
 class TestDirectOracle:
     def test_examples(self):

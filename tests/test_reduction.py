@@ -19,8 +19,7 @@ from ecfactor.reduction import (
     MAX_D_LIMIT,
     Recovery,
     ReductionConfig,
-    _SCHEDULE_LIMIT,
-    _segment,
+    _squarefree,
     _twists,
     factor_completely,
     recover_from_ratio,
@@ -476,81 +475,46 @@ class TestRecoveryOncePerCount:
 
 
 class TestTwistSchedule:
-    """The walk's d and their primes come off one segment sieve: the
-    segments [2^k, 2^(k+1)) below _SCHEDULE_LIMIT are cached and shared,
-    and the segments past it are sieved afresh and not kept."""
+    """The walk's d come off one cached sieve of squarefree flags over the
+    segments [2^k, 2^(k+1))."""
 
-    @pytest.fixture
-    def fresh_segments(self):
-        _segment.cache_clear()
+    def test_entries_are_the_squarefree_d(self):
+        # every cut of a segment: at its last d, at the first d of the next,
+        # and one past it
+        squarefree = [d for d in range(2, 2 ** 15 + 2) if all(e == 1 for _, e in factor_small(d))]
+        for top in (2999, *(2 ** k + i for k in range(1, 16) for i in (-1, 0, 1))):
+            assert list(_twists(top)) == [d for d in squarefree if d <= top], top
 
-    @staticmethod
-    def expected(lo, hi):
-        rows = []
-        for d in range(lo, hi + 1):
-            facts = factor_small(d)
-            if all(e == 1 for _, e in facts):
-                rows.append((d, tuple(q for q, _ in facts)))
-        return rows
+    def test_the_longest_walk_keeps_under_a_megabyte(self):
+        # a walk to MAX_D_LIMIT reads the 19 segments up to [2^19, 2^20) and
+        # caches nothing else; 607926 integers up to 10^6 are squarefree, 1
+        # among them
+        _squarefree.cache_clear()
+        assert sum(1 for _ in _twists(MAX_D_LIMIT)) == 607925
+        info = _squarefree.cache_info()
+        assert info.currsize <= 19
+        cached = sum(len(_squarefree(2 ** k, 2 ** (k + 1))) for k in range(1, 20))
+        assert _squarefree.cache_info().currsize == info.currsize
+        assert cached < 2 ** 20
 
-    @staticmethod
-    def assert_cached(top):
-        # exactly the segments [2^k, 2^(k+1)) with 2^k < top are cached: each
-        # reads back as a hit and none is added
-        info = _segment.cache_info()
-        bounds = [(2 ** k, 2 ** (k + 1)) for k in range(1, top.bit_length() - 1)]
-        rows = [row for lo, hi in bounds for row in _segment(lo, hi)]
-        after = _segment.cache_info()
-        assert info.currsize == after.currsize == len(bounds)
-        assert after.hits - info.hits == len(bounds)
-        return rows
-
-    def test_entries_are_the_squarefree_d_with_their_primes(self, fresh_segments):
-        # a walk to 2999 sieves only the segments up to the one holding 2999
-        assert list(_twists(2999)) == self.expected(2, 2999)
-        self.assert_cached(4096)
-        # a walk past the limit caches every segment below it and no more;
-        # the d past it come from segments of the limit's width, the last
-        # one cut at max_d + 1
-        top = 2 * _SCHEDULE_LIMIT + 300
-        assert list(_twists(top)) == self.expected(2, top)
-        assert self.assert_cached(_SCHEDULE_LIMIT) == self.expected(2, _SCHEDULE_LIMIT - 1)
-        assert _segment.cache_info().currsize == 13
-
-    def test_sign_product_is_the_jacobi_symbol(self):
-        # primes from 5 up, so some d share a prime with n and both sides are 0
-        rng = random.Random("twist symbol")
-        pool = primes_between(5, 3000)
-        for k in range(2, 9):
-            for _ in range(4):
-                n = math.prod(rng.sample(pool, k))
-                for d, primes in _twists(3000):
-                    assert math.prod(jacobi(q, n) for q in primes) == jacobi(d, n), (n, d)
-
-    def test_a_walk_past_the_limit(self, fresh_segments, capsys):
-        # the first curve of this n is dead and walks to max_d, past the
-        # limit; queries, curves and factors are pinned from the walk that
-        # took every d's primes from factor_small
+    def test_a_dead_walk_to_20000(self, capsys):
+        # the first curve of this n is dead and walks to max_d; queries,
+        # curves and factors are pinned
         argv = ["factor", "1077272742627746153", "--seed", "419625122", "--max-d", "20000"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["factors"] == [1009900799, 1066711447]
         assert report["oracle_queries"] == 6102
         assert report["curves_used"] == 2
-        self.assert_cached(_SCHEDULE_LIMIT)
 
-    def test_a_long_walk_keeps_nothing_past_the_limit(self, fresh_segments, capsys):
-        # the same dead curve walks to 10^5: the segments past the limit
-        # land in no cache, neither _segment's nor factor_small's
-        factor_small.cache_clear()
+    def test_a_dead_walk_to_100000(self, capsys):
+        # the same dead curve walks to 10^5
         argv = ["factor", "1077272742627746153", "--seed", "419625122", "--max-d", "100000"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["factors"] == [1009900799, 1066711447]
         assert report["oracle_queries"] == 30338
         assert report["curves_used"] == 2
-        self.assert_cached(_SCHEDULE_LIMIT)
-        assert factor_small.cache_info().currsize < 100
 
 
 class TestFactorCompletely:

@@ -94,3 +94,23 @@ class TestBenchPairsSummary:
         # higher is better: the gap is read the other way
         assert bp.claim_holds(self.parent, [x + 0.010 for x in self.parent], "higher")["met"]
         assert not bp.claim_holds(self.parent, faster, "higher")["met"]
+
+
+def test_bench_pairs_stages_both_trees_as_copies(tmp_path):
+    # src/ and bench/ of each tree land under one directory, as parent/ and
+    # change/, without bytecode, benchmark output or anything else of the tree
+    bp = load_bench_pairs()
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / f"{side}-tree"
+        for name in ("src/ecfactor/__init__.py", "src/ecfactor/__pycache__/x.pyc",
+                     "bench/run.py", "bench/out/last.json", "README.md"):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(f"{side} {name}")
+        trees[side] = tree
+    staged = bp.stage(trees, tmp_path / "staged")
+    assert staged == {side: tmp_path / "staged" / side for side in trees}
+    for side, root in staged.items():
+        files = sorted(str(f.relative_to(root)) for f in root.rglob("*") if f.is_file())
+        assert files == ["bench/run.py", "src/ecfactor/__init__.py"]
+        assert (root / "bench/run.py").read_text() == f"{side} bench/run.py"

@@ -4,16 +4,19 @@
         [--workloads factor-twist,factor-cold,census-sweep] \
         [--claim factor-twist:wall_ref_s] [--description TEXT] > BENCH_N.json
 
-For each workload and each seed it runs
+It copies `src/` and `bench/` of the base tree (the parent) and of this one
+(the change) to `parent/` and `change/` under one temporary directory, so
+both sides run from fresh files at paths that differ in one name: identical
+code read 5% slower on `factor-cold` when one side ran from the repository
+checkout. For each workload and each seed it runs
 
     python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
 
-once from the root of the base tree (the parent) and once from the root of
-this one (the change), back to back: the parent first at odd seeds and the
-change first at even seeds. DIR is a second tree of the program, for example
-a `git archive` of the parent commit unpacked elsewhere. The script refuses
-to run (exit 2) if the two trees' `bench/` files differ, since the pairs
-would then not run the same benchmark.
+once from the root of each copy, back to back: the parent first at odd seeds
+and the change first at even seeds. DIR is a second tree of the program, for
+example a `git archive` of the parent commit unpacked elsewhere. The script
+refuses to run (exit 2) if the two trees' `bench/` files differ, since the
+pairs would then not run the same benchmark.
 
 It prints one JSON object: every run's printed lines and result, and a
 summary per workload and end-to-end metric of `BENCHMARK.json`: q1, median
@@ -34,9 +37,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +99,16 @@ def bench_files(tree: Path) -> dict[str, bytes]:
     }
 
 
+def stage(trees: dict[str, Path], into: Path) -> dict[str, Path]:
+    """Copy `src/` and `bench/` of each tree to into/<side>, without bytecode
+    or benchmark output, and return the copies' roots by side."""
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for side, tree in trees.items():
+        for part in ("src", "bench"):
+            shutil.copytree(tree / part, into / side / part, ignore=skip)
+    return {side: into / side for side in trees}
+
+
 def run(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -126,13 +141,14 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
-    sides = {"parent": base, "change": ROOT}
     runs = []
-    for workload in workloads:
-        for seed in args.seeds:
-            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                print(f"{workload} seed {seed} {side}", file=sys.stderr)
-                runs.append({"side": side, **run(sides[side], workload, seed)})
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = stage({"parent": base, "change": ROOT}, Path(tmp))
+        for workload in workloads:
+            for seed in args.seeds:
+                for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                    print(f"{workload} seed {seed} {side}", file=sys.stderr)
+                    runs.append({"side": side, **run(sides[side], workload, seed)})
 
     def values(side, workload, metric):
         return [r["result"]["metrics"][metric]["value"] for r in runs
@@ -160,7 +176,7 @@ def main(argv=None) -> int:
     doc = {
         "description": args.description,
         "command": "python3 bench/run.py --workload W --seed S --seconds 30 --trace 0, "
-                   "from the root of each checkout",
+                   "from the root of each side's copy",
         "machine": f"{platform.machine()} {platform.system()}, {os.cpu_count()} cores"
                    f", Python {platform.python_version()}; the two runs of one "
                    "(workload, seed) pair ran back to back, parent first at odd seeds "
