@@ -24,7 +24,8 @@ A sweep cuts its primes into blocks of at most _BLOCK_CELLS (prime, a)
 cells, or one prime where a single row is longer, and yields the CSV lines
 of each block as it is computed, formatted straight from the kernels'
 arrays (bound23 once per prime), so memory stays bounded by one block
-however large p is or however many primes the sweep has.
+however large p is or however many primes the sweep has, besides `_mobius`'s
+one table and `counting._table_and_weights`'s entries at the class primes.
 
 The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0

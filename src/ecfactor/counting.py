@@ -38,17 +38,17 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
 
 The character table and the weights are built together, on the first use
 at a prime, and cached read-only, so later counts there are cheap. The
-cache has a slot for each of the 1898 primes up to `_CROSSOVER`, so nothing
-is ever rebuilt; filled, it holds 29.2 MB of int8 tables and 29.2 MB of
-int16 weights, 58.4 MB together. One build works over the powers
-y_i = g^i, 0 <= i < p - 1, of the least primitive root g
-(`arith.primitive_root`), taken as an outer product of about sqrt(p) by
-sqrt(p) powers and dropped once the build ends. Since (g^i | p) = (-1)^i,
-two scatters of them give the table, and entry 0 is 0. It is built doubled,
-an array of length 2p whose second half repeats the first, and the cache
-hands out the view of its first p entries; the one-lag count reads the
-doubled array through the view's `.base`, so the p cyclic terms
-chi(t + s) of its lag are one contiguous slice.
+cache, a `functools.cache`, takes only the 1898 primes up to `_CROSSOVER`
+(`_admit` and the crossover test), so nothing is ever rebuilt; filled, it
+holds 29.2 MB of int8 tables and 29.2 MB of int16 weights, 58.4 MB in all.
+One build works over the powers y_i = g^i, 0 <= i < p - 1, of the least
+primitive root g (`arith.primitive_root`), taken as an outer product of
+about sqrt(p) by sqrt(p) powers and dropped once the build ends. Since
+(g^i | p) = (-1)^i, two scatters of them give the table, and entry 0 is 0.
+It is built doubled, an array of length 2p whose second half repeats the
+first, and the cache hands out the view of its first p entries; the one-lag
+count reads the doubled array through the view's `.base`, so the p cyclic
+terms chi(t + s) of its lag are one contiguous slice.
 
 `character_table(p)` is public: `oracle.FactoredOracle` reads (AB | p) off
 it when it answers a twist from its record. It returns None above the
@@ -86,7 +86,7 @@ quantities.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -125,7 +125,7 @@ def count_points_prime(p: int, A: int, B: int) -> int:
     return _normal_form_count(p, A, B)
 
 
-@lru_cache(maxsize=1 << 11)  # more slots than primes up to _CROSSOVER
+@cache  # only the 1898 admitted primes up to _CROSSOVER reach it
 def _table_and_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The character table and the weights w of a prime 5 <= p <= _CROSSOVER,
     from one array of powers (module docstring). The table is the read-only

@@ -4,9 +4,10 @@ The factoring driver only ever sees `query(m, A, B) -> |E_m|`. Two
 implementations are provided: one that knows the prime factorization
 (the simulated black box the reduction is measured against) and one that
 factors m with `factor_small` and brute-forces each prime, a cross-check.
-Both go through the one `Oracle.query`: it admits m once into a plan,
-screens the curve, tallies the query and hands the plan to the
-implementation's count, the product of per-prime counts.
+Both go through the one `Oracle.query`: it admits m once per oracle into
+a plan it keeps (so `DirectOracle` factors each modulus once), screens the
+curve, tallies the query and hands the plan to the implementation's count,
+the product of per-prime counts.
 
 `FactoredOracle` answers a twist of the last curve it counted on a modulus
 without counting. At a prime p, a curve E: y^2 = x^3 + Ax + B with
@@ -67,17 +68,20 @@ class Oracle:
     `queries` is the number of answered queries over the oracle's life; a
     refused query is not counted, and a run's cost is the difference across
     it. Subclasses supply two hooks: `_plan(m)` admits m, or raises
-    UnsupportedModulusError, and returns what the count needs to know about
-    m; `_count(plan, A, B)` returns |E_m| for a smooth curve from that plan.
-    The screen sits between them, so the smoothness contract is checked in
-    this one place for both oracles.
+    UnsupportedModulusError, and returns m's plan, which `query` keeps for
+    the oracle's life; `_count(plan, A, B)` returns |E_m| for a smooth curve
+    from that plan. The screen sits between them, so the smoothness contract
+    is checked in this one place for both oracles.
     """
 
     def __init__(self) -> None:
         self.queries = 0
+        self._plans: dict = {}  # admitted modulus -> its plan; none for a refused one
 
     def query(self, m: int, A: int, B: int) -> int:
-        plan = self._plan(m)
+        plan = self._plans.get(m)
+        if plan is None:
+            plan = self._plans[m] = self._plan(m)
         g = curves.screen(m, A, B)  # a module lookup, so bench/tracer.py sees it
         if g != 1:
             raise SingularCurveError(f"gcd(disc, {m}) = {g}; oracle requires smooth curves")
@@ -99,8 +103,6 @@ class FactoredOracle(Oracle):
         primes = sorted(primes)
         if len(set(primes)) != len(primes):
             raise ValueError("FactoredOracle: primes must be distinct")
-        # admitted modulus -> [record, m, ((p, chi), ...)]
-        self._plans: dict[int, list] = {}
         # (p, zero coefficient, class power) -> count, for j = 0 and 1728
         self._classes: dict[tuple[int, int, int], int] = {}
         # prime -> its character table as a memoryview, or None above the
@@ -111,9 +113,6 @@ class FactoredOracle(Oracle):
             self._tables[p] = None if chi is None else memoryview(chi)
 
     def _plan(self, m: int) -> list:
-        plan = self._plans.get(m)
-        if plan is not None:
-            return plan
         parts = []
         rest = m
         for p, chi in self._tables.items():
@@ -124,8 +123,7 @@ class FactoredOracle(Oracle):
             raise UnsupportedModulusError(
                 f"modulus {m} is not a squarefree product of the oracle's primes"
             )
-        self._plans[m] = plan = [None, m, tuple(parts)]
-        return plan
+        return [None, m, tuple(parts)]
 
     def _count(self, plan: list, A: int, B: int) -> int:
         # counting.count_points_prime is a module lookup, not a copied name,

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -369,6 +371,19 @@ class TestCsvOutput:
             assert blocks == [per_block] * (len(primes) // per_block) + (
                 [len(primes) % per_block] if len(primes) % per_block else []
             )
+
+    def test_a_sweep_leaves_nothing_behind(self):
+        # memory is bounded by one block: once drained, a sweep over 2260
+        # primes keeps nothing per prime (about 0.04 MiB in all)
+        tracemalloc.start()
+        try:
+            for _ in census_sweep(5, 20000, [1, 2, 3, 5, 10, 0], 0):
+                pass
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 ** 18, kept
 
     def test_rejects_reversed_range(self, monkeypatch):
         def no_sieve(lo, hi):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecfactor import counting, curves
+from ecfactor import counting, curves, oracle
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import _legendre_count, count_points_prime
 from ecfactor.oracle import (
@@ -45,17 +45,6 @@ class TestFactoredOracle:
     def test_divisor_moduli_allowed(self):
         o = FactoredOracle([5, 7, 11])
         assert o.query(55, 1, 1) == o.query(5, 1, 1) * o.query(11, 1, 1)
-
-    def test_a_refused_modulus_is_refused_again(self):
-        o = FactoredOracle([5, 7])
-        assert o.query(35, 1, 1) == 45
-        for _ in range(2):
-            for m in (15, 175, 1):  # 3 is not an oracle prime; 175 = 5^2 * 7
-                with pytest.raises(UnsupportedModulusError):
-                    o.query(m, 1, 1)
-            assert o.queries == 1
-        assert o.query(35, 1, 1) == 45
-        assert o.queries == 2
 
     def test_twists_at_primes_above_the_legendre_range(self):
         # baby-step/giant-step primes, beyond DirectOracle's brute force; the
@@ -291,9 +280,52 @@ class TestSymbolRows:
         assert sorted(counts) == primes
 
 
+_BOTH = pytest.mark.parametrize(
+    "make_oracle", [FactoredOracle, lambda primes: DirectOracle()], ids=["factored", "direct"]
+)
+
+
 class TestPlan:
-    """FactoredOracle admits a modulus once into a plan of per-prime states;
-    the queries answered from a plan against DirectOracle's brute force."""
+    """Oracle.query admits a modulus once per oracle into a plan and keeps it;
+    FactoredOracle's plans of per-prime states answer queries, checked
+    against DirectOracle's brute force."""
+
+    @_BOTH
+    def test_a_refused_modulus_is_refused_again(self, make_oracle):
+        o = make_oracle([5, 7])
+        assert o.query(35, 1, 1) == 45
+        for _ in range(2):
+            for m in (15, 175, 1):  # 3 is not an oracle prime; 175 = 5^2 * 7
+                with pytest.raises(UnsupportedModulusError):
+                    o.query(m, 1, 1)
+            assert o.queries == 1
+        assert o.query(35, 1, 1) == 45
+        assert o.queries == 2
+
+    @_BOTH
+    def test_one_plan_per_modulus(self, make_oracle, monkeypatch):
+        # 20 queries on one modulus build its plan once, and DirectOracle
+        # factors it once
+        factored = []
+
+        def counted(x):
+            factored.append(x)
+            return factor_small(x)
+
+        monkeypatch.setattr(oracle, "factor_small", counted)
+        primes = [1009, 1013]
+        m = math.prod(primes)
+        o = make_oracle(primes)
+        planned = []
+        plan = o._plan
+        monkeypatch.setattr(o, "_plan", lambda k: planned.append(k) or plan(k))
+        rng = random.Random(20)
+        for _ in range(20):
+            A, B = random_smooth_pair(rng, m)
+            assert o.query(m, A, B) == math.prod(count_points_prime(p, A, B) for p in primes)
+        assert planned == [m]
+        assert factored == ([m] if isinstance(o, DirectOracle) else [])
+        assert o.queries == 20
 
     def test_interleaved_twists_on_a_modulus_and_its_divisor(self):
         # each modulus has its own plan, with its own states at the primes
