@@ -8,7 +8,12 @@ p and D is a block of one. D = 0 stands for p + 1, read in one place
 (`_d_grid`).
 
 - phi_direct enumerates: one gcd matrix over (prime, a) per block,
-  compared with every D.
+  compared with every D. A block whose largest bound top = max B is at
+  most _GCD_TOP = 256 (its primes are at most 16512) reads gcd(a, p+1) =
+  gcd(a, (p+1) mod a) off one int16 table of gcd(a, r), 0 <= a, r <= 256,
+  built once, and compares in int16; 256 keeps the table at 132 KB, as a
+  table for top needs top^2 entries. A block past it takes np.gcd in int64.
+  Both cut every D to top, which changes no count, as gcd(a, p+1) <= a.
 - phi_mobius is the divisor sum
       phi(p, D) = sum over j | p+1, j <= B of c_D(j) * floor(B / j),
       c_D(j)    = sum over d | j, d <= D of mu(j/d),
@@ -25,7 +30,8 @@ cells, or one prime where a single row is longer, and yields the CSV lines
 of each block as it is computed, formatted straight from the kernels'
 arrays (bound23 once per prime), so memory stays bounded by one block
 however large p is or however many primes the sweep has, besides `_mobius`'s
-one table and `counting._table_and_weights`'s entries at the class primes.
+one table, the gcd table and `counting._table_and_weights`'s entries at the
+class primes.
 
 The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0
@@ -52,7 +58,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 import numpy as np
@@ -97,20 +103,47 @@ def _bounds(ps: np.ndarray) -> np.ndarray:
     return np.array([isqrt(4 * p) for p in ps.tolist()], dtype=np.int64)
 
 
+# Largest block bound, max floor(2*sqrt(p)), whose gcds phi_direct reads off
+# _gcd_table: every p <= 16512. A table for a larger bound needs top^2 entries.
+_GCD_TOP = 256
+
+
+@cache
+def _gcd_table() -> np.ndarray:
+    """gcd(a, r) for 0 <= a, r <= _GCD_TOP, an int16 table of 132 KB.
+
+    Each d is written over every cell whose a and r it divides, in ascending
+    order, so the last written is the greatest common one; gcd(0, 0) = 0.
+    """
+    t = np.zeros((_GCD_TOP + 1, _GCD_TOP + 1), dtype=np.int16)
+    for d in range(1, _GCD_TOP + 1):
+        t[::d, ::d] = d
+    t[0, 0] = 0
+    return t
+
+
 def phi_direct(p, D):
     """#{a : 1 <= a <= floor(2*sqrt(p)), gcd(a, p+1) <= D} by enumeration.
 
     p is a prime or an array of primes and D an int or a list of them; the
     result is an int, or an int64 array over (prime, D). One gcd matrix over
-    (prime, a) answers every D; the cells with a > floor(2*sqrt(p)) are set
-    above every D.
+    (prime, a) answers every D. With top the block's largest bound, a block
+    with top <= _GCD_TOP reads gcd(a, m) = gcd(a, m mod a), m = p + 1, off
+    _gcd_table in int16; a larger one takes np.gcd in int64. The cells with
+    a > floor(2*sqrt(p)) are set to top + 1 and every D is cut to [0, top],
+    which changes no count, as gcd(a, m) <= a <= top.
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
-    a = np.arange(1, bound.max() + 1)
-    g = np.gcd(a, m[:, None])
-    np.copyto(g, m[:, None] + 1, where=a > bound[:, None])
-    counts = [np.count_nonzero(g <= d[:, None], axis=1) for d in _count_grid(ps, ds).T]
+    top = int(bound.max())
+    a = np.arange(1, top + 1)
+    if top <= _GCD_TOP:
+        g = _gcd_table().take(a * (_GCD_TOP + 1) + m[:, None] % a)
+    else:
+        g = np.gcd(a, m[:, None])
+    np.copyto(g, top + 1, where=a > bound[:, None])
+    d = np.clip(_count_grid(ps, ds), 0, top).astype(g.dtype)
+    counts = [np.count_nonzero(g <= col[:, None], axis=1) for col in d.T]
     return _unwrap(np.stack(counts, axis=1), scalar)
 
 

@@ -56,6 +56,8 @@ class TestPhiCounts:
         assert phi_direct(5, 1) == 1
         assert phi_direct(5, 6) == 4
         assert phi_direct(7, 1) == 3
+        # a D below the int16 range is not wrapped into it
+        assert phi_direct(101, -40000) == 0
         assert phi_mobius(5, 1) == 1
         assert phi_mobius(5, 6) == 4
         assert phi_mobius(7, 1) == 3
@@ -98,6 +100,28 @@ class TestPhiCounts:
             for i, p in enumerate(block):
                 for k, D in enumerate(d_list):
                     assert mobius[i, k] == direct[i, k], (p, D)
+
+    def test_gcd_table_is_gcd(self):
+        # every (a, r) in the table's square, gcd(a, 0) = a and gcd(0, 0) = 0
+        a = np.arange(census._GCD_TOP + 1)
+        assert (census._gcd_table() == np.gcd.outer(a, a)).all()
+
+    def test_table_and_gcd_paths_agree_at_the_table_bound(self, monkeypatch):
+        # floor(2*sqrt(p)) passes _GCD_TOP = 256 at p = 16513: the primes up to
+        # it make a block that reads the table, and one prime above 17000 forces
+        # the same rows onto np.gcd
+        reads = []
+        table = census._gcd_table
+        monkeypatch.setattr(census, "_gcd_table", lambda: reads.append(1) or table())
+        primes = primes_between(16000, 17000)
+        low = [p for p in primes if isqrt(4 * p) <= census._GCD_TOP]
+        assert 0 < len(low) < len(primes)
+        d_list = [0, 1, 255, 256, 257, 10 ** 30]
+        from_table = phi_direct(np.array(low), d_list)
+        forced = phi_direct(np.array(low + [17011]), d_list)
+        assert len(reads) == 1
+        assert (from_table == forced[:-1]).all()
+        assert (forced == phi_mobius(np.array(low + [17011]), d_list)).all()
 
     def test_zero_D_is_p_plus_1_everywhere(self):
         for p in (5, 7, 13, 101, 997):
