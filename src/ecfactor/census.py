@@ -4,8 +4,8 @@ phi(p, D) counts 1 <= a <= B = floor(2*sqrt(p)) with gcd(a, p+1) <= D. It
 is computed two ways that must agree exactly, and bounded below by two
 closed-form expressions. The three kernels take a block of primes and a
 list of D and answer every (prime, D) at once, as numpy arrays; a scalar
-p and D is a block of one. D = 0 stands for p + 1, read in one place
-(`_d_grid`).
+p and D is a block of one. D >= 0 is checked in one place (`_d_list`),
+for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
 
 - phi_direct enumerates: one gcd matrix over (prime, a) per block,
   compared with every D. A block whose largest bound top = max B is at
@@ -71,10 +71,18 @@ from .counting import count_points_prime, legendre_sums, normal_form_traces
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _d_list(D) -> list[int]:
+    """D, an int or a list of them, as a list: the one check that every D >= 0."""
+    ds = [D] if np.ndim(D) == 0 else list(D)
+    if any(d < 0 for d in ds):
+        raise ValueError(f"census: D must be >= 0, got {min(ds)}")
+    return ds
+
+
 def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
-    """The primes as an int64 array, the D as a list, and whether both were scalars."""
+    """The primes as an int64 array, the D by `_d_list`, and whether both were scalars."""
     ps = np.atleast_1d(np.asarray(p, dtype=np.int64))
-    return ps, [D] if np.ndim(D) == 0 else list(D), np.ndim(p) == 0 and np.ndim(D) == 0
+    return ps, _d_list(D), np.ndim(p) == 0 and np.ndim(D) == 0
 
 
 def _d_grid(ps: np.ndarray, ds: list, dtype=object) -> np.ndarray:
@@ -82,7 +90,7 @@ def _d_grid(ps: np.ndarray, ds: list, dtype=object) -> np.ndarray:
     Python numbers by default, so that a D past int64 is kept whole.
 
     This is the one place that reads D = 0; every kernel and every CSV line takes
-    its D from here.
+    its D from here, each D already checked >= 0 by `_d_list`.
     """
     d = np.array(ds, dtype=dtype)
     return np.where(d == 0, (ps + 1).astype(dtype)[:, None], d)
@@ -130,8 +138,8 @@ def phi_direct(p, D):
     (prime, a) answers every D. With top the block's largest bound, a block
     with top <= _GCD_TOP reads gcd(a, m) = gcd(a, m mod a), m = p + 1, off
     _gcd_table in int16; a larger one takes np.gcd in int64. The cells with
-    a > floor(2*sqrt(p)) are set to top + 1 and every D is cut to [0, top],
-    which changes no count, as gcd(a, m) <= a <= top.
+    a > floor(2*sqrt(p)) are set to top + 1 and every D, at least 1 once read,
+    is cut to top, which changes no count, as gcd(a, m) <= a <= top.
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
@@ -142,7 +150,7 @@ def phi_direct(p, D):
     else:
         g = np.gcd(a, m[:, None])
     np.copyto(g, top + 1, where=a > bound[:, None])
-    d = np.clip(_count_grid(ps, ds), 0, top).astype(g.dtype)
+    d = np.minimum(_count_grid(ps, ds), top).astype(g.dtype)
     counts = [np.count_nonzero(g <= col[:, None], axis=1) for col in d.T]
     return _unwrap(np.stack(counts, axis=1), scalar)
 
@@ -313,8 +321,7 @@ def census_sweep(
     """
     if pmin > pmax:
         raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
-    if any(D < 0 for D in d_list):
-        raise ValueError(f"census_sweep: D must be >= 0, got {min(d_list)}")
+    d_list = _d_list(d_list)
     if pmax - max(pmin, 5) > _SWEEP_WIDTH:
         raise ValueError(f"census_sweep: [{pmin}, {pmax}] is wider than {_SWEEP_WIDTH}")
     if pmax > _PMAX_LIMIT:

@@ -55,8 +55,9 @@ it when it answers a twist from its record. It returns None above the
 crossover, so only this module decides which primes have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
-table primes only. It takes one curve or a column of curves, and serves
-the count above and the census's j = 0 and j = 1728 classes.
+table primes only. It takes one curve or a column of curves, of any
+integer coefficients, and serves the count above and the census's j = 0
+and j = 1728 classes.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
 E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the normal forms whose twists
@@ -168,24 +169,24 @@ def _table_and_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def legendre_sums(p: int, A, B):
-    """sum_x (x^3+Ax+B | p) for a prime 5 <= p <= _CROSSOVER and 0 <= A, B < p:
-    an int64 for one curve, or an array of k sums for A and B int64 arrays of
-    shape (k, 1). A larger p has no character table and is refused."""
+    """sum_x (x^3+Ax+B | p) for a prime 5 <= p <= _CROSSOVER and any integer
+    A, B, taken mod p: an int64 for one curve, or an array of k sums for A and
+    B int64 arrays of shape (k, 1). A larger p has no character table and is refused."""
     chi = character_table(p)
     if chi is None:
         raise ValueError(f"legendre_sums: p must be <= {_CROSSOVER}, got {p}")
     x = np.arange(p, dtype=np.int64)
     f = x * x  # Horner: every intermediate stays below 2p^2 + p
     f %= p
-    f = f + A  # a (k, p) array for a column of A; in place from here
+    f = f + A % p  # a (k, p) array for a column of A; in place from here
     f *= x
-    f += B
+    f += B % p
     f %= p
     return chi[f].sum(-1)  # int8 sums accumulate in int64
 
 
 def _legendre_count(p: int, A: int, B: int) -> int:
-    """p + 1 + sum_x (x^3+Ax+B | p), for 0 <= A, B < p."""
+    """p + 1 + sum_x (x^3+Ax+B | p)."""
     return p + 1 + int(legendre_sums(p, A, B))
 
 

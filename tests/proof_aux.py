@@ -3,8 +3,11 @@ totient sieve.
 
 They are used only by the tests: the two checks are acceptance criterion 10,
 tau, omega and euler_phi are the references for the census's closed-form
-bounds, the sieve is the reference for euler_phi, and divisors serves the
-divisor-sum identity of euler_phi. special_curves gives the curves of the
+bounds, which lower_bounds_reference evaluates, the sieve is the reference
+for euler_phi, and divisors serves the divisor-sum identity of euler_phi.
+phi_reference counts phi(p, D) by a plain loop, and euler_sum_reference
+sums the Legendre symbols of a curve by Euler's criterion, for any integer
+coefficients. special_curves gives the curves of the
 classes at j = 0 and j = 1728, whose traces the counting and census tests
 check one curve at a time. argparse_reference is the command-line grammar
 the CLI's one-pass parser is checked against. bsgs_count_reference,
@@ -63,6 +66,32 @@ def euler_phi(x: int) -> int:
     for p, _ in factor_small(x):
         out = out // p * (p - 1)
     return out
+
+
+def phi_reference(p: int, D: int) -> int:
+    """phi(p, D) by a plain loop: the 1 <= a <= floor(2*sqrt(p)) with
+    gcd(a, p+1) <= D, D = 0 read as p + 1, for any p >= 1 and D >= 0."""
+    return sum(1 for a in range(1, math.isqrt(4 * p) + 1) if math.gcd(a, p + 1) <= (D or p + 1))
+
+
+def lower_bounds_reference(p, D):
+    """The closed-form bounds with each divisor function factoring afresh."""
+    sp = math.sqrt(p)
+    b22 = 2 * sp - (2 * sp / D) * tau(p + 1) - tau((p + 1) ** 2)
+    P = arith.odd_part(p + 1)
+    b23 = sp * euler_phi(P) / P - 2 ** omega(P)
+    return b22, b23
+
+
+def euler_sum_reference(p: int, A: int, B: int) -> int:
+    """sum_x (x^3+Ax+B | p) over 0 <= x < p, for an odd prime p and any
+    integers A and B, by Euler's criterion in Python integers: the symbol is
+    f^((p-1)/2) mod p, with p - 1 read as -1."""
+    total = 0
+    for x in range(p):
+        r = pow(x ** 3 + A * x + B, (p - 1) // 2, p)
+        total += -1 if r == p - 1 else r
+    return total
 
 
 def primorial_check(l: int) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ecfactor import census
-from ecfactor.arith import is_probable_prime, isqrt, odd_part, primes_between
+from ecfactor.arith import is_probable_prime, isqrt, primes_between
 from ecfactor.census import (
     CSV_HEADER,
     NonResidueNotFound,
@@ -22,7 +22,13 @@ from ecfactor.census import (
     phi_mobius,
 )
 from ecfactor.counting import count_points_prime
-from proof_aux import euler_phi, omega, phi_lower_check, primorial_check, special_curves, tau
+from proof_aux import (
+    lower_bounds_reference,
+    phi_lower_check,
+    primorial_check,
+    special_curves,
+    tau,
+)
 
 
 def sweep_csv(*args, **kwargs):
@@ -56,11 +62,23 @@ class TestPhiCounts:
         assert phi_direct(5, 1) == 1
         assert phi_direct(5, 6) == 4
         assert phi_direct(7, 1) == 3
-        # a D below the int16 range is not wrapped into it
-        assert phi_direct(101, -40000) == 0
         assert phi_mobius(5, 1) == 1
         assert phi_mobius(5, 6) == 4
         assert phi_mobius(7, 1) == 3
+        # a negative D is refused, as the sweep and the CLI refuse it
+        with pytest.raises(ValueError, match="D must be >= 0"):
+            phi_direct(101, -40000)
+
+    @pytest.mark.parametrize("D", [-1, -3, -100, -40000])
+    @pytest.mark.parametrize("kernel", [phi_direct, phi_mobius, lower_bounds])
+    def test_every_kernel_refuses_a_negative_D(self, kernel, D):
+        # one message for every kernel, scalar or block, whatever the other D;
+        # 16519 takes phi_direct past its gcd table
+        message = f"^census: D must be >= 0, got {D}$"
+        with pytest.raises(ValueError, match=message):
+            kernel(101, D)
+        with pytest.raises(ValueError, match=message):
+            kernel(np.array([5, 101, 16519]), [1, D, 0])
 
     def test_identity_medium_sweep(self):
         # D = 0 reads as p + 1; 110 > 2*sqrt(3000); 2^70 does not fit int64
@@ -140,15 +158,6 @@ class TestPhiCounts:
                 assert cur >= prev
                 prev = cur
             assert phi_direct(p, p + 1) == isqrt(4 * p)
-
-
-def lower_bounds_reference(p, D):
-    """The closed-form bounds with each divisor function factoring afresh."""
-    sp = math.sqrt(p)
-    b22 = 2 * sp - (2 * sp / D) * tau(p + 1) - tau((p + 1) ** 2)
-    P = odd_part(p + 1)
-    b23 = sp * euler_phi(P) / P - 2 ** omega(P)
-    return b22, b23
 
 
 class TestLowerBounds:

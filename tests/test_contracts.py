@@ -7,6 +7,11 @@ small ints, and `cli.main` runs each in-process under a wall-clock alarm.
 Exit 0 must carry a right payload, exit 1 stderr starting `error: `, and
 exit 2 an `error:` line or, for `factor`, the JSON of a stuck cofactor.
 
+A second fuzzer calls the census and counting kernels directly, with p drawn
+from primes and small composites and D, A and B from edge values: each call
+raises `ValueError` exactly where the kernel's domain ends (D < 0, or p not a
+prime with a character table) and otherwise equals a plain reference.
+
 Inputs whose valid runs are slow by design are kept out of the strategies:
 census widths stop at 2000 below the 10^6 cap (a sweep of width 10^6 takes
 about 11 s), while widths just above it, which are refused before the sieve,
@@ -18,16 +23,21 @@ import io
 import json
 import math
 import signal
+import sys
 from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfactor.arith import is_probable_prime, jacobi, primes_between
-from ecfactor.census import CSV_HEADER
+from ecfactor.census import CSV_HEADER, lower_bounds, phi_direct, phi_mobius
 from ecfactor.cli import COMMANDS, main
+from ecfactor.counting import legendre_sums, normal_form_traces
 from ecfactor.reduction import D_MAX, MAX_D_LIMIT
+from proof_aux import euler_sum_reference, lower_bounds_reference, phi_reference
 
 TIME_BOUND_S = 10
 SWEEP_WIDTH = 10 ** 6
@@ -214,3 +224,93 @@ def test_every_argv_ends_in_a_right_answer_or_a_clean_error(argv):
         assert argv[0] == "factor"
         stuck = json.loads(out)["stuck_cofactor"]
         assert stuck > 1 and int(argv[1]) % stuck == 0
+
+
+# 16381 is the largest table prime and 16411 the least prime above it; 16519
+# is the least prime whose bound, 257, is past the census's gcd table
+KERNEL_P = [5, 7, 11, 13, 101, 1009, 16381, 16411, 16519, 4, 9, 15, 25, 35, 91, 1001]
+D_EDGES = [
+    -40000, -100, -3, -1, 0, 1, 2, 3, 255, 256, 257, 2 ** 63 - 1, 2 ** 63, 10 ** 30, 10 ** 400,
+]
+COEFFICIENT_EDGES = [
+    -10 ** 30, -2 ** 63, -5, -1, 0, 1, 2, 2 ** 62, 2 ** 62 + 3, 2 ** 63 - 1, 2 ** 63, 10 ** 30,
+]
+KERNELS = [phi_direct, phi_mobius, lower_bounds, legendre_sums, normal_form_traces]
+
+
+def table_prime(p):
+    return 5 <= p <= 1 << 14 and is_probable_prime(p)
+
+
+def census_reference(kernel, ps, ds):
+    """A census kernel's values over ps x ds as nested lists, a pair of them
+    for lower_bounds, which reads a D past the float range as +inf; or
+    ValueError for a negative D."""
+    if min(ds) < 0:
+        return ValueError
+    if kernel is not lower_bounds:
+        return [[phi_reference(p, D) for D in ds] for p in ps]
+
+    def bounds(p, D):
+        return lower_bounds_reference(p, D or p + 1 if D <= sys.float_info.max else math.inf)
+
+    cells = [[bounds(p, D) for D in ds] for p in ps]
+    return tuple([[cell[k] for cell in row] for row in cells] for k in (0, 1))
+
+
+@st.composite
+def kernel_calls(draw):
+    """(kernel, args, expected): one kernel call from edge values, and what it
+    must give, with arrays as nested lists, or ValueError where it must refuse.
+    normal_form_traces is checked by its length and three of its traces."""
+    kernel = draw(st.sampled_from(KERNELS))
+    p = draw(st.sampled_from(KERNEL_P))
+    if kernel is normal_form_traces:
+        if not table_prime(p):
+            return kernel, (p,), ValueError
+        ts = [t for t in range(1, p) if (4 * t + 27) % p]  # t != 0, -27/4
+        picks = {i: -euler_sum_reference(p, ts[i], ts[i]) for i in (0, len(ts) // 3, -1)}
+        return kernel, (p,), (len(ts), picks)
+    if kernel is legendre_sums:
+        coefficient = st.one_of(st.sampled_from(COEFFICIENT_EDGES), st.integers(-50, 50))
+        A, B = draw(coefficient), draw(coefficient)
+        column = draw(st.lists(st.tuples(coefficient, coefficient), max_size=3))
+        column = [(a, b) for a, b in column if max(abs(a), abs(b)) < 2 ** 63]
+        if column:  # a column of the pairs that fit int64
+            A, B = (np.array([[x] for x in xs], dtype=np.int64) for xs in zip(*column))
+        if not table_prime(p):
+            return kernel, (p, A, B), ValueError
+        if column:
+            return kernel, (p, A, B), [euler_sum_reference(p, a, b) for a, b in column]
+        return kernel, (p, A, B), euler_sum_reference(p, A, B)
+    ds = draw(st.lists(st.sampled_from(D_EDGES), min_size=1, max_size=3))
+    if draw(st.booleans()):  # a scalar p and D
+        expected = census_reference(kernel, [p], ds[:1])
+        if expected is not ValueError:
+            expected = expected[0][0] if kernel is not lower_bounds else (
+                expected[0][0][0], expected[1][0][0])
+        return kernel, (p, ds[0]), expected
+    ps = [p] + draw(st.lists(st.sampled_from(KERNEL_P), max_size=2))
+    return kernel, (np.array(ps), ds), census_reference(kernel, ps, ds)
+
+
+def as_lists(result):
+    """A kernel's result with every array as nested lists."""
+    if isinstance(result, tuple):
+        return tuple(as_lists(r) for r in result)
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_calls())
+def test_every_kernel_call_is_refused_or_equals_its_reference(call):
+    kernel, args, expected = call
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            kernel(*args)
+        return
+    result = kernel(*args)
+    if kernel is normal_form_traces:
+        length, picks = expected
+        result = (len(result), {i: result[i] for i in picks})
+    assert as_lists(result) == expected, args

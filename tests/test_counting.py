@@ -22,6 +22,7 @@ from ecfactor.counting import (
 from proof_aux import (
     bsgs_count_reference,
     divisors,
+    euler_sum_reference,
     legendre_count_reference,
     legendre_table_reference,
     mul_reference,
@@ -183,6 +184,25 @@ class TestCharacterSums:
             B = np.array([[B] for _, B in curves], dtype=np.int64)
             sums = legendre_sums(p, A, B).tolist()
             assert sums == [_legendre_count(p, A, B) - p - 1 for A, B in curves], p
+
+    def test_legendre_sums_take_any_integer_coefficients(self):
+        # negative A and B, and A and B whose Horner terms overflow int64 or
+        # that are past it, read mod p, as one curve and, where they fit int64,
+        # as a column
+        values = [-5, 2 ** 62, 2 ** 62 + 3, 10 ** 30, -10 ** 30]
+        pairs = [(A, B) for A in values for B in values]
+        column = [(A, B) for A, B in pairs if abs(A) < 2 ** 63 and abs(B) < 2 ** 63]
+        for p in [5, 7, 11, 13, 101, 997, 16381]:
+            reduced = [int(legendre_sums(p, A % p, B % p)) for A, B in pairs]
+            assert [legendre_sums(p, A, B) for A, B in pairs] == reduced, p
+            A = np.array([[A] for A, _ in column], dtype=np.int64)
+            B = np.array([[B] for _, B in column], dtype=np.int64)
+            assert legendre_sums(p, A, B).tolist() == [
+                reduced[pairs.index(pair)] for pair in column
+            ], p
+        assert legendre_sums(7, 2 ** 62, 1) == euler_sum_reference(7, 2 ** 62, 1) == -3
+        for p, A, B in [(7, 10 ** 30, 1), (11, -10 ** 30, 2 ** 62 + 3), (101, -5, 10 ** 30)]:
+            assert legendre_sums(p, A, B) == euler_sum_reference(p, A, B), (p, A, B)
 
     def test_normal_form_traces_refuse_primes_above_the_crossover(self):
         # 16411 is the least prime above 2^14, where no weights are built
