@@ -25,11 +25,13 @@ for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
 - lower_bounds evaluates the two bounds as float64 arrays, in the order
   of the formulas, from one factorisation of each p+1.
 
-A sweep cuts its primes into blocks of at most _BLOCK_CELLS (prime, a)
-cells, or one prime where a single row is longer, and yields the CSV lines
-of each block as it is computed, formatted straight from the kernels'
-arrays (bound23 once per prime), so memory stays bounded by one block
-however large p is or however many primes the sweep has, besides `_mobius`'s
+A sweep cuts its primes into blocks whose (prime, a) cells plus (prime, D)
+lines are at most _BLOCK_CELLS, or one prime where a single prime's are
+more, and yields the CSV text of each block as it is computed: the block's
+fields fill one object array straight from the kernels' arrays, with
+bound23 and the class columns formatted once per prime, and one `%` formats
+every line. So memory stays bounded by one block however large p is, however
+many primes the sweep has and however many D it takes, besides `_mobius`'s
 one table, the gcd table and `counting._table_and_weights`'s entries at the
 class primes.
 
@@ -271,13 +273,23 @@ _SWEEP_WIDTH = 10 ** 6  # widest [max(pmin, 5), pmax] one sweep takes
 # Largest pmax a sweep takes: a row then holds at most 2^21 cells, and the
 # base sieve of primes_between stays below 2^20.
 _PMAX_LIMIT = 1 << 40
-# Most (prime, a) cells one block of a sweep holds, unless one row is longer.
+# Most (prime, a) cells plus (prime, D) lines one block of a sweep holds,
+# unless one prime's are more.
 _BLOCK_CELLS = 1 << 16
 # Most (prime, a) cells, the sum of floor(2*sqrt(p)) over its primes, one
-# sweep takes. A sweep costs about 140 ns a cell on a 2-core x86 host with
-# Python 3.11, so no accepted sweep runs much past 20 s; [5, 10^6] holds
-# 1.015e8 cells, and the width cap alone let a sweep near 2^40 hold 7.5e10.
+# sweep takes. [0, 10^6] holds 1.015e8 cells and took 9.8 s with the five
+# default D, about 97 ns a cell, on a 2-core x86 host with Python 3.11; the
+# width cap alone let a sweep near 2^40 hold 7.5e10.
 _SWEEP_CELLS = 1 << 27
+# Most (prime, D) lines one sweep takes: 2^22 lines over [5, 30000] took
+# 8.4 s, about 2 us a line, on the same host.
+_SWEEP_LINES = 1 << 22
+# Most (prime, a, D) comparisons, cells times len(d_list), one sweep takes:
+# the direct count compares every cell with every D. [0, 10^6] with 21 D
+# holds 2.13e9 and took 19.9 s on the same host; near 2^40 each D added
+# about 1.5 ns a cell. With the two limits above, no accepted sweep runs
+# much past 20 s.
+_SWEEP_COMPARISONS = 1 << 31
 
 
 def isomorphism_class_traces(p: int) -> np.ndarray:
@@ -316,8 +328,8 @@ def census_sweep(
 
     D = 0 in d_list stands for 'p + 1' (the everything-admitted column).
     Every contract is checked, and the range sieved, when this is called,
-    width and pmax before the sieve and the cell count after it; the
-    kernels run once per block of primes, as the text is read.
+    width and pmax before the sieve, and the cells, lines and comparisons
+    after it; the kernels run once per block of primes, as the text is read.
     """
     if pmin > pmax:
         raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
@@ -333,6 +345,18 @@ def census_sweep(
             f"census_sweep: [{pmin}, {pmax}] holds {cells} (prime, a) cells, "
             f"more than {_SWEEP_CELLS}"
         )
+    lines = len(primes) * len(d_list)
+    if lines > _SWEEP_LINES:
+        raise ValueError(
+            f"census_sweep: [{pmin}, {pmax}] x {len(d_list)} D holds {lines} "
+            f"(prime, D) lines, more than {_SWEEP_LINES}"
+        )
+    comparisons = cells * len(d_list)
+    if comparisons > _SWEEP_COMPARISONS:
+        raise ValueError(
+            f"census_sweep: [{pmin}, {pmax}] x {len(d_list)} D holds {comparisons} "
+            f"(prime, a, D) comparisons, more than {_SWEEP_COMPARISONS}"
+        )
     top = max((p for p in primes if p <= classes_max), default=0)
     if top > _CLASS_ENUM_LIMIT:
         raise ValueError(
@@ -345,32 +369,34 @@ def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Itera
     """The header line, then the CSV lines of each block of primes x d_list,
     from one call of each kernel per block. At a prime up to classes_max the
     class columns are the number of classes with gcd(a, p+1) <= D (D cut to
-    p + 1) and the number of classes; above it they are empty."""
+    p + 1) and the number of classes; above it they are empty.
+
+    A block's seven fields per line fill one object array, whose cast turns
+    int64 into int and float64 into float, so one `%` formats the block."""
     yield CSV_HEADER + "\n"
     if not primes or not d_list:
         return
-    step = max(1, _BLOCK_CELLS // isqrt(4 * primes[-1]))
+    step = max(1, _BLOCK_CELLS // (isqrt(4 * primes[-1]) + len(d_list)))
     for i in range(0, len(primes), step):
         ps = np.array(primes[i:i + step], dtype=np.int64)
         b22, b23 = lower_bounds(ps, d_list)
-        columns = zip(
-            ps.tolist(), _d_grid(ps, d_list).tolist(), _count_grid(ps, d_list),
-            phi_direct(ps, d_list).tolist(), phi_mobius(ps, d_list).tolist(),
-            b22.tolist(), b23[:, 0].tolist(),
-        )
-        lines = []
-        for p, ds, caps, direct, mobius, bounds, bound23 in columns:
-            counts = [","] * len(ds)
-            if p <= classes_max:
-                gcds = np.gcd(isomorphism_class_traces(p), p + 1)
-                small = np.count_nonzero(gcds <= caps[:, None], axis=1).tolist()
-                counts = [f"{s},{len(gcds)}" for s in small]
-            tail = f",{bound23:.6g},"
-            lines += [
-                f"{p},{D},{x},{y},{b:.6g}{tail}{c}"
-                for D, x, y, b, c in zip(ds, direct, mobius, bounds, counts)
-            ]
-        yield "\n".join(lines) + "\n"
+        fields = np.empty((len(ps), len(d_list), 7), dtype=object)
+        fields[..., 0] = ps[:, None]
+        fields[..., 1] = _d_grid(ps, d_list)
+        fields[..., 2] = phi_direct(ps, d_list)
+        fields[..., 3] = phi_mobius(ps, d_list)
+        fields[..., 4] = b22
+        tails = [f",{b:.6g}," for b in b23[:, 0].tolist()]
+        fields[..., 5] = np.array(tails, dtype=object)[:, None]
+        fields[..., 6] = ","
+        for k, (p, caps) in enumerate(zip(ps.tolist(), _count_grid(ps, d_list))):
+            if p > classes_max:  # the primes ascend
+                break
+            gcds = np.gcd(isomorphism_class_traces(p), p + 1)
+            small = np.count_nonzero(gcds <= caps[:, None], axis=1).tolist()
+            fields[k, :, 6] = [f"{s},{len(gcds)}" for s in small]
+        lines = len(ps) * len(d_list)
+        yield ("%d,%d,%d,%d,%.6g%s%s\n" * lines) % tuple(fields.ravel().tolist())
 
 
 class NonResidueNotFound(Exception):

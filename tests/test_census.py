@@ -334,6 +334,15 @@ class TestCsvOutput:
             else:
                 assert s_col == "" and t_col == ""
 
+    @pytest.mark.parametrize("classes_max", [400, 401])
+    def test_class_columns_stop_inside_a_block(self, classes_max):
+        # [5, 500] is one block, and its class columns stop after 397 or 401
+        d_list = [0, 1, 7, 2 ** 70]
+        reference = [CSV_HEADER]
+        for p in primes_between(5, 500):
+            reference += reference_lines(p, d_list, p <= classes_max)
+        assert sweep_csv(5, 500, d_list, classes_max=classes_max) == "\n".join(reference) + "\n"
+
     def test_rejects_negative_D(self):
         with pytest.raises(ValueError, match="D must be >= 0"):
             census_sweep(5, 20, [1, -1])
@@ -382,6 +391,23 @@ class TestCsvOutput:
         for pmin, pmax in ((0, 10 ** 6), (2 ** 40 - 2000, 2 ** 40 - 1072)):
             census_sweep(pmin, pmax, [1])
 
+    def test_lines_and_comparisons_checked_after_the_sieve_before_any_line(self, monkeypatch):
+        # [5, 10^6] x 400 D holds 31398400 lines and 4.06e10 comparisons; near
+        # 2^40, 29 primes x 400 D hold 11600 lines but 2.43e10 comparisons.
+        # The widest default sweep and the benchmark's sweep are taken, and
+        # the accepted generators are not read
+        def no_work(p, D):
+            raise AssertionError("a line was computed")
+
+        monkeypatch.setattr("ecfactor.census.phi_direct", no_work)
+        d_list = list(range(1, 401))
+        with pytest.raises(ValueError, match="31398400 .* lines, more than 4194304"):
+            census_sweep(5, 10 ** 6, d_list)
+        with pytest.raises(ValueError, match="24326951600 .* comparisons, more than 2147483648"):
+            census_sweep(2 ** 40 - 2000, 2 ** 40 - 1072, d_list)
+        census_sweep(0, 10 ** 6, [1, 2, 3, 5, 10])
+        census_sweep(5, 10_500, [1, 2, 3, 5, 10, 0], classes_max=400)
+
     def test_blocks_give_the_rows_of_one_block(self, monkeypatch):
         # 2*sqrt(3000) < 110, so the default cap holds [5, 3000] in one block
         d_list = [0, 1, 7, 40, 200]
@@ -404,6 +430,26 @@ class TestCsvOutput:
             assert blocks == [per_block] * (len(primes) // per_block) + (
                 [len(primes) % per_block] if len(primes) % per_block else []
             )
+
+    def test_blocks_count_their_lines(self, monkeypatch):
+        # a block holds at most _BLOCK_CELLS (prime, a) cells plus (prime, D)
+        # lines, so a long D list shrinks it: [5, 3000] x 300 D is not one block
+        d_list = list(range(300))
+        blocks = []
+        kernel = census.phi_direct
+
+        def counted(p, D):
+            blocks.append(p.tolist())
+            return kernel(p, D)
+
+        monkeypatch.setattr("ecfactor.census.phi_direct", counted)
+        for _ in census_sweep(5, 3000, d_list, classes_max=0):
+            pass
+        assert sum(blocks, []) == primes_between(5, 3000)
+        for block in blocks:
+            if len(block) > 1:
+                bound = isqrt(4 * block[-1])
+                assert len(block) * (bound + len(d_list)) <= census._BLOCK_CELLS, block
 
     def test_a_sweep_leaves_nothing_behind(self):
         # memory is bounded by one block: once drained, a sweep over 2260
