@@ -27,11 +27,14 @@ for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
 
 A sweep cuts its primes into blocks whose (prime, a) cells plus (prime, D)
 lines are at most _BLOCK_CELLS, or one prime where a single prime's are
-more, and yields the CSV text of each block as it is computed: the block's
-fields fill one object array straight from the kernels' arrays, with
-bound23 and the class columns formatted once per prime, and one `%` formats
-every line. So memory stays bounded by one block however large p is, however
-many primes the sweep has and however many D it takes, besides `_mobius`'s
+more, whose D list is then cut into runs of at most max(_BLOCK_CELLS, B)
+D, with B the largest floor(2*sqrt(p)) of the sweep: a run holds no more
+lines than the cap or than the cells one prime may hold. A sweep yields
+the CSV text of each run as it is computed: the run's fields fill one
+object array straight from the kernels' arrays, with bound23 and the class
+columns formatted once per prime, and one `%` formats every line.
+So memory stays bounded by one run however large p is, however many
+primes the sweep has and however many D it takes, besides `_mobius`'s
 one table, the gcd table and `counting._table_and_weights`'s entries at the
 class primes.
 
@@ -367,36 +370,42 @@ def census_sweep(
 
 def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Iterator[str]:
     """The header line, then the CSV lines of each block of primes x d_list,
-    from one call of each kernel per block. At a prime up to classes_max the
-    class columns are the number of classes with gcd(a, p+1) <= D (D cut to
-    p + 1) and the number of classes; above it they are empty.
+    from one call of each kernel per run of at most max(_BLOCK_CELLS, top) D,
+    top the largest bound. A block of two or more primes holds fewer than
+    _BLOCK_CELLS / 2 D, so it is one run, and the lines keep their (p, D)
+    order. At a prime up to classes_max the class columns are the number of
+    classes with gcd(a, p+1) <= D (D cut to p + 1) and the number of
+    classes; above it they are empty.
 
-    A block's seven fields per line fill one object array, whose cast turns
-    int64 into int and float64 into float, so one `%` formats the block."""
+    A run's seven fields per line fill one object array, whose cast turns
+    int64 into int and float64 into float, so one `%` formats the run."""
     yield CSV_HEADER + "\n"
     if not primes or not d_list:
         return
-    step = max(1, _BLOCK_CELLS // (isqrt(4 * primes[-1]) + len(d_list)))
+    top = isqrt(4 * primes[-1])
+    step, run = max(1, _BLOCK_CELLS // (top + len(d_list))), max(_BLOCK_CELLS, top)
     for i in range(0, len(primes), step):
         ps = np.array(primes[i:i + step], dtype=np.int64)
-        b22, b23 = lower_bounds(ps, d_list)
-        fields = np.empty((len(ps), len(d_list), 7), dtype=object)
-        fields[..., 0] = ps[:, None]
-        fields[..., 1] = _d_grid(ps, d_list)
-        fields[..., 2] = phi_direct(ps, d_list)
-        fields[..., 3] = phi_mobius(ps, d_list)
-        fields[..., 4] = b22
-        tails = [f",{b:.6g}," for b in b23[:, 0].tolist()]
-        fields[..., 5] = np.array(tails, dtype=object)[:, None]
-        fields[..., 6] = ","
-        for k, (p, caps) in enumerate(zip(ps.tolist(), _count_grid(ps, d_list))):
-            if p > classes_max:  # the primes ascend
-                break
-            gcds = np.gcd(isomorphism_class_traces(p), p + 1)
-            small = np.count_nonzero(gcds <= caps[:, None], axis=1).tolist()
-            fields[k, :, 6] = [f"{s},{len(gcds)}" for s in small]
-        lines = len(ps) * len(d_list)
-        yield ("%d,%d,%d,%d,%.6g%s%s\n" * lines) % tuple(fields.ravel().tolist())
+        for j in range(0, len(d_list), run):
+            ds = d_list[j:j + run]
+            b22, b23 = lower_bounds(ps, ds)
+            fields = np.empty((len(ps), len(ds), 7), dtype=object)
+            fields[..., 0] = ps[:, None]
+            fields[..., 1] = _d_grid(ps, ds)
+            fields[..., 2] = phi_direct(ps, ds)
+            fields[..., 3] = phi_mobius(ps, ds)
+            fields[..., 4] = b22
+            tails = [f",{b:.6g}," for b in b23[:, 0].tolist()]
+            fields[..., 5] = np.array(tails, dtype=object)[:, None]
+            fields[..., 6] = ","
+            for k, (p, caps) in enumerate(zip(ps.tolist(), _count_grid(ps, ds))):
+                if p > classes_max:  # the primes ascend
+                    break
+                gcds = np.gcd(isomorphism_class_traces(p), p + 1)
+                small = np.count_nonzero(gcds <= caps[:, None], axis=1).tolist()
+                fields[k, :, 6] = [f"{s},{len(gcds)}" for s in small]
+            lines = len(ps) * len(ds)
+            yield ("%d,%d,%d,%d,%.6g%s%s\n" * lines) % tuple(fields.ravel().tolist())
 
 
 class NonResidueNotFound(Exception):

@@ -106,10 +106,14 @@ class Recovery:
 
 @dataclass(frozen=True)
 class SplitOutcome:
-    factor: int | None  # parts[0], or None when no factor was found
     source: str  # one of the six exits that `split` names
     curves_tried: int
     parts: tuple[int, ...]  # pairwise coprime, each > 1, product n; (n,) if no factor
+
+    @property
+    def factor(self) -> int | None:
+        """parts[0], or None when no factor was found."""
+        return self.parts[0] if len(self.parts) > 1 else None
 
 
 def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
@@ -194,10 +198,8 @@ def split(n: int, oracle, cfg: ReductionConfig) -> SplitOutcome:
     max_curves = cfg.resolved_max_curves(n)
     used: list[tuple[int, int]] = []
 
-    def outcome(source: str, parts: tuple[int, ...] | None = None) -> SplitOutcome:
-        if parts is None:
-            return SplitOutcome(None, source, len(used), (n,))
-        return SplitOutcome(parts[0], source, len(used), parts)
+    def outcome(source: str, parts: tuple[int, ...] = (n,)) -> SplitOutcome:
+        return SplitOutcome(source, len(used), parts)
 
     try:
         for _ in range(max_curves):

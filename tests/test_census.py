@@ -450,6 +450,18 @@ class TestCsvOutput:
             if len(block) > 1:
                 bound = isqrt(4 * block[-1])
                 assert len(block) * (bound + len(d_list)) <= census._BLOCK_CELLS, block
+        # one prime's D list is cut into runs of at most _BLOCK_CELLS D, in order
+        runs = []
+
+        def counted_runs(p, D):
+            runs.append(len(D))
+            return kernel(p, D)
+
+        monkeypatch.setattr("ecfactor.census.phi_direct", counted_runs)
+        monkeypatch.setattr("ecfactor.census._BLOCK_CELLS", 64)
+        csv = "".join(census_sweep(101, 101, d_list, 101))
+        assert runs and all(run <= 64 for run in runs), runs
+        assert csv == "\n".join([CSV_HEADER, *reference_lines(101, d_list, True)]) + "\n"
 
     def test_a_sweep_leaves_nothing_behind(self):
         # memory is bounded by one block: once drained, a sweep over 2260

@@ -114,3 +114,25 @@ def test_bench_pairs_stages_both_trees_as_copies(tmp_path):
         files = sorted(str(f.relative_to(root)) for f in root.rglob("*") if f.is_file())
         assert files == ["bench/run.py", "src/ecfactor/__init__.py"]
         assert (root / "bench/run.py").read_text() == f"{side} bench/run.py"
+
+
+def test_payload_digest_pins_the_census_past_the_benchmark():
+    # the digest's census sweeps, read without running them, reach every path
+    # the benchmark's sweeps miss; trimming a pin fails here
+    from ecfactor import census
+    from ecfactor.arith import isqrt, primes_between
+
+    spec = importlib.util.spec_from_file_location("payload_digest", ROOT / "tools" / "payload_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    sweeps = []
+    for argv in digest.CENSUS:
+        assert argv[0] == "census"
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        primes = primes_between(int(flags["--pmin"]), int(flags["--pmax"]))
+        d_list = [int(d) for d in flags["--D-list"].split(",")]
+        sweeps.append((primes, d_list, int(flags["--classes-max"])))
+    assert any(isqrt(4 * max(primes)) > census._GCD_TOP for primes, _, _ in sweeps)
+    assert any(classes >= census._CLASS_ENUM_LIMIT for _, _, classes in sweeps)
+    assert any(max(d_list) >= 2 ** 63 for _, d_list, _ in sweeps)
+    assert any(len(primes) == 1 and len(d_list) > census._BLOCK_CELLS for primes, d_list, _ in sweeps)

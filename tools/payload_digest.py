@@ -3,13 +3,14 @@
     python3 tools/payload_digest.py [--src DIR]
 
 Runs `ecfactor.cli.main` in-process on batches 0-1 of seeds 1-4 of every
-workload in `bench/workloads.py`, in that order, with stdout captured. Each
-call's payload is its output with the factor JSON's `wall_ms` dropped
-(`workloads.payload`), so two versions of the program that answer alike
-print the same digest: it covers `factors`, `curves_used`, `oracle_queries`
-and the census CSV bytes. Prints the hex digest of one sha256 over the argv,
-exit code and payload of every call. Exits 2 if there are no ecfactor
-sources to run, and 1 if the run imported ecfactor from elsewhere.
+workload in `bench/workloads.py`, in that order, then on the census sweeps
+in `CENSUS`, with stdout captured. Each call's payload is its output with
+the factor JSON's `wall_ms` dropped (`workloads.payload`), so two versions
+of the program that answer alike print the same digest: it covers
+`factors`, `curves_used`, `oracle_queries` and the census CSV bytes. Prints
+the hex digest of one sha256 over the argv, exit code and payload of every
+call. Exits 2 if there are no ecfactor sources to run, and 1 if the run
+imported ecfactor from elsewhere.
 
 The inputs always come from the `bench/` next to this script. `--src` names
 the `src` directory of the program to run, by default the one next to this
@@ -31,6 +32,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 4)
 BATCHES = (0, 1)
+# Census sweeps past the benchmark's reach, whose primes stop at 10500, class
+# columns at 400 and D at 10 or p + 1: a bound of 260, past census._GCD_TOP, so
+# the gcds come from np.gcd; class columns to census._CLASS_ENUM_LIMIT with a D
+# past int64; and one prime whose D list is longer than census._BLOCK_CELLS.
+CENSUS = (
+    ["census", "--pmin", "16000", "--pmax", "17000", "--D-list", "1,2,3,255,256,257,0",
+     "--classes-max", "0"],
+    ["census", "--pmin", "5", "--pmax", "1100", "--D-list",
+     "0,1,7,40,200,1180591620717411303424", "--classes-max", "1000"],
+    ["census", "--pmin", "101", "--pmax", "101", "--D-list", ",".join(map(str, range(70000))),
+     "--classes-max", "101"],
+)
 
 
 def main(argv=None) -> int:
@@ -47,16 +60,16 @@ def main(argv=None) -> int:
     if not Path(cli.__file__).resolve().is_relative_to(src):
         print(f"error: ecfactor imported from {cli.__file__}, not under {src}", file=sys.stderr)
         return 1
+    inputs = [inp for name in sorted(workloads.WORKLOADS) for seed in SEEDS
+              for j in BATCHES for inp in workloads.batch(name, seed, j)]
+    inputs += [workloads.Input(0, argv) for argv in CENSUS]
     digest = hashlib.sha256()
-    for name in sorted(workloads.WORKLOADS):
-        for seed in SEEDS:
-            for j in BATCHES:
-                for inp in workloads.batch(name, seed, j):
-                    out = io.StringIO()
-                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                        rc = cli.main(inp.argv)
-                    record = [inp.argv, rc, workloads.payload(inp, out.getvalue())]
-                    digest.update(json.dumps(record).encode() + b"\n")
+    for inp in inputs:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            rc = cli.main(inp.argv)
+        record = [inp.argv, rc, workloads.payload(inp, out.getvalue())]
+        digest.update(json.dumps(record).encode() + b"\n")
     print(digest.hexdigest())
     return 0
 
