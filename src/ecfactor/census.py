@@ -8,20 +8,21 @@ p and D is a block of one. D >= 0 is checked in one place (`_d_list`),
 for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
 
 - phi_direct enumerates: one gcd matrix over (prime, a) per block,
-  compared with every D. A block whose largest bound top = max B is at
-  most _GCD_TOP = 256 (its primes are at most 16512) reads gcd(a, p+1) =
+  compared once with each distinct D of `_distinct_d`, which reads every D
+  at or past a prime's bound B as top = max B, since such a D counts every
+  a <= B: at most top comparisons a block, however many D. A block with
+  top <= _GCD_TOP = 256 (its primes are at most 16512) reads gcd(a, p+1) =
   gcd(a, (p+1) mod a) off one int16 table of gcd(a, r), 0 <= a, r <= 256,
   built once, and compares in int16; 256 keeps the table at 132 KB, as a
   table for top needs top^2 entries. A block past it takes np.gcd in int64.
-  Both cut every D to top, which changes no count, as gcd(a, p+1) <= a.
 - phi_mobius is the divisor sum
       phi(p, D) = sum over j | p+1, j <= B of c_D(j) * floor(B / j),
       c_D(j)    = sum over d | j, d <= D of mu(j/d),
   with the j found by divisibility, not by gcds. c_D depends only on j and
-  D, so each block tabulates it once, over its distinct D (cut to B) and
-  its distinct j, a row per D by the shorter of two loops (at most about
-  sqrt(B) vector steps); one gather reads every (prime, j) coefficient,
-  and one `np.add.reduceat` sums each prime's terms.
+  D, so each block tabulates it once, over the distinct D of `_distinct_d`
+  and its distinct j, a row per D by the shorter of two loops (at most
+  about sqrt(B) vector steps); one gather reads every (prime, j)
+  coefficient, and one `np.add.reduceat` sums each prime's terms.
 - lower_bounds evaluates the two bounds as float64 arrays, in the order
   of the formulas, from one factorisation of each p+1.
 
@@ -51,8 +52,8 @@ gcd(6, p-1) classes at j = 0 and gcd(4, p-1) at j = 1728, whose traces
 come from one `counting.legendre_sums` over the column of their curves,
 one curve per coset taken as a power of the least primitive root,
 `arith.primitive_root`.
-A census line counts the classes with gcd(a, p+1) <= D by one comparison
-of their gcds with every D.
+A census line counts the classes with gcd(a, p+1) <= D off one cumulative
+count of their gcds, read at every D (cut to p + 1).
 
 The non-residue search measures how far one must go for a d that is a
 non-residue mod p but a residue mod m.
@@ -107,6 +108,15 @@ def _count_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
     return np.minimum(d, (ps + 1)[:, None])
 
 
+def _distinct_d(ps: np.ndarray, ds: list[int], bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct D of _count_grid, a D >= a prime's bound B (it counts every a <= B)
+    cut to the largest B, and each cell's index, reshaped as numpy 1.x returns it flat."""
+    d = _count_grid(ps, ds)
+    d[d >= bound[:, None]] = bound.max()
+    dv, di = np.unique(d, return_inverse=True)
+    return dv, di.reshape(d.shape)
+
+
 def _unwrap(grid: np.ndarray, scalar: bool):
     return grid.item() if scalar else grid
 
@@ -143,8 +153,8 @@ def phi_direct(p, D):
     (prime, a) answers every D. With top the block's largest bound, a block
     with top <= _GCD_TOP reads gcd(a, m) = gcd(a, m mod a), m = p + 1, off
     _gcd_table in int16; a larger one takes np.gcd in int64. The cells with
-    a > floor(2*sqrt(p)) are set to top + 1 and every D, at least 1 once read,
-    is cut to top, which changes no count, as gcd(a, m) <= a <= top.
+    a > floor(2*sqrt(p)) are set to top + 1; the matrix is compared once with
+    each distinct D of `_distinct_d`, and every (prime, D) is read by index.
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
@@ -155,9 +165,9 @@ def phi_direct(p, D):
     else:
         g = np.gcd(a, m[:, None])
     np.copyto(g, top + 1, where=a > bound[:, None])
-    d = np.minimum(_count_grid(ps, ds), top).astype(g.dtype)
-    counts = [np.count_nonzero(g <= col[:, None], axis=1) for col in d.T]
-    return _unwrap(np.stack(counts, axis=1), scalar)
+    dv, di = _distinct_d(ps, ds, bound)
+    counts = np.stack([np.count_nonzero(g <= D, axis=1) for D in dv.tolist()], axis=1)
+    return _unwrap(np.take_along_axis(counts, di, axis=1), scalar)
 
 
 @lru_cache(maxsize=1)  # a sweep asks for the same table block after block
@@ -215,14 +225,11 @@ def phi_mobius(p, D):
     a = np.arange(1, top + 1)
     rows, j = np.divmod(np.flatnonzero((m[:, None] % a == 0) & (a <= bound[:, None])), top)
     j += 1
-    d = _count_grid(ps, ds)
-    d[d >= bound[:, None]] = top
-    # c_D(j) once per distinct D and distinct j of the block; d's inverse is
-    # reshaped, as numpy 1.x returns it flat and 2.x in d's shape
-    dv, di = np.unique(d, return_inverse=True)
+    # c_D(j) once per distinct D and distinct j of the block
+    dv, di = _distinct_d(ps, ds, bound)
     jv, ji = np.unique(j, return_inverse=True)
     table = np.stack([_coefficients(jv, D, mu) for D in dv.tolist()])
-    c = table[di.reshape(d.shape)[rows], ji[:, None]]
+    c = table[di[rows], ji[:, None]]
     # the rows ascend, and each prime's first row is its divisor j = 1
     out = np.add.reduceat(c * (bound[rows] // j)[:, None], np.flatnonzero(j == 1), axis=0)
     return _unwrap(out, scalar)
@@ -287,11 +294,12 @@ _SWEEP_CELLS = 1 << 27
 # Most (prime, D) lines one sweep takes: 2^22 lines over [5, 30000] took
 # 8.4 s, about 2 us a line, on the same host.
 _SWEEP_LINES = 1 << 22
-# Most (prime, a, D) comparisons, cells times len(d_list), one sweep takes:
-# the direct count compares every cell with every D. [0, 10^6] with 21 D
-# holds 2.13e9 and took 19.9 s on the same host; near 2^40 each D added
-# about 1.5 ns a cell. With the two limits above, no accepted sweep runs
-# much past 20 s.
+# Most (prime, a, D) comparisons, cells times len(d_list), one sweep takes. It
+# bounds phi_direct's comparisons (at most top a block) and phi_mobius's
+# coefficient rows (one per distinct D, about sqrt(B) vector steps each). On the
+# same host [0, 10^6] with 21 D took 19.1 s; near 2^40, 1024 (prime, D) rows with
+# D near sqrt(B) 12.3 s; 2^22 lines at p = 101 14.5 s, and [5, 1000] with classes
+# 6.2-11.7 s. With the two limits above, no accepted sweep runs much past 20 s.
 _SWEEP_COMPARISONS = 1 << 31
 
 
@@ -402,7 +410,7 @@ def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Itera
                 if p > classes_max:  # the primes ascend
                     break
                 gcds = np.gcd(isomorphism_class_traces(p), p + 1)
-                small = np.count_nonzero(gcds <= caps[:, None], axis=1).tolist()
+                small = np.bincount(gcds, minlength=p + 2).cumsum()[caps].tolist()
                 fields[k, :, 6] = [f"{s},{len(gcds)}" for s in small]
             lines = len(ps) * len(ds)
             yield ("%d,%d,%d,%d,%.6g%s%s\n" * lines) % tuple(fields.ravel().tolist())

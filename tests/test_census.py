@@ -25,6 +25,7 @@ from ecfactor.counting import count_points_prime
 from proof_aux import (
     lower_bounds_reference,
     phi_lower_check,
+    phi_reference,
     primorial_check,
     special_curves,
     tau,
@@ -140,6 +141,21 @@ class TestPhiCounts:
         assert len(reads) == 1
         assert (from_table == forced[:-1]).all()
         assert (forced == phi_mobius(np.array(low + [17011]), d_list)).all()
+
+    def test_direct_compares_once_per_distinct_D(self, monkeypatch):
+        # a D at or past a prime's bound counts every a <= bound, so 3002 D over
+        # the primes of [5, 300] come to at most top + 1 distinct comparisons
+        primes = np.array(primes_between(5, 300))
+        d_list = [*range(3001), 2 ** 70]
+        calls = []
+        count = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count(*a, **k))
+        direct = phi_direct(primes, d_list)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= isqrt(4 * int(primes[-1])) + 1, len(calls)
+        assert (direct == phi_mobius(primes, d_list)).all()
+        reference = [[phi_reference(p, D) for D in d_list] for p in primes.tolist()]
+        assert direct.tolist() == reference
 
     def test_zero_D_is_p_plus_1_everywhere(self):
         for p in (5, 7, 13, 101, 997):
@@ -334,10 +350,16 @@ class TestCsvOutput:
             else:
                 assert s_col == "" and t_col == ""
 
-    @pytest.mark.parametrize("classes_max", [400, 401])
-    def test_class_columns_stop_inside_a_block(self, classes_max):
-        # [5, 500] is one block, and its class columns stop after 397 or 401
-        d_list = [0, 1, 7, 2 ** 70]
+    @pytest.mark.parametrize(
+        "classes_max, d_list",
+        [
+            pytest.param(400, [0, 1, 7, 2 ** 70], id="400"),
+            pytest.param(401, [0, 1, 7, 2 ** 70], id="401"),
+            pytest.param(113, [*range(61), 2 ** 70], id="113-every-D-to-60"),
+        ],
+    )
+    def test_class_columns_stop_inside_a_block(self, classes_max, d_list):
+        # [5, 500] is one block, and its class columns stop after 397, 401 or 113
         reference = [CSV_HEADER]
         for p in primes_between(5, 500):
             reference += reference_lines(p, d_list, p <= classes_max)
@@ -475,6 +497,19 @@ class TestCsvOutput:
         finally:
             tracemalloc.stop()
         assert kept < 2 ** 18, kept
+
+    def test_class_columns_hold_no_D_by_classes_array(self):
+        # 20000 D against the 2000 classes of 997 would be a 40 MB comparison
+        # matrix; one cumulative count of the class gcds reads every D
+        tracemalloc.start()
+        try:
+            csv = sweep_csv(997, 997, range(1, 20001), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24, peak
+        reference = reference_lines(997, range(1, 20001), True)
+        assert csv == "\n".join([CSV_HEADER, *reference]) + "\n"
 
     def test_rejects_reversed_range(self, monkeypatch):
         def no_sieve(lo, hi):
