@@ -62,7 +62,7 @@ non-residue mod p but a residue mod m.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd
@@ -77,21 +77,24 @@ from .counting import count_points_prime, legendre_sums, normal_form_traces
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _d_list(D) -> list[int]:
-    """D, an int or a list of them, as a list: the one check that every D >= 0."""
-    ds = [D] if np.ndim(D) == 0 else list(D)
-    if any(d < 0 for d in ds):
-        raise ValueError(f"census: D must be >= 0, got {min(ds)}")
-    return ds
+def _d_list(D) -> Sequence[int]:
+    """D, an int or an iterable of them, as a sequence: the one check that
+    every D >= 0. A range or a tuple is kept as given, so each run is sliced
+    from it and its D are not copied; any other iterable is listed once."""
+    if not isinstance(D, (range, tuple)):
+        D = [D] if np.ndim(D) == 0 else list(D)
+    if any(d < 0 for d in D):
+        raise ValueError(f"census: D must be >= 0, got {min(D)}")
+    return D
 
 
-def _operands(p, D) -> tuple[np.ndarray, list[int], bool]:
+def _operands(p, D) -> tuple[np.ndarray, Sequence[int], bool]:
     """The primes as an int64 array, the D by `_d_list`, and whether both were scalars."""
     ps = np.atleast_1d(np.asarray(p, dtype=np.int64))
     return ps, _d_list(D), np.ndim(p) == 0 and np.ndim(D) == 0
 
 
-def _d_grid(ps: np.ndarray, ds: list, dtype=object) -> np.ndarray:
+def _d_grid(ps: np.ndarray, ds: Sequence[int], dtype=object) -> np.ndarray:
     """The D of every (prime, D) cell, with D = 0 read as p + 1, in dtype:
     Python numbers by default, so that a D past int64 is kept whole.
 
@@ -102,13 +105,15 @@ def _d_grid(ps: np.ndarray, ds: list, dtype=object) -> np.ndarray:
     return np.where(d == 0, (ps + 1).astype(dtype)[:, None], d)
 
 
-def _count_grid(ps: np.ndarray, ds: list[int]) -> np.ndarray:
+def _count_grid(ps: np.ndarray, ds: Sequence[int]) -> np.ndarray:
     """_d_grid as int64, with D above p + 1 cut to p + 1: gcd(a, p+1) <= p + 1."""
     d = _d_grid(ps, [min(D, _INT64_MAX) for D in ds], np.int64)
     return np.minimum(d, (ps + 1)[:, None])
 
 
-def _distinct_d(ps: np.ndarray, ds: list[int], bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_d(
+    ps: np.ndarray, ds: Sequence[int], bound: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The distinct D of _count_grid, a D >= a prime's bound B (it counts every a <= B)
     cut to the largest B, and each cell's index, reshaped as numpy 1.x returns it flat."""
     d = _count_grid(ps, ds)
@@ -376,7 +381,7 @@ def census_sweep(
     return _csv_blocks(primes, d_list, classes_max)
 
 
-def _csv_blocks(primes: list[int], d_list: list[int], classes_max: int) -> Iterator[str]:
+def _csv_blocks(primes: list[int], d_list: Sequence[int], classes_max: int) -> Iterator[str]:
     """The header line, then the CSV lines of each block of primes x d_list,
     from one call of each kernel per run of at most max(_BLOCK_CELLS, top) D,
     top the largest bound. A block of two or more primes holds fewer than

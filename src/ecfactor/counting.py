@@ -50,8 +50,8 @@ first, and the cache hands out the view of its first p entries; the one-lag
 count reads the doubled array through the view's `.base`, so the p cyclic
 terms chi(t + s) of its lag are one contiguous slice.
 
-`character_table(p)` is public: `oracle.FactoredOracle` reads (AB | p) off
-it when it answers a twist from its record. It returns None above the
+`character_table(p)` is public: `oracle.FactoredOracle` reads (d | p) off
+it when it answers a twist by d from its record. It returns None above the
 crossover, so only this module decides which primes have tables.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
@@ -60,8 +60,8 @@ integer coefficients, and serves the count above and the census's j = 0
 and j = 1728 classes.
 
 `normal_form_traces(p)` gives the traces a(t) of every normal form
-E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the normal forms whose twists
-`oracle.FactoredOracle` answers from one count and the census enumerates. For x != -1,
+E_t: y^2 = x^3 + t x + t, t != 0, -27/4, the normal forms whose twists the
+census enumerates. For x != -1,
 x^3 + t(x + 1) = (x + 1)(t + x^3/(x + 1)), so
 
     a(t) = -chi(-1) - sum_s w(s) chi(t + s),
@@ -192,8 +192,9 @@ def _legendre_count(p: int, A: int, B: int) -> int:
 
 def character_table(p: int) -> np.ndarray | None:
     """The read-only int8 table of (x | p) for 0 <= x < p, shared with the
-    counts, at a prime 5 <= p <= _CROSSOVER; None above the crossover, where
-    no count builds tables."""
+    counts and with the oracle, which reads (d | p) off it for a twist by d,
+    at a prime 5 <= p <= _CROSSOVER; None above the crossover, where no
+    count builds tables."""
     _admit(p)
     return _table_and_weights(p)[0] if p <= _CROSSOVER else None
 

@@ -511,6 +511,26 @@ class TestCsvOutput:
         reference = reference_lines(997, range(1, 20001), True)
         assert csv == "\n".join([CSV_HEADER, *reference]) + "\n"
 
+    def test_a_range_of_D_is_sliced_not_copied(self):
+        # 2^20 D at one prime are 16 runs of census._BLOCK_CELLS D; read from
+        # the caller's range, two runs hold no list or array of all 2^20 D
+        d_list = range(1, 2 ** 20 + 1)
+        tracemalloc.start()
+        try:
+            lines = census_sweep(101, 101, d_list, 0)
+            header, *blocks = (next(lines) for _ in range(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20, peak
+        assert header == CSV_HEADER + "\n"
+        run = census._BLOCK_CELLS
+        for k, block in enumerate(blocks):
+            block = block.splitlines()
+            assert len(block) == run
+            for i in (0, run - 1):
+                assert block[i] == reference_lines(101, [d_list[k * run + i]], False)[0]
+
     def test_rejects_reversed_range(self, monkeypatch):
         def no_sieve(lo, hi):
             raise AssertionError(f"sieved [{lo}, {hi}]")

@@ -83,9 +83,9 @@ class TestTwistMemo:
     on a modulus, against uncached counts."""
 
     def test_criterion_7_samples(self, monkeypatch):
-        # criterion 7's sampler, one oracle per prime reused across samples,
-        # so a curve with the record's t = A^3/B^2 is answered from the
-        # record even when it is not a twist the sampler drew
+        # criterion 7's sampler, one oracle per prime reused across samples;
+        # each sample's twist by d is asked as query(p, A, B, d) and read off
+        # the record of the curve counted just before, j = 0 and 1728 included
         full_counts = []
 
         def counted(p, A, B):
@@ -96,19 +96,18 @@ class TestTwistMemo:
         rng = random.Random(7)
         primes = primes_between(5, 10 ** 4)
         oracles = {}
-        j_0_or_1728 = 0
         for _ in range(10 ** 4):
             p = rng.choice(primes)
             A, B = random_smooth_pair(rng, p)
             d = rng.randrange(1, p)
             o = oracles.setdefault(p, FactoredOracle([p]))
-            for a, b in ((A, B), (A * d * d % p, B * d ** 3 % p)):
-                assert o.query(p, a, b) == count_points_prime(p, a, b), (p, a, b, d)
-            j_0_or_1728 += A * B % p == 0
-        # every twist with A*B != 0 was answered from the record without a
-        # count, and the full counts went through counting.count_points_prime,
-        # where a wrapper sees them
-        assert len(oracles) <= len(full_counts) <= 10 ** 4 + j_0_or_1728
+            for e in (1, d):
+                expected = count_points_prime(p, A * e * e % p, B * e ** 3 % p)
+                assert o.query(p, A, B, e) == expected, (p, A, B, e)
+        # every twist was answered from the record without a count, and the
+        # full counts went through counting.count_points_prime, where a
+        # wrapper sees them
+        assert len(oracles) <= len(full_counts) <= 10 ** 4
 
     def test_j_0_and_1728_curves_and_their_twists(self):
         # all curves y^2 = x^3 + B and y^2 = x^3 + Ax, so every twist of each;
@@ -143,12 +142,14 @@ class TestTwistMemo:
 
 
 _STEPS = ("fresh", "twist", "old twist", "j = 0", "j = 1728")
+_TWIST_STEPS = ("fresh", "j = 0", "j = 1728", "twist by d", "old twist by d")
 
 
 class TestRecord:
     """FactoredOracle keeps, per modulus, the record of the last curve it
-    counted; a query with the record's t = A^3/B^2 at every prime is
-    answered from it, and any other curve is counted and replaces it."""
+    counted; a query of that curve, twisted by any d coprime to the modulus,
+    is answered from it, and any other query is counted, and the curve it
+    counts replaces the record."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(
@@ -186,10 +187,69 @@ class TestRecord:
             answered += 1
         assert o.queries == direct.queries == answered
 
-    def test_j_0_and_1728_are_counted_once_per_class(self, monkeypatch):
-        # every y^2 = x^3 + b and every y^2 = x^3 + ax on one plan per prime:
-        # the classes b*(F_p^*)^6 and a*(F_p^*)^4 number gcd(6, p - 1) and
-        # gcd(4, p - 1), and each is counted once; 16411 is above the crossover
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(_TWIST_STEPS), st.integers(1, 2 ** 64), st.integers(0, 2 ** 64)),
+        min_size=1, max_size=16,
+    ))
+    def test_twist_query_sequences_against_the_direct_oracle(self, steps):
+        # fresh curves and curves with A = 0 or B = 0 modulo one prime or
+        # both, asked as they are, and their twists by d, asked as
+        # query(m, A, B, d): of the last curve counted, read off its record
+        # with no count, or of an older one, counted; a d sharing a prime
+        # with m is refused by both oracles
+        counts = []
+
+        def counted(p, A, B):
+            counts.append(p)
+            return count_points_prime(p, A, B)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(counting, "count_points_prime", counted)
+            self._twist_sequence(steps, counts)
+
+    def _twist_sequence(self, steps, counts):
+        p, q = 1009, 16411
+        m = p * q
+        o, direct = FactoredOracle([p, q]), DirectOracle()
+        drawn = [(2, 3)]  # every curve asked as it is, the newest last
+        last = None  # the last curve counted, as the oracle counted it
+        answered = 0
+        for step, x, y in steps:
+            d = 1
+            if step == "fresh":
+                A, B = x % m, y % m
+            elif step in ("j = 0", "j = 1728"):
+                zero = (m, p, q)[y % 3]  # A or B is 0 modulo zero
+                c = zero * (y // 3 % (m // zero))
+                A, B = (c, x % m) if step == "j = 0" else (x % m, c)
+            else:
+                A, B = (last or drawn[-1]) if step == "twist by d" else drawn[y % len(drawn)]
+                d = x * (1, 1, p, q)[y % 4]  # a quarter share a prime with m
+            if d == 1:
+                drawn.append((A, B))
+            try:
+                expected = direct.query(m, A, B, d)
+            except ValueError as exc:  # SingularCurveError, or gcd(d, m) != 1
+                before = len(counts)
+                with pytest.raises(type(exc)):
+                    o.query(m, A, B, d)
+                assert len(counts) == before
+                continue
+            before = len(counts)
+            assert o.query(m, A, B, d) == expected, (step, A, B, d)
+            if (A, B) == last:
+                assert len(counts) == before, (step, A, B, d)
+            else:
+                last = (A, B) if d == 1 else (A * d * d % m, B * d ** 3 % m)
+            answered += 1
+        assert o.queries == direct.queries == answered
+
+    def test_j_0_and_1728_twists_are_read_off_the_record(self, monkeypatch):
+        # y^2 = x^3 + b and y^2 = x^3 + ax are counted once, and their twists
+        # by square and non-square d are read off the record with no count;
+        # 1009 has a character table and 16411 does not, and both are 1 mod 3
+        # and 1009 is 1 mod 4, so the sextic and quartic twists differ there
         full_counts = []
 
         def counted(p, A, B):
@@ -197,20 +257,26 @@ class TestRecord:
             return count_points_prime(p, A, B)
 
         monkeypatch.setattr(counting, "count_points_prime", counted)
-        primes = [37, 101, 1009, 16411]
-        o = FactoredOracle(primes)
-        for p in primes:
-            for c in range(1, p):
-                for A, B in ((0, c), (c, 0)):
-                    assert o.query(p, A, B) == count_points_prime(p, A, B), (p, A, B)
-            assert full_counts.count(p) == gcd(6, p - 1) + gcd(4, p - 1), p
+        for p in (1009, 16411):
+            assert p % 3 == 1 and (p <= counting._CROSSOVER) == (p % 4 == 1)
+            o = FactoredOracle([p])
+            for A, B in ((0, 2), (0, 7), (3, 0), (5, 0)):
+                full_counts.clear()
+                symbols = set()
+                for d in range(1, 41):
+                    expected = count_points_prime(p, A * d * d % p, B * d ** 3 % p)
+                    assert o.query(p, A, B, d) == expected, (p, A, B, d)
+                    symbols.add(jacobi(d, p))
+                assert full_counts == [p], (p, A, B)
+                assert symbols == {1, -1}
+            assert o.queries == 160
 
 
 class TestSymbolRows:
-    """The record's rows indexed by (AB|p), read off the character table at
-    table primes and by jacobi above the crossover, against the Legendre sum
-    and brute force. count_points_prime shares the table and the weights at
-    table primes, so it is not the reference here."""
+    """Twists at table primes and above the crossover, where the record
+    reads (d|p) off the character table and by jacobi, against the Legendre
+    sum and brute force. count_points_prime shares the table and the weights
+    at table primes, so it is not the reference here."""
 
     def test_every_smooth_curve_and_every_twist_below_60(self):
         for p in primes_between(5, 59):
@@ -261,8 +327,9 @@ class TestSymbolRows:
         ids=["table", "above-crossover", "straddling"],
     )
     def test_twists_share_one_count_per_prime(self, monkeypatch, primes):
-        # every twist has the record's t at each prime, so each prime is
-        # counted once, at a table prime or above the crossover
+        # every twist is asked as query(m, A, B, d) of the curve counted
+        # first, so each prime is counted once, at a table prime or above the
+        # crossover
         m = math.prod(primes)
         counts = []
 
@@ -276,7 +343,7 @@ class TestSymbolRows:
         for d in range(1, 21):
             Ad, Bd = A * d * d % m, B * d ** 3 % m
             expected = math.prod(legendre_count_reference(p, Ad % p, Bd % p) for p in primes)
-            assert o.query(m, Ad, Bd) == expected, d
+            assert o.query(m, A, B, d) == expected, d
         assert sorted(counts) == primes
 
 
@@ -381,11 +448,11 @@ class TestPlan:
                 assert o.query(m, Ad, Bd) == direct.query(m, Ad, Bd), (A, B, d)
         assert tried > 100
 
-    def test_a_cofactor_reuses_its_parents_class_counts(self, monkeypatch):
-        # y^2 = x^3 + 2 has j = 0 at every prime; its class is counted once
-        # per prime, on the modulus and not again on its cofactor, though the
-        # cofactor has a plan of its own; a sextic twist by u = 3 (B * 3^6)
-        # is the same class
+    def test_a_cofactor_reads_its_twists_off_its_own_record(self, monkeypatch):
+        # y^2 = x^3 + 2 (j = 0 at every prime) is counted once per prime on
+        # the modulus and once per prime on each cofactor, which has a plan
+        # and a record of its own; its twists, on each modulus and back on
+        # the first after the cofactors, are read off that modulus's record
         primes = [1009, 1013, 16411]
         m = math.prod(primes)
         counts = []
@@ -396,11 +463,14 @@ class TestPlan:
 
         monkeypatch.setattr(counting, "count_points_prime", counted)
         o = FactoredOracle(primes)
-        for k in (m, 1009 * 16411, 1013):
-            for B in (2, 2 * 3 ** 6):
-                expected = math.prod(count_points_prime(p, 0, B) for p in primes if k % p == 0)
-                assert o.query(k, 0, B % k) == expected, (k, B)
-        assert sorted(counts) == primes
+        moduli = (m, 1009 * 16411, 1013)
+        for k in moduli + moduli:
+            for d in range(1, 13):
+                expected = math.prod(
+                    count_points_prime(p, 0, 2 * d ** 3 % p) for p in primes if k % p == 0
+                )
+                assert o.query(k, 0, 2, d) == expected, (k, d)
+        assert sorted(counts) == sorted(primes + [1009, 16411, 1013])
 
 
 class TestDirectOracle:
@@ -492,6 +562,32 @@ def test_every_screen_goes_through_the_curves_module(make_oracle, monkeypatch):
     assert o.queries == 2
 
 
+@pytest.mark.parametrize(
+    "make_oracle", [lambda: FactoredOracle([1009, 16411]), DirectOracle],
+    ids=["factored", "direct"],
+)
+def test_a_d_sharing_a_prime_with_m_is_refused(make_oracle, monkeypatch):
+    # on the record's curve and on another, at a table prime and above the
+    # crossover: a ValueError, no count and no query
+    counts = []
+
+    def counted(p, A, B):
+        counts.append(p)
+        return count_points_prime(p, A, B)
+
+    monkeypatch.setattr(counting, "count_points_prime", counted)
+    m = 1009 * 16411
+    o = make_oracle()
+    assert o.query(m, 2, 3) == DirectOracle().query(m, 2, 3)
+    before = len(counts)
+    for A, B in ((2, 3), (5, 7)):
+        for d in (1009, 2 * 16411, m, 0):
+            with pytest.raises(ValueError, match="gcd"):
+                o.query(m, A, B, d)
+    assert len(counts) == before
+    assert o.queries == 1
+
+
 def test_stats_discipline():
     class CountingWrapper:
         def __init__(self, inner):
@@ -502,8 +598,8 @@ def test_stats_discipline():
         def queries(self):
             return self.inner.queries
 
-        def query(self, m, A, B):
-            value = self.inner.query(m, A, B)
+        def query(self, m, A, B, d=1):
+            value = self.inner.query(m, A, B, d)
             self.observed += 1  # only successful queries are counted
             return value
 

@@ -13,7 +13,7 @@ from ecfactor import cli
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import count_points_prime
 from ecfactor.curves import CurveSupplyExhausted, FactorFound, sample_curve, twist
-from ecfactor.oracle import DirectOracle, FactoredOracle, UnsupportedModulusError
+from ecfactor.oracle import DirectOracle, FactoredOracle, Oracle, UnsupportedModulusError
 from ecfactor.reduction import (
     D_MAX,
     MAX_D_LIMIT,
@@ -305,14 +305,17 @@ _ORACLES = {
 
 
 def _record_twists(monkeypatch):
-    """Record every (n, curve, d) that `split` twists by; returns the list."""
+    """Record every (n, curve, d) that an oracle's `query` is asked with
+    d != 1, the twists a split makes; returns the list."""
     twists = []
+    query = Oracle.query
 
-    def recording_twist(n, A, B, d):
-        twists.append((n, (A, B), d))
-        return twist(n, A, B, d)
+    def recording_query(self, n, A, B, d=1):
+        if d != 1:
+            twists.append((n, (A, B), d))
+        return query(self, n, A, B, d)
 
-    monkeypatch.setattr(ecfactor.reduction, "twist", recording_twist)
+    monkeypatch.setattr(Oracle, "query", recording_query)
     return twists
 
 
@@ -613,15 +616,16 @@ class TestFactorCompletely:
 
 
 class LyingOracle(FactoredOracle):
-    """A FactoredOracle that adds +-2 to a seeded share of its answers."""
+    """A FactoredOracle that adds +-2 to a seeded share of its answers,
+    counted or read off a record."""
 
     def __init__(self, primes, share, seed):
         super().__init__(primes)
         self.share = share
         self.rng = random.Random(seed)
 
-    def _count(self, plan, A, B):
-        N = super()._count(plan, A, B)
+    def query(self, m, A, B, d=1):
+        N = super().query(m, A, B, d)
         # N >= 4 for k >= 2 primes >= 5, so every answer stays >= 2
         return N + self.rng.choice((-2, 2)) if self.rng.random() < self.share else N
 
