@@ -8,21 +8,20 @@ p and D is a block of one. D >= 0 is checked in one place (`_d_list`),
 for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
 
 - phi_direct enumerates: one gcd matrix over (prime, a) per block,
-  compared once with each distinct D of `_distinct_d`, which reads every D
-  at or past a prime's bound B as top = max B, since such a D counts every
-  a <= B: at most top comparisons a block, however many D. A block with
-  top <= _GCD_TOP = 256 (its primes are at most 16512) reads gcd(a, p+1) =
-  gcd(a, (p+1) mod a) off one int16 table of gcd(a, r), 0 <= a, r <= 256,
-  built once, and compares in int16; 256 keeps the table at 132 KB, as a
-  table for top needs top^2 entries. A block past it takes np.gcd in int64.
-- phi_mobius is the divisor sum
-      phi(p, D) = sum over j | p+1, j <= B of c_D(j) * floor(B / j),
-      c_D(j)    = sum over d | j, d <= D of mu(j/d),
-  with the j found by divisibility, not by gcds. c_D depends only on j and
-  D, so each block tabulates it once, over the distinct D of `_distinct_d`
-  and its distinct j, a row per D by the shorter of two loops (at most
-  about sqrt(B) vector steps); one gather reads every (prime, j)
-  coefficient, and one `np.add.reduceat` sums each prime's terms.
+  compared once with each distinct D, every D at or past a prime's bound B
+  read as top = max B, since such a D counts every a <= B: at most top
+  comparisons a block, however many D. A block with top <= _GCD_TOP = 256
+  (its primes are at most 16512) reads gcd(a, p+1) = gcd(a, (p+1) mod a)
+  off one int16 table of gcd(a, r), 0 <= a, r <= 256, built once, and
+  compares in int16; 256 keeps the table at 132 KB, as a table for top
+  needs top^2 entries. A block past it takes np.gcd in int64.
+- phi_mobius counts f(d) = #{a <= B : gcd(a, p+1) = d} for every d by
+  Moebius inversion,
+      f(d) = sum over k >= 1 of mu(k) * g(dk),  g(j) = floor(B / j) if j | p+1,
+  else 0, with the j found by divisibility, not by gcds: one in-place
+  difference pass per prime q dividing some p+1 of the block. f holds no D,
+  and phi(p, D) = sum_{d <= D} f(d) is read at every D off one cumulative
+  sum, as the class columns read theirs.
 - lower_bounds evaluates the two bounds as float64 arrays, in the order
   of the formulas, from one factorisation of each p+1.
 
@@ -35,9 +34,8 @@ the CSV text of each run as it is computed: the run's fields fill one
 object array straight from the kernels' arrays, with bound23 and the class
 columns formatted once per prime, and one `%` formats every line.
 So memory stays bounded by one run however large p is, however many
-primes the sweep has and however many D it takes, besides `_mobius`'s
-one table, the gcd table and `counting._table_and_weights`'s entries at the
-class primes.
+primes the sweep has and however many D it takes, besides the gcd table
+and `counting._table_and_weights`'s entries at the class primes.
 
 The class census enumerates isomorphism classes of curves over F_p and
 counts those whose trace has small gcd with p+1. Every curve with AB != 0
@@ -64,7 +62,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -111,17 +109,6 @@ def _count_grid(ps: np.ndarray, ds: Sequence[int]) -> np.ndarray:
     return np.minimum(d, (ps + 1)[:, None])
 
 
-def _distinct_d(
-    ps: np.ndarray, ds: Sequence[int], bound: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct D of _count_grid, a D >= a prime's bound B (it counts every a <= B)
-    cut to the largest B, and each cell's index, reshaped as numpy 1.x returns it flat."""
-    d = _count_grid(ps, ds)
-    d[d >= bound[:, None]] = bound.max()
-    dv, di = np.unique(d, return_inverse=True)
-    return dv, di.reshape(d.shape)
-
-
 def _unwrap(grid: np.ndarray, scalar: bool):
     return grid.item() if scalar else grid
 
@@ -151,7 +138,9 @@ def _gcd_table() -> np.ndarray:
 
 
 def phi_direct(p, D):
-    """#{a : 1 <= a <= floor(2*sqrt(p)), gcd(a, p+1) <= D} by enumeration.
+    """#{a : 1 <= a <= B = floor(2*sqrt(p)), gcd(a, p+1) <= D} by enumeration:
+    sum_{d <= D} f(d), f(d) = #{a <= B : gcd(a, p+1) = d}, each gcd compared
+    with D, where phi_mobius reads f(d) = sum_k mu(k) * g(dk) cumulatively.
 
     p is a prime or an array of primes and D an int or a list of them; the
     result is an int, or an int64 array over (prime, D). One gcd matrix over
@@ -159,7 +148,8 @@ def phi_direct(p, D):
     with top <= _GCD_TOP reads gcd(a, m) = gcd(a, m mod a), m = p + 1, off
     _gcd_table in int16; a larger one takes np.gcd in int64. The cells with
     a > floor(2*sqrt(p)) are set to top + 1; the matrix is compared once with
-    each distinct D of `_distinct_d`, and every (prime, D) is read by index.
+    each distinct D, every D >= a prime's B read as top, and each (prime, D)
+    is read by index.
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
@@ -170,73 +160,45 @@ def phi_direct(p, D):
     else:
         g = np.gcd(a, m[:, None])
     np.copyto(g, top + 1, where=a > bound[:, None])
-    dv, di = _distinct_d(ps, ds, bound)
+    d = _count_grid(ps, ds)
+    d[d >= bound[:, None]] = top  # such a D counts every a <= B
+    dv, di = np.unique(d, return_inverse=True)
     counts = np.stack([np.count_nonzero(g <= D, axis=1) for D in dv.tolist()], axis=1)
-    return _unwrap(np.take_along_axis(counts, di, axis=1), scalar)
-
-
-@lru_cache(maxsize=1)  # a sweep asks for the same table block after block
-def _mobius(n: int) -> np.ndarray:
-    """mu(j) for 0 <= j <= n, mu(0) = 0, sieved by the primes up to isqrt(n).
-
-    A squarefree j whose primes up to isqrt(n) multiply to less than j has
-    one more prime factor, above isqrt(n).
-    """
-    mu = np.ones(n + 1, dtype=np.int8)
-    small = np.ones(n + 1, dtype=np.int64)
-    for q in primes_between(2, isqrt(n)):
-        mu[q::q] *= -1
-        mu[q * q::q * q] = 0
-        small[q::q] *= q
-    mu[small < np.arange(n + 1)] *= -1
-    mu[0] = 0
-    return mu
-
-
-def _coefficients(j: np.ndarray, D: int, mu: np.ndarray) -> np.ndarray:
-    """c_D(j) = sum of mu(j/d) over the d | j with d <= D, for each j in an
-    array of j < len(mu).
-
-    Either d runs over 1, ..., D, or, since sum_{d | j} mu(j/d) is 1 at
-    j = 1 and 0 above, the k = j/d < j/D run over 1, ..., top/(D+1) and are
-    subtracted; the shorter loop has at most sqrt(top) steps.
-    """
-    top = int(j.max())
-    if D * D <= top:
-        return sum(((j % d == 0) * mu[j // d] for d in range(1, D + 1)), np.zeros_like(j))
-    c = (j == 1).astype(np.int64)
-    for k in range(1, top // (D + 1) + 1):
-        c -= ((j % k == 0) & (j > k * D)) * mu[k]
-    return c
+    # numpy 1.x returns the inverse flat
+    return _unwrap(np.take_along_axis(counts, di.reshape(d.shape), axis=1), scalar)
 
 
 def phi_mobius(p, D):
-    """Same count via the Moebius divisor sum, exact integer arithmetic.
+    """Same count by Moebius inversion, exact integer arithmetic.
 
-    phi(p, D) = sum over the j | p+1 with j <= B = floor(2*sqrt(p)) of
-    c_D(j) * floor(B / j), with c_D(j) = sum_{d | j, d <= D} mu(j/d). The j
-    come from a divisibility matrix over (prime, j), not from gcds. c_D is
-    tabulated once over the block's distinct D and distinct j, from one
-    table of mu that serves every block of a sweep, and read by one gather.
-    For j <= B <= D, c_D(j) is 1 at j = 1 and 0 above, so every D >= B is
-    read as the largest B.
+    With B = floor(2*sqrt(p)) and g(j) = floor(B / j) for the j | p+1 with
+    j <= B, 0 for every other j, g(j) counts the a <= B that j divides, so
+    g(d) = sum_{k >= 1} f(dk) with f(d) = #{a <= B : gcd(a, p+1) = d}, and
+        f(d) = sum_{k >= 1} mu(k) * g(dk),  phi(p, D) = sum_{d <= D} f(d).
+    The j come from a divisibility matrix over (j, prime), not from gcds.
+    The sum over mu is the product over primes q of (1 - S_q), S_q f(d) =
+    f(dq), applied one prime q | p+1 of the block at a time as one in-place
+    subtraction; numpy reads an overlapping operand before it writes. f
+    holds no D: one cumulative sum down d answers every D, read at D cut to
+    the block's largest B, past which f is 0.
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
     top = int(bound.max())
-    # a power of two, so that a sweep's blocks share one table; built before
-    # the divisibility matrix, so that their arrays never coexist at large p
-    mu = _mobius(1 << (top - 1).bit_length())
-    a = np.arange(1, top + 1)
-    rows, j = np.divmod(np.flatnonzero((m[:, None] % a == 0) & (a <= bound[:, None])), top)
+    a = np.arange(1, top + 1)[:, None]
+    divides = (m % a == 0) & (a <= bound)
+    j, cols = np.nonzero(divides)
     j += 1
-    # c_D(j) once per distinct D and distinct j of the block
-    dv, di = _distinct_d(ps, ds, bound)
-    jv, ji = np.unique(j, return_inverse=True)
-    table = np.stack([_coefficients(jv, D, mu) for D in dv.tolist()])
-    c = table[di[rows], ji[:, None]]
-    # the rows ascend, and each prime's first row is its divisor j = 1
-    out = np.add.reduceat(c * (bound[rows] // j)[:, None], np.flatnonzero(j == 1), axis=0)
+    primes = [q for q in (np.flatnonzero(divides.any(axis=1)) + 1).tolist()
+              if is_probable_prime(q)]
+    del a, divides  # so that they never coexist with f at large p
+    # int64: int32 holds the partial differences only while B(1 + ln B) < 2^31
+    f = np.zeros((top + 1, len(ps)), dtype=np.int64)
+    f[j, cols] = bound[cols] // j
+    for q in primes:
+        f[1:top // q + 1] -= f[q::q]
+    np.cumsum(f, axis=0, out=f)
+    out = np.take_along_axis(f.T, np.minimum(_count_grid(ps, ds), top), axis=1)
     return _unwrap(out, scalar)
 
 
@@ -299,12 +261,11 @@ _SWEEP_CELLS = 1 << 27
 # Most (prime, D) lines one sweep takes: 2^22 lines over [5, 30000] took
 # 8.4 s, about 2 us a line, on the same host.
 _SWEEP_LINES = 1 << 22
-# Most (prime, a, D) comparisons, cells times len(d_list), one sweep takes. It
-# bounds phi_direct's comparisons (at most top a block) and phi_mobius's
-# coefficient rows (one per distinct D, about sqrt(B) vector steps each). On the
-# same host [0, 10^6] with 21 D took 19.1 s; near 2^40, 1024 (prime, D) rows with
-# D near sqrt(B) 12.3 s; 2^22 lines at p = 101 14.5 s, and [5, 1000] with classes
-# 6.2-11.7 s. With the two limits above, no accepted sweep runs much past 20 s.
+# Most (prime, a, D) comparisons, cells times len(d_list), one sweep takes: it
+# bounds phi_direct's comparisons, at most top a block. On the same host [0, 10^6]
+# with 21 D took 11.2 s, one prime near 2^40 with 1024 D 2.4 s, 2^22 lines at
+# p = 101 6.4 s, and [5, 1000] with 24900 D and classes 5.5 s. With the two
+# limits above, no accepted sweep runs much past 20 s.
 _SWEEP_COMPARISONS = 1 << 31
 
 

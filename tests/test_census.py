@@ -95,8 +95,8 @@ class TestPhiCounts:
                     assert block[0][i, k] == block[1][i, k] == plain, (p, D)
 
     def test_identity_at_large_p_and_repeated_D(self):
-        # both sides of _coefficients' D*D <= top switch, D cut to top, D = 0,
-        # a D past int64 and a repeated D, at one prime a block and all three
+        # D on both sides of sqrt(B) and just below, at and past B, D = 0, a
+        # D past int64 and a repeated D, at one prime a block and all three
         # in one block
         rng = random.Random("phi identity at large p")
         primes = []
@@ -156,6 +156,40 @@ class TestPhiCounts:
         assert (direct == phi_mobius(primes, d_list)).all()
         reference = [[phi_reference(p, D) for D in d_list] for p in primes.tolist()]
         assert direct.tolist() == reference
+
+    def test_mobius_passes_do_not_grow_with_D(self, monkeypatch):
+        # phi_mobius makes one difference pass per prime among the block's
+        # divisors, found by one is_probable_prime call per divisor, whatever
+        # the D: as many calls with 3002 D as with one
+        primes = np.array(primes_between(5, 300))
+        calls = []
+        prime = census.is_probable_prime
+        monkeypatch.setattr(census, "is_probable_prime", lambda q: calls.append(q) or prime(q))
+        d_list = [*range(3001), 2 ** 70]
+        mobius = phi_mobius(primes, d_list)
+        many = len(calls)
+        one = phi_mobius(primes, [1])
+        monkeypatch.undo()
+        assert 0 < many == len(calls) - many, (many, len(calls))
+        reference = [[phi_reference(p, D) for D in d_list] for p in primes.tolist()]
+        assert mobius.tolist() == reference
+        assert one[:, 0].tolist() == [phi_reference(p, 1) for p in primes.tolist()]
+
+    def test_mobius_at_p_plus_1_a_power_of_2(self):
+        # p + 1 = 2^k: the one prime q = 2 carries every power of the divisors
+        mersenne = [8191, 131071, 524287, 2 ** 31 - 1]
+        d_lists = []
+        for p in mersenne:
+            B = isqrt(4 * p)
+            r = isqrt(B)
+            d_lists.append([0, 1, 2, 3, 4, 5, 8, r, r + 1, B // 2, B, B + 1])
+        for p, d_list in zip(mersenne, d_lists):
+            reference = [phi_reference(p, D) for D in d_list]
+            assert [phi_mobius(p, D) for D in d_list] == reference, p
+            assert phi_direct(np.array([p]), d_list)[0].tolist() == reference, p
+        d_list = sum(d_lists, [])
+        block = phi_mobius(np.array(mersenne), d_list)
+        assert (block == phi_direct(np.array(mersenne), d_list)).all()
 
     def test_zero_D_is_p_plus_1_everywhere(self):
         for p in (5, 7, 13, 101, 997):

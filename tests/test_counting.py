@@ -116,7 +116,8 @@ class TestCountPointsPrime:
     def test_twist_normal_form(self):
         # with AB != 0, y^2 = x^3 + Ax + B is the twist by B/A of
         # E_t: y^2 = x^3 + tx + t, t = A^3/B^2, so a_p(E) = (AB|p) * a_p(E_t);
-        # FactoredOracle's twist memo and the class census both rely on it
+        # the table-prime count (counting._normal_form_count) and the class
+        # census both rely on it
         def check(p, A, B):
             t = A ** 3 * pow(B, -2, p) % p
             a_t = p + 1 - count_points_prime(p, t, t)

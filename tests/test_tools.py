@@ -136,3 +136,9 @@ def test_payload_digest_pins_the_census_past_the_benchmark():
     assert any(classes >= census._CLASS_ENUM_LIMIT for _, _, classes in sweeps)
     assert any(max(d_list) >= 2 ** 63 for _, d_list, _ in sweeps)
     assert any(len(primes) == 1 and len(d_list) > census._BLOCK_CELLS for primes, d_list, _ in sweeps)
+    assert any(
+        (B := isqrt(4 * max(primes))) >= 2 ** 20
+        and any(0 < D and D * D <= B for D in d_list)
+        and any(D * D > B and D < B for D in d_list)
+        for primes, d_list, _ in sweeps
+    )

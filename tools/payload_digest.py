@@ -35,7 +35,9 @@ BATCHES = (0, 1)
 # Census sweeps past the benchmark's reach, whose primes stop at 10500, class
 # columns at 400 and D at 10 or p + 1: a bound of 260, past census._GCD_TOP, so
 # the gcds come from np.gcd; class columns to census._CLASS_ENUM_LIMIT with a D
-# past int64; and one prime whose D list is longer than census._BLOCK_CELLS.
+# past int64; one prime whose D list is longer than census._BLOCK_CELLS; and
+# the one prime of [2^40 - 100, 2^40], with B = 2^21 - 1 and sqrt(B) near 1448,
+# at D on both sides of sqrt(B) and just below, at and past B.
 CENSUS = (
     ["census", "--pmin", "16000", "--pmax", "17000", "--D-list", "1,2,3,255,256,257,0",
      "--classes-max", "0"],
@@ -43,6 +45,8 @@ CENSUS = (
      "0,1,7,40,200,1180591620717411303424", "--classes-max", "1000"],
     ["census", "--pmin", "101", "--pmax", "101", "--D-list", ",".join(map(str, range(70000))),
      "--classes-max", "101"],
+    ["census", "--pmin", "1099511627676", "--pmax", "1099511627776", "--D-list",
+     "1,2,3,1447,1448,1449,2097151,2097152,0", "--classes-max", "0"],
 )
 
 
