@@ -6,23 +6,26 @@ the primes below 2**12, a table the module's sieve builds once, followed by
 one decision on the cofactor: 1 or a prime is kept, and a composite is split
 by Brent's rho. An x above 2**24 that is coprime to the product of those
 primes skips the trial loop: one gcd (about 4 us) shows the loop would find
-nothing, where the loop takes 40-60 us. Rho runs only on inputs up to
-2**64, where it takes about 2**16 steps at most; above that a composite
-cofactor is refused. That contract is checked once, on the cofactor. The
-factoring algorithm proper never calls it on anything it could not handle.
+nothing, where the loop takes 40-60 us on a `factor-cold` n. Rho runs only
+on inputs up to 2**64, where it takes about 2**16 steps at most; above that
+a composite cofactor is refused. That contract is checked once, on the
+cofactor. The factoring algorithm proper never calls it on anything it could
+not handle.
 
 Primality rests on the same table and product. An x <= 2**12 is looked up
 in the table. A larger x is composite when it shares a factor with the
 product, and otherwise has no prime factor below 2**12, so it is prime
 when x <= 2**24; only a coprime x above 2**24 runs Miller-Rabin. A
-composite with a prime below 2**12, such as a product of primes near
-1000, is settled by that one gcd, with no modular power. `factor_small`
-takes the gcd once per x and hands its cofactor, which has no prime below
-2**12, straight to the Miller-Rabin step. Only that costly step caches, in
-an `lru_cache` of 4096: rho tests again the cofactor `factor_small` tested.
-The set lookup or gcd in front of it (0.1-1.6 us up to 10**6) is not cached,
-nor is `factor_small`, whose one repeat caller, `DirectOracle`, keeps its
-plans; so a long census sweep leaves nothing behind per prime.
+composite with a prime below 2**12, such as each of the 280 composite
+cofactors a `factor-twist` batch tests (products of 2-8 primes in
+[1e3, 2e3]), is settled by that one gcd, with no modular power.
+`factor_small` takes the gcd once per x and hands its cofactor, which has
+no prime below 2**12, straight to the Miller-Rabin step. Only that costly
+step caches, in an `lru_cache` of 4096: rho tests again the cofactor
+`factor_small` tested. The set lookup or gcd in front of it (0.1-1.6 us up
+to 10**6) is not cached, nor is `factor_small`, whose one repeat caller,
+`DirectOracle`, keeps its plans; so a long census sweep leaves nothing
+behind per prime.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
     The composites there are crossed out by the primes up to isqrt(hi), which
     come from the same sieve and end the recursion at hi < 4, so memory is
-    O(hi - lo + sqrt(hi)), however large hi is.
+    O(hi - lo + sqrt(hi)), however large hi is, and a narrow range near
+    1e10 takes milliseconds.
     """
     lo = max(lo, 2)
     if hi < lo:

@@ -4,6 +4,12 @@ Single results are printed as one JSON document on stdout; census sweeps
 are CSV. Exit codes: 0 success, 1 usage/contract error, 2 the algorithm
 exhausted its budgets. Commands raise; only `main` maps `ValueError` and
 `OSError` to 1 and `NonResidueNotFound` to 2. Anything else is a bug.
+
+One table, `COMMANDS`, holds each command's handler, arguments and options
+with their defaults; `parse` reads an argv against it in one pass, and `-h`
+prints usage generated from it. `main` may be called many times in one
+process, as a session or the benchmark does; a call, or its usage error,
+leaves nothing for the next.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
 - p <= `_CROSSOVER` and AB != 0 mod p: one lag of the normal-form
   correlation below. E is the twist by B/A of E_t with t = A^3/B^2, so
   N = p + 1 - (AB | p) a(t), and a(t) is one dot product of p entries of
-  the doubled character table with the weights w of p.
+  the doubled character table with the weights w of p. A count takes about
+  4.1 us at p = 1499, against 30 us for a Legendre sum (best of 7 timeit
+  runs of 1000 curves, 2-core x86 host).
 - p <= `_CROSSOVER` and A = 0 or B = 0: the Legendre sum
   N = p + 1 + sum_x (x^3+Ax+B | p) over the character table.
 - p > `_CROSSOVER`: Shanks' baby-step/giant-step with Mestre's alternation
@@ -34,7 +36,13 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
   costs O(p^(1/4)) group operations and no table. The baby and giant
   steps add affine points, one modular inverse each; a scalar
   multiplication runs in Jacobian coordinates and takes one inverse in
-  all.
+  all. A count takes 0.090 ms at 1e5, 0.26 ms at 1e7, 0.95 ms at 2^30,
+  9.1 ms at 2^40 and about 0.29 s just below 2^60 (medians over 400, 400,
+  100, 40 and 8 seeded curves, 2-core x86 host, Python 3.11). End to end,
+  `ecfactor factor` on n = pq, p and q drawn from [x, 2x], takes a median
+  of 0.49, 0.90, 1.80 and 19.1 ms at x = 1e5, 1e6, 1e7 and 1e9, at a
+  median of 2 queries (20 seeded n per x, timed around `cli.main` in one
+  process on the same host).
 
 The character table and the weights are built together, on the first use
 at a prime, and cached read-only, so later counts there are cheap. The
@@ -71,14 +79,19 @@ and all p - 2 traces come from one cyclic correlation of chi and w, arrays
 of length p: O(p^2) multiply-adds and O(p) memory, in place of about p
 point counts. It runs on float64 copies, so that `np.correlate` takes the
 BLAS dot, and is exact: every partial sum is an integer of size at most
-sum |w| <= p - 1 < 2^53. A count reads the one lag t of it, exactly, as
-one int8 x int16 dot. The weights come from the same powers: x + 1 runs
-over the y_i as x runs over x != -1, chi(x + 1) = (-1)^i, and
+sum |w| <= p - 1 < 2^53. It takes 0.12 ms at p = 997 and 52 ms at 16381,
+against 0.52 and 238 ms in int64 (best of 5, one process). Above p = 10000
+OpenBLAS splits each dot over threads, and the first such call in a
+process took about 1 s in 3 of 7 fresh processes on a 2-core host; the
+census calls it only up to p = 1000. A count reads the one lag t of it,
+exactly, as one int8 x int16 dot. The weights come from the same powers:
+x + 1 runs over the y_i as x runs over x != -1, chi(x + 1) = (-1)^i, and
 (x + 1)^(-1) = g^(-i) is the power array read backwards, so
 s_i = (y_i - 1)^3 g^(-i), and w is the bincount of the s_i at even i less
 that at odd i. x = 0 (i = 0) is the one x with s = 0. The build takes
 47 us at p = 1499 and 261 us at 16381 (medians of 7 timeit runs, caches
-emptied before each build; 2-core x86 host, Python 3.11, numpy 2.4).
+emptied before each build; 2-core x86 host, Python 3.11, numpy 2.4), and a
+`factor-twist` batch makes about 124 builds.
 
 `count_affine_bruteforce` counts solutions by enumerating squares instead of
 evaluating symbols, which keeps it an independent cross-check of the same
@@ -95,7 +108,7 @@ import numpy as np
 from .arith import factor_small, is_probable_prime, jacobi, primitive_root
 
 
-# Counts stop below here: just below it a baby-step/giant-step count takes about 0.3 s.
+# Counts stop below here; the module docstring gives a count's time up to it.
 _COUNT_LIMIT = 1 << 60
 
 # Largest prime counted from the character table. The first count at 16381
@@ -350,7 +363,10 @@ def _fold_order(P, L: int, lo: int, hi: int, a: int, p: int) -> int:
     The range is empty when 2k >= kmin + kmax, and k is then not factored.
     When it holds more divisors than k has prime factors, counted with
     multiplicity, k is stripped prime by prime to the order instead, which
-    takes no more scalar multiplications than that.
+    takes no more scalar multiplications than that. Over 2000 seeded curves
+    at primes in [1e5, 2e5], 0.51 matches per count fall in the lower half
+    and the divisor test settles 0.48 of them; a count makes 0.60 scalar
+    multiplications after its matches and takes 45 modular inverses.
     """
     Q = _mul(L, P, a, p)
     if Q is None:

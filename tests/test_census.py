@@ -1,3 +1,12 @@
+"""The census kernels, sweeps and CSV against plain references.
+
+The class enumeration is checked against two slow ones kept here: the orbit
+walk of (A, B) under (l^4 A, l^6 B), at every prime up to 400 and three
+seeded primes up to 1000, and one count per j (`j_loop_traces`, which counts
+the j = 0 and j = 1728 classes with `count_points_prime`) at every prime up
+to the enumeration limit, 1000.
+"""
+
 import gc
 import math
 import random
@@ -80,6 +89,16 @@ class TestPhiCounts:
             kernel(101, D)
         with pytest.raises(ValueError, match=message):
             kernel(np.array([5, 101, 16519]), [1, D, 0])
+
+    @pytest.mark.parametrize("kernel", [phi_direct, phi_mobius, lower_bounds])
+    def test_every_kernel_answers_an_empty_D_list(self, kernel):
+        # no D is a grid of no columns, for one prime and for a block; 16519
+        # takes phi_direct past its gcd table
+        dtype = np.float64 if kernel is lower_bounds else np.int64
+        for p in (101, np.array([5, 101, 16519])):
+            out = kernel(p, [])
+            for grid in out if kernel is lower_bounds else (out,):
+                assert grid.dtype == dtype and grid.shape == (np.size(p), 0)
 
     def test_identity_medium_sweep(self):
         # D = 0 reads as p + 1; 110 > 2*sqrt(3000); 2^70 does not fit int64

@@ -1,13 +1,22 @@
-"""Module layout: no module of the package imports a private name of another.
+"""Module layout, and the README's guide to it.
 
-A name with a leading underscore is private to the module that defines it;
-a sibling that needs it should get a public name instead.
+No module of the package imports a private name of another: a name with a
+leading underscore is private to the module that defines it, and a sibling
+that needs it should get a public name instead.
+
+The README names the modules that exist, and every code name and path it
+quotes still resolves, so a rename or a deletion in the code fails here
+rather than leaving the guide stale.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "ecfactor"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "ecfactor"
+MODULES = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
 
 
 def private_imports(path):
@@ -35,3 +44,71 @@ def test_the_check_sees_a_private_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from .counting import _legendre_table, count_points_prime\n")
     assert private_imports(module) == [(1, "counting", "_legendre_table")]
+
+
+def code_spans(text):
+    """The inline code spans of a Markdown text, fenced blocks left out."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    return [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
+
+
+def defines(module, name):
+    """Whether the package module defines name, at module level or on one of its classes."""
+    return hasattr(module, name) or any(
+        hasattr(value, name)
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    )
+
+
+def unresolved(readme):
+    """The code spans of readme that name nothing the package defines, or a
+    path that does not exist: each `_name` and each `module.attr` of a
+    package module, calls read by their name, and each relative path."""
+    modules = {name: importlib.import_module(f"ecfactor.{name}") for name in MODULES}
+    missing = []
+    for span in code_spans(readme.read_text()):
+        if re.fullmatch(r"[\w.-]+(/[\w.-]+)+/?", span):
+            if not (ROOT / span).exists():
+                missing.append(span)
+            continue
+        name = span.split("(")[0].removeprefix("ecfactor.")
+        if not re.fullmatch(r"\w+(\.\w+)*", name):
+            continue
+        head, _, attr = name.partition(".")
+        if head in modules:
+            if attr and not defines(modules[head], attr.split(".")[0]):
+                missing.append(span)
+        elif name.startswith("_"):
+            if not any(defines(module, name.split(".")[0]) for module in modules.values()):
+                missing.append(span)
+    return missing
+
+
+def layout_modules(text):
+    """The modules the README's Layout section names, one per bullet."""
+    section = text.split("\n## Layout\n")[1].split("\n## ")[0]
+    return set(re.findall(r"^- `ecfactor\.(\w+)`", section, flags=re.M))
+
+
+def test_the_readme_layout_names_every_module_on_disk():
+    import ecfactor
+
+    listed = set(re.findall(r"^  (\w+)\s+- ", ecfactor.__doc__, flags=re.M))
+    assert layout_modules((ROOT / "README.md").read_text()) == MODULES
+    assert listed == MODULES
+
+
+def test_every_name_and_path_the_readme_quotes_exists():
+    assert unresolved(ROOT / "README.md") == []
+
+
+def test_the_check_sees_a_deleted_name(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "`_distinct_d` and `census._mobius(k)` are gone; `_plan(m)`,\n"
+        "`oracle.query(n, A, B, d)` and `ecfactor.cli.main` are not.\n"
+        "`tools/gone.py` is missing, `tools/query_table.py` is not.\n"
+        "```sh\n`_in_a_fence` is not read\n```\n"
+    )
+    assert unresolved(readme) == ["_distinct_d", "census._mobius(k)", "tools/gone.py"]

@@ -29,6 +29,9 @@ than its bound; a change that claims no gain must leave it empty. With
 `--claim W:METRIC`, `claim` says whether the claim rule holds on that
 metric: the change is better in at least 9 of 10 pairs, and the gap between
 the medians is larger than the parent's interquartile range.
+
+The `BENCH_*.json` files from `BENCH_30.json` on come from it. Ten seeds of
+the three workloads take about 4 minutes on a 2-core x86 host.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ of the program that answer alike print the same digest: it covers
 `factors`, `curves_used`, `oracle_queries` and the census CSV bytes. Prints
 the hex digest of one sha256 over the argv, exit code and payload of every
 call. Exits 2 if there are no ecfactor sources to run, and 1 if the run
-imported ecfactor from elsewhere.
+imported ecfactor from elsewhere. A run takes about 1.3 s on a 2-core x86
+host.
 
 The inputs always come from the `bench/` next to this script. `--src` names
 the `src` directory of the program to run, by default the one next to this
@@ -38,6 +39,7 @@ BATCHES = (0, 1)
 # past int64; one prime whose D list is longer than census._BLOCK_CELLS; and
 # the one prime of [2^40 - 100, 2^40], with B = 2^21 - 1 and sqrt(B) near 1448,
 # at D on both sides of sqrt(B) and just below, at and past B.
+# tests/test_tools.py fails if a pin loses its reach.
 CENSUS = (
     ["census", "--pmin", "16000", "--pmax", "17000", "--D-list", "1,2,3,255,256,257,0",
      "--classes-max", "0"],
