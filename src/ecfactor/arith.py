@@ -20,12 +20,7 @@ composite with a prime below 2**12, such as each of the 280 composite
 cofactors a `factor-twist` batch tests (products of 2-8 primes in
 [1e3, 2e3]), is settled by that one gcd, with no modular power.
 `factor_small` takes the gcd once per x and hands its cofactor, which has
-no prime below 2**12, straight to the Miller-Rabin step. Only that costly
-step caches, in an `lru_cache` of 4096: rho tests again the cofactor
-`factor_small` tested. The set lookup or gcd in front of it (0.1-1.6 us up
-to 10**6) is not cached, nor is `factor_small`, whose one repeat caller,
-`DirectOracle`, keeps its plans; so a long census sweep leaves nothing
-behind per prime.
+no prime below 2**12, straight to the Miller-Rabin step.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ import bisect
 import math
 import random
 from collections import Counter
-from functools import lru_cache
 
 gcd = math.gcd
 isqrt = math.isqrt
@@ -94,7 +88,6 @@ def is_probable_prime(x: int) -> bool:
     return gcd(x, _TRIAL_PRODUCT) == 1 and _sieved_is_prime(x)
 
 
-@lru_cache(maxsize=1 << 12)
 def _sieved_is_prime(x: int) -> bool:
     """Primality of an x > 2**12 with no prime factor below 2**12: prime up
     to 2**24, and decided by Miller-Rabin above."""

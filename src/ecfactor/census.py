@@ -77,11 +77,14 @@ _INT64_MAX = np.iinfo(np.int64).max
 def _d_list(D) -> Sequence[int]:
     """D, an int or an iterable of them, as a sequence: the one check that
     every D >= 0. A range or a tuple is kept as given, so each run is sliced
-    from it and its D are not copied; any other iterable is listed once."""
+    from it and its D are not copied; any other iterable is listed once. A
+    range's least D is read off its ends, so an over-long range reaches the
+    size caps at once; the other sequences are scanned."""
     if not isinstance(D, (range, tuple)):
         D = [D] if np.ndim(D) == 0 else list(D)
-    if any(d < 0 for d in D):
-        raise ValueError(f"census: D must be >= 0, got {min(D)}")
+    least = min(D[0], D[-1]) if isinstance(D, range) and D else min(D, default=0)
+    if least < 0:
+        raise ValueError(f"census: D must be >= 0, got {least}")
     return D
 
 

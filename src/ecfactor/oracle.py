@@ -21,29 +21,35 @@ a twist by a square is isomorphic to the curve, so with c_p the curve's
 count at p, E^d has c_p points when (d|p) = 1 and 2p + 2 - c_p when
 (d|p) = -1. Its plan for m, built when m is first admitted, holds (p, chi)
 for each prime of m and the record: the last curve counted there, as the
-(A, B) it was counted as, and a row (p, chi, c_p, 2p + 2 - c_p) per prime.
-A query of that (A, B) reads (d|p) and one of the two counts per prime, in
-one inline loop with no count and no screen: E^d's discriminant is d^6
+(A, B) it was counted as, and a row (p, chi, counts) per prime with
+counts = (0, c_p, 2p + 2 - c_p). Here chi is the symbol x -> (x|p) for
+0 <= x < p as a callable: at a table prime (p <= the crossover in
+`counting`) the item lookup of a memoryview of
+`counting.character_table`, above it `jacobi` with p fixed. A query of
+that (A, B) multiplies counts[s] with s = chi(d mod p) over the rows, one
+inline loop with no branch, no count and no screen: s = 1 reads c_p,
+s = -1 the last entry, and s = 0, when p divides d, reads 0. A zero
+product sends the query the other way, where
+`curves.twist` refuses it. No screen is needed: E^d's discriminant is d^6
 times E's, so E^d is smooth exactly when E is, and E was screened when it
-became the record. At a table prime (p <= the crossover in `counting`) chi
-is `counting.character_table(p)` as a memoryview and the symbol is
-chi[d mod p]; above the crossover chi is None and the symbol comes from
-`jacobi`. A symbol 0 means p divides d, and the query goes the other way,
-where `curves.twist` refuses it. The oracle admits each of its primes and
-takes its chi once, at construction, and every plan takes chi from there.
+became the record. The oracle admits each of its primes and takes its chi
+once, at construction, and every plan takes chi from there; m is admitted
+when m >= 2 and the product of the oracle's primes dividing m is m.
 Any other query is counted prime by prime through
-`counting.count_points_prime`, and the curve counted, E^d, becomes the new
-record. On `factor-twist` seed 1, batch 0, every one of the 2472 twist
-queries is answered from the record, and `count_points_prime` runs 1394
-times for 2752 queries. The plans and the per-prime chi are the oracle's
-caches, and live as long as the oracle instance; a plan is not shared
-between moduli, since a cofactor's split draws fresh curves. A refused
-modulus gets no plan, so it is refused again on every query.
+`counting.count_points_prime`, which reduces A and B itself, and the curve
+counted, E^d, becomes the new record. On `factor-twist` seed 1, batch 0,
+every one of the 2472 twist queries is answered from the record, and
+`count_points_prime` runs 1394 times for 2752 queries. The plans and the
+per-prime chi are the oracle's caches, and live as long as the oracle
+instance; a plan is not shared between moduli, since a cofactor's split
+draws fresh curves. A refused modulus gets no plan, so it is refused again
+on every query.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from . import counting, curves
 from .arith import factor_small, jacobi
@@ -105,7 +111,7 @@ class FactoredOracle(Oracle):
     configured primes; that covers the cofactors the recursion asks about.
     Each configured prime must be a prime in [5, 2^60), and is refused at
     construction otherwise. A query of the last curve counted on a modulus
-    is answered off its record, c_p or 2p + 2 - c_p at each prime by (d|p).
+    is answered off its record, the product of counts[(d|p)] over its rows.
     """
 
     def __init__(self, primes: list[int]):
@@ -113,38 +119,29 @@ class FactoredOracle(Oracle):
         primes = sorted(primes)
         if len(set(primes)) != len(primes):
             raise ValueError("FactoredOracle: primes must be distinct")
-        # prime -> its character table as a memoryview, or None above the
-        # crossover
-        self._tables: dict[int, memoryview | None] = {}
+        # prime -> chi, x -> (x|p) for 0 <= x < p: a lookup in its character
+        # table up to the crossover, jacobi above it
+        self._chi: dict = {}
         for p in primes:
             chi = counting.character_table(p)  # admits p: a prime in [5, 2^60)
-            self._tables[p] = None if chi is None else memoryview(chi)
+            self._chi[p] = partial(jacobi, m=p) if chi is None else memoryview(chi).__getitem__
 
     def _plan(self, m: int) -> list:
-        parts = []
-        rest = m
-        for p, chi in self._tables.items():
-            if rest % p == 0:
-                parts.append((p, chi))
-                rest //= p
-        if rest != 1 or m < 2:
+        parts = tuple((p, chi) for p, chi in self._chi.items() if m % p == 0)
+        if m < 2 or math.prod(p for p, _ in parts) != m:
             raise UnsupportedModulusError(
                 f"modulus {m} is not a squarefree product of the oracle's primes"
             )
-        return [(None, None, ()), tuple(parts)]  # no record yet
+        return [(None, None, ()), parts]  # no record yet
 
     def _recorded(self, plan: list, A: int, B: int, d: int) -> int | None:
         A0, B0, rows = plan[0]
         if A != A0 or B != B0:
             return None
         N = 1
-        for p, chi, c, twin in rows:
-            x = d % p
-            s = chi[x] if chi is not None else jacobi(x, p)
-            if s == 0:  # p | d: left to curves.twist, which refuses it
-                return None
-            N *= c if s == 1 else twin
-        return N
+        for p, chi, counts in rows:
+            N *= counts[chi(d % p)]
+        return N or None  # 0: some p | d, left to curves.twist, which refuses it
 
     def _count(self, plan: list, A: int, B: int) -> int:
         # counting.count_points_prime is a module lookup, not a copied name,
@@ -152,8 +149,8 @@ class FactoredOracle(Oracle):
         rows = []
         N = 1
         for p, chi in plan[1]:
-            c = counting.count_points_prime(p, A % p, B % p)
-            rows.append((p, chi, c, 2 * p + 2 - c))  # n_p + n'_p = 2(p + 1)
+            c = counting.count_points_prime(p, A, B)
+            rows.append((p, chi, (0, c, 2 * p + 2 - c)))  # n_p + n'_p = 2(p + 1)
             N *= c
         plan[0] = (A, B, tuple(rows))
         return N
@@ -188,4 +185,4 @@ class DirectOracle(Oracle):
 
     def _count(self, plan: list[int], A: int, B: int) -> int:
         # + 1 at each prime for the point at infinity
-        return math.prod(count_affine_bruteforce(p, A % p, B % p) + 1 for p in plan)
+        return math.prod(count_affine_bruteforce(p, A, B) + 1 for p in plan)

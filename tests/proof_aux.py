@@ -22,6 +22,11 @@ by division by the Miller-Rabin witnesses and then Miller-Rabin, the
 character table by scattering squares, and the weights by discrete
 logarithms. legendre_count_reference counts a curve by the Legendre sum
 over that table at any prime up to about 1e7, above the crossover too.
+count_reference counts a curve by Euler's sum over a table of squares, in
+chunks, with no code shared with `counting.count_points_prime`, and
+ReferenceOracle is `ecfactor.oracle.DirectOracle` counting by it, with no
+cap on its primes: the reference for `ecfactor.oracle.FactoredOracle` above
+the brute-force limit.
 """
 
 import argparse
@@ -37,6 +42,7 @@ import numpy as np
 
 from ecfactor import arith, counting
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
+from ecfactor.oracle import DirectOracle, UnsupportedModulusError
 from ecfactor.reduction import Recovery
 
 
@@ -345,3 +351,41 @@ def normal_form_weights_reference(p: int) -> np.ndarray:
     w[0] = 1  # x = 0, the one x with s = 0
     w[1:] = by_log[log[1:]]
     return w
+
+
+def count_reference(p: int, A: int, B: int) -> int:
+    """#E(F_p) = p + 1 + sum_x (x^3+Ax+B | p) for an odd prime p and any
+    integers A and B. The nonzero squares mod p are flagged in one uint8
+    table of p bytes, and f(x) is evaluated for 2^20 x at a time in int64,
+    exact for p < 2^31."""
+    A, B = A % p, B % p
+    square = np.zeros(p, dtype=np.uint8)
+    for lo in range(1, (p + 1) // 2, 1 << 20):
+        y = np.arange(lo, min(lo + (1 << 20), (p + 1) // 2), dtype=np.int64)
+        square[y * y % p] = 1
+    total = p + 1
+    for lo in range(0, p, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), p), dtype=np.int64)
+        f = ((x * x % p + A) * x + B) % p  # every intermediate stays below 2p^2 + p
+        # (f | p) is 1 on a flagged f, 0 at f = 0 and -1 elsewhere
+        total += 2 * int(square[f].sum(dtype=np.int64)) - len(f) + int((f == 0).sum())
+    return total
+
+
+class ReferenceOracle(DirectOracle):
+    """`ecfactor.oracle.DirectOracle` that admits a squarefree m with prime
+    factors >= 5 by `factor_small`, with no cap on the primes, and counts
+    each prime by `count_reference`."""
+
+    def _plan(self, m: int) -> list[int]:
+        if m < 2:
+            raise UnsupportedModulusError(f"modulus {m} must be >= 2")
+        facts = factor_small(m)
+        if facts[0][0] < 5 or any(e > 1 for _, e in facts):
+            raise UnsupportedModulusError(
+                f"modulus {m} must be squarefree with prime factors >= 5"
+            )
+        return [p for p, _ in facts]
+
+    def _count(self, plan: list[int], A: int, B: int) -> int:
+        return math.prod(count_reference(p, A, B) for p in plan)

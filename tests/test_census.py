@@ -9,11 +9,14 @@ to the enumeration limit, 1000.
 
 import gc
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +424,41 @@ class TestCsvOutput:
     def test_rejects_negative_D(self):
         with pytest.raises(ValueError, match="D must be >= 0"):
             census_sweep(5, 20, [1, -1])
+
+    @pytest.mark.parametrize(
+        "d_list, message",
+        [
+            pytest.param(
+                "range(1, 10 ** 12 + 1)",
+                "census_sweep: [101, 101] x 1000000000000 D holds 1000000000000 "
+                "(prime, D) lines, more than 4194304",
+                id="lines",
+            ),
+            pytest.param(
+                "range(10 ** 12, -2, -1)", "census: D must be >= 0, got -1", id="negative"
+            ),
+        ],
+    )
+    def test_an_over_long_range_of_D_is_refused_at_once(self, d_list, message):
+        # a range's least D is read off its ends: scanning 10^12 D took hours.
+        # A child process, so that a scan ends at the timeout
+        src = str(Path(census.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "from ecfactor.census import census_sweep\n"
+            "try:\n"
+            f"    census_sweep(101, 101, {d_list}, 0)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, message + "\n", "")
 
     def test_class_limit_checked_before_any_row(self, monkeypatch):
         def no_work(p):

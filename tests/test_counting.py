@@ -9,7 +9,10 @@ discrete-log weights at every prime below 3000, at seeded primes up to 2^14
 and at 16381. Above the crossover the reference is `proof_aux`'s Legendre
 count over the scattered-squares table: the Shanks-Mestre count agrees with
 it at every prime in (229, 1e4], on all j = 0 and j = 1728 classes there,
-and at seeded primes up to 1e7. From 1e7 to 2^40, where no enumeration
+and at seeded primes up to 1e7; `proof_aux.count_reference`, which shares
+no code with the count, agrees with it on seeded curves, j = 0 and 1728
+among them, at a prime in each octave of [2^14, 2^22]. From 1e7 to 2^40,
+where no enumeration
 reaches, counts are checked by the group law: [N]P = O for points of the
 count's own walk on E and [2p + 2 - N]P = O on its twist, while N +- 2 fails
 on the same points.
@@ -17,6 +20,7 @@ on the same points.
 
 import random
 import time
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -38,6 +42,7 @@ from ecfactor.counting import (
 )
 from proof_aux import (
     bsgs_count_reference,
+    count_reference,
     divisors,
     euler_sum_reference,
     legendre_count_reference,
@@ -501,6 +506,49 @@ class TestShanksMestre:
                 stripped += candidates > omega
         # 46 folds of a second point, 38 by the divisor test, 88 by the strip
         assert second_points >= 30 and tested >= 20 and stripped >= 40, (second_points, tested, stripped)
+
+
+class TestCountsTo2_22:
+    def test_seeded_curves_against_the_chunked_reference(self, monkeypatch):
+        # a random curve, one with A = 0 and one with B = 0 at a seeded prime
+        # in each [2^e, 2^(e+1)), 14 <= e < 22; each fold past a match is
+        # sorted by the rule that settles it: the upper-half exit, the divisor
+        # test or the strip (`counting._fold_order`), and the lower half's two
+        # rules must both run
+        rng = random.Random(47)
+        curves = []
+        for e in range(14, 22):
+            p = seeded_primes(rng, 2 ** e, 2 ** (e + 1), 1)[0]
+            curves += [(p, *random_smooth_pair(rng, p)), (p, 0, rng.randrange(1, p)),
+                       (p, rng.randrange(1, p), 0)]
+        bsgs, fold_order = counting._bsgs, counting._fold_order
+        match = {}
+        rules = Counter()
+
+        def recording_bsgs(Q, kmin, kmax, a, p):
+            k = bsgs(Q, kmin, kmax, a, p)
+            match.update(k=k, kmin=kmin, kmax=kmax)
+            return k
+
+        def sorting_fold_order(*args):
+            match.clear()
+            M = fold_order(*args)
+            if match:
+                k, kmin, kmax = match["k"], match["kmin"], match["kmax"]
+                candidates = sum(k - kmin < d <= kmax - k for d in divisors(k))
+                if 2 * k >= kmin + kmax:
+                    rules["upper"] += 1
+                elif candidates <= sum(e for _, e in factor_small(k)):
+                    rules["divisors"] += 1
+                else:
+                    rules["strip"] += 1
+            return M
+
+        monkeypatch.setattr(counting, "_bsgs", recording_bsgs)
+        monkeypatch.setattr(counting, "_fold_order", sorting_fold_order)
+        for p, A, B in curves:
+            assert count_points_prime(p, A, B) == count_reference(p, A, B), (p, A, B)
+        assert rules["divisors"] >= 3 and rules["strip"] >= 3, rules
 
 
 class TestScalarMul:

@@ -6,12 +6,15 @@ that needs it should get a public name instead.
 
 The README names the modules that exist, and every code name and path it
 quotes still resolves, so a rename or a deletion in the code fails here
-rather than leaving the guide stale.
+rather than leaving the guide stale. The package's docstrings and comments,
+where each fact about the code lives, are held to the same rule.
 """
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,13 +64,14 @@ def defines(module, name):
     )
 
 
-def unresolved(readme):
-    """The code spans of readme that name nothing the package defines, or a
-    path that does not exist: each `_name` and each `module.attr` of a
-    package module, calls read by their name, and each relative path."""
+def unresolved(text):
+    """The code spans of a Markdown text that name nothing the package
+    defines, or a path that does not exist: each `_name` and each
+    `module.attr` of a package module, calls read by their name, and each
+    relative path."""
     modules = {name: importlib.import_module(f"ecfactor.{name}") for name in MODULES}
     missing = []
-    for span in code_spans(readme.read_text()):
+    for span in code_spans(text):
         if re.fullmatch(r"[\w.-]+(/[\w.-]+)+/?", span):
             if not (ROOT / span).exists():
                 missing.append(span)
@@ -100,15 +104,47 @@ def test_the_readme_layout_names_every_module_on_disk():
 
 
 def test_every_name_and_path_the_readme_quotes_exists():
-    assert unresolved(ROOT / "README.md") == []
+    assert unresolved((ROOT / "README.md").read_text()) == []
+
+
+def prose(path):
+    """The docstrings of a Python file, a paragraph each, then its comments."""
+    source = path.read_text()
+    docs = [
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    comments = [
+        token.string.lstrip("#")
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    return "\n\n".join(filter(None, docs)) + "\n\n" + "\n".join(comments)
+
+
+def test_every_name_and_path_the_docstrings_and_comments_quote_exists():
+    found = {
+        path.name: missing
+        for path in sorted(SOURCE.glob("*.py"))
+        if (missing := unresolved(prose(path)))
+    }
+    assert found == {}
 
 
 def test_the_check_sees_a_deleted_name(tmp_path):
-    readme = tmp_path / "README.md"
-    readme.write_text(
+    readme = (
         "`_distinct_d` and `census._mobius(k)` are gone; `_plan(m)`,\n"
         "`oracle.query(n, A, B, d)` and `ecfactor.cli.main` are not.\n"
         "`tools/gone.py` is missing, `tools/query_table.py` is not.\n"
         "```sh\n`_in_a_fence` is not read\n```\n"
     )
     assert unresolved(readme) == ["_distinct_d", "census._mobius(k)", "tools/gone.py"]
+    module = tmp_path / "m.py"
+    module.write_text(
+        '"""`_distinct_d` is gone, `oracle.FactoredOracle` is not."""\n'
+        "x = '`_in_a_string` is not read'  # `census._mobius` is gone\n"
+        "def f():\n"
+        '    """`tools/gone.py` is missing."""\n'
+    )
+    assert unresolved(prose(module)) == ["_distinct_d", "tools/gone.py", "census._mobius"]

@@ -17,7 +17,7 @@ from ecfactor.oracle import (
     UnsupportedModulusError,
 )
 from ecfactor.reduction import ReductionConfig, factor_completely
-from proof_aux import legendre_count_reference
+from proof_aux import ReferenceOracle, legendre_count_reference
 
 
 def random_smooth_pair(rng, m):
@@ -25,6 +25,13 @@ def random_smooth_pair(rng, m):
         A, B = rng.randrange(m), rng.randrange(m)
         if gcd((4 * A ** 3 + 27 * B ** 2) % m, m) == 1:
             return A, B
+
+
+def seeded_prime(rng, lo, hi):
+    """A prime drawn uniformly from [lo, hi)."""
+    while not is_probable_prime(x := rng.randrange(lo, hi)):
+        pass
+    return x
 
 
 class TestFactoredOracle:
@@ -471,6 +478,50 @@ class TestPlan:
                 )
                 assert o.query(k, 0, 2, d) == expected, (k, d)
         assert sorted(counts) == sorted(primes + [1009, 16411, 1013])
+
+
+class TestAgainstTheReferenceOracle:
+    """The record path above the brute-force limit, against
+    `proof_aux.ReferenceOracle`, which counts every query prime by prime with
+    a reference that shares no code with `counting.count_points_prime`."""
+
+    @pytest.mark.parametrize(
+        "octaves", [(14, 19), (15, 17, 19)], ids=["two primes", "three primes"]
+    )
+    def test_query_sequences(self, octaves, monkeypatch):
+        # a prime in each [2^e, 2^(e+1)); a fresh curve, twists of the record
+        # until (d|p) has been +1 and -1 at each prime, a second fresh curve,
+        # then a twist of the first, which the record has since left
+        rng = random.Random(sum(octaves))
+        primes = [seeded_prime(rng, 2 ** e, 2 ** (e + 1)) for e in octaves]
+        m = math.prod(primes)
+        o, reference = FactoredOracle(primes), ReferenceOracle()
+        counts = []
+
+        def counted(p, A, B):
+            counts.append(p)
+            return count_points_prime(p, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        first, second = random_smooth_pair(rng, m), random_smooth_pair(rng, m)
+        assert o.query(m, *first) == reference.query(m, *first)
+        signs = set()
+        for d in range(2, 100):
+            if gcd(d, m) == 1 and not {(p, jacobi(d, p)) for p in primes} <= signs:
+                signs |= {(p, jacobi(d, p)) for p in primes}
+                assert o.query(m, *first, d) == reference.query(m, *first, d), d
+        assert signs == {(p, s) for p in primes for s in (1, -1)}
+        assert len(counts) == len(primes)  # every twist read off the record
+        assert o.query(m, *second) == reference.query(m, *second)
+        d = next(d for d in range(2, 100) if gcd(d, m) == 1 and jacobi(d, primes[-1]) == -1)
+        assert o.query(m, *first, d) == reference.query(m, *first, d)
+        assert len(counts) == 3 * len(primes)
+        for A, B in (curves.twist(m, *first, d), second):  # the record's curve, and another
+            for d in (primes[0], 2 * primes[-1]):
+                for oracle in (o, reference):
+                    with pytest.raises(ValueError, match="gcd"):
+                        oracle.query(m, A, B, d)
+        assert o.queries == reference.queries
 
 
 class TestDirectOracle:
