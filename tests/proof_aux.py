@@ -26,7 +26,10 @@ count_reference counts a curve by Euler's sum over a table of squares, in
 chunks, with no code shared with `counting.count_points_prime`, and
 ReferenceOracle is `ecfactor.oracle.DirectOracle` counting by it, with no
 cap on its primes: the reference for `ecfactor.oracle.FactoredOracle` above
-the brute-force limit.
+the brute-force limit. LoggingOracle is `ecfactor.oracle.FactoredOracle`
+logging every answered query, and recount answers a logged query afresh,
+prime by prime through `counting.count_points_prime`, with no record: the
+replay of the record path where no independent count reaches.
 """
 
 import argparse
@@ -40,9 +43,9 @@ from collections import Counter
 
 import numpy as np
 
-from ecfactor import arith, counting
+from ecfactor import arith, counting, curves
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
-from ecfactor.oracle import DirectOracle, UnsupportedModulusError
+from ecfactor.oracle import DirectOracle, FactoredOracle, UnsupportedModulusError
 from ecfactor.reduction import Recovery
 
 
@@ -389,3 +392,26 @@ class ReferenceOracle(DirectOracle):
 
     def _count(self, plan: list[int], A: int, B: int) -> int:
         return math.prod(count_reference(p, A, B) for p in plan)
+
+
+class LoggingOracle(FactoredOracle):
+    """`ecfactor.oracle.FactoredOracle` that logs (m, A, B, d, N) for every
+    answered query in `log`."""
+
+    def __init__(self, primes: list[int]):
+        super().__init__(primes)
+        self.log: list[tuple[int, int, int, int, int]] = []
+
+    def query(self, m: int, A: int, B: int, d: int = 1) -> int:
+        N = super().query(m, A, B, d)
+        self.log.append((m, A, B, d, N))
+        return N
+
+
+def recount(primes: list[int], m: int, A: int, B: int, d: int) -> int:
+    """|E^d_m| as the product over the primes p of m of
+    `counting.count_points_prime` on E^d mod p: a fresh count at every prime,
+    with no record."""
+    return math.prod(
+        counting.count_points_prime(p, *curves.twist(p, A, B, d)) for p in primes if m % p == 0
+    )

@@ -422,12 +422,23 @@ class TestNonresidueCommand:
         assert code == 2
 
 
-def test_every_export_resolves():
-    # `from ecfactor import *` fails on a name in __all__ the package lacks
-    namespace = {}
-    exec("from ecfactor import *", namespace)
-    names = sorted(name for name in namespace if name != "__builtins__")
-    assert names == sorted(ecfactor.__all__)
+def test_importing_the_reduction_loads_neither_the_oracle_nor_numpy():
+    # the algorithm is pure Python: only the simulated oracle and the census need numpy
+    src = str(Path(ecfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, ecfactor.reduction\n"
+        "print(' '.join(sorted({'numpy', 'ecfactor.counting', 'ecfactor.oracle'} & set(sys.modules))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -17,7 +17,7 @@ from ecfactor.oracle import (
     UnsupportedModulusError,
 )
 from ecfactor.reduction import ReductionConfig, factor_completely
-from proof_aux import ReferenceOracle, legendre_count_reference
+from proof_aux import LoggingOracle, ReferenceOracle, legendre_count_reference, recount
 
 
 def random_smooth_pair(rng, m):
@@ -522,6 +522,53 @@ class TestAgainstTheReferenceOracle:
                     with pytest.raises(ValueError, match="gcd"):
                         oracle.query(m, A, B, d)
         assert o.queries == reference.queries
+
+
+class TestReplayAtScale:
+    """The record path where no independent count reaches: every answer is
+    replayed by `proof_aux.recount`, a fresh count at each prime with no
+    record."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_walk_at_primes_near_2_30(self, k):
+        # three n of k primes from [2^30, 2^30 + 40000], drawn as the scale rows are
+        lo = 2 ** 30
+        rng = random.Random(f"scale:{k}:{lo}")
+        pool = primes_between(lo, lo + 40000)
+        for _ in range(3):
+            primes = sorted(rng.sample(pool, k))
+            o = LoggingOracle(primes)
+            cfg = ReductionConfig(seed=rng.randrange(2 ** 32))
+            result = factor_completely(math.prod(primes), o, cfg)
+            assert result.factors == tuple(primes) and result.success
+            assert len(o.log) == result.queries
+            for m, A, B, d, N in o.log:
+                assert recount(primes, m, A, B, d) == N, (m, A, B, d)
+
+    def test_twists_at_the_largest_prime_below_2_60(self, monkeypatch):
+        # p's symbol is jacobi, q's a lookup in its character table; a twist
+        # by each pair of signs other than (+1, +1) is read off the record
+        p, q = 2 ** 60 - 93, 1009
+        m = p * q
+        o = LoggingOracle([p, q])
+        counts = []
+
+        def counted(prime, A, B):
+            counts.append(prime)
+            return count_points_prime(prime, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        A, B = random_smooth_pair(random.Random(60), m)
+        twists = [
+            next(d for d in range(2, 1000) if (jacobi(d, p), jacobi(d, q)) == signs)
+            for signs in ((-1, 1), (1, -1), (-1, -1))
+        ]
+        for d in [1, *twists]:
+            o.query(m, A, B, d)
+        assert sorted(counts) == [q, p]
+        monkeypatch.undo()
+        for m, A, B, d, N in o.log[1:]:
+            assert recount([p, q], m, A, B, d) == N, d
 
 
 class TestDirectOracle:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -114,6 +116,35 @@ def test_bench_pairs_stages_both_trees_as_copies(tmp_path):
         files = sorted(str(f.relative_to(root)) for f in root.rglob("*") if f.is_file())
         assert files == ["bench/run.py", "src/ecfactor/__init__.py"]
         assert (root / "bench/run.py").read_text() == f"{side} bench/run.py"
+
+
+class Staged(Exception):
+    pass
+
+
+def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, capsys):
+    # each of these used to fail only after every pair had run
+    bp = load_bench_pairs()
+
+    def fail(*args):
+        raise Staged
+
+    monkeypatch.setattr(bp, "stage", fail)
+    monkeypatch.setattr(bp, "run", fail)
+    argv = ["--base", str(ROOT), "--seeds", "1-2"]
+    for bad in (
+        ["--workloads", "factor-twist", "--claim", "factor-cold:wall_ref_s"],  # workload not run
+        ["--claim", "factor-twist:wall_ms"],  # not an end-to-end metric
+        ["--claim", "factor-twist"],  # no colon
+        ["--seeds", "4801"],  # one seed
+        ["--workloads", "factor-twsit"],  # unknown workload
+    ):
+        assert bp.main(argv + bad) == 2, bad
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (bad, err)
+    # good arguments get as far as staging the copies
+    with pytest.raises(Staged):
+        bp.main(argv + ["--workloads", "factor-cold", "--claim", "factor-cold:setup_s"])
 
 
 def test_payload_digest_pins_the_census_past_the_benchmark():

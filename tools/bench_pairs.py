@@ -16,11 +16,15 @@ once from the root of each copy, back to back: the parent first at odd seeds
 and the change first at even seeds. DIR is a second tree of the program, for
 example a `git archive` of the parent commit unpacked elsewhere. The script
 refuses to run (exit 2) if the two trees' `bench/` files differ, since the
-pairs would then not run the same benchmark.
+pairs would then not run the same benchmark, and, before any copy or run,
+if a workload is not in `BENCHMARK.json`, if the claim's workload is not
+among those run or its metric is not an end-to-end metric there, or if
+fewer than two seeds are given, since the summary needs two data points.
 
-It prints one JSON object: every run's printed lines and result, and a
-summary per workload and end-to-end metric of `BENCHMARK.json`: q1, median
-and q3 of each side by `statistics.quantiles(n=4, method='inclusive')`,
+It prints one JSON object: every run's printed lines, result and
+`elapsed_s` (its wall seconds), the total `elapsed_s`, and a summary per
+workload and end-to-end metric of `BENCHMARK.json`: q1, median and q3 of
+each side by `statistics.quantiles(n=4, method='inclusive')`,
 `change_vs_parent_median` (change median / parent median - 1), the metric's
 bound, `worse_than_bound` (the change's median is worse than the parent's
 by more than that relative bound), the parent's interquartile range and
@@ -31,7 +35,7 @@ metric: the change is better in at least 9 of 10 pairs, and the gap between
 the medians is larger than the parent's interquartile range.
 
 The `BENCH_*.json` files from `BENCH_30.json` on come from it. Ten seeds of
-the three workloads take about 4 minutes on a 2-core x86 host.
+the three workloads took 386 s for `BENCH_48.json` on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,15 +118,18 @@ def stage(trees: dict[str, Path], into: Path) -> dict[str, Path]:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "30", "--trace", "0"],
         capture_output=True, text=True, cwd=tree, timeout=1800,
     )
+    elapsed = time.perf_counter() - start
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     return {"workload": workload, "seed": seed, "trace": 0,
-            "printed": lines[:-1] if result else lines, "rc": proc.returncode, "result": result}
+            "printed": lines[:-1] if result else lines, "rc": proc.returncode, "result": result,
+            "elapsed_s": round(elapsed, 2)}
 
 
 def seed_range(text: str) -> list[int]:
@@ -142,9 +150,24 @@ def main(argv=None) -> int:
         print(f"error: bench/ differs between {ROOT} and {base}", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else known
     metrics = spec["end_to_end"]
+    claimed, colon, claimed_metric = (args.claim or "").partition(":")
+    refusal = None
+    if not set(workloads) <= set(known):
+        refusal = f"unknown workloads {sorted(set(workloads) - set(known))}; BENCHMARK.json has {known}"
+    elif args.claim is not None and (not colon or claimed not in workloads):
+        refusal = f"--claim is WORKLOAD:METRIC with a workload that runs, not {args.claim!r}"
+    elif args.claim is not None and claimed_metric not in [m["name"] for m in metrics]:
+        refusal = f"--claim metric {claimed_metric!r} is not an end-to-end metric of BENCHMARK.json"
+    elif len(args.seeds) < 2:
+        refusal = f"--seeds needs at least two seeds, not {args.seeds}"
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
     runs = []
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         sides = stage({"parent": base, "change": ROOT}, Path(tmp))
         for workload in workloads:
@@ -169,11 +192,10 @@ def main(argv=None) -> int:
         regressions = [f"{w}/{m}" for w, by_metric in summary.items()
                        for m, s in by_metric.items() if s["worse_than_bound"]]
         if args.claim:
-            workload, metric = args.claim.split(":")
-            better = next(m["better"] for m in metrics if m["name"] == metric)
-            claim = {"workload": workload, "metric": metric,
-                     **claim_holds(values("parent", workload, metric),
-                                   values("change", workload, metric), better)}
+            better = next(m["better"] for m in metrics if m["name"] == claimed_metric)
+            claim = {"workload": claimed, "metric": claimed_metric,
+                     **claim_holds(values("parent", claimed, claimed_metric),
+                                   values("change", claimed, claimed_metric), better)}
     counts = lambda r: [line for line in r["printed"] if line.startswith(COUNT_LINES)]
     identical = all(counts(a) == counts(b) for a, b in zip(runs[::2], runs[1::2]))
     doc = {
@@ -193,6 +215,7 @@ def main(argv=None) -> int:
             for side in sides
         },
         "runs_without_result": len(missing),
+        "elapsed_s": round(time.perf_counter() - start, 1),
         "printed_counts_identical": identical,
         "runs": runs,
     }
