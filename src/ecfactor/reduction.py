@@ -16,9 +16,10 @@ twist by d0 (E^d is isomorphic to E^d0 by u = m), and d0 has the same
 symbol, so the walk has already queried d0 on this curve and its
 recovery would fail again.
 
-The walk reads the squarefree d off one sieve of flags, `_squarefree(lo,
-hi)`, over the segments [2^k, 2^(k+1)), cached and shared by every split;
-below `MAX_D_LIMIT` there are at most 19 of them, under 2^20 bytes in all.
+The walk reads the squarefree d off one sieve of flags, `_squarefree(hi)`,
+over [2, hi) for hi the least power of two above max_d, cached with one
+entry per power of two and shared by every split: a walk to `MAX_D_LIMIT`
+caches one entry of 2^20 - 2 bytes, and all sizes together stay under 2^21.
 It takes (d|n) by one `jacobi` per squarefree d. The walk goes up from 2,
 so the first d with (d|n) = 0 is n's least prime: any other squarefree d
 sharing a prime with n is above that prime. It ends the split with no gcd,
@@ -68,7 +69,7 @@ D_MAX = 10 ** 4
 # so the cap bounds such a walk near 2.5 s, at about 30 MB peak RSS: `factor
 # 1077272742627746153 --seed 419625122 --max-d 1000000`, whose first curve never
 # splits n, took 2.4-4.0 s and 29 MB over four runs. The default
-# 4*ceil(ln(n)^2) stays within it for n < e^500.
+# 4*ceil(ln(n)^2) is cut at it, which it reaches from n ~ e^500 (722 bits) on.
 MAX_D_LIMIT = 10 ** 6
 
 
@@ -96,7 +97,7 @@ class ReductionConfig:
     def resolved_max_d(self, n: int) -> int:
         if self.max_d is not None:
             return self.max_d
-        return 4 * math.ceil(math.log(n) ** 2)
+        return min(4 * math.ceil(math.log(n) ** 2), MAX_D_LIMIT)
 
     def resolved_max_curves(self, n: int) -> int:
         if self.max_curves is not None:
@@ -147,23 +148,21 @@ def recover_from_ratio(N: int, Nd: int, D: int, n: int) -> Recovery | None:
 
 
 @functools.cache
-def _squarefree(lo: int, hi: int) -> bytes:
-    """One flag per d in [lo, hi), 2 <= lo: 1 where d is squarefree, 0 where
-    the square of a prime q <= sqrt(hi) divides it."""
-    flags = bytearray(b"\x01") * (hi - lo)
+def _squarefree(hi: int) -> bytes:
+    """One flag per d in [2, hi): 1 where d is squarefree, 0 where the
+    square of a prime q <= sqrt(hi) divides it."""
+    flags = bytearray(b"\x01") * hi
     for q in primes_between(2, math.isqrt(hi - 1)):
-        first = -lo % (q * q)
-        flags[first::q * q] = bytes(len(flags[first::q * q]))
-    return bytes(flags)
+        flags[::q * q] = bytes(len(range(0, hi, q * q)))
+    return bytes(flags[2:])
 
 
 def _twists(max_d: int):
-    """The squarefree 2 <= d <= max_d, ascending, off the cached flags of
-    the segments [2^k, 2^(k+1))."""
-    lo = 2
-    while lo <= max_d:
-        yield from itertools.compress(range(lo, min(2 * lo, max_d + 1)), _squarefree(lo, 2 * lo))
-        lo *= 2
+    """The squarefree 2 <= d <= max_d, ascending, off the cached flags below
+    the least power of two above max_d."""
+    return itertools.compress(
+        range(2, max_d + 1), memoryview(_squarefree(1 << max_d.bit_length()))[:max_d - 1]
+    )
 
 
 def twist_walk(

@@ -120,6 +120,17 @@ class TestFactorSmall:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factor_small(0)
+        with pytest.raises(ValueError, match="odd_part: x must be >= 1"):
+            odd_part(0)
+
+    def test_rho_retries_with_the_next_c(self):
+        # 14591 * 20341 is above 2^24 with no prime factor below 2^12, and
+        # rho at c = 1 meets both primes at once, so factor_small tries c = 2
+        x = 296795531
+        assert x == 14591 * 20341 and x > 2 ** 24
+        assert math.gcd(x, math.prod(arith._TRIAL_PRIMES)) == 1
+        assert arith._brent_rho(x, 1) == x
+        assert factor_small(x) == ((14591, 1), (20341, 1))
 
     def test_matches_trial_division_to_2_40(self):
         # every x <= 3*10^4, then semiprimes to 2^40: factors above the

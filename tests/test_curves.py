@@ -28,6 +28,10 @@ class TestScreen:
             g = screen(n, rng.randrange(n), rng.randrange(n))
             assert 1 <= g <= n and n % g == 0
 
+    def test_rejects_moduli_below_2(self):
+        with pytest.raises(ValueError, match="screen: modulus must be >= 2"):
+            screen(1, 0, 0)
+
 
 class TestTwist:
     def test_examples(self):
@@ -104,6 +108,10 @@ class TestSampleCurve:
                 hit = True
                 break
         assert hit
+
+    def test_rejects_moduli_below_5(self):
+        with pytest.raises(ValueError, match="sample_curve: modulus must be >= 5"):
+            sample_curve(4, random.Random(0), [])
 
     def test_exhaustion_cap(self):
         # a full used-list of every class mod 5 forces exhaustion; at a prime

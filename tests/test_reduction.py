@@ -478,25 +478,24 @@ class TestRecoveryOncePerCount:
 
 
 class TestTwistSchedule:
-    """The walk's d come off one cached sieve of squarefree flags over the
-    segments [2^k, 2^(k+1))."""
+    """The walk's d come off one cached sieve of squarefree flags below the
+    least power of two above max_d."""
 
     def test_entries_are_the_squarefree_d(self):
-        # every cut of a segment: at its last d, at the first d of the next,
-        # and one past it
+        # every cut at a power of two: at the last d below it, at it, and one
+        # past it
         squarefree = [d for d in range(2, 2 ** 15 + 2) if all(e == 1 for _, e in factor_small(d))]
         for top in (2999, *(2 ** k + i for k in range(1, 16) for i in (-1, 0, 1))):
             assert list(_twists(top)) == [d for d in squarefree if d <= top], top
 
     def test_the_longest_walk_keeps_under_a_megabyte(self):
-        # a walk to MAX_D_LIMIT reads the 19 segments up to [2^19, 2^20) and
-        # caches nothing else; 607926 integers up to 10^6 are squarefree, 1
-        # among them
+        # a walk to MAX_D_LIMIT reads the flags below 2^20 and caches nothing
+        # else; 607926 integers up to 10^6 are squarefree, 1 among them
         _squarefree.cache_clear()
         assert sum(1 for _ in _twists(MAX_D_LIMIT)) == 607925
         info = _squarefree.cache_info()
         assert info.currsize <= 19
-        cached = sum(len(_squarefree(2 ** k, 2 ** (k + 1))) for k in range(1, 20))
+        cached = len(_squarefree(2 ** 20))
         assert _squarefree.cache_info().currsize == info.currsize
         assert cached < 2 ** 20
 
@@ -568,6 +567,15 @@ class TestFactorCompletely:
         with pytest.raises(ValueError, match="ReductionConfig"):
             ReductionConfig(**budget)
 
+    def test_default_max_d_stops_at_the_cap(self):
+        # 4*ceil(ln(n)^2) passes MAX_D_LIMIT from about 722 bits on; an
+        # explicit max_d is returned as given
+        cfg = ReductionConfig()
+        assert cfg.resolved_max_d(2 ** 961 + 1) == MAX_D_LIMIT
+        assert cfg.resolved_max_d(2 ** 240 + 1) == 110700
+        assert ReductionConfig(max_d=5).resolved_max_d(2 ** 961 + 1) == 5
+        assert ReductionConfig(max_d=MAX_D_LIMIT).resolved_max_d(35) == MAX_D_LIMIT
+
     def test_config_caps_d(self):
         assert ReductionConfig(D=D_MAX).D == D_MAX
         with pytest.raises(ValueError, match=f"ReductionConfig: D must be <= {D_MAX}"):
@@ -576,7 +584,10 @@ class TestFactorCompletely:
     def test_rejects_squares_at_entry(self):
         # 4 | 140 and 9 | 18 are caught before any split; 5^2 | 25 is caught
         # by the oracle when it is asked about 25 (its UnsupportedModulusError
-        # is a ValueError), or at the end when 5 comes back twice
+        # is a ValueError), or at the end when 5 comes back twice; n = 1 is
+        # refused before anything
+        with pytest.raises(ValueError, match="factor_completely: n must be >= 2"):
+            factor_completely(1, FactoredOracle([5, 7]), ReductionConfig())
         for n in (140, 18, 36):
             with pytest.raises(ValueError, match=f"factor_completely: {n} is not squarefree"):
                 factor_completely(n, FactoredOracle([5, 7]), ReductionConfig())
