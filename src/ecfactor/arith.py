@@ -29,9 +29,7 @@ import bisect
 import math
 import random
 from collections import Counter
-
-gcd = math.gcd
-isqrt = math.isqrt
+from math import gcd, isqrt
 
 
 def jacobi(a: int, m: int) -> int:

@@ -62,12 +62,12 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from . import arith
-from .arith import is_probable_prime, isqrt, jacobi, odd_part, primes_between
+from .arith import is_probable_prime, jacobi, odd_part, primes_between
 # count_points_prime is unused here but kept: bench/tracer.py wraps it by this name.
 from .counting import count_points_prime, legendre_sums, normal_form_traces
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from ecfactor import arith, counting, curves
 from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
-from ecfactor.oracle import DirectOracle, FactoredOracle, UnsupportedModulusError
+from ecfactor.oracle import DirectOracle, FactoredOracle
 from ecfactor.reduction import Recovery
 
 
@@ -376,22 +376,16 @@ def count_reference(p: int, A: int, B: int) -> int:
 
 
 class ReferenceOracle(DirectOracle):
-    """`ecfactor.oracle.DirectOracle` that admits a squarefree m with prime
-    factors >= 5 by `factor_small`, with no cap on the primes, and counts
-    each prime by `count_reference`."""
+    """`ecfactor.oracle.DirectOracle` that finds the primes of m by
+    `factor_small`, with no cap on them, and counts each prime by
+    `count_reference`; `Oracle.query` admits m by the same rule as for
+    every oracle."""
 
-    def _plan(self, m: int) -> list[int]:
-        if m < 2:
-            raise UnsupportedModulusError(f"modulus {m} must be >= 2")
-        facts = factor_small(m)
-        if facts[0][0] < 5 or any(e > 1 for _, e in facts):
-            raise UnsupportedModulusError(
-                f"modulus {m} must be squarefree with prime factors >= 5"
-            )
-        return [p for p, _ in facts]
+    def _factor(self, m: int) -> list[int]:
+        return [p for p, _ in factor_small(m)]
 
-    def _count(self, plan: list[int], A: int, B: int) -> int:
-        return math.prod(count_reference(p, A, B) for p in plan)
+    def _count(self, m: int, primes: list[int], A: int, B: int) -> int:
+        return math.prod(count_reference(p, A, B) for p in primes)
 
 
 class LoggingOracle(FactoredOracle):

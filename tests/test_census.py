@@ -15,14 +15,14 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecfactor import census
-from ecfactor.arith import is_probable_prime, isqrt, primes_between
+from ecfactor.arith import is_probable_prime, primes_between
 from ecfactor.census import (
     CSV_HEADER,
     NonResidueNotFound,

@@ -21,7 +21,7 @@ on the same points.
 import random
 import time
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecfactor import counting
-from ecfactor.arith import factor_small, is_probable_prime, isqrt, jacobi, primes_between
+from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.counting import (
     _bsgs_count,
     _legendre_count,

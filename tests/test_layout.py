@@ -2,7 +2,9 @@
 
 No module of the package imports a private name of another: a name with a
 leading underscore is private to the module that defines it, and a sibling
-that needs it should get a public name instead.
+that needs it should get a public name instead. Nor does one import a
+callable through a sibling that only imports it: each is imported from the
+module that defines it.
 
 The README names the modules that exist, and every code name and path it
 quotes still resolves, so a rename or a deletion in the code fails here
@@ -47,6 +49,37 @@ def test_the_check_sees_a_private_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from .counting import _legendre_table, count_points_prime\n")
     assert private_imports(module) == [(1, "counting", "_legendre_table")]
+
+
+def foreign_imports(path):
+    """(line, module, name) for each callable imported from a sibling that
+    the sibling does not define, such as a function it imports itself."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.lineno, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
+        for alias in node.names
+        if callable(value := getattr(importlib.import_module(f"ecfactor.{node.module}"), alias.name))
+        and getattr(value, "__module__", None) != f"ecfactor.{node.module}"
+    ]
+
+
+def test_no_module_imports_a_callable_through_a_sibling():
+    # each callable is imported from the module that defines it, the
+    # standard library's from the standard library
+    found = {
+        path.name: hits
+        for path in sorted(SOURCE.glob("*.py"))
+        if (hits := foreign_imports(path))
+    }
+    assert found == {}
+
+
+def test_the_check_sees_a_callable_imported_through_a_sibling(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .arith import gcd, jacobi\nfrom .counting import BRUTEFORCE_LIMIT\n")
+    assert foreign_imports(module) == [(1, "arith", "gcd")]
 
 
 def code_spans(text):
@@ -134,7 +167,7 @@ def test_every_name_and_path_the_docstrings_and_comments_quote_exists():
 
 def test_the_check_sees_a_deleted_name(tmp_path):
     readme = (
-        "`_distinct_d` and `census._mobius(k)` are gone; `_plan(m)`,\n"
+        "`_distinct_d` and `census._mobius(k)` are gone; `_count(m)`,\n"
         "`oracle.query(n, A, B, d)` and `ecfactor.cli.main` are not.\n"
         "`tools/gone.py` is missing, `tools/query_table.py` is not.\n"
         "```sh\n`_in_a_fence` is not read\n```\n"

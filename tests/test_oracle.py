@@ -143,7 +143,7 @@ class TestTwistMemo:
         o.query(35, 1, 1)
         o.query(35, 4, 8)  # the twist by d = 2: answered from the record
         assert o.queries == 2
-        o.query(7, 1, 1)  # the same curve mod 7: counted, on a plan of its own
+        o.query(7, 1, 1)  # the same curve mod 7: counted, on a modulus of its own
         o.query(5, 1, 1)  # and mod 5, a modulus not asked about before
         assert o.queries == 4
 
@@ -153,10 +153,10 @@ _TWIST_STEPS = ("fresh", "j = 0", "j = 1728", "twist by d", "old twist by d")
 
 
 class TestRecord:
-    """FactoredOracle keeps, per modulus, the record of the last curve it
-    counted; a query of that curve, twisted by any d coprime to the modulus,
-    is answered from it, and any other query is counted, and the curve it
-    counts replaces the record."""
+    """FactoredOracle keeps the record of the last curve counted, with its
+    modulus; a query of that curve on that modulus, twisted by any d coprime
+    to the modulus, is answered from it, and any other query is counted, and
+    the curve it counts replaces the record."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(
@@ -278,6 +278,46 @@ class TestRecord:
                 assert symbols == {1, -1}
             assert o.queries == 160
 
+    @pytest.mark.parametrize(
+        "k, lo, hi", [(8, 1000, 2000), (2, 10 ** 5, 2 * 10 ** 5)], ids=["8 primes", "2 primes"]
+    )
+    def test_the_reduction_twists_only_the_last_curve_counted(self, monkeypatch, k, lo, hi):
+        # the traffic one record serves: in ten seeded factorizations, each
+        # twist is of the last curve counted on its modulus, the queries on
+        # a modulus form one run, and each d = 1 query counts every prime of
+        # its modulus once while no twist counts
+        log = []
+        counts = []  # (index in log of the query being answered, p)
+
+        def counted(p, A, B):
+            counts.append((len(log), p))
+            return count_points_prime(p, A, B)
+
+        monkeypatch.setattr(counting, "count_points_prime", counted)
+        rng = random.Random(f"traffic:{k}:{lo}")
+        pool = primes_between(lo, hi)
+        for _ in range(10):
+            primes = sorted(rng.sample(pool, k))
+            o = LoggingOracle(primes)
+            log = o.log
+            counts.clear()
+            cfg = ReductionConfig(seed=rng.randrange(2 ** 32))
+            result = factor_completely(math.prod(primes), o, cfg)
+            assert result.factors == tuple(primes) and len(log) == result.queries
+            counted_at = [[] for _ in log]
+            for i, p in counts:
+                counted_at[i].append(p)
+            last, done = {}, set()
+            for i, (m, A, B, d, _) in enumerate(log):
+                if i and log[i - 1][0] != m:
+                    done.add(log[i - 1][0])
+                    assert m not in done, (i, m)
+                if d == 1:
+                    last[m] = (A, B)
+                else:
+                    assert last.get(m) == (A, B), (i, m, A, B, d)
+                assert counted_at[i] == ([p for p in primes if m % p == 0] if d == 1 else []), i
+
 
 class TestSymbolRows:
     """Twists at table primes and above the crossover, where the record
@@ -360,17 +400,25 @@ _BOTH = pytest.mark.parametrize(
 
 
 class TestPlan:
-    """Oracle.query admits a modulus once per oracle into a plan and keeps it;
-    FactoredOracle's plans of per-prime states answer queries, checked
-    against DirectOracle's brute force."""
+    """Oracle.query admits a modulus once per oracle, by one rule, and keeps
+    its primes; FactoredOracle answers from the record of the last curve
+    counted, checked against DirectOracle's brute force."""
 
-    @_BOTH
+    @pytest.mark.parametrize(
+        "make_oracle",
+        [FactoredOracle, lambda primes: DirectOracle(), lambda primes: ReferenceOracle()],
+        ids=["factored", "direct", "reference"],
+    )
     def test_a_refused_modulus_is_refused_again(self, make_oracle):
+        # every oracle refuses the same moduli, by the one rule in Oracle.query
         o = make_oracle([5, 7])
         assert o.query(35, 1, 1) == 45
         for _ in range(2):
-            for m in (15, 175, 1):  # 3 is not an oracle prime; 175 = 5^2 * 7
-                with pytest.raises(UnsupportedModulusError):
+            for m in (15, 175):  # 3 is not an oracle prime; 175 = 5^2 * 7
+                with pytest.raises(UnsupportedModulusError, match=f"modulus {m} .*squarefree"):
+                    o.query(m, 1, 1)
+            for m in (1, 0, -35):
+                with pytest.raises(UnsupportedModulusError, match=f"modulus {m} must be >= 2"):
                     o.query(m, 1, 1)
             assert o.queries == 1
         assert o.query(35, 1, 1) == 45
@@ -378,8 +426,8 @@ class TestPlan:
 
     @_BOTH
     def test_one_plan_per_modulus(self, make_oracle, monkeypatch):
-        # 20 queries on one modulus build its plan once, and DirectOracle
-        # factors it once
+        # 20 queries on one modulus admit it once, and DirectOracle factors
+        # it once
         factored = []
 
         def counted(x):
@@ -390,20 +438,20 @@ class TestPlan:
         primes = [1009, 1013]
         m = math.prod(primes)
         o = make_oracle(primes)
-        planned = []
-        plan = o._plan
-        monkeypatch.setattr(o, "_plan", lambda k: planned.append(k) or plan(k))
+        admitted = []
+        factor = o._factor
+        monkeypatch.setattr(o, "_factor", lambda k: admitted.append(k) or factor(k))
         rng = random.Random(20)
         for _ in range(20):
             A, B = random_smooth_pair(rng, m)
             assert o.query(m, A, B) == math.prod(count_points_prime(p, A, B) for p in primes)
-        assert planned == [m]
+        assert admitted == [m]
         assert factored == ([m] if isinstance(o, DirectOracle) else [])
         assert o.queries == 20
 
     def test_interleaved_twists_on_a_modulus_and_its_divisor(self):
-        # each modulus has its own plan, with its own states at the primes
-        # the two share; 1009 has a character table and 16411 does not
+        # every query is a fresh curve on its modulus, counted at the primes
+        # of that modulus; 1009 has a character table and 16411 does not
         m = 1009 * 1013 * 16411
         o, direct = FactoredOracle([1009, 1013, 16411]), DirectOracle()
         rng = random.Random(24)
@@ -457,9 +505,10 @@ class TestPlan:
 
     def test_a_cofactor_reads_its_twists_off_its_own_record(self, monkeypatch):
         # y^2 = x^3 + 2 (j = 0 at every prime) is counted once per prime on
-        # the modulus and once per prime on each cofactor, which has a plan
-        # and a record of its own; its twists, on each modulus and back on
-        # the first after the cofactors, are read off that modulus's record
+        # the modulus and once per prime on each cofactor, and its twists are
+        # read off the record of the last curve counted; back on the first
+        # modulus after the cofactors, the record has moved on, so each
+        # modulus is counted again
         primes = [1009, 1013, 16411]
         m = math.prod(primes)
         counts = []
@@ -477,7 +526,7 @@ class TestPlan:
                     count_points_prime(p, 0, 2 * d ** 3 % p) for p in primes if k % p == 0
                 )
                 assert o.query(k, 0, 2, d) == expected, (k, d)
-        assert sorted(counts) == sorted(primes + [1009, 16411, 1013])
+        assert sorted(counts) == sorted(2 * (primes + [1009, 16411, 1013]))
 
 
 class TestAgainstTheReferenceOracle:
@@ -601,7 +650,7 @@ class TestDirectOracle:
         with pytest.raises(UnsupportedModulusError, match="squarefree"):
             o.query(7 * 99991 ** 2, 1, 1)  # the largest prime below 1e5, twice
         assert time.perf_counter() - start < 1.0
-        assert o._plan(5 * 99991 * 99989) == [5, 99989, 99991]
+        assert o._factor(5 * 99991 * 99989) == [5, 99989, 99991]
         assert o.queries == 0
 
     def test_modulus_argument_is_ignored(self):

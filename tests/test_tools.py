@@ -150,8 +150,10 @@ def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, capsys):
 def test_payload_digest_pins_the_census_past_the_benchmark():
     # the digest's census sweeps, read without running them, reach every path
     # the benchmark's sweeps miss; trimming a pin fails here
+    from math import isqrt
+
     from ecfactor import census
-    from ecfactor.arith import isqrt, primes_between
+    from ecfactor.arith import primes_between
 
     spec = importlib.util.spec_from_file_location("payload_digest", ROOT / "tools" / "payload_digest.py")
     digest = importlib.util.module_from_spec(spec)
