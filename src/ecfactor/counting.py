@@ -46,9 +46,10 @@ refuses singular curves, and dispatches on `_CROSSOVER`:
 
 The character table and the weights are built together, on the first use
 at a prime, and cached read-only, so later counts there are cheap. The
-cache, a `functools.cache`, takes only the 1898 primes up to `_CROSSOVER`
-(`_admit` and the crossover test), so nothing is ever rebuilt; filled, it
-holds 29.2 MB of int8 tables and 29.2 MB of int16 weights, 58.4 MB in all.
+cache, a `functools.cache`, admits p itself (`_admit`) and refuses a p
+above `_CROSSOVER`, so it holds only the 1898 primes up to the crossover
+and nothing is ever rebuilt; filled, it holds 29.2 MB of int8 tables and
+29.2 MB of int16 weights, 58.4 MB in all.
 One build works over the powers y_i = g^i, 0 <= i < p - 1, of the least
 primitive root g (`arith.primitive_root`), taken as an outer product of
 about sqrt(p) by sqrt(p) powers and dropped once the build ends. Since
@@ -58,9 +59,10 @@ first, and the cache hands out the view of its first p entries; the one-lag
 count reads the doubled array through the view's `.base`, so the p cyclic
 terms chi(t + s) of its lag are one contiguous slice.
 
-`character_table(p)` is public: `oracle.FactoredOracle` reads (d | p) off
-it when it answers a twist by d from its record. It returns None above the
-crossover, so only this module decides which primes have tables.
+`symbol(p)` is public, the callable x -> (x | p), so only this module
+decides which primes have tables: `oracle.FactoredOracle` takes one per
+prime and reads (d | p) with it when it answers a twist by d from its
+record.
 
 `legendre_sums(p, A, B)` is the one evaluation of sum_x (x^3+Ax+B | p), at
 table primes only. It takes one curve or a column of curves, of any
@@ -100,7 +102,7 @@ quantities.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import gcd, isqrt
 
 import numpy as np
@@ -139,13 +141,17 @@ def count_points_prime(p: int, A: int, B: int) -> int:
     return _normal_form_count(p, A, B)
 
 
-@cache  # only the 1898 admitted primes up to _CROSSOVER reach it
+@cache  # a refused p raises, so only the 1898 primes up to _CROSSOVER are kept
 def _table_and_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The character table and the weights w of a prime 5 <= p <= _CROSSOVER,
     from one array of powers (module docstring). The table is the read-only
     int8 (x | p) for 0 <= x < p: a view of the first half of a read-only
     array of length 2p whose halves are equal. The weights are the read-only
-    int16 w(s) for 0 <= s < p, with sum |w| <= p - 1."""
+    int16 w(s) for 0 <= s < p, with sum |w| <= p - 1. Any other p raises a
+    ValueError naming it: a larger prime has no table."""
+    _admit(p)
+    if p > _CROSSOVER:
+        raise ValueError(f"counting: p must be <= {_CROSSOVER}, got {p}")
     g = primitive_root(p)
     m = isqrt(p - 2) + 1  # g^(mj + k) for 0 <= j, k < m covers every i < p - 1
     row = [1]
@@ -185,9 +191,7 @@ def legendre_sums(p: int, A, B):
     """sum_x (x^3+Ax+B | p) for a prime 5 <= p <= _CROSSOVER and any integer
     A, B, taken mod p: an int64 for one curve, or an array of k sums for A and
     B int64 arrays of shape (k, 1). A larger p has no character table and is refused."""
-    chi = character_table(p)
-    if chi is None:
-        raise ValueError(f"legendre_sums: p must be <= {_CROSSOVER}, got {p}")
+    chi = _table_and_weights(p)[0]
     x = np.arange(p, dtype=np.int64)
     f = x * x  # Horner: every intermediate stays below 2p^2 + p
     f %= p
@@ -203,13 +207,15 @@ def _legendre_count(p: int, A: int, B: int) -> int:
     return p + 1 + int(legendre_sums(p, A, B))
 
 
-def character_table(p: int) -> np.ndarray | None:
-    """The read-only int8 table of (x | p) for 0 <= x < p, shared with the
-    counts and with the oracle, which reads (d | p) off it for a twist by d,
-    at a prime 5 <= p <= _CROSSOVER; None above the crossover, where no
-    count builds tables."""
+def symbol(p: int):
+    """x -> (x | p) for 0 <= x < p, at a prime p in [5, 2^60): the item
+    lookup of a memoryview of p's character table up to _CROSSOVER, `jacobi`
+    with p fixed above it, where no count builds a table. Any other p raises
+    a ValueError naming it."""
+    if p <= _CROSSOVER:
+        return memoryview(_table_and_weights(p)[0]).__getitem__  # admits p
     _admit(p)
-    return _table_and_weights(p)[0] if p <= _CROSSOVER else None
+    return partial(jacobi, m=p)
 
 
 def _normal_form_count(p: int, A: int, B: int) -> int:
@@ -229,8 +235,6 @@ def normal_form_traces(p: int) -> np.ndarray:
     E_t: y^2 = x^3 + t x + t, by the correlation in the module docstring,
     taken through the float64 dot and exact. O(p^2) time, for a prime
     5 <= p <= _CROSSOVER, the primes with tables."""
-    if character_table(p) is None:
-        raise ValueError(f"normal_form_traces: p must be <= {_CROSSOVER}, got {p}")
     chi, w = _table_and_weights(p)
     chi = chi.base.astype(np.float64)  # the doubled table
     w = w.astype(np.float64)

@@ -26,14 +26,12 @@ count at p, E^d has c_p points when (d|p) = 1 and 2p + 2 - c_p when
 (d|p) = -1. Its record is one tuple (m, A, B, rows): the last curve counted,
 with its modulus and the (A, B) it was counted as, and a row
 (p, chi, counts) per prime of m with counts = (0, c_p, 2p + 2 - c_p). Here
-chi is the symbol x -> (x|p) for 0 <= x < p as a callable: at a table prime
-(p <= the crossover in `counting`) the item lookup of a memoryview of
-`counting.character_table`, above it `jacobi` with p fixed. A query of
-that m and (A, B) multiplies counts[s] with s = chi(d mod p) over the rows,
-one inline loop with no branch, no count and no screen: s = 1 reads c_p,
-s = -1 the last entry, and s = 0, when p divides d, reads 0. A zero
-product sends the query the other way, where
-`curves.twist` refuses it. No screen is needed: E^d's discriminant is d^6
+chi is `counting.symbol(p)`, the callable x -> (x|p) for 0 <= x < p. A
+query of that m and (A, B) multiplies counts[s] with s = chi(d mod p) over
+the rows, one inline loop with no branch, no count and no screen: s = 1
+reads c_p, s = -1 the last entry, and s = 0, when p divides d, reads 0. A
+zero product sends the query the other way, where `curves.twist` refuses
+it. No screen is needed: E^d's discriminant is d^6
 times E's, so E^d is smooth exactly when E is, and E was screened when it
 became the record. The oracle admits each of its primes and takes its chi
 once, at construction. Any other query is counted prime by prime through
@@ -48,10 +46,9 @@ every one of the 2472 twist queries is answered from the record, and
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from . import counting, curves
-from .arith import factor_small, jacobi
+from .arith import factor_small
 from .counting import BRUTEFORCE_LIMIT, count_affine_bruteforce
 
 
@@ -126,12 +123,7 @@ class FactoredOracle(Oracle):
         primes = sorted(primes)
         if len(set(primes)) != len(primes):
             raise ValueError("FactoredOracle: primes must be distinct")
-        # prime -> chi, x -> (x|p) for 0 <= x < p: a lookup in its character
-        # table up to the crossover, jacobi above it
-        self._chi: dict = {}
-        for p in primes:
-            chi = counting.character_table(p)  # admits p: a prime in [5, 2^60)
-            self._chi[p] = partial(jacobi, m=p) if chi is None else memoryview(chi).__getitem__
+        self._chi = {p: counting.symbol(p) for p in primes}  # admits p: a prime in [5, 2^60)
         self._record = (None, None, None, ())  # (m, A, B, rows); no curve counted yet
 
     def _factor(self, m: int) -> list[int]:

@@ -245,7 +245,10 @@ def factor_completely(n: int, oracle, cfg: ReductionConfig) -> FactorizationResu
     prime repeats: a screening gcd can split p off p^2*m before the oracle
     sees the square, and the parts of a squarefree n never share a prime.
     The rest is a work list of cofactors, split recursively. A stuck
-    cofactor is reported rather than guessed at.
+    cofactor is reported rather than guessed at. A square that no query
+    reaches is reported the same way, as a spent budget would be (175 with
+    max_curves = 0 comes back as failed_cofactor 175), so `cli.cmd_factor`
+    refuses a square before it calls here.
     """
     if n < 2:
         raise ValueError("factor_completely: n must be >= 2")

@@ -84,10 +84,13 @@ def phi_reference(p: int, D: int) -> int:
 
 
 def lower_bounds_reference(p, D):
-    """The closed-form bounds with each divisor function factoring afresh."""
+    """The closed-form bounds with each divisor function factoring afresh,
+    and the odd part P of p + 1 by halving, not by `arith.odd_part`."""
     sp = math.sqrt(p)
     b22 = 2 * sp - (2 * sp / D) * tau(p + 1) - tau((p + 1) ** 2)
-    P = arith.odd_part(p + 1)
+    P = p + 1
+    while P % 2 == 0:
+        P //= 2
     b23 = sp * euler_phi(P) / P - 2 ** omega(P)
     return b22, b23
 

@@ -9,17 +9,11 @@ import math
 import random
 import statistics
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from ecfactor.arith import (
-    factor_small,
-    is_probable_prime,
-    isqrt,
-    jacobi,
-    primes_between,
-)
+from ecfactor.arith import factor_small, is_probable_prime, jacobi, primes_between
 from ecfactor.census import (
     CSV_HEADER,
     census_sweep,
@@ -236,7 +230,9 @@ def test_criterion_10_proof_auxiliaries():
     report(10, "(primorial check and totient lower bound both exact)")
 
 
-def test_criterion_11_query_complexity(semiprime_runs):
+def test_criterion_11_queries_within_budget(semiprime_runs):
+    # a budget bound that holds by construction: a semiprime's run is one
+    # split, at most one query per curve plus one per d; it shows no growth
     per_n = []
     for n, _pq, cfg, result in semiprime_runs:
         budget = cfg.resolved_max_curves(n) * (cfg.resolved_max_d(n) + 1)
@@ -246,8 +242,8 @@ def test_criterion_11_query_complexity(semiprime_runs):
     median = statistics.median(per_n)
     report(
         11,
-        f"(median {median} oracle queries per n over {len(per_n)} successes; "
-        f"budget max_curves*(max_d+1))",
+        f"(queries within the budget max_curves*(max_d+1) on every n, by "
+        f"construction; median {median} per n over {len(per_n)} successes)",
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,7 @@ from ecfactor.arith import (
     _MR_WITNESSES,
     _miller_rabin,
     factor_small,
-    gcd,
     is_probable_prime,
-    isqrt,
     jacobi,
     odd_part,
     primes_between,

@@ -62,10 +62,21 @@ class TestFactorCommand:
         assert report["factors"][-1] == 1152921504606847009
         assert report["oracle_queries"] == 0
 
-    def test_non_squarefree_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "factor", "45")
+    # with no curves, factor_completely reports 175 as a stuck cofactor, a
+    # budget failure; only the CLI's own check tells the square
+    @pytest.mark.parametrize(
+        "argv, square",
+        [
+            (["45"], "3^2"),
+            (["175", "--max-curves", "0", "--oracle", "factored"], "5^2"),
+            (["175", "--max-curves", "0", "--oracle", "direct"], "5^2"),
+        ],
+        ids=["45", "175-factored", "175-direct"],
+    )
+    def test_non_squarefree_rejected(self, capsys, argv, square):
+        code, _, err = run_cli(capsys, "factor", *argv)
         assert code == 1
-        assert "not squarefree" in err and "3^2" in err
+        assert "not squarefree" in err and square in err
 
     def test_direct_oracle_mode(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "35", "--seed", "1", "--oracle", "direct")

@@ -34,11 +34,11 @@ from ecfactor.counting import (
     _bsgs_count,
     _legendre_count,
     _table_and_weights,
-    character_table,
     count_affine_bruteforce,
     count_points_prime,
     legendre_sums,
     normal_form_traces,
+    symbol,
 )
 from proof_aux import (
     bsgs_count_reference,
@@ -168,7 +168,7 @@ class TestLegendreTable:
     def test_matches_jacobi_below_3000(self):
         for p in primes_between(5, 2999):
             expected = [0] + [jacobi(r, p) for r in range(1, p)]
-            assert character_table(p).tolist() == expected, p
+            assert _table_and_weights(p)[0].tolist() == expected, p
 
     def test_matches_jacobi_near_1e6(self):
         rng = random.Random(10)
@@ -284,24 +284,31 @@ class TestCharacterTable:
         rng = random.Random(31)
         table_primes = primes_between(5, counting._CROSSOVER)
         for p in rng.sample(table_primes, 24) + [5, 16381]:
-            chi = character_table(p)
-            assert chi is _table_and_weights(p)[0] and not chi.flags.writeable, p
+            chi = _table_and_weights(p)[0]
+            assert not chi.flags.writeable, p
             assert chi.tolist() == [jacobi(x, p) for x in range(p)], p
+            assert list(map(symbol(p), range(p))) == chi.tolist(), p
 
     def test_a_view_of_the_first_half_of_a_doubled_table(self):
         for p in (5, 1499, 16381):
-            chi = character_table(p)
-            assert chi is _table_and_weights(p)[0] and len(chi) == p, p
+            chi = _table_and_weights(p)[0]
+            assert len(chi) == p, p
             doubled = chi.base
             assert len(doubled) == 2 * p and not doubled.flags.writeable, p
             assert (doubled[:p] == doubled[p:]).all(), p
 
     def test_none_above_the_crossover(self):
-        assert character_table(primes_between(2, counting._CROSSOVER)[-1]) is not None
+        # no table above the crossover: the symbol there is jacobi, and
+        # taking it adds no cache entry
+        rng = random.Random(32)
+        before = _table_and_weights.cache_info().currsize
         for p in (16411, 1000003):
-            assert character_table(p) is None
-        with pytest.raises(ValueError, match="got 9$"):
-            character_table(9)
+            xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+            assert [symbol(p)(x) for x in xs] == [jacobi(x, p) for x in xs], p
+        assert _table_and_weights.cache_info().currsize == before
+        for p in (9, 16413):
+            with pytest.raises(ValueError, match=f"got {p}$"):
+                symbol(p)
 
 
 @pytest.fixture

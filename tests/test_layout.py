@@ -52,25 +52,34 @@ def test_the_check_sees_a_private_import(tmp_path):
 
 
 def foreign_imports(path):
-    """(line, module, name) for each callable imported from a sibling that
-    the sibling does not define, such as a function it imports itself."""
+    """(line, module, name) for each callable imported from a package module
+    that the module does not define, such as a function it imports itself:
+    relative imports of a sibling, and absolute imports from `ecfactor.*`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        (node.lineno, node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
-        for alias in node.names
-        if callable(value := getattr(importlib.import_module(f"ecfactor.{node.module}"), alias.name))
-        and getattr(value, "__module__", None) != f"ecfactor.{node.module}"
-    ]
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        name = f"ecfactor.{node.module}" if node.level else node.module
+        if name.startswith("ecfactor."):
+            module = importlib.import_module(name)
+            hits += [
+                (node.lineno, node.module, alias.name)
+                for alias in node.names
+                if callable(value := getattr(module, alias.name))
+                and getattr(value, "__module__", None) != name
+            ]
+    return hits
 
 
 def test_no_module_imports_a_callable_through_a_sibling():
     # each callable is imported from the module that defines it, the
-    # standard library's from the standard library
+    # standard library's from the standard library, in the package and in
+    # the tests and tools that import it
+    paths = [*SOURCE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]
     found = {
-        path.name: hits
-        for path in sorted(SOURCE.glob("*.py"))
+        str(path.relative_to(ROOT)): hits
+        for path in sorted(paths)
         if (hits := foreign_imports(path))
     }
     assert found == {}
@@ -78,8 +87,11 @@ def test_no_module_imports_a_callable_through_a_sibling():
 
 def test_the_check_sees_a_callable_imported_through_a_sibling(tmp_path):
     module = tmp_path / "m.py"
-    module.write_text("from .arith import gcd, jacobi\nfrom .counting import BRUTEFORCE_LIMIT\n")
-    assert foreign_imports(module) == [(1, "arith", "gcd")]
+    module.write_text(
+        "from .arith import gcd, jacobi\nfrom .counting import BRUTEFORCE_LIMIT\n"
+        "from ecfactor.arith import isqrt, odd_part\nfrom math import gcd\n"
+    )
+    assert foreign_imports(module) == [(1, "arith", "gcd"), (3, "ecfactor.arith", "isqrt")]
 
 
 def code_spans(text):

@@ -10,8 +10,8 @@ of the program that answer alike print the same digest: it covers
 `factors`, `curves_used`, `oracle_queries` and the census CSV bytes. Prints
 the hex digest of one sha256 over the argv, exit code and payload of every
 call. Exits 2 if there are no ecfactor sources to run, and 1 if the run
-imported ecfactor from elsewhere. A run takes about 1.3 s on a 2-core x86
-host.
+imported ecfactor from elsewhere. A run takes 1.4-1.9 s on a 2-core Intel
+Xeon host with Python 3.11.7 (five fresh processes).
 
 The inputs always come from the `bench/` next to this script. `--src` names
 the `src` directory of the program to run, by default the one next to this
