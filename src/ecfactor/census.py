@@ -8,8 +8,9 @@ p and D is a block of one. D >= 0 is checked in one place (`_d_list`),
 for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
 
 - phi_direct enumerates: one gcd matrix over (prime, a) per block,
-  compared once with each distinct D, every D at or past a prime's bound B
-  read as top = max B, since such a D counts every a <= B: at most top
+  compared once with each distinct D, every D cut to top = max B, as
+  phi_mobius reads its D: the cells past a prime's bound B hold top + 1,
+  so a D at or past B counts every a <= B either way. At most top
   comparisons a block, however many D. A block with top <= _GCD_TOP = 256
   (its primes are at most 16512) reads gcd(a, p+1) = gcd(a, (p+1) mod a)
   off one int16 table of gcd(a, r), 0 <= a, r <= 256, built once, and
@@ -153,7 +154,7 @@ def phi_direct(p, D):
     with top <= _GCD_TOP reads gcd(a, m) = gcd(a, m mod a), m = p + 1, off
     _gcd_table in int16; a larger one takes np.gcd in int64. The cells with
     a > floor(2*sqrt(p)) are set to top + 1; the matrix is compared once with
-    each distinct D, every D >= a prime's B read as top, and each (prime, D)
+    each distinct D, every D cut to top as in phi_mobius, and each (prime, D)
     is read by index. `census_sweep(101, 101, range(1, 2 * 10**5 + 1), 0)`
     takes 0.5 s (2-core x86, Python 3.11, numpy 2.4).
     """
@@ -166,8 +167,7 @@ def phi_direct(p, D):
     else:
         g = np.gcd(a, m[:, None])
     np.copyto(g, top + 1, where=a > bound[:, None])
-    d = _count_grid(ps, ds)
-    d[d >= bound[:, None]] = top  # such a D counts every a <= B
+    d = np.minimum(_count_grid(ps, ds), top)
     dv, di = np.unique(d, return_inverse=True)
     counts = np.empty((len(ps), len(dv)), dtype=np.int64)
     for k, D in enumerate(dv.tolist()):

@@ -54,10 +54,9 @@ One build works over the powers y_i = g^i, 0 <= i < p - 1, of the least
 primitive root g (`arith.primitive_root`), taken as an outer product of
 about sqrt(p) by sqrt(p) powers and dropped once the build ends. Since
 (g^i | p) = (-1)^i, two scatters of them give the table, and entry 0 is 0.
-It is built doubled, an array of length 2p whose second half repeats the
-first, and the cache hands out the view of its first p entries; the one-lag
-count reads the doubled array through the view's `.base`, so the p cyclic
-terms chi(t + s) of its lag are one contiguous slice.
+The table is doubled, an array of length 2p whose second half repeats the
+first, so (x | p) is its entry x for 0 <= x < p and the p cyclic terms
+chi(t + s) of a lag are one contiguous slice.
 
 `symbol(p)` is public, the callable x -> (x | p), so only this module
 decides which primes have tables: `oracle.FactoredOracle` takes one per
@@ -137,18 +136,18 @@ def count_points_prime(p: int, A: int, B: int) -> int:
     if p > _CROSSOVER:
         return _bsgs_count(p, A, B)
     if A == 0 or B == 0:
-        return _legendre_count(p, A, B)
+        return p + 1 + int(legendre_sums(p, A, B))
     return _normal_form_count(p, A, B)
 
 
 @cache  # a refused p raises, so only the 1898 primes up to _CROSSOVER are kept
 def _table_and_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The character table and the weights w of a prime 5 <= p <= _CROSSOVER,
-    from one array of powers (module docstring). The table is the read-only
-    int8 (x | p) for 0 <= x < p: a view of the first half of a read-only
-    array of length 2p whose halves are equal. The weights are the read-only
-    int16 w(s) for 0 <= s < p, with sum |w| <= p - 1. Any other p raises a
-    ValueError naming it: a larger prime has no table."""
+    from one array of powers (module docstring). The table is read-only
+    int8 and doubled: length 2p, with (x | p) at x and at p + x for
+    0 <= x < p. The weights are the read-only int16 w(s) for 0 <= s < p,
+    with sum |w| <= p - 1. Any other p raises a ValueError naming it: a
+    larger prime has no table."""
     _admit(p)
     if p > _CROSSOVER:
         raise ValueError(f"counting: p must be <= {_CROSSOVER}, got {p}")
@@ -184,7 +183,7 @@ def _table_and_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
     w -= np.bincount(s[1::2], minlength=p)
     w = w.astype(np.int16)
     w.flags.writeable = False  # shared by every later count at p
-    return chi[:p], w
+    return chi, w
 
 
 def legendre_sums(p: int, A, B):
@@ -200,11 +199,6 @@ def legendre_sums(p: int, A, B):
     f += B % p
     f %= p
     return chi[f].sum(-1)  # int8 sums accumulate in int64
-
-
-def _legendre_count(p: int, A: int, B: int) -> int:
-    """p + 1 + sum_x (x^3+Ax+B | p)."""
-    return p + 1 + int(legendre_sums(p, A, B))
 
 
 def symbol(p: int):
@@ -225,7 +219,7 @@ def _normal_form_count(p: int, A: int, B: int) -> int:
     # corr = sum_s w(s) chi((t + s) mod p), one slice of the doubled table.
     # numpy's integer dot accumulates in a C long and casts the sum to int16,
     # which is exact: |corr| <= sum |w| <= p - 1 < 2^15
-    corr = int(chi.base[t : t + p].dot(w))
+    corr = int(chi[t : t + p].dot(w))
     chi_minus_1 = 1 if p & 3 == 1 else -1  # (-1 | p)
     return p + 1 + int(chi[A * B % p]) * (chi_minus_1 + corr)
 
@@ -236,7 +230,7 @@ def normal_form_traces(p: int) -> np.ndarray:
     taken through the float64 dot and exact. O(p^2) time, for a prime
     5 <= p <= _CROSSOVER, the primes with tables."""
     chi, w = _table_and_weights(p)
-    chi = chi.base.astype(np.float64)  # the doubled table
+    chi = chi.astype(np.float64)
     w = w.astype(np.float64)
     # corr[t] = sum_s w(s) chi((t + s) mod p) for 0 <= t < p, by the float64
     # dot; exact, as every partial sum is an integer of size at most

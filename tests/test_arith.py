@@ -1,11 +1,8 @@
 import math
 import random
 import time
-from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ecfactor import arith
 from ecfactor.arith import (
@@ -28,13 +25,6 @@ from proof_aux import (
     tau,
     totient_sieve,
 )
-
-
-def test_gcd_examples():
-    assert gcd(45, 15) == 15
-    assert gcd(0, 7) == 7
-    assert gcd(12, 35) == 1
-    assert gcd(0, 0) == 0
 
 
 class TestJacobi:
@@ -74,26 +64,6 @@ class TestJacobi:
                 continue
             for a in range(1, p):
                 assert jacobi(a, p) % p == pow(a, (p - 1) // 2, p)
-
-
-class TestIsqrt:
-    def test_examples(self):
-        assert isqrt(16) == 4
-        assert isqrt(24) == 4
-        assert isqrt(20) == 4  # floor(2*sqrt(5))
-
-    @settings(max_examples=300)
-    @given(st.integers(min_value=0, max_value=10 ** 40))
-    def test_bracketing(self, x):
-        t = isqrt(x)
-        assert t * t <= x < (t + 1) * (t + 1)
-
-    def test_bracketing_bulk(self):
-        rng = random.Random(2)
-        for _ in range(10 ** 5):
-            x = rng.randrange(10 ** 12)
-            t = isqrt(x)
-            assert t * t <= x < (t + 1) * (t + 1)
 
 
 class TestPrimitiveRoot:

@@ -35,7 +35,8 @@ metric: the change is better in at least 9 of 10 pairs, and the gap between
 the medians is larger than the parent's interquartile range.
 
 The `BENCH_*.json` files from `BENCH_30.json` on come from it. Ten seeds of
-the three workloads took 386 s for `BENCH_48.json` on a 2-core x86 host.
+the three workloads took 260 s for `BENCH_50.json` and 262 s for
+`BENCH_51.json` (their `elapsed_s`) on a 2-core x86 host.
 """
 
 from __future__ import annotations
