@@ -164,14 +164,14 @@ def _brent_rho(x: int, c: int) -> int:
 
 
 def _rho_primes(x: int) -> list[int]:
-    """Prime factors of x > 2**12 with multiplicity, splitting composites by
-    rho, for an x with no prime factor below 2**12."""
-    if _sieved_is_prime(x):
-        return [x]
+    """Prime factors with multiplicity of a composite x with no prime factor
+    below 2**12, split by rho; each part split off is tested once, and only
+    a composite part is split again."""
     c = 1
     while (f := _brent_rho(x, c)) == x:
         c += 1
-    return _rho_primes(f) + _rho_primes(x // f)
+    return [q for part in (f, x // f)
+            for q in ([part] if _sieved_is_prime(part) else _rho_primes(part))]
 
 
 def factor_small(x: int) -> tuple[tuple[int, int], ...]:

@@ -5,13 +5,13 @@ is computed two ways that must agree exactly, and bounded below by two
 closed-form expressions. The three kernels take a block of primes and a
 list of D and answer every (prime, D) at once, as numpy arrays; a scalar
 p and D is a block of one. D >= 0 is checked in one place (`_d_list`),
-for the kernels and the sweep, and D = 0 read as p + 1 in one (`_d_grid`).
+for the kernels and the sweep. D = 0 is read as p + 1 in one (`_d_grid`),
+where D is printed or evaluated; every count reads D through `_caps`.
 
 - phi_direct enumerates: one gcd matrix over (prime, a) per block,
-  compared once with each distinct D, every D cut to top = max B, as
-  phi_mobius reads its D: the cells past a prime's bound B hold top + 1,
-  so a D at or past B counts every a <= B either way. At most top
-  comparisons a block, however many D. A block with top <= _GCD_TOP = 256
+  compared once with each distinct cap of `_caps` cut to top = max B, the
+  caps at which phi_mobius reads its sums. At most top comparisons a
+  block, however many D. A block with top <= _GCD_TOP = 256
   (its primes are at most 16512) reads gcd(a, p+1) = gcd(a, (p+1) mod a)
   off one int16 table of gcd(a, r), 0 <= a, r <= 256, built once, and
   compares in int16; 256 keeps the table at 132 KB, as a table for top
@@ -51,7 +51,7 @@ j = 1728, whose traces come from one `counting.legendre_sums` over the
 column of their curves, one curve per coset taken as a power of the least
 primitive root, `arith.primitive_root`.
 A census line counts the classes with gcd(a, p+1) <= D off one cumulative
-count of their gcds, read at every D (cut to p + 1).
+count of their gcds, read at every cap of `_caps` cut to p + 1.
 
 The non-residue search measures how far one must go for a d that is a
 non-residue mod p but a residue mod m.
@@ -99,17 +99,24 @@ def _d_grid(ps: np.ndarray, ds: Sequence[int], dtype=object) -> np.ndarray:
     """The D of every (prime, D) cell, with D = 0 read as p + 1, in dtype:
     Python numbers by default, so that a D past int64 is kept whole.
 
-    This is the one place that reads D = 0; every kernel and every CSV line takes
-    its D from here, each D already checked >= 0 by `_d_list`.
+    This is the one place that reads D = 0 as p + 1: the D column and the
+    bounds take their D from here, each D already checked >= 0 by `_d_list`.
+    The counts read D through `_caps`.
     """
     d = np.array(ds, dtype=dtype)
     return np.where(d == 0, (ps + 1).astype(dtype)[:, None], d)
 
 
-def _count_grid(ps: np.ndarray, ds: Sequence[int]) -> np.ndarray:
-    """_d_grid as int64, with D above p + 1 cut to p + 1: gcd(a, p+1) <= p + 1."""
-    d = _d_grid(ps, [min(D, _INT64_MAX) for D in ds], np.int64)
-    return np.minimum(d, (ps + 1)[:, None])
+def _caps(ds: Sequence[int]) -> np.ndarray:
+    """The int64 cap at which the counts read each D: D, or _INT64_MAX (no
+    cap) for D = 0, read as p + 1, and for a D past int64.
+
+    A cap set by D alone is exact: an in-bound gcd(a, p+1) <= a <= B <= top,
+    the block's largest bound, the cells past B hold top + 1, f(d) = 0 for
+    d > min(B, p + 1), and a class gcd is at most p + 1, so every count at D
+    is the count at min(cap, top), or at min(cap, p + 1) for the classes.
+    """
+    return np.array([D if 0 < D <= _INT64_MAX else _INT64_MAX for D in ds], dtype=np.int64)
 
 
 def _unwrap(grid: np.ndarray, scalar: bool):
@@ -154,9 +161,10 @@ def phi_direct(p, D):
     with top <= _GCD_TOP reads gcd(a, m) = gcd(a, m mod a), m = p + 1, off
     _gcd_table in int16; a larger one takes np.gcd in int64. The cells with
     a > floor(2*sqrt(p)) are set to top + 1; the matrix is compared once with
-    each distinct D, every D cut to top as in phi_mobius, and each (prime, D)
-    is read by index. `census_sweep(101, 101, range(1, 2 * 10**5 + 1), 0)`
-    takes 0.5 s (2-core x86, Python 3.11, numpy 2.4).
+    each distinct cap of `_caps` cut to top, as in phi_mobius, and each D
+    reads the column of its cap.
+    `census_sweep(101, 101, range(1, 2 * 10**5 + 1), 0)` takes 0.23-0.40 s
+    (2-core x86, Python 3.11, numpy 2.4).
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
@@ -167,13 +175,11 @@ def phi_direct(p, D):
     else:
         g = np.gcd(a, m[:, None])
     np.copyto(g, top + 1, where=a > bound[:, None])
-    d = np.minimum(_count_grid(ps, ds), top)
-    dv, di = np.unique(d, return_inverse=True)
+    dv, di = np.unique(np.minimum(_caps(ds), top), return_inverse=True)
     counts = np.empty((len(ps), len(dv)), dtype=np.int64)
     for k, D in enumerate(dv.tolist()):
         counts[:, k] = np.count_nonzero(g <= D, axis=1)
-    # numpy 1.x returns the inverse flat
-    return _unwrap(np.take_along_axis(counts, di.reshape(d.shape), axis=1), scalar)
+    return _unwrap(counts[:, di], scalar)
 
 
 def phi_mobius(p, D):
@@ -187,9 +193,9 @@ def phi_mobius(p, D):
     The sum over mu is the product over primes q of (1 - S_q), S_q f(d) =
     f(dq), applied one prime q | p+1 of the block at a time as one in-place
     subtraction; numpy reads an overlapping operand before it writes. f
-    holds no D: one cumulative sum down d answers every D, read at D cut to
-    the block's largest B, past which f is 0. Over
-    `census_sweep(5, 100000, range(1, 401), 0)` it takes 0.19 s (cProfile).
+    holds no D: one cumulative sum down d answers every D, read at its cap
+    (`_caps`) cut to the block's largest B, past which f is 0. Over
+    `census_sweep(5, 100000, range(1, 401), 0)` it takes 0.15-0.20 s (cProfile).
     """
     ps, ds, scalar = _operands(p, D)
     m, bound = ps + 1, _bounds(ps)
@@ -207,8 +213,7 @@ def phi_mobius(p, D):
     for q in primes:
         f[1:top // q + 1] -= f[q::q]
     np.cumsum(f, axis=0, out=f)
-    out = np.take_along_axis(f.T, np.minimum(_count_grid(ps, ds), top), axis=1)
-    return _unwrap(out, scalar)
+    return _unwrap(f[np.minimum(_caps(ds), top)].T, scalar)
 
 
 def _divisor_functions(m: int) -> tuple[int, int, int, int, int]:
@@ -326,9 +331,9 @@ def census_sweep(
 
     Memory stays bounded by one run (module docstring). Peaks in a fresh
     process, against the 28 MB the imports take: [0, 10^6] 34 MB; the 8
-    primes in [2^40 - 300, 2^40] 66 MB; [5, 3000] with 2000 D 50 MB; p = 101
+    primes in [2^40 - 300, 2^40] 66 MB; [5, 3000] with 2000 D 48 MB; p = 101
     with the D `range(1, 10**6 + 1)` 49 MB; p = 997 with `range(1, 65537)`
-    and classes 57 MB (2-core x86, Python 3.11, numpy 2.4).
+    and classes 56 MB (2-core x86, Python 3.11, numpy 2.4).
     """
     if pmin > pmax:
         raise ValueError(f"census_sweep: pmin must be <= pmax, got [{pmin}, {pmax}]")
@@ -370,8 +375,8 @@ def _csv_blocks(primes: list[int], d_list: Sequence[int], classes_max: int) -> I
     top the largest bound. A block of two or more primes holds fewer than
     _BLOCK_CELLS / 2 D, so it is one run, and the lines keep their (p, D)
     order. At a prime up to classes_max the class columns are the number of
-    classes with gcd(a, p+1) <= D (D cut to p + 1) and the number of
-    classes; above it they are empty.
+    classes with gcd(a, p+1) <= D (read at the cap of `_caps` cut to p + 1)
+    and the number of classes; above it they are empty.
 
     A run's seven fields per line fill one object array, whose cast turns
     int64 into int and float64 into float, so one `%` formats the run."""
@@ -394,12 +399,13 @@ def _csv_blocks(primes: list[int], d_list: Sequence[int], classes_max: int) -> I
             tails = [f",{b:.6g}," for b in b23[:, 0].tolist()]
             fields[..., 5] = np.array(tails, dtype=object)[:, None]
             fields[..., 6] = ","
-            for k, (p, caps) in enumerate(zip(ps.tolist(), _count_grid(ps, ds))):
+            caps = _caps(ds)
+            for k, p in enumerate(ps.tolist()):
                 if p > classes_max:  # the primes ascend
                     break
                 gcds = np.gcd(isomorphism_class_traces(p), p + 1)
-                small = np.bincount(gcds, minlength=p + 2).cumsum()[caps].tolist()
-                fields[k, :, 6] = [f"{s},{len(gcds)}" for s in small]
+                small = np.bincount(gcds, minlength=p + 2).cumsum()[np.minimum(caps, p + 1)]
+                fields[k, :, 6] = [f"{s},{len(gcds)}" for s in small.tolist()]
             lines = len(ps) * len(ds)
             yield ("%d,%d,%d,%d,%.6g%s%s\n" * lines) % tuple(fields.ravel().tolist())
 

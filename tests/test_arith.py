@@ -101,6 +101,17 @@ class TestFactorSmall:
         assert arith._brent_rho(x, 1) == x
         assert factor_small(x) == ((14591, 1), (20341, 1))
 
+    def test_each_number_is_tested_for_primality_once(self, monkeypatch):
+        # factor_small tests its cofactor and rho only the parts it splits off
+        tested = []
+        sieved = arith._sieved_is_prime
+        monkeypatch.setattr(arith, "_sieved_is_prime", lambda x: tested.append(x) or sieved(x))
+        for x, primes in ((100003 * 199999, (100003, 199999)),
+                          (4099 * 4111 * 4127, (4099, 4111, 4127))):
+            tested.clear()
+            assert factor_small(x) == tuple((q, 1) for q in primes)
+            assert x in tested and len(tested) == len(set(tested)), tested
+
     def test_matches_trial_division_to_2_40(self):
         # every x <= 3*10^4, then semiprimes to 2^40: factors above the
         # trial-division bound 2**12 are split by rho, including squares and

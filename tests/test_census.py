@@ -165,16 +165,18 @@ class TestPhiCounts:
         assert (forced == phi_mobius(np.array(low + [17011]), d_list)).all()
 
     def test_direct_compares_once_per_distinct_D(self, monkeypatch):
-        # a D at or past a prime's bound counts every a <= bound, so 3002 D over
-        # the primes of [5, 300] come to at most top + 1 distinct comparisons
+        # a D at or past the block's top bound counts every a <= bound, so the
+        # 3002 D over the primes of [5, 300] take one comparison per distinct
+        # min(D, top), D = 0 counting as top: 34, however many D
         primes = np.array(primes_between(5, 300))
         d_list = [*range(3001), 2 ** 70]
+        top = isqrt(4 * int(primes[-1]))
         calls = []
         count = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda *a, **k: calls.append(1) or count(*a, **k))
         direct = phi_direct(primes, d_list)
         monkeypatch.undo()
-        assert 0 < len(calls) <= isqrt(4 * int(primes[-1])) + 1, len(calls)
+        assert len(calls) == len({min(D or top, top) for D in d_list}) == 34, len(calls)
         assert (direct == phi_mobius(primes, d_list)).all()
         reference = [[phi_reference(p, D) for D in d_list] for p in primes.tolist()]
         assert direct.tolist() == reference
